@@ -44,10 +44,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in ra] for ra in a]
-
-
 def mat_mul(a, b):
     r = len(a)
     n = len(b[0])

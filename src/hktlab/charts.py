@@ -7,16 +7,20 @@ labels, and two substitution tables:
     inverse_table(pt)[real label] = dx_label expanded in the frame covectors
 
 Both tables may depend on the point (the total-space frame does); closures must
-be pure in the point argument so dual seeding nests correctly.
+be pure in the point argument so dual seeding nests correctly.  to_frame and
+to_real build each table at most once per Point (duals.point_memo), so the
+nested conversions of one seeded evaluation share their tables; a plain list
+gets a fresh table on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .duals import point_memo
 from .exterior import StructureContext, apply_multiplicative, standard_m
 
 
@@ -36,13 +40,14 @@ def constant_chart(rows: list[dict], ctx: StructureContext, name: str = "") -> C
     table = {}
     for a, row in enumerate(rows):
         table[a] = dict(row)
-        table[m + a] = {k: np.conj(c) for k, c in row.items()}
+        table[m + a] = {k: complex(c).conjugate() for k, c in row.items()}
     B = np.zeros((2 * m, dim), dtype=complex)
     for l, row in table.items():
         for (j,), c in row.items():
             B[l, j] = c
     C = np.linalg.inv(B)
-    inv = {j: {(l,): C[j, l] for l in range(2 * m) if abs(C[j, l]) > 1e-15}
+    inv = {j: {(l,): complex(C[j, l]) for l in range(2 * m)
+               if abs(C[j, l]) > 1e-15}
            for j in range(dim)}
     return Chart(dim, ctx, lambda pt: table, lambda pt: inv, name)
 
@@ -67,8 +72,10 @@ def flat_chart(n: int, unit: str = "I") -> Chart:
 
 
 def to_frame(chart: Chart, el, pt):
-    return apply_multiplicative(chart.inverse_table(pt), el)
+    return apply_multiplicative(
+        point_memo(pt, chart.inverse_table, chart.inverse_table), el)
 
 
 def to_real(chart: Chart, el, pt):
-    return apply_multiplicative(chart.frame_table(pt), el)
+    return apply_multiplicative(
+        point_memo(pt, chart.frame_table, chart.frame_table), el)

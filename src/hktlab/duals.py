@@ -10,6 +10,10 @@ point-dependent coefficient sits between the two levels.
 
 Derivatives are taken along real coordinate directions only, so conj and
 re/im act slotwise and remain valid operations.
+
+Seeded coordinates come back as a Point: a list with a memo of what has
+been built at it (chart tables, connection products), so every consumer of
+one seeded point shares one build, and the memo is freed with the point.
 """
 
 from __future__ import annotations
@@ -168,8 +172,33 @@ def dexp(x):
     return math.exp(x)
 
 
+class Point(list):
+    """Coordinate list carrying a memo of values built at it."""
+    __slots__ = ("memo",)
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        self.memo = {}
+
+
+def as_point(coords):
+    """coords itself if it is a Point, else a Point copy of it."""
+    return coords if isinstance(coords, Point) else Point(coords)
+
+
+def point_memo(pt, key, build):
+    """build(pt), made once per Point and key; a plain list has no memo and
+    gets a fresh build on every call."""
+    memo = getattr(pt, "memo", None)
+    if memo is None:
+        return build(pt)
+    if key not in memo:
+        memo[key] = build(pt)
+    return memo[key]
+
+
 def seed_unit(coords, i, level):
-    """Copy of coords with slot i seeded for d/dx_i at the given level."""
-    out = list(coords)
+    """Point copy of coords with slot i seeded for d/dx_i at the given level."""
+    out = Point(coords)
     out[i] = Dual(out[i], 1.0, level)
     return out

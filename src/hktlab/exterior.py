@@ -96,7 +96,16 @@ def wedge(a: Element, b: Element) -> Element:
 
 
 def enorm(a: Element) -> float:
-    return max((abs(numeric(c)) for c in a.values()), default=0.0)
+    """Largest coefficient modulus; nan if any coefficient is nan, whatever
+    the dict order (an infinite one, with no nan, gives inf)."""
+    worst = 0.0
+    for c in a.values():
+        x = abs(numeric(c))
+        if math.isnan(x):
+            return math.nan
+        if x > worst:
+            worst = x
+    return worst
 
 
 def apply_derivation(table, el: Element) -> Element:
@@ -175,18 +184,20 @@ class StructureContext:
             raise ValueError("structure matrix must satisfy M conj(M) = -Id")
         self.mmat = M
         m = self.m
+        Mc = M.tolist()  # plain complex entries, so no numpy scalar meets a Dual
         cov_i = {}
         cov_j = {}
         rais = {}
         lowr = {}
         for a in range(m):
+            nz = [b for b in range(m) if Mc[a][b] != 0]
             cov_i[a] = {(a,): -1j}
             cov_i[m + a] = {(m + a,): 1j}
-            cov_j[a] = {(m + b,): -M[a, b] for b in range(m) if M[a, b] != 0}
-            cov_j[m + a] = {(b,): -np.conj(M[a, b]) for b in range(m) if M[a, b] != 0}
+            cov_j[a] = {(m + b,): -Mc[a][b] for b in nz}
+            cov_j[m + a] = {(b,): -Mc[a][b].conjugate() for b in nz}
             rais[m + a] = dict(cov_j[m + a])
             rais[a] = {}
-            lowr[a] = {(m + b,): M[a, b] for b in range(m) if M[a, b] != 0}
+            lowr[a] = {(m + b,): Mc[a][b] for b in nz}
             lowr[m + a] = {}
         cov_k = compose_tables(cov_i, cov_j)
         neg = lambda t: {lab: escale(img, -1) for lab, img in t.items()}
@@ -272,16 +283,6 @@ class StructureContext:
                 num = esub(self.casimir(acc), escale(acc, w2 * (w2 + 2)))
                 acc = escale(num, 1.0 / (w * (w + 2) - w2 * (w2 + 2)))
             out = eadd(out, acc)
-        return out
-
-    def positive_part(self, el: Element) -> Element:
-        """Top-weight (weight = degree) part; zero when the degree exceeds it."""
-        by_deg: dict[int, Element] = {}
-        for labels, c in el.items():
-            by_deg.setdefault(len(labels), {})[labels] = c
-        out: Element = {}
-        for k, sub in by_deg.items():
-            out = eadd(out, self.weight_project(sub, k))
         return out
 
     def invariant_part(self, el: Element) -> Element:

@@ -1,10 +1,14 @@
 """Form-valued fields and the Dolbeault-type operators acting on them.
 
-A FormField evaluates to a sparse element over real-coordinate labels; the
-exterior derivative runs one forward-mode dual pass per coordinate direction
-and is exact to rounding.  Bidegree projections happen pointwise through the
-chart's frame tables, so del / dbar / del_J compose by nesting closures (and
-nesting dual levels).
+A FormField evaluates to a sparse element over real-coordinate labels.  Every
+operator differentiates with one forward-mode dual pass per coordinate
+direction and is exact to rounding: at each level the inner field is
+evaluated once at each seeded point (duals.seed_unit), and del / dbar split
+that one value into all of its bidegrees in frame labels, so del, dbar and
+del_J compose by nesting closures (and nesting dual levels) without
+re-running the inner field per bidegree.  Frame and inverse tables are
+memoised on each seeded Point, so the conversions of one evaluation at one
+point share a single build of each table.
 
 del_J is the twisted holomorphic differential: on functions del_J f equals the
 multiplicative J applied to dbar f, and on (p, 0)-forms
@@ -24,10 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, to_frame, to_real
-from .duals import dot_part, fresh_level, seed_unit
+from .duals import Point, as_point, dot_part, fresh_level, seed_unit
 from .exterior import eadd, escale, wedge
-
-Point = list
 
 
 @dataclass
@@ -37,9 +39,10 @@ class FormField:
     eval_real: Callable[[Point], dict]
 
     def at(self, pt):
-        return self.eval_real(pt)
+        return self.eval_real(as_point(pt))
 
     def frame_at(self, pt):
+        pt = as_point(pt)
         return to_frame(self.chart, self.eval_real(pt), pt)
 
 
@@ -52,6 +55,16 @@ def frame_form_field(chart: Chart, degree: int, expr: Callable) -> FormField:
     return FormField(chart, degree, lambda pt: to_real(chart, expr(pt), pt))
 
 
+def _d_along(el: dict, i: int, lev: int) -> dict:
+    """dx_i ^ (derivative of el's coefficients along the seed of level lev)."""
+    dcoef = {}
+    for mono, c in el.items():
+        dc = dot_part(c, lev)
+        if not (isinstance(dc, (int, float, complex)) and dc == 0):
+            dcoef[mono] = dc
+    return wedge({(i,): 1.0}, dcoef)
+
+
 def exterior_d(field: FormField) -> FormField:
     ch = field.chart
 
@@ -59,12 +72,8 @@ def exterior_d(field: FormField) -> FormField:
         out: dict = {}
         for i in range(ch.dim):
             lev = fresh_level()
-            el = field.eval_real(seed_unit(pt, i, lev))
-            for mono, c in el.items():
-                dc = dot_part(c, lev)
-                if isinstance(dc, (int, float, complex)) and dc == 0:
-                    continue
-                out = eadd(out, wedge({(i,): 1.0}, {mono: dc}))
+            out = eadd(out, _d_along(field.eval_real(seed_unit(pt, i, lev)),
+                                     i, lev))
         return out
 
     return FormField(ch, field.degree + 1, ev)
@@ -80,27 +89,32 @@ def hodge_field(field: FormField, p: int, q: int) -> FormField:
     return FormField(ch, field.degree, ev)
 
 
-def _bidegrees(degree: int, m: int):
-    return [(p, degree - p) for p in range(degree + 1)
-            if p <= m and degree - p <= m]
-
-
 def dolbeault(field: FormField, kind: str) -> FormField:
-    """The (p+1, q) ("del") or (p, q+1) ("dbar") graded piece of d."""
+    """The (p+1, q) ("del") or (p, q+1) ("dbar") graded piece of d.
+
+    One pass per direction i: the field's value at the seeded point is split
+    into its (p, q) parts, and dx_i ^ d_i of each part (in real labels) joins
+    that bidegree's accumulator.  Each accumulator is then d of one (p, q)
+    part, of which the unseeded point keeps the piece `kind` names.
+    """
     ch = field.chart
-    m = ch.ctx.m
-    pieces = []
-    for p, q in _bidegrees(field.degree, m):
-        dcomp = exterior_d(hodge_field(field, p, q))
-        tgt = (p + 1, q) if kind == "del" else (p, q + 1)
-        pieces.append((dcomp, tgt))
+    ctx = ch.ctx
+    dp, dq = (1, 0) if kind == "del" else (0, 1)
 
     def ev(pt):
+        acc: dict = {}
+        for i in range(ch.dim):
+            lev = fresh_level()
+            sp = seed_unit(pt, i, lev)
+            fr = to_frame(ch, field.eval_real(sp), sp)
+            for pq, part in ctx.hodge(fr).items():
+                acc[pq] = eadd(acc.get(pq, {}),
+                               _d_along(to_real(ch, part, sp), i, lev))
         out: dict = {}
-        for dcomp, (tp, tq) in pieces:
-            fr = to_frame(ch, dcomp.eval_real(pt), pt)
-            out = eadd(out, to_real(ch, ch.ctx.component(fr, tp, tq), pt))
-        return out
+        for (p, q), d_part in acc.items():
+            fr = to_frame(ch, d_part, pt)
+            out = eadd(out, ctx.component(fr, p + dp, q + dq))
+        return to_real(ch, out, pt)
 
     return FormField(ch, field.degree + 1, ev)
 
@@ -244,7 +258,7 @@ def random_pq_field(chart: Chart, p: int, q: int, rng, terms: int = 4,
 
 
 def sample_points(rng, dim: int, count: int, scale: float = 1.0) -> list:
-    return [list(scale * rng.standard_normal(dim)) for _ in range(count)]
+    return [(scale * rng.standard_normal(dim)).tolist() for _ in range(count)]
 
 
 # ----- Nijenhuis tensor of an almost complex structure given as a matrix field -----

@@ -89,11 +89,11 @@ def fundamental_domain_points(h: HopfData, rng, count: int,
     lo, hi = sorted((0.0, -np.log(abs(h.q))))
     pts = []
     while len(pts) < count:
-        base = list(rng.uniform(-base_scale, base_scale, 4 * ts.n))
+        base = rng.uniform(-base_scale, base_scale, 4 * ts.n).tolist()
         direction = rng.standard_normal(2 * ts.rank)
         direction = direction / np.linalg.norm(direction)
         radius = float(np.exp(rng.uniform(lo, hi)))
-        pt = base + list(radius * direction)
+        pt = base + (radius * direction).tolist()
         if psi(ts, pt) >= MIN_PSI:
             pts.append(pt)
     return pts

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bundles import Connection, curvature
 from .charts import Chart, flat_chart
-from .duals import dconj, dre
+from .duals import dconj, dre, point_memo
 from .exterior import StructureContext, Element, eadd, escale, esub, standard_m
 
 
@@ -66,20 +66,37 @@ def total_space(conn: Connection) -> TotalSpace:
     base_chart = flat_chart(n, "I")
     base_frame = base_chart.frame_table(None)
     base_inv = base_chart.inverse_table(None)
+    # flat rows of both tables; base frame labels keep their positions and
+    # the barred block shifts by m
+    frame_rows = {}
+    for a in range(mb):
+        frame_rows[a] = base_frame[a]
+        frame_rows[m + a] = base_frame[mb + a]
+    inv_rows = {j: {((l if l < mb else m + (l - mb)),): c
+                    for (l,), c in base_inv[j].items()}
+                for j in range(4 * n)}
 
-    def frame_table(pt):
-        table = {}
-        for a in range(mb):
-            table[a] = base_frame[a]
-            table[m + a] = base_frame[mb + a]
+    def shift(pt):
+        """[a][mu] -> sum_b A^mu_ab v_b, shared by both tables of a Point."""
         v = [pt[4 * n + 2 * a] + 1j * pt[4 * n + 2 * a + 1] for a in range(r)]
         A = conn.coeff(pt)
+        out = []
         for a in range(r):
-            row = {(4 * n + 2 * a,): 1.0, (4 * n + 2 * a + 1,): 1j}
+            row = []
             for mu in range(4 * n):
                 acc = 0.0
                 for b in range(r):
                     acc = acc + A[mu][a][b] * v[b]
+                row.append(acc)
+            out.append(row)
+        return out
+
+    def frame_table(pt):
+        table = dict(frame_rows)
+        av = point_memo(pt, shift, shift)
+        for a in range(r):
+            row = {(4 * n + 2 * a,): 1.0, (4 * n + 2 * a + 1,): 1j}
+            for mu, acc in enumerate(av[a]):
                 if not (isinstance(acc, (int, float, complex)) and acc == 0):
                     row = eadd(row, {(mu,): acc})
             table[mb + a] = row
@@ -87,22 +104,12 @@ def total_space(conn: Connection) -> TotalSpace:
         return table
 
     def inverse_table(pt):
-        table = {}
-        for j in range(4 * n):
-            # base frame labels keep their positions; barred block shifts by m
-            table[j] = {}
-            for (l,), c in base_inv[j].items():
-                lab = l if l < mb else m + (l - mb)
-                table[j][(lab,)] = c
-        v = [pt[4 * n + 2 * a] + 1j * pt[4 * n + 2 * a + 1] for a in range(r)]
-        A = conn.coeff(pt)
+        table = dict(inv_rows)
+        av = point_memo(pt, shift, shift)
         for a in range(r):
             # dv_a = Dv_a - sum_{b,mu} A^mu_ab v_b dx_mu, dx_mu in frame labels
             dv: Element = {(mb + a,): 1.0}
-            for mu in range(4 * n):
-                acc = 0.0
-                for b in range(r):
-                    acc = acc + A[mu][a][b] * v[b]
+            for mu, acc in enumerate(av[a]):
                 if isinstance(acc, (int, float, complex)) and acc == 0:
                     continue
                 dv = eadd(dv, escale(table[mu], -acc))
@@ -136,12 +143,12 @@ def del_psi_expr(ts: TotalSpace, pt) -> Element:
 def del_j_psi_expr(ts: TotalSpace, pt) -> Element:
     mb = 2 * ts.n
     v = ts.fiber_values(pt)
-    Mf = ts.conn.mfib
+    Mf_bar = np.asarray(ts.conn.mfib, dtype=complex).conj().tolist()
     out: Element = {}
     for b in range(ts.rank):
         acc = 0.0
         for a in range(ts.rank):
-            acc = acc - np.conj(Mf[a, b]) * v[a]
+            acc = acc - Mf_bar[a][b] * v[a]
         if acc != 0:
             out[(mb + b,)] = acc
     return out
@@ -241,13 +248,13 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
 
     n, r = ts.n, ts.rank
     dim = ts.dim
-    Lbase = hypercomplex_matrices(n)[unit]
-    Mf = np.asarray(ts.conn.mfib)
+    Lbase = hypercomplex_matrices(n)[unit].tolist()
+    Mf = np.asarray(ts.conn.mfib, dtype=complex).tolist()
 
     def fiber_action(w):
         if unit == "I":
             return [1j * x for x in w]
-        jw = [sum(Mf[a, b] * dconj(w[b]) for b in range(r)) for a in range(r)]
+        jw = [sum(Mf[a][b] * dconj(w[b]) for b in range(r)) for a in range(r)]
         if unit == "J":
             return jw
         return [1j * x for x in jw]  # K = I . J
@@ -270,7 +277,7 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
                     continue
                 for a in range(r):
                     w[a] = w[a] + sum(A[mu][a][b] * v[b] for b in range(r)) * u[mu]
-            lu = [sum(Lbase[i, j] * u[j] for j in range(4 * n))
+            lu = [sum(Lbase[i][j] * u[j] for j in range(4 * n))
                   for i in range(4 * n)]
             wl = fiber_action(w)
             for a in range(r):

@@ -235,3 +235,17 @@ def test_operator_matrix_roundtrip(rng):
     out_vec = np.array([complex(out.get(mono, 0.0))
                         for mono in ctx.basis_pq(2, 0)])
     assert np.allclose(out_vec, A @ vec)
+
+
+@pytest.mark.parametrize("order", ["nan-first", "nan-last"])
+def test_enorm_propagates_nan_in_any_order(order):
+    items = [((0,), complex("nan")), ((1,), 2.0), ((2,), -3.0)]
+    if order == "nan-last":
+        items.reverse()
+    assert math.isnan(enorm(dict(items)))
+
+
+def test_enorm_is_largest_modulus():
+    assert enorm({}) == 0.0
+    assert enorm({(0,): 3 + 4j, (1,): -2.0}) == 5.0
+    assert enorm({(0,): 1.0, (1,): float("inf")}) == float("inf")

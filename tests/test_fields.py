@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from hktlab.charts import flat_chart, to_frame
+from hktlab.bundles import get_connection
+from hktlab.charts import flat_chart, to_frame, to_real
 from hktlab.exterior import eadd, enorm, escale, esub, wedge
 from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            dolbeault, exterior_d, hodge_field, ladder_constant,
                            ladder_map, nijenhuis_residual, random_form_field,
                            random_polynomial, random_pq_field, sample_points)
 from hktlab.quaternions import hypercomplex_matrices
+from hktlab.total_space import total_space
 
 
 def fd_exterior_d(field, pt, h=1e-5):
@@ -37,6 +39,63 @@ def test_exterior_d_matches_finite_differences(rng, degree):
         exact = exterior_d(field).at(pt)
         approx = fd_exterior_d(field, pt)
         assert enorm(esub(exact, approx)) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def bpst_chart():
+    # the frame of the instanton total space depends on the point
+    return total_space(get_connection("bpst")).chart
+
+
+def bpst_fields(chart, rng):
+    return [random_polynomial(chart, rng, degree=3, real=False),
+            random_form_field(chart, 1, rng),
+            random_pq_field(chart, 1, 0, rng)]
+
+
+def test_exterior_d_matches_finite_differences_on_bpst(bpst_chart, rng):
+    # random_pq_field goes through the point-dependent frame table
+    for field in bpst_fields(bpst_chart, rng):
+        for pt in sample_points(rng, 8, 2):
+            exact = exterior_d(field).at(pt)
+            approx = fd_exterior_d(field, pt)
+            assert enorm(esub(exact, approx)) < 1e-6 * max(1.0, enorm(exact))
+
+
+def test_d_splits_into_del_and_dbar_on_bpst(bpst_chart, rng):
+    for field in bpst_fields(bpst_chart, rng):
+        df, dl, db = exterior_d(field), del_hol(field), del_bar(field)
+        for pt in sample_points(rng, 8, 3):
+            total = eadd(dl.at(pt), db.at(pt))
+            assert enorm(esub(df.at(pt), total)) < 1e-10
+
+
+def per_bidegree_dolbeault(field, kind):
+    """Reference: d of each (p, q) part on its own, one field run per part."""
+    ch = field.chart
+    k = field.degree
+    pieces = [(exterior_d(hodge_field(field, p, k - p)),
+               (p + 1, k - p) if kind == "del" else (p, k - p + 1))
+              for p in range(k + 1) if p <= ch.ctx.m and k - p <= ch.ctx.m]
+
+    def ev(pt):
+        out = {}
+        for dcomp, (tp, tq) in pieces:
+            fr = to_frame(ch, dcomp.at(pt), pt)
+            out = eadd(out, to_real(ch, ch.ctx.component(fr, tp, tq), pt))
+        return out
+
+    return FormField(ch, k + 1, ev)
+
+
+@pytest.mark.parametrize("kind", ["del", "dbar"])
+def test_one_pass_dolbeault_matches_per_bidegree_reference(bpst_chart, rng,
+                                                           kind):
+    for field in bpst_fields(bpst_chart, rng):
+        fast = dolbeault(field, kind)
+        ref = per_bidegree_dolbeault(field, kind)
+        for pt in sample_points(rng, 8, 2):
+            assert enorm(esub(fast.at(pt), ref.at(pt))) < 1e-12
 
 
 def test_d_squared_is_zero(rng):

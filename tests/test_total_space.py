@@ -1,8 +1,11 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hktlab.bundles import get_connection
-from hktlab.charts import to_frame, to_real
+from hktlab.charts import Chart, to_frame, to_real
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (del_bar, del_hol, del_j, nijenhuis_residual,
                            sample_points, scalar_field)
@@ -58,6 +61,43 @@ def test_potential_second_derivatives(ts, rng):
         # and the raising operator carries one identity to the other
         assert enorm(esub(ddj.frame_at(pt),
                           ts.ctx.raising(ddbar.frame_at(pt)))) < 1e-10
+
+
+def test_deldelj_potential_evaluation_counts(rng):
+    # one seeded pass per direction and level: 8 x 8 potential runs, and at
+    # most one table build and one coeff call at each of the 1 + 8 + 64 points
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    conn = get_connection("bpst")
+    cts = total_space(dataclasses.replace(conn,
+                                          coeff=counted("coeff", conn.coeff)))
+    ch = cts.chart
+    chart = Chart(ch.dim, ch.ctx, counted("frame", ch.frame_table),
+                  counted("inverse", ch.inverse_table), ch.name)
+    psi_f = scalar_field(chart, counted("psi", lambda pt: psi(cts, pt)))
+    ddj = del_hol(del_j(psi_f))
+    for pt in sample_points(rng, 8, 2):
+        calls.clear()
+        ddj.frame_at(pt)
+        assert calls["psi"] == 64
+        assert 0 < max(calls["coeff"], calls["frame"], calls["inverse"]) <= 73
+
+
+def test_point_memo_does_not_leak_between_points(ts, rng):
+    psi_f = scalar_field(ts.chart, lambda pt: psi(ts, pt))
+    ddj = del_hol(del_j(psi_f))
+    a, b = sample_points(rng, 8, 2)
+    first = ddj.frame_at(a)
+    other = ddj.frame_at(b)
+    again = ddj.frame_at(a)
+    assert repr(again) == repr(first)
+    assert repr(other) != repr(first)
 
 
 def test_curvature_term_vanishes_on_zero_section(ts, rng):
