@@ -96,6 +96,18 @@ def _rand_element(monos, rng) -> dict:
             for mono in monos}
 
 
+def _max_abs(arrays) -> float:
+    """Largest entry modulus over all arrays; nan as soon as any entry is
+    nan (the builtin max(0.0, nan) is 0.0, which would let nan pass)."""
+    worst = 0.0
+    for a in arrays:
+        x = float(np.max(np.abs(a), initial=0.0))
+        if np.isnan(x):
+            return float("nan")
+        worst = max(worst, x)
+    return worst
+
+
 # ----- algebra -----
 
 def algebra_records(cfg: ScenarioConfig) -> list:
@@ -109,38 +121,32 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         bases = [ctx.basis(k) for k in range(2 * m + 1)]
         npts = sum(len(b) for b in bases)
 
-        worst = 0.0
-        for b in bases:
-            for mono in b:
-                el = {mono: 1.0}
-                r1 = esub(esub(ctx.h_op(ctx.raising(el)),
-                               ctx.raising(ctx.h_op(el))),
-                          escale(ctx.raising(el), 2.0))
-                r2 = eadd(esub(ctx.h_op(ctx.lowering(el)),
-                               ctx.lowering(ctx.h_op(el))),
-                          escale(ctx.lowering(el), 2.0))
-                r3 = esub(esub(ctx.raising(ctx.lowering(el)),
-                               ctx.lowering(ctx.raising(el))),
-                          ctx.h_op(el))
-                worst = max(worst, enorm(r1), enorm(r2), enorm(r3))
+        blocks = [ctx.su2_blocks(k) for k in range(2 * m + 1)]
+        every = [blk for per_degree in blocks for blk in per_degree]
+
+        def brackets(blk):
+            R, Rb, H = blk.ops["R"], blk.ops["Rb"], blk.ops["H"]
+            yield H @ R - R @ H - 2.0 * R
+            yield H @ Rb - Rb @ H + 2.0 * Rb
+            yield R @ Rb - Rb @ R - H
+
         out.append(residual_record(
             f"sl2-brackets{tag}",
             "[H,R]=2R, [H,Rbar]=-2Rbar, [R,Rbar]=H on every degree",
-            npts, worst, tol.sl2))
+            npts, _max_abs(r for blk in every for r in brackets(blk)),
+            tol.sl2))
 
-        worst = 0.0
-        for x, y, z in (("I", "J", "K"), ("J", "K", "I"), ("K", "I", "J")):
-            for b in bases:
-                for mono in b:
-                    el = {mono: 1.0}
-                    r = eadd(esub(ctx.lie(x, ctx.lie(y, el)),
-                                  ctx.lie(y, ctx.lie(x, el))),
-                             escale(ctx.lie(z, el), 2.0))
-                    worst = max(worst, enorm(r))
+        def cyclic(blk):
+            for x, y, z in (("I", "J", "K"), ("J", "K", "I"),
+                            ("K", "I", "J")):
+                lx, ly = blk.ops["L_" + x], blk.ops["L_" + y]
+                yield lx @ ly - ly @ lx + 2.0 * blk.ops["L_" + z]
+
         out.append(residual_record(
             f"su2-brackets{tag}",
             "[L_I,L_J]=-2L_K and cyclic permutations",
-            3 * npts, worst, tol.sl2))
+            3 * npts, _max_abs(r for blk in every for r in cyclic(blk)),
+            tol.sl2))
 
         worst = 0.0
         count = 0
@@ -156,69 +162,57 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             "L_I acts as i(p-q) on (p,q)-forms",
             count, worst, tol.sl2))
 
-        worst = 0.0
-        for k in range(2 * m + 1):
-            mi = ctx.operator_matrix(lambda el: ctx.lie("I", el),
-                                     bases[k], bases[k])
-            si = np.sort(np.round(np.linalg.eigvals(mi).imag, 6))
-            for u in ("J", "K"):
-                mu = ctx.operator_matrix(lambda el, u=u: ctx.lie(u, el),
-                                         bases[k], bases[k])
-                ev = np.linalg.eigvals(mu)
-                worst = max(worst,
-                            float(np.max(np.abs(ev.real), initial=0.0)),
-                            float(np.max(np.abs(np.sort(np.round(ev.imag, 6))
-                                                - si), initial=0.0)))
+        def spectrum(per_degree, name):
+            return np.concatenate([np.linalg.eigvals(blk.ops[name])
+                                   for blk in per_degree])
+
+        def spectrum_gaps():
+            for per_degree in blocks:
+                si = np.sort(np.round(spectrum(per_degree, "L_I").imag, 6))
+                for u in ("L_J", "L_K"):
+                    ev = spectrum(per_degree, u)
+                    yield ev.real
+                    yield np.sort(np.round(ev.imag, 6)) - si
+
         out.append(residual_record(
             f"unit-spectra{tag}",
             "L_J and L_K have the same spectrum as L_I on each degree",
-            npts, worst, 1e-5))
+            npts, _max_abs(spectrum_gaps()), 1e-5))
 
-        worst = 0.0
-        for k in range(2 * m + 1):
-            if not bases[k]:
-                continue
-            cm = ctx.operator_matrix(ctx.casimir, bases[k], bases[k])
-            targets = [w * (w + 2) for w in ctx.weight_list(k)]
-            for lam in np.linalg.eigvals(cm):
-                worst = max(worst, min(abs(lam - t) for t in targets))
+        def casimir_gaps():
+            for k, per_degree in enumerate(blocks):
+                targets = np.array([w * (w + 2) for w in ctx.weight_list(k)])
+                lam = spectrum(per_degree, "C")
+                yield np.min(np.abs(lam[:, None] - targets[None, :]), axis=1)
+
         out.append(residual_record(
             f"casimir-spectrum{tag}",
             "Casimir eigenvalues sit on w(w+2) for admissible weights",
-            npts, worst, tol.casimir))
+            npts, _max_abs(casimir_gaps()), tol.casimir))
 
-        worst = 0.0
-        for k in range(2 * m + 1):
-            ws = ctx.weight_list(k)
-            for mono in bases[k]:
-                el = {mono: 1.0}
-                parts = [ctx.weight_project(el, w) for w in ws]
-                total: dict = {}
-                for pw in parts:
-                    total = eadd(total, pw)
-                worst = max(worst, enorm(esub(total, el)))
-                for i, w in enumerate(ws):
-                    worst = max(worst, enorm(esub(
-                        ctx.weight_project(parts[i], w), parts[i])))
-                    for w2 in ws[i + 1:]:
-                        worst = max(worst,
-                                    enorm(ctx.weight_project(parts[i], w2)))
+        def projector_residuals():
+            for k, per_degree in enumerate(blocks):
+                ws = ctx.weight_list(k)
+                for blk in per_degree:
+                    ps = [blk.projectors[w] for w in ws]
+                    yield sum(ps) - np.eye(len(blk.monos))
+                    for i, pw in enumerate(ps):
+                        yield pw @ pw - pw
+                        for pw2 in ps[i + 1:]:
+                            yield pw2 @ pw
+
         out.append(residual_record(
             f"weight-projectors{tag}",
             "weight projectors are idempotent, orthogonal, and sum to 1",
-            npts, worst, tol.sl2))
+            npts, _max_abs(projector_residuals()), tol.sl2))
 
-        worst = 0.0
-        for p in range(m + 1):
-            tr = 0.0
-            for mono in bases[p]:
-                tr += complex(ctx.weight_project({mono: 1.0}, p)
-                              .get(mono, 0.0)).real
-            worst = max(worst, abs(tr - positive_dimension(m, p)))
         out.append(residual_record(
             f"positive-dimension{tag}",
             "top-weight subspace of degree p has dimension (p+1) C(m,p)",
-            m + 1, worst, tol.sl2))
+            m + 1, _max_abs(
+                sum(np.trace(blk.projectors[p]).real for blk in blocks[p])
+                - positive_dimension(m, p) for p in range(m + 1)),
+            tol.sl2))
 
         out.append(residual_record(
             f"r-omega{tag}",

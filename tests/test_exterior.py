@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hktlab import exterior
+from hktlab.duals import Dual, fresh_level
 from hktlab.exterior import (StructureContext, eadd, enorm, escale, esub,
                              eval2, positive_dimension, sort_sign,
                              standard_m, wedge)
@@ -249,3 +251,139 @@ def test_enorm_is_largest_modulus():
     assert enorm({}) == 0.0
     assert enorm({(0,): 3 + 4j, (1,): -2.0}) == 5.0
     assert enorm({(0,): 1.0, (1,): float("inf")}) == float("inf")
+
+
+# ----- per-degree su(2) blocks -----
+
+def _generators(ctx):
+    return {"R": ctx.raising, "Rb": ctx.lowering, "H": ctx.h_op,
+            "L_I": lambda el: ctx.lie("I", el),
+            "L_J": lambda el: ctx.lie("J", el),
+            "L_K": lambda el: ctx.lie("K", el), "C": ctx.casimir}
+
+
+def _assembled(ctx, k, name):
+    """The blocks' matrices of one operator placed in a basis(k) matrix."""
+    index = {mono: i for i, mono in enumerate(ctx.basis(k))}
+    out = np.zeros((len(index), len(index)), dtype=complex)
+    for blk in ctx.su2_blocks(k):
+        ix = [index[mono] for mono in blk.monos]
+        out[np.ix_(ix, ix)] = blk.ops[name]
+    return out
+
+
+@pytest.mark.parametrize("m,degrees", [(4, range(9)), (6, [6])])
+def test_blocks_carry_every_generator_exactly(m, degrees):
+    ctx = _ctx(m)
+    for k in degrees:
+        basis = ctx.basis(k)
+        blocks = ctx.su2_blocks(k)
+        assert sorted(mono for blk in blocks for mono in blk.monos) == basis
+        inside = np.zeros((len(basis), len(basis)), dtype=bool)
+        index = {mono: i for i, mono in enumerate(basis)}
+        for blk in blocks:
+            ix = [index[mono] for mono in blk.monos]
+            inside[np.ix_(ix, ix)] = True
+        for name, op in _generators(ctx).items():
+            full = ctx.operator_matrix(op, basis, basis)
+            assert np.all(full[~inside] == 0), (k, name)
+            if name == "C":  # the blocks multiply dense matrices
+                assert np.max(np.abs(full - _assembled(ctx, k, name)),
+                              initial=0.0) < 1e-12
+            else:
+                assert np.array_equal(full, _assembled(ctx, k, name))
+
+
+def _spectrum(values):
+    """Eigenvalues rounded and sorted, so two solvers' lists compare."""
+    return np.sort_complex(np.round(np.asarray(values), 8) + 0.0)
+
+
+def test_block_spectra_match_full_eigvals():
+    ctx = _ctx(4)
+    ops = _generators(ctx)
+    for k in range(9):
+        basis = ctx.basis(k)
+        for name in ("L_J", "L_K", "C"):
+            full = np.linalg.eigvals(ctx.operator_matrix(ops[name], basis,
+                                                         basis))
+            blocks = np.concatenate([np.linalg.eigvals(blk.ops[name])
+                                     for blk in ctx.su2_blocks(k)])
+            assert np.array_equal(_spectrum(full), _spectrum(blocks)), \
+                (k, name)
+
+
+def _lagrange_project(ctx, el, w):
+    """The sparse Lagrange product weight_project used before the block
+    cache: prod over w2 != w of (C - w2(w2+2)) / (w(w+2) - w2(w2+2))."""
+    by_deg = {}
+    for labels, c in el.items():
+        by_deg.setdefault(len(labels), {})[labels] = c
+    out = {}
+    for k, sub in by_deg.items():
+        ws = ctx.weight_list(k)
+        if w not in ws:
+            continue
+        acc = sub
+        for w2 in ws:
+            if w2 == w:
+                continue
+            num = esub(ctx.casimir(acc), escale(acc, w2 * (w2 + 2)))
+            acc = escale(num, 1.0 / (w * (w + 2) - w2 * (w2 + 2)))
+        out = eadd(out, acc)
+    return out
+
+
+def _leaves(x):
+    """Every number inside a (nested) Dual, in a fixed order."""
+    if isinstance(x, Dual):
+        return _leaves(x.val) + _leaves(x.dot)
+    return [complex(x)]
+
+
+def _coeff_gap(a, b):
+    worst = 0.0
+    for key in set(a) | set(b):
+        la, lb = _leaves(a.get(key, 0.0)), _leaves(b.get(key, 0.0))
+        width = max(len(la), len(lb))
+        la += [0.0] * (width - len(la))
+        lb += [0.0] * (width - len(lb))
+        worst = max([worst] + [abs(x - y) for x, y in zip(la, lb)])
+    return worst
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_weight_project_matches_sparse_lagrange(m, rng):
+    ctx = _ctx(m)
+    outer, inner = fresh_level(), fresh_level()
+
+    def cnum():
+        return complex(*rng.standard_normal(2))
+
+    def dual():
+        return Dual(Dual(cnum(), cnum(), outer), Dual(cnum(), cnum(), outer),
+                    inner)
+
+    for _ in range(3):
+        for make in (cnum, dual):
+            # every degree at once, so a mixed-degree element is covered
+            el = {mono: make() for k in range(2 * m + 1)
+                  for mono in ctx.basis(k) if rng.random() < 0.5}
+            for w in range(m + 1):
+                got = ctx.weight_project(el, w)
+                assert _coeff_gap(got, _lagrange_project(ctx, el, w)) < 1e-12
+
+
+def test_blocks_built_once_per_context(monkeypatch):
+    built = []
+    build = exterior._su2_blocks
+    monkeypatch.setattr(exterior, "_su2_blocks",
+                        lambda ctx, k: built.append(k) or build(ctx, k))
+    ctx = _ctx(4)
+    for _ in range(2):
+        for k in range(9):
+            ctx.su2_blocks(k)
+            ctx.weight_project({ctx.basis(k)[0]: 1.0}, 0)
+    assert built == list(range(9))
+    _ctx(4).weight_project({(0, 4): 1.0}, 0)
+    assert built == list(range(9)) + [2]
