@@ -14,6 +14,11 @@ structures are implemented and compared against each other:
     action on forms;
   * type: the curvature is (1, 1) with respect to each of I, J, K.
 
+The residuals read the curvature through the memo of a Point
+(duals.point_memo), so the criteria evaluated at one sample share one
+curvature, and accept the flat I/J/K charts prebuilt (structure_charts).
+Their maxima keep a nan (report.max_keep_nan), so a nan curvature fails.
+
 The catalog ships the flat connection, the standard 1-instanton on H (fiber H,
 acting by right quaternion multiplication), its direct sum with the dual
 bundle, and a connection holomorphic for I alone that both criteria reject.
@@ -21,15 +26,17 @@ bundle, and a connection holomorphic for I alone that both criteria reject.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .charts import flat_chart, to_frame
-from .duals import dot_part, fresh_level, numeric, seed_unit
+from .duals import dot_part, fresh_level, numeric, point_memo, seed_unit
 from .exterior import Element, eadd, enorm
-from .quaternions import fiber_j_matrix, quat_abs2, quat_im, quat_conj, quat_mul, right_mult_c2
+from .quaternions import fiber_j_matrix, quat_abs2, right_mult_c2
+from .report import max_keep_nan
 
 
 def mat_zero(r):
@@ -77,15 +84,12 @@ def instanton_coeff(pt):
     (the conjugate of the usual Im(conj(q) dq) potential) is the one whose
     matrix curvature has anti-self-dual 2-form coefficients.
     """
-    q = tuple(pt[:4])
-    denom = 1.0 + quat_abs2(q)
-    out = []
-    for mu in range(4):
-        e = [0, 0, 0, 0]
-        e[mu] = 1
-        a = quat_im(quat_mul(quat_conj(tuple(e)), q))
-        out.append([[x / denom for x in row] for row in right_mult_c2(a)])
-    return out
+    q = pt[:4]
+    s = 1.0 / (1.0 + quat_abs2(q))
+    p0, p1, p2, p3 = (x * s for x in q)
+    # Im(conj(e_mu) q) is a signed permutation of q, here already scaled
+    ims = ((p1, p2, p3), (-p0, p3, -p2), (-p3, -p0, p1), (p2, -p1, -p0))
+    return [right_mult_c2((0.0, *im)) for im in ims]
 
 
 def _dual_pair_coeff(pt):
@@ -159,10 +163,21 @@ def curvature(conn: Connection, pt) -> list:
     return F
 
 
+def _point_curvature(conn: Connection, pt) -> list:
+    """curvature(conn, pt), built once per Point and coefficient function."""
+    return point_memo(pt, ("curvature", conn.coeff),
+                      lambda p: curvature(conn, p))
+
+
+def structure_charts(n: int) -> dict:
+    """The flat charts of H^n for I, J and K."""
+    return {unit: flat_chart(n, unit) for unit in ("I", "J", "K")}
+
+
 def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
     """Curvature as an r x r grid of real-label 2-form elements."""
     dim = 4 * conn.base_n
-    F = curvature(conn, pt)
+    F = _point_curvature(conn, pt)
     r = conn.rank
     grid = [[{} for _ in range(r)] for _ in range(r)]
     for mu in range(dim):
@@ -175,55 +190,53 @@ def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
     return grid
 
 
-def invariance_residual(conn: Connection, pt) -> float:
+def invariance_residual(conn: Connection, pt, charts=None) -> float:
     """Max weight-2 component of the curvature over all fiber entries."""
-    ch = flat_chart(conn.base_n, "I")
+    ch = (charts or structure_charts(conn.base_n))["I"]
     grid = curvature_entry_forms(conn, pt)
-    worst = 0.0
-    for row in grid:
-        for el in row:
-            fr = to_frame(ch, el, pt)
-            worst = max(worst, enorm(ch.ctx.weight_project(fr, 2)))
-    return worst
+    return max_keep_nan(enorm(ch.ctx.weight_project(to_frame(ch, el, pt), 2))
+                        for row in grid for el in row)
 
 
-def type11_residual(conn: Connection, pt) -> float:
+def type11_residual(conn: Connection, pt, charts=None) -> float:
     """Max (2,0) + (0,2) component w.r.t. each of I, J, K."""
+    charts = charts or structure_charts(conn.base_n)
     grid = curvature_entry_forms(conn, pt)
-    worst = 0.0
-    for unit in ("I", "J", "K"):
-        ch = flat_chart(conn.base_n, unit)
-        for row in grid:
-            for el in row:
-                fr = to_frame(ch, el, pt)
-                worst = max(worst, enorm(ch.ctx.component(fr, 2, 0)))
-                worst = max(worst, enorm(ch.ctx.component(fr, 0, 2)))
-    return worst
+
+    def parts():
+        for ch in charts.values():
+            for row in grid:
+                for el in row:
+                    fr = to_frame(ch, el, pt)
+                    yield enorm(ch.ctx.component(fr, 2, 0))
+                    yield enorm(ch.ctx.component(fr, 0, 2))
+
+    return max_keep_nan(parts())
 
 
 def bianchi_residual(conn: Connection, pt) -> float:
     """Max entry of the cyclic sum of (d/dx_lam) F_{mu nu} + [A_lam, F_{mu nu}]."""
     dim = 4 * conn.base_n
     A = conn.coeff(pt)
-    F = curvature(conn, pt)
+    F = _point_curvature(conn, pt)
     dF = []
     for lam in range(dim):
         lev = fresh_level()
         Fd = curvature(conn, seed_unit(pt, lam, lev))
         dF.append([[[[dot_part(x, lev) for x in row] for row in mat]
                     for mat in Fnu] for Fnu in Fd])
-    worst = 0.0
-    for lam in range(dim):
-        for mu in range(lam + 1, dim):
-            for nu in range(mu + 1, dim):
-                acc = mat_zero(conn.rank)
-                for a, b, c in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu)):
-                    acc = mat_add(acc, mat_add(dF[a][b][c],
-                                               mat_comm(A[a], F[b][c])))
-                worst = max(worst, max(abs(complex(x)) for row in acc for x in row))
-    return worst
+
+    def entries():
+        for lam, mu, nu in itertools.combinations(range(dim), 3):
+            acc = mat_zero(conn.rank)
+            for a, b, c in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu)):
+                acc = mat_add(acc, mat_add(dF[a][b][c],
+                                           mat_comm(A[a], F[b][c])))
+            yield from (abs(complex(x)) for row in acc for x in row)
+
+    return max_keep_nan(entries())
 
 
 def curvature_scale(conn: Connection, pt) -> float:
     grid = curvature_entry_forms(conn, pt)
-    return max((enorm(el) for row in grid for el in row), default=0.0)
+    return max_keep_nan(enorm(el) for row in grid for el in row)

@@ -8,9 +8,10 @@ labels, and two substitution tables:
 
 Both tables may depend on the point (the total-space frame does); closures must
 be pure in the point argument so dual seeding nests correctly.  to_frame and
-to_real build each table at most once per Point (duals.point_memo), so the
-nested conversions of one seeded evaluation share their tables; a plain list
-gets a fresh table on every call.
+to_real build a table only for an element with a labelled monomial: a scalar
+or empty element is its own conversion.  They build each table at most once
+per Point (duals.point_memo), so the nested conversions of one seeded
+evaluation share their tables; a plain list gets a fresh table on every call.
 """
 
 from __future__ import annotations
@@ -71,11 +72,15 @@ def flat_chart(n: int, unit: str = "I") -> Chart:
     return constant_chart(rows, ctx, name=f"flat-H{n}-{unit}")
 
 
+def _convert(table, el, pt):
+    if not any(el):  # a scalar or empty element needs no table
+        return dict(el)
+    return apply_multiplicative(point_memo(pt, table, table), el)
+
+
 def to_frame(chart: Chart, el, pt):
-    return apply_multiplicative(
-        point_memo(pt, chart.inverse_table, chart.inverse_table), el)
+    return _convert(chart.inverse_table, el, pt)
 
 
 def to_real(chart: Chart, el, pt):
-    return apply_multiplicative(
-        point_memo(pt, chart.frame_table, chart.frame_table), el)
+    return _convert(chart.frame_table, el, pt)

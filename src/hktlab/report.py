@@ -10,6 +10,7 @@ it, appearing only in the text rendering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
@@ -40,6 +41,18 @@ class CheckRecord:
             "kind": self.kind,
             "passed": self.passed,
         }
+
+
+def max_keep_nan(values) -> float:
+    """Largest of values, 0.0 if there are none; nan as soon as one is nan
+    (the builtin max keeps or drops a nan depending on where it sits)."""
+    worst = 0.0
+    for x in values:
+        if math.isnan(x):
+            return math.nan
+        if x > worst:
+            worst = x
+    return worst
 
 
 def residual_record(identity: str, detail: str, points: int, value: float,

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundles import (bianchi_residual, catalog_names, curvature_entry_forms,
-                      get_connection, invariance_residual, type11_residual)
+                      get_connection, invariance_residual, structure_charts,
+                      type11_residual)
 from .charts import flat_chart, to_frame, to_real
+from .duals import Point
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (d_plus, del_bar, del_hol, del_j, exterior_d,
                      frame_form_field, ladder_constant, ladder_map,
@@ -30,7 +32,8 @@ from .hermitian import (gram, hermitian_pair, hyperhermitian_project,
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
                    rho_pullback, vertical_probe)
-from .report import VerificationReport, margin_record, residual_record
+from .report import (VerificationReport, margin_record, max_keep_nan,
+                     residual_record)
 from .total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                           natural_metric, omega_hor_expr, omega_ver_canonical,
                           omega_ver_expr, psi, structure_matrix_field,
@@ -99,13 +102,7 @@ def _rand_element(monos, rng) -> dict:
 def _max_abs(arrays) -> float:
     """Largest entry modulus over all arrays; nan as soon as any entry is
     nan (the builtin max(0.0, nan) is 0.0, which would let nan pass)."""
-    worst = 0.0
-    for a in arrays:
-        x = float(np.max(np.abs(a), initial=0.0))
-        if np.isnan(x):
-            return float("nan")
-        worst = max(worst, x)
-    return worst
+    return max_keep_nan(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
 # ----- algebra -----
@@ -537,49 +534,67 @@ def qpos_records(cfg: ScenarioConfig) -> list:
 # ----- bundle criteria -----
 
 def bundle_records(cfg: ScenarioConfig) -> list:
+    """Curvature criteria over the catalog.
+
+    Samples go one at a time, each as a Point: every criterion of every
+    connection there shares one curvature (duals.point_memo), freed with
+    the sample.  criteria-agreement reads the residuals of the first
+    samples, and each connection's I/J/K charts are built once.
+    """
     tol = cfg.tol
     rng = cfg.rng()
-    out = []
     requested = get_connection(cfg.bundle)
+    conns = [get_connection(nm) for nm in catalog_names()]
+    charts = {conn.name: structure_charts(conn.base_n) for conn in conns}
     if requested.hyperholomorphic:
-        names = [nm for nm in catalog_names()
-                 if get_connection(nm).hyperholomorphic]
+        checked = {conn.name for conn in conns if conn.hyperholomorphic}
     else:
-        names = [requested.name]
+        checked = {requested.name}
     pts = sample_points(rng, 4, cfg.samples)
-    for nm in names:
-        conn = get_connection(nm)
-        inv = max(invariance_residual(conn, pt) for pt in pts)
-        t11 = max(type11_residual(conn, pt) for pt in pts)
-        bia = max(bianchi_residual(conn, pt) for pt in pts)
+    n_agree = min(len(pts), max(10, cfg.samples // 10))
+    # per connection: invariance, type11 and bianchi residual of each sample
+    res = {conn.name: ([], [], []) for conn in conns}
+    for k, coords in enumerate(pts):
+        pt = Point(coords)
+        for conn in conns:
+            inv, t11, bia = res[conn.name]
+            if conn.name in checked or k < n_agree:
+                inv.append(invariance_residual(conn, pt, charts[conn.name]))
+                t11.append(type11_residual(conn, pt, charts[conn.name]))
+            if conn.name in checked:
+                bia.append(bianchi_residual(conn, pt))
+
+    out = []
+    for conn in conns:
+        if conn.name not in checked:
+            continue
+        nm = conn.name
+        inv, t11, bia = res[nm]
         out.append(residual_record(
             f"curvature-invariance({nm})",
             "curvature 2-forms have no weight-2 component",
-            len(pts), inv, tol.bundle))
+            len(pts), max_keep_nan(inv), tol.bundle))
         out.append(residual_record(
             f"curvature-type11({nm})",
             "curvature is (1,1) for each of the three complex structures",
-            len(pts), t11, tol.bundle))
+            len(pts), max_keep_nan(t11), tol.bundle))
         out.append(residual_record(
             f"bianchi({nm})",
             "covariant exterior derivative of the curvature vanishes",
-            len(pts), bia, tol.bundle))
+            len(pts), max_keep_nan(bia), tol.bundle))
 
-    agree_pts = pts[:max(10, cfg.samples // 10)]
     bad = 0.0
-    for nm in catalog_names():
-        conn = get_connection(nm)
-        inv_ok = max(invariance_residual(conn, pt)
-                     for pt in agree_pts) <= tol.bundle
-        t11_ok = max(type11_residual(conn, pt)
-                     for pt in agree_pts) <= tol.bundle
+    for conn in conns:
+        inv, t11, _ = res[conn.name]
+        inv_ok = max_keep_nan(inv[:n_agree]) <= tol.bundle
+        t11_ok = max_keep_nan(t11[:n_agree]) <= tol.bundle
         if inv_ok != t11_ok or inv_ok != conn.hyperholomorphic:
             bad = 1.0
     out.append(residual_record(
         "criteria-agreement",
         "invariance and (1,1)-type accept and reject the same catalog "
         "entries, matching each entry's flag",
-        len(agree_pts) * len(catalog_names()), bad, 0.5))
+        n_agree * len(conns), bad, 0.5))
     return out
 
 

@@ -262,6 +262,9 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
     def field(pt):
         A = ts.conn.coeff(pt)
         v = ts.fiber_values(pt)
+        # av[a][mu] = (A_mu v)_a, shared by every column
+        av = [[sum(A[mu][a][b] * v[b] for b in range(r))
+               for mu in range(4 * n)] for a in range(r)]
         cols = []
         for c in range(dim):
             u = [0.0] * (4 * n)
@@ -276,7 +279,7 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
                 if u[mu] == 0.0:
                     continue
                 for a in range(r):
-                    w[a] = w[a] + sum(A[mu][a][b] * v[b] for b in range(r)) * u[mu]
+                    w[a] = w[a] + av[a][mu] * u[mu]
             lu = [sum(Lbase[i][j] * u[j] for j in range(4 * n))
                   for i in range(4 * n)]
             wl = fiber_action(w)
@@ -285,7 +288,7 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
                 for mu in range(4 * n):
                     if lu[mu] == 0.0:
                         continue
-                    corr = corr + sum(A[mu][a][b] * v[b] for b in range(r)) * lu[mu]
+                    corr = corr + av[a][mu] * lu[mu]
                 wl[a] = wl[a] - corr
             col = list(lu)
             for a in range(r):

@@ -1,11 +1,21 @@
+import collections
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from hktlab import bundles, suites
 from hktlab.bundles import (bianchi_residual, catalog_names, curvature,
                             curvature_entry_forms, curvature_scale,
-                            get_connection, invariance_residual,
-                            type11_residual)
+                            get_connection, instanton_coeff,
+                            invariance_residual, type11_residual)
+from hktlab.charts import flat_chart
+from hktlab.duals import dot_part, fresh_level, numeric, seed_unit, val_part
 from hktlab.fields import sample_points
+from hktlab.quaternions import (quat_abs2, quat_conj, quat_im, quat_mul,
+                                right_mult_c2)
+from hktlab.suites import ScenarioConfig, bundle_records
 
 # star pairs on 2-forms of R^4, orientation dx0 dx1 dx2 dx3
 STAR_PAIRS = [((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2))]
@@ -132,3 +142,90 @@ def test_fresh_connection_objects():
     a = get_connection("bpst")
     b = get_connection("bpst")
     assert a is not b
+
+
+def quaternion_product_instanton_coeff(pt):
+    """The instanton potential written with quaternion products and one
+    division per entry: the reference for instanton_coeff."""
+    q = tuple(pt[:4])
+    denom = 1.0 + quat_abs2(q)
+    out = []
+    for mu in range(4):
+        e = [0, 0, 0, 0]
+        e[mu] = 1
+        a = quat_im(quat_mul(quat_conj(tuple(e)), q))
+        out.append([[x / denom for x in row] for row in right_mult_c2(a)])
+    return out
+
+
+def test_instanton_coeff_matches_quaternion_products(rng):
+    def entries(A):
+        return [x for Amu in A for row in Amu for x in row]
+
+    for pt in sample_points(rng, 4, 3):
+        for x, y in zip(entries(instanton_coeff(pt)),
+                        entries(quaternion_product_instanton_coeff(pt))):
+            assert abs(complex(x) - complex(y)) < 1e-15
+        for i in range(4):
+            for j in range(4):
+                li, lj = fresh_level(), fresh_level()
+                sp = seed_unit(seed_unit(pt, i, li), j, lj)
+                for x, y in zip(entries(instanton_coeff(sp)),
+                                entries(quaternion_product_instanton_coeff(sp))):
+                    for part in (
+                            lambda z: numeric(z),
+                            lambda z: numeric(dot_part(val_part(z, lj), li)),
+                            lambda z: numeric(dot_part(z, lj)),
+                            lambda z: numeric(dot_part(dot_part(z, lj), li))):
+                        assert abs(complex(part(x)) - complex(part(y))) < 1e-15
+
+
+def test_bundle_records_build_flat_charts_once_per_connection(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(n, unit="I"):
+        calls[unit] += 1
+        return flat_chart(n, unit)
+
+    monkeypatch.setattr(bundles, "flat_chart", counted)
+    bundle_records(ScenarioConfig(samples=10))
+    assert calls == {unit: len(catalog_names()) for unit in "IJK"}
+
+
+def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
+    # flat, bpst and direct-sum: one shared curvature and four seeded
+    # Bianchi ones at each of 10 samples; criteria-agreement reads their
+    # residuals and builds nonholo-demo's at its 10 samples
+    calls = collections.Counter()
+
+    def counted(conn, pt):
+        calls[conn.name] += 1
+        return curvature(conn, pt)
+
+    monkeypatch.setattr(bundles, "curvature", counted)
+    bundle_records(ScenarioConfig(samples=10))
+    assert calls == {"flat": 50, "bpst": 50, "direct-sum": 50,
+                     "nonholo-demo": 10}
+
+
+def test_nan_coefficient_fails_bundle_criteria(monkeypatch):
+    cfg = ScenarioConfig(samples=12)
+    bad = sample_points(cfg.rng(), 4, cfg.samples)[5]
+    bpst = get_connection("bpst")
+
+    def coeff(pt):
+        A = bpst.coeff(pt)
+        if [numeric(x) for x in pt] == bad:
+            return [[[x * math.nan for x in row] for row in Amu] for Amu in A]
+        return A
+
+    poisoned = dataclasses.replace(bpst, coeff=coeff)
+    real = suites.get_connection
+    monkeypatch.setattr(
+        suites, "get_connection",
+        lambda name: poisoned if real(name).name == "bpst" else real(name))
+    records = {r.identity: r for r in bundle_records(cfg)}
+    for stem in ("curvature-invariance", "curvature-type11", "bianchi"):
+        r = records[f"{stem}(bpst)"]
+        assert math.isnan(r.value) and not r.passed, stem
+        assert records[f"{stem}(flat)"].passed

@@ -6,6 +6,7 @@ import pytest
 
 from hktlab.bundles import get_connection
 from hktlab.charts import Chart, to_frame, to_real
+from hktlab.duals import Point
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (del_bar, del_hol, del_j, nijenhuis_residual,
                            sample_points, scalar_field)
@@ -63,11 +64,9 @@ def test_potential_second_derivatives(ts, rng):
                           ts.ctx.raising(ddbar.frame_at(pt)))) < 1e-10
 
 
-def test_deldelj_potential_evaluation_counts(rng):
-    # one seeded pass per direction and level: 8 x 8 potential runs, and at
-    # most one table build and one coeff call at each of the 1 + 8 + 64 points
-    calls = collections.Counter()
-
+def counted_total_space(calls):
+    """bpst total space whose chart tables, coeff and potential count their
+    calls into `calls`; returns (chart, potential field)."""
     def counted(name, fn):
         def wrapped(*args):
             calls[name] += 1
@@ -80,13 +79,50 @@ def test_deldelj_potential_evaluation_counts(rng):
     ch = cts.chart
     chart = Chart(ch.dim, ch.ctx, counted("frame", ch.frame_table),
                   counted("inverse", ch.inverse_table), ch.name)
-    psi_f = scalar_field(chart, counted("psi", lambda pt: psi(cts, pt)))
-    ddj = del_hol(del_j(psi_f))
+    return chart, scalar_field(chart, counted("psi", lambda pt: psi(cts, pt)))
+
+
+def test_scalar_conversions_build_no_table(rng):
+    calls = collections.Counter()
+    chart, _ = counted_total_space(calls)
+    pt = Point(sample_points(rng, 8, 1)[0])
+    for el in ({(): 2.5 - 1j}, {}):
+        assert to_frame(chart, el, pt) == el
+        assert to_real(chart, el, pt) == el
+    assert calls == {}
+
+
+def test_one_form_conversions_build_each_table_once_per_point(rng):
+    calls = collections.Counter()
+    chart, _ = counted_total_space(calls)
+    el = {(0,): 1.5, (5,): 2j}
+    for k, coords in enumerate(sample_points(rng, 8, 2), start=1):
+        pt = Point(coords)
+        for _ in range(2):
+            to_frame(chart, el, pt)
+            to_real(chart, el, pt)
+        assert calls == {"frame": k, "inverse": k, "coeff": k}
+
+
+def check_second_order_counts(rng, inner):
+    # one seeded pass per direction and level: 8 x 8 potential runs; the 64
+    # innermost conversions see only the scalar potential, so tables and
+    # coeff are built once at each of the 1 + 8 points above them
+    calls = collections.Counter()
+    _, psi_f = counted_total_space(calls)
+    op = del_hol(inner(psi_f))
     for pt in sample_points(rng, 8, 2):
         calls.clear()
-        ddj.frame_at(pt)
-        assert calls["psi"] == 64
-        assert 0 < max(calls["coeff"], calls["frame"], calls["inverse"]) <= 73
+        op.frame_at(pt)
+        assert calls == {"psi": 64, "coeff": 9, "frame": 9, "inverse": 9}
+
+
+def test_deldelj_potential_evaluation_counts(rng):
+    check_second_order_counts(rng, del_j)
+
+
+def test_deldbar_potential_evaluation_counts(rng):
+    check_second_order_counts(rng, del_bar)
 
 
 def test_point_memo_does_not_leak_between_points(ts, rng):
