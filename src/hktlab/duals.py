@@ -9,7 +9,7 @@ first-derivative values would contaminate second derivatives whenever a
 point-dependent coefficient sits between the two levels.
 
 Derivatives are taken along real coordinate directions only, so conj and
-re/im act slotwise and remain valid operations.
+the real part act slotwise and remain valid operations.
 
 Seeded coordinates come back as a Point: a list with a memo of what has
 been built at it (chart tables, connection products), so every consumer of
@@ -144,32 +144,12 @@ def dre(x):
     return x.real
 
 
-def dimag(x):
-    if isinstance(x, Dual):
-        return Dual(dimag(x.val), dimag(x.dot), x.level)
-    return x.imag
-
-
-def dabs2(x):
-    """|x|^2 as a real-valued quantity, dual-aware."""
-    return dre(x * dconj(x))
-
-
 def dlog(x):
     if isinstance(x, Dual):
         return Dual(dlog(x.val), x.dot / x.val, x.level)
     if isinstance(x, complex):
         return cmath.log(x)
     return math.log(x)
-
-
-def dexp(x):
-    if isinstance(x, Dual):
-        e = dexp(x.val)
-        return Dual(e, e * x.dot, x.level)
-    if isinstance(x, complex):
-        return cmath.exp(x)
-    return math.exp(x)
 
 
 class Point(list):

@@ -2,15 +2,22 @@
 
 A record either bounds a residual from above (kind "residual", pass iff
 value <= threshold) or bounds a margin from below (kind "margin", pass iff
-value >= threshold).  The JSON rendering is byte-stable for a fixed config:
-keys are sorted, floats go through repr, and the wall time is kept out of
-it, appearing only in the text rendering.
+value >= threshold), and passes only if its value is finite.  The record
+constructors take a value or an iterable of per-sample values and reduce
+it themselves: residuals by max_keep_nan, margins by min_keep_nan, so one
+nan sample makes the record nan, hence FAIL.
+
+The JSON rendering is strict and byte-stable for a fixed config: keys are
+sorted, floats go through repr, a non-finite float is written as the
+string "nan", "inf" or "-inf", and the wall time is kept out of it,
+appearing only in the text rendering.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
@@ -27,6 +34,8 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
+        if not math.isfinite(self.value):
+            return False
         if self.kind == "margin":
             return bool(self.value >= self.threshold)
         return bool(self.value <= self.threshold)
@@ -44,26 +53,55 @@ class CheckRecord:
 
 
 def max_keep_nan(values) -> float:
-    """Largest of values, 0.0 if there are none; nan as soon as one is nan
-    (the builtin max keeps or drops a nan depending on where it sits)."""
-    worst = 0.0
-    for x in values:
-        if math.isnan(x):
-            return math.nan
-        if x > worst:
-            worst = x
-    return worst
+    """Largest of values and 0.0; nan if one of them is nan (the builtin
+    max keeps or drops a nan depending on where it sits)."""
+    return _keep_nan(max, 0.0, values)
 
 
-def residual_record(identity: str, detail: str, points: int, value: float,
+def min_keep_nan(values) -> float:
+    """Smallest of values, inf if there are none; nan if one of them is
+    nan."""
+    return _keep_nan(min, math.inf, values)
+
+
+def _keep_nan(pick, start, values) -> float:
+    # every value is drawn, so a nan sample leaves a shared random stream
+    # where the following records expect it
+    vals = [start, *map(float, values)]
+    return math.nan if any(map(math.isnan, vals)) else pick(vals)
+
+
+def _reduce(values, reducer) -> float:
+    if isinstance(values, numbers.Real):
+        return float(values)
+    return reducer(values)
+
+
+def residual_record(identity: str, detail: str, points: int, values,
                     tol: float) -> CheckRecord:
-    return CheckRecord(identity, detail, points, float(value), float(tol))
+    """values: the residual, or an iterable of per-sample residuals."""
+    return CheckRecord(identity, detail, points,
+                       _reduce(values, max_keep_nan), float(tol))
 
 
-def margin_record(identity: str, detail: str, points: int, value: float,
+def margin_record(identity: str, detail: str, points: int, values,
                   floor: float) -> CheckRecord:
-    return CheckRecord(identity, detail, points, float(value), float(floor),
+    """values: the margin, or an iterable of per-sample margins."""
+    return CheckRecord(identity, detail, points,
+                       _reduce(values, min_keep_nan), float(floor),
                        kind="margin")
+
+
+def _strict(obj):
+    """obj with every non-finite float replaced by its repr, which strict
+    JSON can hold."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(v) for v in obj]
+    return obj
 
 
 @dataclass
@@ -92,7 +130,8 @@ class VerificationReport:
             "passed": self.passed,
             "records": [r.as_dict() for r in self.records],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_strict(payload), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         width = max([len(r.identity) for r in self.records] + [8])

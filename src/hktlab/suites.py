@@ -3,8 +3,13 @@
 Each suite builds its objects fresh from the config, sweeps the identities
 it owns over seeded random samples, and returns one CheckRecord per
 identity.  Residual records bound a max residual from above; margin
-records bound a min (positivity gaps, detection ratios) from below.
-Everything downstream of the config is deterministic.
+records bound a min (positivity gaps, detection ratios) from below.  A
+suite hands each record its per-sample values, often as a lazy generator
+over the random draws, and the record constructors in report.py reduce
+them with one NaN-keeping rule; a loop that serves several records builds
+one tuple per sample and gives each record its column.  Generators are
+consumed record by record, so the draws keep their order.  Everything
+downstream of the config is deterministic.
 """
 
 from __future__ import annotations
@@ -100,8 +105,7 @@ def _rand_element(monos, rng) -> dict:
 
 
 def _max_abs(arrays) -> float:
-    """Largest entry modulus over all arrays; nan as soon as any entry is
-    nan (the builtin max(0.0, nan) is 0.0, which would let nan pass)."""
+    """Largest entry modulus over all arrays, reduced by max_keep_nan."""
     return max_keep_nan(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
@@ -145,19 +149,14 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             3 * npts, _max_abs(r for blk in every for r in cyclic(blk)),
             tol.sl2))
 
-        worst = 0.0
-        count = 0
-        for p in range(m + 1):
-            for q in range(m + 1):
-                for mono in ctx.basis_pq(p, q):
-                    el = {mono: 1.0}
-                    r = esub(ctx.lie("I", el), escale(el, 1j * (p - q)))
-                    worst = max(worst, enorm(r))
-                    count += 1
+        gaps = [enorm(esub(ctx.lie("I", {mono: 1.0}),
+                           escale({mono: 1.0}, 1j * (p - q))))
+                for p in range(m + 1) for q in range(m + 1)
+                for mono in ctx.basis_pq(p, q)]
         out.append(residual_record(
             f"unit-weight{tag}",
             "L_I acts as i(p-q) on (p,q)-forms",
-            count, worst, tol.sl2))
+            len(gaps), gaps, tol.sl2))
 
         def spectrum(per_degree, name):
             return np.concatenate([np.linalg.eigvals(blk.ops[name])
@@ -219,79 +218,69 @@ def algebra_records(cfg: ScenarioConfig) -> list:
 
         b11 = ctx.basis_pq(1, 1)
         count = max(100, cfg.samples)
-        worst = 0.0
-        ratio = float("inf")
-        for _ in range(count):
+
+        def split_draw():
             el = _rand_element(b11, rng)
             inv = ctx.invariant_part(el)
-            worst = max(worst, enorm(ctx.raising(inv)))
             beta = esub(el, inv)
-            nb = enorm(beta)
-            if nb > 1e-8:
-                ratio = min(ratio, enorm(ctx.raising(beta)) / nb)
+            return (enorm(ctx.raising(inv)), enorm(ctx.raising(beta)),
+                    enorm(beta))
+
+        rows = [split_draw() for _ in range(count)]
         out.append(residual_record(
             f"invariant-annihilated{tag}",
             "R kills the invariant part of every (1,1)-form",
-            count, worst, tol.sl2))
+            count, (r_inv for r_inv, _, _ in rows), tol.sl2))
         # R is sqrt(2) times an isometry on the non-invariant part, so any
-        # floor below that certifies detection with a wide gap
+        # floor below that certifies detection with a wide gap; a sweep
+        # with no non-invariant draw reduces to inf and fails
         out.append(margin_record(
             f"noninvariant-detected{tag}",
             "R is bounded below on non-invariant (1,1)-forms",
-            count, ratio, 1.0))
+            count, (r_beta / nb for _, r_beta, nb in rows if nb > 1e-8),
+            1.0))
 
         rmat = ctx.operator_matrix(ctx.raising, b11, ctx.basis_pq(2, 0))
         dimker = len(b11) - int(np.linalg.matrix_rank(rmat, tol=1e-8))
-        dim_inv = 0.0
-        for mono in b11:
-            dim_inv += complex(ctx.invariant_part({mono: 1.0})
-                               .get(mono, 0.0)).real
+        dim_inv = sum(complex(ctx.invariant_part({mono: 1.0})
+                              .get(mono, 0.0)).real for mono in b11)
         out.append(residual_record(
             f"r-kernel-invariant{tag}",
             "kernel of R on (1,1)-forms is exactly the invariant subspace",
             len(b11), abs(dimker - dim_inv), tol.sl2))
 
-        worst = 0.0
-        count = 0
-        for k in range(1, m + 1):
-            for q in range(1, k + 1):
-                c = ladder_constant(k - q, q)
-                for mono in ctx.basis_pq(k, 0):
-                    el = {mono: 1.0}
-                    low = el
-                    for _ in range(q):
-                        low = ctx.lowering(low)
-                    up = low
-                    for _ in range(q):
-                        up = ctx.raising(up)
-                    worst = max(worst, enorm(esub(up, escale(el, c))))
-                    count += 1
+        def ladder_gap(mono, q, c):
+            el = {mono: 1.0}
+            for op in [ctx.lowering] * q + [ctx.raising] * q:
+                el = op(el)
+            return enorm(esub(el, escale({mono: 1.0}, c)))
+
+        gaps = [ladder_gap(mono, q, ladder_constant(k - q, q))
+                for k in range(1, m + 1) for q in range(1, k + 1)
+                for mono in ctx.basis_pq(k, 0)]
         out.append(residual_record(
             f"ladder-normalization{tag}",
             "R^q Rbar^q multiplies (k,0)-forms by the ladder constant",
-            count, worst, tol.sl2))
+            len(gaps), gaps, tol.sl2))
 
         M = ctx.mmat
-        worst = max(float(np.max(np.abs(M @ M.conj().T - np.eye(m)))),
-                    float(np.max(np.abs(M @ np.conj(M) + np.eye(m)))),
-                    float(np.max(np.abs(M + M.T))))
         out.append(residual_record(
             f"antilinear-structure{tag}",
             "M is unitary, antisymmetric, and squares to -1 with conj",
-            1, worst, tol.linear))
+            1, _max_abs([M @ M.conj().T - np.eye(m),
+                         M @ np.conj(M) + np.eye(m), M + M.T]), tol.linear))
 
-        worst = 0.0
-        for k in range(2 * m + 1):
-            for mono in bases[k]:
-                el = {mono: 1.0}
-                for u in ("I", "J", "K"):
-                    r = esub(ctx.cov_mult(u, ctx.cov_mult(u, el)),
-                             escale(el, (-1.0) ** k))
-                    worst = max(worst, enorm(r))
+        def cov_square_gap(k, mono, u):
+            el = {mono: 1.0}
+            return enorm(esub(ctx.cov_mult(u, ctx.cov_mult(u, el)),
+                              escale(el, (-1.0) ** k)))
+
         out.append(residual_record(
             f"cov-squares{tag}",
             "each multiplicative unit action squares to (-1)^degree",
-            3 * npts, worst, tol.sl2))
+            3 * npts, (cov_square_gap(k, mono, u) for k in range(2 * m + 1)
+                       for mono in bases[k] for u in ("I", "J", "K")),
+            tol.sl2))
     return out
 
 
@@ -312,36 +301,6 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
     f20 = random_pq_field(ch, 2, 0, rng) if ch.ctx.m >= 2 else f10
     one = random_form_field(ch, 1, rng)
 
-    def sweep(fields, op):
-        worst, cnt = 0.0, 0
-        for f in fields:
-            g = op(f)
-            for pt in pts:
-                worst = max(worst, enorm(g.at(pt)))
-                cnt += 1
-        return worst, cnt
-
-    worst, cnt = sweep(scalars + [one], lambda f: exterior_d(exterior_d(f)))
-    out.append(residual_record(
-        "d-squared", "d of d vanishes on scalars and 1-form fields",
-        cnt, worst, tol.bicomplex))
-
-    worst, cnt = sweep(scalars + [f10, f11],
-                       lambda f: del_hol(del_hol(f)))
-    out.append(residual_record(
-        "del-squared", "del of del vanishes", cnt, worst, tol.bicomplex))
-
-    worst, cnt = sweep(scalars + [f01, f11],
-                       lambda f: del_bar(del_bar(f)))
-    out.append(residual_record(
-        "dbar-squared", "dbar of dbar vanishes", cnt, worst, tol.bicomplex))
-
-    worst, cnt = sweep(scalars + [f10, f20],
-                       lambda f: del_j(del_j(f)))
-    out.append(residual_record(
-        "delj-squared", "del_J of del_J vanishes on (p,0) fields",
-        cnt, worst, tol.bicomplex))
-
     def anti(f):
         a = del_hol(del_j(f))
         b = del_j(del_hol(f))
@@ -349,37 +308,42 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
                                 lambda pt: eadd(a.frame_at(pt),
                                                 b.frame_at(pt)))
 
-    worst, cnt = sweep(scalars + [f10], anti)
-    out.append(residual_record(
-        "del-delj-anticommute",
-        "del and del_J anticommute on (p,0) fields",
-        cnt, worst, tol.bicomplex))
+    for identity, detail, zeros in (
+            ("d-squared", "d of d vanishes on scalars and 1-form fields",
+             [exterior_d(exterior_d(f)) for f in scalars + [one]]),
+            ("del-squared", "del of del vanishes",
+             [del_hol(del_hol(f)) for f in scalars + [f10, f11]]),
+            ("dbar-squared", "dbar of dbar vanishes",
+             [del_bar(del_bar(f)) for f in scalars + [f01, f11]]),
+            ("delj-squared", "del_J of del_J vanishes on (p,0) fields",
+             [del_j(del_j(f)) for f in scalars + [f10, f20]]),
+            ("del-delj-anticommute",
+             "del and del_J anticommute on (p,0) fields",
+             [anti(f) for f in scalars + [f10]])):
+        out.append(residual_record(
+            identity, detail, len(zeros) * len(pts),
+            (enorm(g.at(pt)) for g in zeros for pt in pts), tol.bicomplex))
 
-    worst, cnt = 0.0, 0
-    for f in scalars:
-        ddj = del_hol(del_j(f))
-        ddb = del_hol(del_bar(f))
-        for pt in pts:
-            r = esub(ddj.frame_at(pt), ch.ctx.raising(ddb.frame_at(pt)))
-            worst = max(worst, enorm(r))
-            cnt += 1
+    pairs = [(del_hol(del_j(f)), del_hol(del_bar(f))) for f in scalars]
     out.append(residual_record(
         "ddj-r-transfer",
         "del del_J equals R applied to del dbar on scalars",
-        cnt, worst, tol.bicomplex))
+        len(pairs) * len(pts),
+        (enorm(esub(ddj.frame_at(pt), ch.ctx.raising(ddb.frame_at(pt))))
+         for ddj, ddb in pairs for pt in pts), tol.bicomplex))
 
     sq = scalar_field(ch, lambda pt: sum(x * x for x in pt))
     dd = del_hol(del_j(sq))
     target = escale(ch.ctx.omega_canonical(), 2.0)
-    worst = max(enorm(esub(dd.frame_at(pt), target)) for pt in pts[:3])
     out.append(residual_record(
         "moment-potential",
         "del del_J of the squared radius is twice the canonical form",
-        3, worst, tol.bicomplex))
+        len(pts[:3]), (enorm(esub(dd.frame_at(pt), target)) for pt in pts[:3]),
+        tol.bicomplex))
 
     chx = flat_chart(max(2, cfg.n))
     cpts = sample_points(rng, chx.dim, max(3, cfg.samples // 30))
-    worst_p, worst_s, cnt = 0.0, 0.0, 0
+    rows = []
     for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
         eta = random_pq_field(chx, p, q, rng, top_weight=True)
         phi_eta = ladder_map(eta, p, q)
@@ -389,35 +353,32 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
         lhs_s = ladder_map(d_plus(eta, p, q, "second"), p, q + 1)
         rhs_s = del_j(phi_eta)
         ks = 1.0 / (p + q + 1)
-        for pt in cpts:
-            worst_p = max(worst_p, enorm(esub(
-                lhs_p.at(pt), {k: kp * v for k, v in rhs_p.at(pt).items()})))
-            worst_s = max(worst_s, enorm(esub(
-                lhs_s.at(pt), {k: ks * v for k, v in rhs_s.at(pt).items()})))
-            cnt += 1
+        rows += [(enorm(esub(lhs_p.at(pt),
+                             {k: kp * v for k, v in rhs_p.at(pt).items()})),
+                  enorm(esub(lhs_s.at(pt),
+                             {k: ks * v for k, v in rhs_s.at(pt).items()})))
+                 for pt in cpts]
+    prime, second = zip(*rows)
     out.append(residual_record(
         "ladder-correspondence-prime",
         "normalized R-ladder intertwines the first refined differential "
         "with (p+1)/(p+q+1) del",
-        cnt, worst_p, tol.correspondence))
+        len(rows), prime, tol.correspondence))
     out.append(residual_record(
         "ladder-correspondence-second",
         "normalized R-ladder intertwines the second refined differential "
         "with 1/(p+q+1) del_J",
-        cnt, worst_s, tol.correspondence))
+        len(rows), second, tol.correspondence))
 
-    worst, cnt = 0.0, 0
-    for p in range(3):
-        f = random_pq_field(chx, p, 0, rng)
-        dp = d_plus(f, p, 0, "prime")
-        dh = del_hol(f)
-        for pt in cpts:
-            worst = max(worst, enorm(esub(dp.at(pt), dh.at(pt))))
-            cnt += 1
+    fields = [random_pq_field(chx, p, 0, rng) for p in range(3)]
+    pairs = [(d_plus(f, p, 0, "prime"), del_hol(f))
+             for p, f in enumerate(fields)]
     out.append(residual_record(
         "dplus-is-del",
         "the first refined differential reduces to del on (p,0) fields",
-        cnt, worst, tol.correspondence))
+        len(pairs) * len(cpts),
+        (enorm(esub(dp.at(pt), dh.at(pt))) for dp, dh in pairs for pt in cpts),
+        tol.correspondence))
     return out
 
 
@@ -433,101 +394,107 @@ def qpos_records(cfg: ScenarioConfig) -> list:
         m = ctx.m
         tag = f"(m={m})"
 
-        worst = 0.0
-        for _ in range(count):
-            el = _rand_element(ctx.basis_pq(2, 0), rng)
-            worst = max(worst, enorm(esub(
-                quaternionic_conj(ctx, quaternionic_conj(ctx, el)), el)))
+        def form20():
+            return _rand_element(ctx.basis_pq(2, 0), rng)
+
+        def complex_draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def involution_gaps():
+            for _ in range(count):
+                el = form20()
+                yield enorm(esub(
+                    quaternionic_conj(ctx, quaternionic_conj(ctx, el)), el))
+
         out.append(residual_record(
             f"conj-involution{tag}",
             "the quaternionic conjugation of (2,0)-forms is an involution",
-            count, worst, tol.linear))
+            count, involution_gaps(), tol.linear))
 
-        worst = 0.0
-        for _ in range(count):
-            el = _rand_element(ctx.basis_pq(2, 0), rng)
-            sym = escale(eadd(el, quaternionic_conj(ctx, el)), 0.5)
-            G = gram(ctx, sym)
-            worst = max(worst, qreal_residual(ctx, sym),
-                        float(np.max(np.abs(G - G.conj().T))))
+        def symmetrized_gaps():
+            for _ in range(count):
+                el = form20()
+                sym = escale(eadd(el, quaternionic_conj(ctx, el)), 0.5)
+                G = gram(ctx, sym)
+                yield qreal_residual(ctx, sym)
+                yield float(np.max(np.abs(G - G.conj().T)))
+
         out.append(residual_record(
             f"qreal-gram-hermitian{tag}",
             "symmetrized forms are q-real with Hermitian Gram matrix",
-            count, worst, tol.linear))
+            count, symmetrized_gaps(), tol.linear))
 
-        worst = 0.0
-        for _ in range(count):
-            G0 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            G0 = (G0 + G0.conj().T) / 2
-            worst = max(worst, qreal_residual(ctx, omega_from_gram(ctx, G0)))
+        def hermitian_gram_gaps():
+            for _ in range(count):
+                G0 = complex_draw((m, m))
+                yield qreal_residual(ctx, omega_from_gram(
+                    ctx, (G0 + G0.conj().T) / 2))
+
         out.append(residual_record(
             f"hermitian-gram-qreal{tag}",
             "every Hermitian Gram matrix produces a q-real form",
-            count, worst, tol.linear))
+            count, hermitian_gram_gaps(), tol.linear))
 
-        worst = 0.0
-        for _ in range(count):
-            el = random_qreal_positive(ctx, rng)
-            worst = max(worst, enorm(esub(
-                omega_from_gram(ctx, gram(ctx, el)), el)))
+        def form_roundtrip_gaps():
+            for _ in range(count):
+                el = random_qreal_positive(ctx, rng)
+                yield enorm(esub(omega_from_gram(ctx, gram(ctx, el)), el))
+
         out.append(residual_record(
             f"roundtrip-form{tag}",
             "form to Gram matrix and back is the identity",
-            count, worst, tol.roundtrip))
+            count, form_roundtrip_gaps(), tol.roundtrip))
 
-        worst = 0.0
-        for _ in range(count):
-            G = random_hyperhermitian_metric(ctx, rng)
-            worst = max(worst, float(np.max(np.abs(
-                gram(ctx, omega_from_gram(ctx, G)) - G))))
+        def metric_roundtrip_gaps():
+            for _ in range(count):
+                G = random_hyperhermitian_metric(ctx, rng)
+                yield gram(ctx, omega_from_gram(ctx, G)) - G
+
         out.append(residual_record(
             f"roundtrip-metric{tag}",
             "Gram matrix to form and back is the identity",
-            count, worst, tol.roundtrip))
+            count, _max_abs(metric_roundtrip_gaps()), tol.roundtrip))
 
-        worst = 0.0
-        for _ in range(count):
-            G = random_hyperhermitian_metric(ctx, rng)
-            G0 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            P = hyperhermitian_project(ctx, G0)
-            worst = max(worst, hyperhermitian_residual(ctx, G),
-                        float(np.max(np.abs(
-                            hyperhermitian_project(ctx, P) - P))))
+        def hyperhermitian_gaps():
+            for _ in range(count):
+                G = random_hyperhermitian_metric(ctx, rng)
+                P = hyperhermitian_project(ctx, complex_draw((m, m)))
+                yield hyperhermitian_residual(ctx, G)
+                yield float(np.max(np.abs(
+                    hyperhermitian_project(ctx, P) - P)))
+
         out.append(residual_record(
             f"hyperhermitian-structure{tag}",
             "generated metrics are J-compatible and the projector is "
             "idempotent",
-            count, worst, tol.linear))
+            count, hyperhermitian_gaps(), tol.linear))
 
-        low = float("inf")
-        for _ in range(count):
-            el = random_qreal_positive(ctx, rng)
-            low = min(low, qpos_margin(ctx, el))
         out.append(margin_record(
             f"positivity-margin{tag}",
             "generated q-positive forms have a strictly positive Gram floor",
-            count, low, tol.positivity_floor))
+            count, (qpos_margin(ctx, random_qreal_positive(ctx, rng))
+                    for _ in range(count)), tol.positivity_floor))
 
-        worst = 0.0
-        for _ in range(count):
-            el = _rand_element(ctx.basis_pq(2, 0), rng)
-            G = gram(ctx, el)
-            x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            worst = max(worst, abs(hermitian_pair(ctx, el, x, y)
-                                   - x @ G @ np.conj(y)))
+        def pairing_gaps():
+            for _ in range(count):
+                el = form20()
+                G = gram(ctx, el)
+                x = complex_draw(m)
+                y = complex_draw(m)
+                yield abs(hermitian_pair(ctx, el, x, y) - x @ G @ np.conj(y))
+
         out.append(residual_record(
             f"pairing-gram{tag}",
             "the Hermitian pairing of a form matches its Gram matrix",
-            count, worst, tol.linear))
+            count, pairing_gaps(), tol.linear))
 
         G = gram(ctx, ctx.omega_canonical())
-        worst = max(float(np.max(np.abs(G - np.eye(m)))),
-                    abs(qpos_margin(ctx, ctx.omega_canonical()) - 1.0))
         out.append(residual_record(
             f"canonical-form{tag}",
             "the canonical (2,0)-form has identity Gram matrix",
-            1, worst, tol.linear))
+            1, (float(np.max(np.abs(G - np.eye(m)))),
+                abs(qpos_margin(ctx, ctx.omega_canonical()) - 1.0)),
+            tol.linear))
     return out
 
 
@@ -573,28 +540,27 @@ def bundle_records(cfg: ScenarioConfig) -> list:
         out.append(residual_record(
             f"curvature-invariance({nm})",
             "curvature 2-forms have no weight-2 component",
-            len(pts), max_keep_nan(inv), tol.bundle))
+            len(pts), inv, tol.bundle))
         out.append(residual_record(
             f"curvature-type11({nm})",
             "curvature is (1,1) for each of the three complex structures",
-            len(pts), max_keep_nan(t11), tol.bundle))
+            len(pts), t11, tol.bundle))
         out.append(residual_record(
             f"bianchi({nm})",
             "covariant exterior derivative of the curvature vanishes",
-            len(pts), max_keep_nan(bia), tol.bundle))
+            len(pts), bia, tol.bundle))
 
-    bad = 0.0
-    for conn in conns:
+    def disagreement(conn):
         inv, t11, _ = res[conn.name]
         inv_ok = max_keep_nan(inv[:n_agree]) <= tol.bundle
         t11_ok = max_keep_nan(t11[:n_agree]) <= tol.bundle
-        if inv_ok != t11_ok or inv_ok != conn.hyperholomorphic:
-            bad = 1.0
+        return float(inv_ok != t11_ok or inv_ok != conn.hyperholomorphic)
+
     out.append(residual_record(
         "criteria-agreement",
         "invariance and (1,1)-type accept and reject the same catalog "
         "entries, matching each entry's flag",
-        n_agree * len(conns), bad, 0.5))
+        n_agree * len(conns), map(disagreement, conns), 0.5))
     return out
 
 
@@ -611,47 +577,50 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
     dim = ts.dim
     nb = 4 * ts.n
     mb = 2 * ts.n
-    m = ctx.m
     pts = sample_points(rng, dim, samples)
     zf = [list(pt) for pt in pts[:2]]
     for pt in zf:
         pt[nb:] = [0.0] * (dim - nb)
 
-    worst = 0.0
-    for pt in pts:
-        el = {(i,): complex(rng.standard_normal(), rng.standard_normal())
-              for i in range(dim)}
-        worst = max(worst, enorm(esub(
-            to_real(ch, to_frame(ch, el, pt), pt), el)))
+    def roundtrip_gaps():
+        for pt in pts:
+            el = {(i,): complex(rng.standard_normal(), rng.standard_normal())
+                  for i in range(dim)}
+            yield enorm(esub(to_real(ch, to_frame(ch, el, pt), pt), el))
+
     out.append(residual_record(
         "frame-roundtrip",
         "real to frame coefficients and back is the identity",
-        len(pts), worst, tolv))
+        len(pts), roundtrip_gaps(), tolv))
 
     fiber_fields = [frame_form_field(ch, 1,
                                      (lambda a: lambda pt: {(mb + a,): 1.0})(a))
                     for a in range(ts.rank)]
     d_fields = [exterior_d(f) for f in fiber_fields]
-    worst = 0.0
-    for pt in pts[:max(10, samples // 10)]:
-        base = list(pt[:nb])
-        v = ts.fiber_values(pt)
-        A = conn.coeff(base)
-        grid = curvature_entry_forms(conn, base)
-        for a in range(ts.rank):
-            rhs: dict = {}
-            for b in range(ts.rank):
-                rhs = eadd(rhs, escale(grid[a][b], complex(v[b])))
-                aform = {(mu,): A[mu][a][b] for mu in range(nb)
-                         if A[mu][a][b] != 0}
-                rhs = esub(rhs, wedge(aform,
-                                      to_real(ch, {(mb + b,): 1.0}, pt)))
-            worst = max(worst, enorm(esub(d_fields[a].at(pt), rhs)))
+
+    spts = pts[:max(10, samples // 10)]
+
+    def structure_gaps():
+        for pt in spts:
+            base = list(pt[:nb])
+            v = ts.fiber_values(pt)
+            A = conn.coeff(base)
+            grid = curvature_entry_forms(conn, base)
+            for a in range(ts.rank):
+                rhs: dict = {}
+                for b in range(ts.rank):
+                    rhs = eadd(rhs, escale(grid[a][b], complex(v[b])))
+                    aform = {(mu,): A[mu][a][b] for mu in range(nb)
+                             if A[mu][a][b] != 0}
+                    rhs = esub(rhs, wedge(aform,
+                                          to_real(ch, {(mb + b,): 1.0}, pt)))
+                yield enorm(esub(d_fields[a].at(pt), rhs))
+
     out.append(residual_record(
         "structure-equation",
         "d of the covariant fiber coframe is curvature times the fiber "
         "minus connection wedge coframe",
-        max(10, samples // 10), worst, tolv))
+        len(spts), structure_gaps(), tolv))
 
     psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
     dpsi = del_hol(psi_f)
@@ -660,19 +629,17 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
     ddj = del_hol(del_j(psi_f))
     two_over = escale(omega_ver_canonical(ts), 2.0)
 
-    w_dp = w_dj = w_db = w_ddj = w_rt = 0.0
-    for pt in pts + zf:
+    def potential_gaps(pt):
         fr_db = ddbar.frame_at(pt)
         fr_dj = ddj.frame_at(pt)
-        w_dp = max(w_dp, enorm(esub(dpsi.frame_at(pt),
-                                    del_psi_expr(ts, pt))))
-        w_dj = max(w_dj, enorm(esub(djpsi.frame_at(pt),
-                                    del_j_psi_expr(ts, pt))))
-        rhs = eadd(omega_ver_expr(ts),
-                   to_frame(ch, xi_curv_expr(ts, pt), pt))
-        w_db = max(w_db, enorm(esub(fr_db, rhs)))
-        w_ddj = max(w_ddj, enorm(esub(fr_dj, two_over)))
-        w_rt = max(w_rt, enorm(esub(fr_dj, ctx.raising(fr_db))))
+        rhs = eadd(omega_ver_expr(ts), to_frame(ch, xi_curv_expr(ts, pt), pt))
+        return (enorm(esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))),
+                enorm(esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))),
+                enorm(esub(fr_db, rhs)),
+                enorm(esub(fr_dj, two_over)),
+                enorm(esub(fr_dj, ctx.raising(fr_db))))
+
+    w_dp, w_dj, w_db, w_ddj, w_rt = zip(*map(potential_gaps, pts + zf))
     npts = len(pts) + len(zf)
     out.append(residual_record(
         "del-potential", "del of the fiber norm matches its closed form",
@@ -694,15 +661,16 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
         "del del_J of the potential equals R of del dbar of it",
         npts, w_rt, tolv))
 
-    w_wt = w_inv = w_sc = 0.0
-    for pt in pts:
+    def curvature_term_gaps(pt):
         fr_xi = to_frame(ch, xi_curv_expr(ts, pt), pt)
-        w_wt = max(w_wt, enorm(ctx.raising(fr_xi)))
-        w_inv = max(w_inv, enorm(esub(fr_xi, ctx.invariant_part(fr_xi))))
         pt2 = list(pt)
         pt2[nb:] = [2.0 * x for x in pt2[nb:]]
-        w_sc = max(w_sc, enorm(esub(xi_curv_expr(ts, pt2),
-                                    escale(xi_curv_expr(ts, pt), 4.0))))
+        return (enorm(ctx.raising(fr_xi)),
+                enorm(esub(fr_xi, ctx.invariant_part(fr_xi))),
+                enorm(esub(xi_curv_expr(ts, pt2),
+                           escale(xi_curv_expr(ts, pt), 4.0))))
+
+    w_wt, w_inv, w_sc = zip(*map(curvature_term_gaps, pts))
     out.append(residual_record(
         "curvature-term-weightless",
         "the curvature correction is killed by R", len(pts), w_wt, tolv))
@@ -723,45 +691,34 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
     omega_el = eadd(omega_hor_expr(ts), two_over)
     om_f = frame_form_field(ch, 2, lambda pt: omega_el)
     dom = del_hol(om_f)
-    worst = max(enorm(dom.at(pt)) for pt in pts)
     out.append(residual_record(
-        "del-closed",
-        "del of the candidate HKT form vanishes", len(pts), worst, tolv))
+        "del-closed", "del of the candidate HKT form vanishes", len(pts),
+        (enorm(dom.at(pt)) for pt in pts), tolv))
 
-    low = float("inf")
-    w_qr = 0.0
-    for pt in pts:
-        low = min(low, qpos_margin(ctx, omega_el))
-        w_qr = max(w_qr, qreal_residual(ctx, omega_el))
+    # the candidate form has constant frame coefficients: one evaluation
     out.append(residual_record(
         "omega-qreal", "the candidate HKT form is q-real",
-        len(pts), w_qr, tolv))
+        1, qreal_residual(ctx, omega_el), tolv))
     out.append(margin_record(
         "omega-qpositive",
         "the candidate HKT form has a strictly positive Gram floor",
-        len(pts), low, tol.positivity_floor))
+        1, qpos_margin(ctx, omega_el), tol.positivity_floor))
 
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
     gs = [natural_metric(ts, pt) for pt in pts]
     if bundle_name == "flat":
-        worst = max(float(np.max(np.abs(g - np.eye(dim)))) for g in gs)
         out.append(residual_record(
             "metric-flat-identity",
             "the natural metric of the flat bundle is the euclidean one",
-            len(pts), worst, tolv))
+            len(pts), _max_abs(g - np.eye(dim) for g in gs), tolv))
 
-    w_minv = w_quat = 0.0
-    for pt, g in zip(pts, gs):
+    def structure_matrix_gaps(pt, g):
         L = {u: np.array(mats[u](pt), dtype=float) for u in mats}
-        for u in mats:
-            w_minv = max(w_minv, float(np.max(np.abs(
-                L[u].T @ g @ L[u] - g))))
-            w_quat = max(w_quat, float(np.max(np.abs(
-                L[u] @ L[u] + np.eye(dim)))))
-        w_quat = max(w_quat,
-                     float(np.max(np.abs(L["I"] @ L["J"] - L["K"]))),
-                     float(np.max(np.abs(L["I"] @ L["J"]
-                                         + L["J"] @ L["I"]))))
+        quat = [L[u] @ L[u] + np.eye(dim) for u in L]
+        quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
+        return _max_abs(L[u].T @ g @ L[u] - g for u in L), _max_abs(quat)
+
+    w_minv, w_quat = zip(*map(structure_matrix_gaps, pts, gs))
     out.append(residual_record(
         "metric-invariance",
         "the natural metric is invariant under all three structures",
@@ -771,46 +728,43 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
         "the lifted structures square to -1 and multiply like i, j, k",
         len(pts), w_quat, tolv))
 
-    w_split = 0.0
-    for pt, g in zip(pts, gs):
+    V = np.zeros((dim, dim - nb))
+    V[nb:, :] = np.eye(dim - nb)
+
+    def splitting_gaps(pt, g):
         H = np.array([horizontal_lift(ts, pt, row)
                       for row in np.eye(nb)], dtype=float).T
-        V = np.zeros((dim, dim - nb))
-        V[nb:, :] = np.eye(dim - nb)
-        w_split = max(w_split,
-                      float(np.max(np.abs(H.T @ g @ H - np.eye(nb)))),
-                      float(np.max(np.abs(H.T @ g @ V))),
-                      float(np.max(np.abs(V.T @ g @ V
-                                          - np.eye(dim - nb)))))
+        yield H.T @ g @ H - np.eye(nb)
+        yield H.T @ g @ V
+        yield V.T @ g @ V - np.eye(dim - nb)
+
     out.append(residual_record(
         "metric-splitting",
         "horizontal lifts are orthonormal and orthogonal to the fibres",
-        len(pts), w_split, tolv))
+        len(pts), (_max_abs(splitting_gaps(pt, g)) for pt, g in zip(pts, gs)),
+        tolv))
 
     dpsi_real = exterior_d(psi_f)
-    worst = 0.0
-    for pt, g in zip(pts, gs):
-        el = dpsi_real.at(pt)
+
+    def gradient_norm_gap(pt, g):
         w = np.zeros(dim)
-        for mono, c in el.items():
+        for mono, c in dpsi_real.at(pt).items():
             w[mono[0]] = float(complex(c).real)
         val = float(w @ np.linalg.solve(g, w))
         p = float(psi(ts, pt))
-        worst = max(worst, abs(val - 4.0 * p) / (1.0 + 4.0 * p))
+        return abs(val - 4.0 * p) / (1.0 + 4.0 * p)
+
     out.append(residual_record(
         "potential-gradient-norm",
         "the metric norm of d of the potential is twice its square root",
-        len(pts), worst, tolv))
+        len(pts), map(gradient_norm_gap, pts, gs), tolv))
 
     npts_nij = pts[:max(50, samples // 2)]
-    worst = 0.0
-    for pt in npts_nij:
-        for u in mats:
-            worst = max(worst, nijenhuis_residual(mats[u], pt, dim))
     out.append(residual_record(
         "nijenhuis",
         "all three lifted structures have vanishing Nijenhuis tensor",
-        len(npts_nij), worst, nij_tol))
+        len(npts_nij), (nijenhuis_residual(mats[u], pt, dim)
+                        for pt in npts_nij for u in mats), nij_tol))
     return out
 
 
@@ -840,7 +794,6 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     conn = get_connection(cfg.bundle)
     ts = total_space(conn)
     h = hopf_data(ts, cfg.q)
-    ch = ts.chart
     ctx = ts.ctx
     mb = 2 * ts.n
     m = ctx.m
@@ -849,33 +802,32 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     omh = omega_hor_expr(ts)
     frames = [otf.frame_at(pt) for pt in pts]
 
-    worst = 0.0
-    for pt in pts:
+    def log_shift_gap(pt):
         a = float(np.log(float(psi(ts, rho_apply(h, pt)))))
         b = float(np.log(float(psi(ts, pt))))
-        worst = max(worst, abs(a - b - 2.0 * np.log(abs(h.q))))
+        return abs(a - b - 2.0 * np.log(abs(h.q)))
+
     out.append(residual_record(
         "potential-homogeneity",
         "log of the fiber norm shifts by 2 log|q| under the dilation",
-        len(pts), worst, tol.secondderiv))
+        len(pts), map(log_shift_gap, pts), tol.secondderiv))
 
     ddj_log = del_hol(del_j(log_psi_field(h)))
-    worst = 0.0
-    for pt, fr in zip(pts, frames):
-        worst = max(worst, enorm(esub(fr, eadd(omh, ddj_log.frame_at(pt)))))
     out.append(residual_record(
         "log-potential-identity",
         "the quotient form is the horizontal form plus del del_J of the "
         "log potential",
-        len(pts), worst, tol.secondderiv))
+        len(pts), (enorm(esub(fr, eadd(omh, ddj_log.frame_at(pt))))
+                   for pt, fr in zip(pts, frames)), tol.secondderiv))
 
-    w_inv = w_hom = 0.0
-    for pt, fr in zip(pts, frames):
+    def dilation_gaps(pt, fr):
         img = otf.frame_at(rho_apply(h, pt))
-        w_inv = max(w_inv, enorm(esub(rho_pullback(h, img), fr)))
         lam = float(rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0]))
         img2 = otf.frame_at(rho_apply(h, pt, scale=lam))
-        w_hom = max(w_hom, enorm(esub(rho_pullback(h, img2, scale=lam), fr)))
+        return (enorm(esub(rho_pullback(h, img), fr)),
+                enorm(esub(rho_pullback(h, img2, scale=lam), fr)))
+
+    w_inv, w_hom = zip(*map(dilation_gaps, pts, frames))
     out.append(residual_record(
         "dilation-invariance",
         "the quotient form pulls back to itself under the dilation",
@@ -886,23 +838,18 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         len(pts), w_hom, tol.secondderiv))
 
     dot = del_hol(otf)
-    worst = max(enorm(dot.at(pt)) for pt in pts)
     out.append(residual_record(
         "del-closed", "del of the quotient form vanishes",
-        len(pts), worst, tol.secondderiv))
+        len(pts), (enorm(dot.at(pt)) for pt in pts), tol.secondderiv))
 
-    w_qr = w_hh = 0.0
-    low = float("inf")
-    agree = 0.0
-    for pt, fr in zip(pts, frames):
-        w_qr = max(w_qr, qreal_residual(ctx, fr))
+    def gram_values(fr):
         G = gram(ctx, fr)
-        w_hh = max(w_hh, hyperhermitian_residual(ctx, G))
         scale = max(1.0, float(np.linalg.norm(G, 2)))
         mg = qpos_margin(ctx, fr)
-        low = min(low, mg / scale)
-        if mg <= 0.0:
-            agree = 1.0
+        return (qreal_residual(ctx, fr), hyperhermitian_residual(ctx, G),
+                mg / scale, mg)
+
+    w_qr, w_hh, relative, margins = zip(*map(gram_values, frames))
     out.append(residual_record(
         "omega-qreal", "the quotient form is q-real",
         len(pts), w_qr, tol.secondderiv))
@@ -914,13 +861,10 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         "positivity-margin",
         "the quotient form has a strictly positive scale-relative Gram "
         "floor",
-        len(pts), low, tol.positivity_floor))
+        len(pts), relative, tol.positivity_floor))
 
     mfib = ctx.mmat[mb:, mb:]
-    low_lo = low_up = float("inf")
-    w_tight = 0.0
-    w_orth = 0.0
-    cnt = 0
+    probe_rows, w_orth = [], []
     for pt, fr in zip(pts, frames):
         p = float(psi(ts, pt))
         v = np.asarray(ts.fiber_values(pt), dtype=complex)
@@ -930,13 +874,9 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         for x in probes:
             pair = float(complex(hermitian_pair(ctx, fr, x, x)).real)
             nx = fiber_norm2(h, x)
-            low_lo = min(low_lo, (pair - nx / p) / (nx / p))
-            low_up = min(low_up, (2.0 * nx / p - pair) / (nx / p))
-            if ts.rank == 2:
-                w_tight = max(w_tight, abs(pair - nx / p) / (nx / p))
-            if pair <= 0.0:
-                agree = 1.0
-            cnt += 1
+            probe_rows.append(((pair - nx / p) / (nx / p),
+                               (2.0 * nx / p - pair) / (nx / p),
+                               abs(pair - nx / p) / (nx / p), pair))
         if ts.rank >= 3:
             u = np.zeros(m, dtype=complex)
             u[mb:] = rng.standard_normal(ts.rank) \
@@ -947,22 +887,23 @@ def hopf_records(cfg: ScenarioConfig) -> list:
                 u = u - (np.vdot(rr, u) / np.vdot(rr, rr)) * rr
             pair = float(complex(hermitian_pair(ctx, fr, u, u)).real)
             nx = fiber_norm2(h, u)
-            w_orth = max(w_orth, abs(pair - 2.0 * nx / p) / (nx / p))
+            w_orth.append(abs(pair - 2.0 * nx / p) / (nx / p))
+    lower, upper, tight, pairs = zip(*probe_rows)
     out.append(margin_record(
         "cauchy-lower",
         "vertical values are at least the fiber norm over the potential",
-        cnt, low_lo, -tol.positivity_floor))
+        len(probe_rows), lower, -tol.positivity_floor))
     out.append(margin_record(
         "cauchy-upper",
         "vertical values are at most twice the fiber norm over the "
         "potential",
-        cnt, low_up, -tol.positivity_floor))
+        len(probe_rows), upper, -tol.positivity_floor))
     if ts.rank == 2:
         out.append(residual_record(
             "cauchy-tight-rank2",
             "on a rank-2 fiber the lower bound is an equality for every "
             "vertical probe",
-            cnt, w_tight, tol.secondderiv))
+            len(probe_rows), tight, tol.secondderiv))
     else:
         out.append(residual_record(
             "cauchy-orthogonal-probe",
@@ -970,39 +911,38 @@ def hopf_records(cfg: ScenarioConfig) -> list:
             "partner attain the upper bound",
             len(pts), w_orth, tol.secondderiv))
 
-    worst = 0.0
-    for pt, fr in zip(pts, frames):
-        xb = np.zeros(m, dtype=complex)
-        xb[:mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
-        xv = vertical_probe(h, rng)
-        sc = float(np.linalg.norm(xb) * np.linalg.norm(xv))
-        worst = max(worst, abs(hermitian_pair(ctx, fr, xb, xv)) / sc)
+    def orthogonality_gaps():
+        for fr in frames:
+            xb = np.zeros(m, dtype=complex)
+            xb[:mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
+            xv = vertical_probe(h, rng)
+            sc = float(np.linalg.norm(xb) * np.linalg.norm(xv))
+            yield abs(hermitian_pair(ctx, fr, xb, xv)) / sc
+
     out.append(residual_record(
         "horizontal-vertical-orthogonal",
         "base directions pair to zero with fiber directions",
-        len(pts), worst, tol.secondderiv))
+        len(pts), orthogonality_gaps(), tol.secondderiv))
 
-    worst = 0.0
-    cnt = 0
-    for pt in pts[:10]:
-        for eps in (1.0, 0.3, 0.1, 0.03):
-            pe = list(pt)
-            pe[4 * ts.n:] = [eps * x for x in pe[4 * ts.n:]]
-            fr = otf.frame_at(pe)
-            Gv = gram(ctx, fr)[mb:, mb:]
-            lam = float(np.linalg.eigvalsh((Gv + Gv.conj().T) / 2)[0])
-            worst = max(worst, abs(lam * float(psi(ts, pe)) - 1.0))
-            cnt += 1
+    def blowup_gap(pt, eps):
+        pe = list(pt)
+        pe[4 * ts.n:] = [eps * x for x in pe[4 * ts.n:]]
+        Gv = gram(ctx, otf.frame_at(pe))[mb:, mb:]
+        lam = float(np.linalg.eigvalsh((Gv + Gv.conj().T) / 2)[0])
+        return abs(lam * float(psi(ts, pe)) - 1.0)
+
+    near = [(pt, eps) for pt in pts[:10] for eps in (1.0, 0.3, 0.1, 0.03)]
     out.append(residual_record(
         "vertical-blowup-rate",
         "the smallest vertical Gram eigenvalue scales as one over the "
         "potential",
-        cnt, worst, tol.secondderiv))
+        len(near), (blowup_gap(pt, eps) for pt, eps in near),
+        tol.secondderiv))
 
     out.append(residual_record(
         "positivity-agreement",
         "matrix margin and probe values certify positivity together",
-        len(pts), agree, 0.5))
+        len(pts), [float(x <= 0.0) for x in margins + pairs], 0.5))
     return out
 
 

@@ -49,3 +49,14 @@ def test_nan_in_a_cached_block_fails_sl2(monkeypatch):
         r = records[f"sl2-brackets(n={n})"]
         assert math.isnan(r.value) and not r.passed
         assert records[f"su2-brackets(n={n})"].passed
+
+
+def test_no_noninvariant_draw_fails_detection(monkeypatch):
+    # every draw is the zero form: nothing to detect, so the margin sweep
+    # is empty, reduces to inf, and must not pass
+    monkeypatch.setattr(suites, "_rand_element", lambda monos, rng: {})
+    records = {r.identity: r
+               for r in algebra_records(ScenarioConfig(samples=1))}
+    r = records["noninvariant-detected(n=1)"]
+    assert r.value == math.inf and not r.passed
+    assert records["invariant-annihilated(n=1)"].passed

@@ -85,3 +85,14 @@ def test_subcommands_exist(name):
     with pytest.raises(SystemExit) as exc:
         main([name, "--q", "0"])
     assert exc.value.code == 2
+
+
+def test_infinite_tolerance_echoes_as_strict_json(capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code = main(["algebra", "--tol-sl2", "inf", "--format", "json"] + FAST)
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0
+    assert payload["config"]["tolerances"]["sl2"] == "inf"
+    assert "inf" in [r["threshold"] for r in payload["records"]]

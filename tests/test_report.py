@@ -1,7 +1,11 @@
 import json
+import math
+
+import pytest
 
 from hktlab.report import (SCHEMA_VERSION, CheckRecord, VerificationReport,
-                           margin_record, residual_record)
+                           margin_record, max_keep_nan, min_keep_nan,
+                           residual_record)
 
 
 def test_residual_pass_semantics():
@@ -80,3 +84,66 @@ def test_record_kind_roundtrip():
     assert d["kind"] == "margin"
     assert d["points"] == 7
     assert d["passed"] is False
+
+
+def test_non_finite_values_fail():
+    assert not margin_record("a", "d", 1, math.inf, 1e-10).passed
+    assert not margin_record("a", "d", 1, math.nan, 1e-10).passed
+    assert not residual_record("a", "d", 1, math.nan, 1e-9).passed
+    assert not residual_record("a", "d", 1, -math.inf, 1e-9).passed
+
+
+def test_records_reduce_per_sample_values():
+    assert residual_record("a", "d", 3, [1e-12, 3e-12, 2e-12], 1e-9).value \
+        == 3e-12
+    assert margin_record("a", "d", 3, iter([0.5, 0.25, 0.75]), 0.1).value \
+        == 0.25
+    assert residual_record("a", "d", 0, [], 1e-9).value == 0.0
+    empty = margin_record("a", "d", 0, [], 1.0)
+    assert empty.value == math.inf and not empty.passed
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_one_nan_sample_makes_the_record_nan(where):
+    vals = [1e-12, 2e-12, 3e-12]
+    vals[where] = math.nan
+    assert math.isnan(residual_record("a", "d", 3, vals, 1e-9).value)
+    assert math.isnan(margin_record("a", "d", 3, vals, 0.0).value)
+
+
+def test_reducers_draw_every_value():
+    drawn = []
+
+    def values():
+        for x in (1.0, math.nan, 3.0):
+            drawn.append(x)
+            yield x
+
+    assert math.isnan(max_keep_nan(values()))
+    assert len(drawn) == 3
+    assert math.isnan(min_keep_nan(values()))
+    assert len(drawn) == 6
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_is_strict_for_non_finite_values():
+    rep = sample_report()
+    rep.extend([residual_record("nan-res", "d", 1, math.nan, 1e-9),
+                margin_record("inf-margin", "d", 1, math.inf, 1e-10),
+                margin_record("ninf-margin", "d", 1, -math.inf, 1e-10)])
+    payload = json.loads(rep.to_json(), parse_constant=_reject)
+    values = [r["value"] for r in payload["records"]]
+    assert values == [1e-13, 0.25, "nan", "inf", "-inf"]
+    assert payload["passed"] is False
+    assert [r["passed"] for r in payload["records"]] == [True, True, False,
+                                                         False, False]
+
+
+def test_finite_json_matches_plain_dumps():
+    rep = sample_report()
+    payload = json.loads(rep.to_json())
+    assert rep.to_json() == json.dumps(payload, sort_keys=True,
+                                       indent=2) + "\n"

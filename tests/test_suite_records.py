@@ -1,0 +1,84 @@
+"""Suite records count what they evaluate, and a nan sample fails them.
+
+Each nan test wraps one helper that a suite imports so that it returns nan
+at one call that is neither the first nor the last of the record's sweep;
+the record must then FAIL with value nan, and its neighbours still pass.
+"""
+
+import math
+
+from hktlab import suites
+from hktlab.suites import (ScenarioConfig, bicomplex_records, hopf_records,
+                           qpos_records, totspace_records)
+
+
+def nan_at(monkeypatch, name, index):
+    """Replace suites.<name> by a wrapper whose call number `index`
+    (from 0) returns nan; the list it returns collects the call count."""
+    real = getattr(suites, name)
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        k = calls[0]
+        calls[0] += 1
+        return math.nan if k == index else real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, wrapped)
+    return calls
+
+
+def by_identity(records):
+    return {r.identity: r for r in records}
+
+
+def assert_nan_fail(record):
+    assert math.isnan(record.value) and not record.passed, record.identity
+
+
+def test_qpos_positivity_margin_nan_fails(monkeypatch):
+    # positivity-margin(m=2) calls qpos_margin 50 times, canonical-form once
+    calls = nan_at(monkeypatch, "qpos_margin", 20)
+    records = by_identity(qpos_records(ScenarioConfig(samples=1)))
+    assert calls[0] == 102
+    assert_nan_fail(records["positivity-margin(m=2)"])
+    assert records["canonical-form(m=2)"].passed
+    assert records["positivity-margin(m=4)"].passed
+
+
+def test_bicomplex_d_squared_nan_fails(monkeypatch):
+    # d-squared is the first record: 4 fields times 3 points
+    nan_at(monkeypatch, "enorm", 5)
+    records = by_identity(bicomplex_records(ScenarioConfig(samples=3)))
+    assert records["d-squared"].points == 12
+    assert_nan_fail(records["d-squared"])
+    assert records["del-squared"].passed
+
+
+def test_totspace_nijenhuis_nan_fails(monkeypatch):
+    # 4 points times 3 structures
+    calls = nan_at(monkeypatch, "nijenhuis_residual", 5)
+    records = by_identity(
+        totspace_records(ScenarioConfig(bundle="flat", samples=4)))
+    assert calls[0] == 12
+    assert_nan_fail(records["nijenhuis"])
+    assert records["potential-gradient-norm"].passed
+
+
+def test_hopf_positivity_margin_nan_fails(monkeypatch):
+    # one qpos_margin call per sample point
+    calls = nan_at(monkeypatch, "qpos_margin", 2)
+    records = by_identity(hopf_records(ScenarioConfig(samples=4, probes=2)))
+    assert calls[0] == 4
+    assert_nan_fail(records["positivity-margin"])
+    assert records["omega-qreal"].passed
+    assert records["cauchy-lower"].passed
+
+
+def test_points_count_the_evaluated_samples():
+    # fewer samples than the fixed subsets these records take
+    bic = by_identity(bicomplex_records(ScenarioConfig(samples=2)))
+    assert bic["moment-potential"].points == 2
+    tot = by_identity(totspace_records(ScenarioConfig(bundle="flat",
+                                                      samples=4)))
+    assert tot["structure-equation"].points == 4
+    assert tot["omega-qreal"].points == tot["omega-qpositive"].points == 1
