@@ -1,11 +1,19 @@
 """Connections on quaternionic vector bundles over a flat chart.
 
-A Connection holds matrix-valued coefficient functions A_mu(x) (nested lists so
-dual numbers flow through), the complex fiber rank, and the fiber structure
-matrix M_fib of the antilinear quaternionic map.  Curvature comes from one
-forward-mode pass per direction:
+A Connection holds coefficient functions A_mu(x), the complex fiber rank, and
+the fiber structure matrix M_fib of the antilinear quaternionic map.  coeff
+returns nested lists, so the dual numbers of total_space's tables flow
+through it; every plain value built here is a numpy array.  The jet of A at a
+point (A, and dA[lam, nu] = d_lam A_nu from one seeded coeff call per
+direction) gives the curvature as one (dim, dim, r, r) array
 
-    F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]
+    F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
+
+The Bianchi residual is the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu],
+with d_lam F_mu_nu = d_lam d_mu A_nu - d_lam d_nu A_mu + [d_lam A_mu, A_nu]
++ [A_mu, d_lam A_nu] from two-level seeds of coeff, built by the same
+field-strength helper as F: by the Jacobi identity, a dF written out apart
+from F could not see a term missing from F.
 
 Two pointwise criteria for compatibility with the whole 2-sphere of complex
 structures are implemented and compared against each other:
@@ -14,7 +22,7 @@ structures are implemented and compared against each other:
     action on forms;
   * type: the curvature is (1, 1) with respect to each of I, J, K.
 
-The residuals read the curvature through the memo of a Point
+The residuals read the jet and the curvature through the memo of a Point
 (duals.point_memo), so the criteria evaluated at one sample share one
 curvature, and accept the flat I/J/K charts prebuilt (structure_charts).
 Their maxima keep a nan (report.max_keep_nan), so a nan curvature fails.
@@ -26,6 +34,7 @@ bundle, and a connection holomorphic for I alone that both criteria reject.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -33,34 +42,10 @@ from typing import Callable
 import numpy as np
 
 from .charts import flat_chart, to_frame
-from .duals import dot_part, fresh_level, numeric, point_memo, seed_unit
-from .exterior import Element, eadd, enorm
+from .duals import dot_part, fresh_level, point_memo, seed_unit
+from .exterior import Element, enorm
 from .quaternions import fiber_j_matrix, quat_abs2, right_mult_c2
 from .report import max_keep_nan
-
-
-def mat_zero(r):
-    return [[0.0 for _ in range(r)] for _ in range(r)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_mul(a, b):
-    r = len(a)
-    n = len(b[0])
-    k = len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
-            for i in range(r)]
-
-
-def mat_comm(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 @dataclass
@@ -74,7 +59,7 @@ class Connection:
 
 
 def flat_coeff(pt):
-    return [mat_zero(2) for _ in range(4)]
+    return [[[0.0, 0.0], [0.0, 0.0]] for _ in range(4)]
 
 
 def instanton_coeff(pt):
@@ -97,7 +82,7 @@ def _dual_pair_coeff(pt):
     A = instanton_coeff(pt)
     out = []
     for Amu in A:
-        big = mat_zero(4)
+        big = [[0.0] * 4 for _ in range(4)]
         for i in range(2):
             for j in range(2):
                 big[i][j] = Amu[i][j]
@@ -119,7 +104,7 @@ def _nonholo_coeff(pt):
     """sp(1)-valued but holomorphic only for I; rejected by both criteria."""
     x1 = pt[1]
     D = [[1j * x1, 0.0], [0.0, -1j * x1]]
-    return [D, mat_zero(2), mat_zero(2), mat_zero(2)]
+    return [D] + [[[0.0, 0.0], [0.0, 0.0]] for _ in range(3)]
 
 
 _CATALOG = {
@@ -145,25 +130,51 @@ def get_connection(name: str) -> Connection:
     return _CATALOG[key]()
 
 
-def curvature(conn: Connection, pt) -> list:
-    """F[mu][nu] as r x r nested lists at the given point."""
+def _derivative(conn: Connection, pt, dirs=()) -> np.ndarray:
+    """d_{dirs[0]} d_{dirs[1]} ... A at a plain point, shape (dim, r, r), from
+    one coeff call with each direction seeded at its own level."""
+    levels = []
+    for i in dirs:
+        levels.append(fresh_level())
+        pt = seed_unit(pt, i, levels[-1])
+
+    def part(x):
+        for lev in reversed(levels):
+            x = dot_part(x, lev)
+        return x
+
+    return np.array([[[part(x) for x in row] for row in Anu]
+                     for Anu in conn.coeff(pt)], dtype=complex)
+
+
+def _jet(conn: Connection, pt):
+    """(A, dA), built once per Point and coefficient function."""
     dim = 4 * conn.base_n
-    A = conn.coeff(pt)
-    dA = []
-    for mu in range(dim):
-        lev = fresh_level()
-        Ad = conn.coeff(seed_unit(pt, mu, lev))
-        dA.append([[[dot_part(x, lev) for x in row] for row in Anu]
-                   for Anu in Ad])
-    F = [[None] * dim for _ in range(dim)]
-    for mu in range(dim):
-        for nu in range(dim):
-            F[mu][nu] = mat_add(mat_sub(dA[mu][nu], dA[nu][mu]),
-                                mat_comm(A[mu], A[nu]))
-    return F
+    return point_memo(pt, ("jet", conn.coeff), lambda p: (
+        _derivative(conn, p),
+        np.array([_derivative(conn, p, (lam,)) for lam in range(dim)])))
 
 
-def _point_curvature(conn: Connection, pt) -> list:
+# batched a @ b summed in index order like a plain Python sum (matmul may
+# reorder or fuse the products), so curvature values keep their bits
+_mul = functools.partial(np.einsum, "...ij,...jk->...ik")
+
+
+def _field_strength(D, X, Y) -> np.ndarray:
+    """D[mu, nu] - D[nu, mu] + X_mu Y_nu - Y_nu X_mu on the trailing axes
+    (mu, nu, row, col), broadcast over leading ones; D may be 0."""
+    Xm, Yn = X[..., :, None, :, :], Y[..., None, :, :, :]
+    anti = D - np.swapaxes(D, -4, -3) if np.ndim(D) else D
+    return anti + (_mul(Xm, Yn) - _mul(Yn, Xm))
+
+
+def curvature(conn: Connection, pt) -> np.ndarray:
+    """F[mu, nu] as an array of shape (dim, dim, r, r)."""
+    A, dA = _jet(conn, pt)
+    return _field_strength(dA, A, A)
+
+
+def _point_curvature(conn: Connection, pt) -> np.ndarray:
     """curvature(conn, pt), built once per Point and coefficient function."""
     return point_memo(pt, ("curvature", conn.coeff),
                       lambda p: curvature(conn, p))
@@ -176,17 +187,11 @@ def structure_charts(n: int) -> dict:
 
 def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
     """Curvature as an r x r grid of real-label 2-form elements."""
-    dim = 4 * conn.base_n
     F = _point_curvature(conn, pt)
-    r = conn.rank
-    grid = [[{} for _ in range(r)] for _ in range(r)]
-    for mu in range(dim):
-        for nu in range(mu + 1, dim):
-            for a in range(r):
-                for b in range(r):
-                    c = numeric(F[mu][nu][a][b])
-                    if c != 0:
-                        grid[a][b] = eadd(grid[a][b], {(mu, nu): c})
+    grid = [[{} for _ in range(conn.rank)] for _ in range(conn.rank)]
+    for mu, nu in itertools.combinations(range(4 * conn.base_n), 2):
+        for a, b in zip(*np.nonzero(F[mu, nu])):
+            grid[a][b][(mu, nu)] = complex(F[mu, nu, a, b])
     return grid
 
 
@@ -215,26 +220,18 @@ def type11_residual(conn: Connection, pt, charts=None) -> float:
 
 
 def bianchi_residual(conn: Connection, pt) -> float:
-    """Max entry of the cyclic sum of (d/dx_lam) F_{mu nu} + [A_lam, F_{mu nu}]."""
+    """Max entry of the cyclic sum over lam < mu < nu of
+    d_lam F_mu_nu + [A_lam, F_mu_nu]."""
     dim = 4 * conn.base_n
-    A = conn.coeff(pt)
+    A, dA = _jet(conn, pt)
     F = _point_curvature(conn, pt)
-    dF = []
-    for lam in range(dim):
-        lev = fresh_level()
-        Fd = curvature(conn, seed_unit(pt, lam, lev))
-        dF.append([[[[dot_part(x, lev) for x in row] for row in mat]
-                    for mat in Fnu] for Fnu in Fd])
-
-    def entries():
-        for lam, mu, nu in itertools.combinations(range(dim), 3):
-            acc = mat_zero(conn.rank)
-            for a, b, c in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu)):
-                acc = mat_add(acc, mat_add(dF[a][b][c],
-                                           mat_comm(A[a], F[b][c])))
-            yield from (abs(complex(x)) for row in acc for x in row)
-
-    return max_keep_nan(entries())
+    d2A = np.array([[_derivative(conn, pt, (lam, mu)) for mu in range(dim)]
+                    for lam in range(dim)])
+    dF = _field_strength(d2A, dA, A) + _field_strength(0, A, dA)
+    cov = dF + (_mul(A[:, None, None], F) - _mul(F, A[:, None, None]))
+    lam, mu, nu = np.array(list(itertools.combinations(range(dim), 3))).T
+    cyc = cov[lam, mu, nu] + cov[mu, nu, lam] + cov[nu, lam, mu]
+    return max_keep_nan(np.abs(cyc).ravel())
 
 
 def curvature_scale(conn: Connection, pt) -> float:

@@ -15,6 +15,7 @@ downstream of the config is deterministic.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -83,8 +84,12 @@ class ScenarioConfig:
             raise ValueError("samples must be a positive integer")
         if self.probes < 1:
             raise ValueError("probes must be a positive integer")
-        if self.q == 0.0 or abs(abs(self.q) - 1.0) < 1e-12:
-            raise ValueError("q must be real with |q| neither 0 nor 1")
+        if (not math.isfinite(self.q) or self.q == 0.0
+                or abs(abs(self.q) - 1.0) < 1e-12):
+            raise ValueError("q must be finite with |q| neither 0 nor 1")
+        for name, value in self.tol.as_dict().items():
+            if math.isnan(value):
+                raise ValueError(f"tolerance {name} must not be nan")
         try:
             get_connection(self.bundle)
         except KeyError as exc:
@@ -234,11 +239,11 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         # R is sqrt(2) times an isometry on the non-invariant part, so any
         # floor below that certifies detection with a wide gap; a sweep
         # with no non-invariant draw reduces to inf and fails
+        ratios = [r_beta / nb for _, r_beta, nb in rows if nb > 1e-8]
         out.append(margin_record(
             f"noninvariant-detected{tag}",
             "R is bounded below on non-invariant (1,1)-forms",
-            count, (r_beta / nb for _, r_beta, nb in rows if nb > 1e-8),
-            1.0))
+            len(ratios), ratios, 1.0))
 
         rmat = ctx.operator_matrix(ctx.raising, b11, ctx.basis_pq(2, 0))
         dimker = len(b11) - int(np.linalg.matrix_rank(rmat, tol=1e-8))
@@ -662,13 +667,13 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
         npts, w_rt, tolv))
 
     def curvature_term_gaps(pt):
-        fr_xi = to_frame(ch, xi_curv_expr(ts, pt), pt)
+        xi = xi_curv_expr(ts, pt)
+        fr_xi = to_frame(ch, xi, pt)
         pt2 = list(pt)
         pt2[nb:] = [2.0 * x for x in pt2[nb:]]
         return (enorm(ctx.raising(fr_xi)),
                 enorm(esub(fr_xi, ctx.invariant_part(fr_xi))),
-                enorm(esub(xi_curv_expr(ts, pt2),
-                           escale(xi_curv_expr(ts, pt), 4.0))))
+                enorm(esub(xi_curv_expr(ts, pt2), escale(xi, 4.0))))
 
     w_wt, w_inv, w_sc = zip(*map(curvature_term_gaps, pts))
     out.append(residual_record(

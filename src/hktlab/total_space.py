@@ -182,20 +182,11 @@ def omega_hor_expr(ts: TotalSpace) -> Element:
 
 def xi_curv_expr(ts: TotalSpace, pt) -> Element:
     """-<Theta v, v> as a real-label 2-form: -sum conj(v_a) Theta_ab v_b."""
-    F = curvature(ts.conn, pt)
-    v = ts.fiber_values(pt)
-    vb = [dconj(x) for x in v]
-    out: Element = {}
+    v = np.array(ts.fiber_values(pt), dtype=complex)
+    xi = -np.einsum("a,mnab,b->mn", v.conj(), curvature(ts.conn, pt), v)
     dim_base = 4 * ts.n
-    for mu in range(dim_base):
-        for nu in range(mu + 1, dim_base):
-            acc = 0.0
-            for a in range(ts.rank):
-                for b in range(ts.rank):
-                    acc = acc - vb[a] * F[mu][nu][a][b] * v[b]
-            if not (isinstance(acc, (int, float, complex)) and acc == 0):
-                out[(mu, nu)] = acc
-    return out
+    return {(mu, nu): complex(xi[mu, nu]) for mu in range(dim_base)
+            for nu in range(mu + 1, dim_base) if xi[mu, nu] != 0}
 
 
 def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:

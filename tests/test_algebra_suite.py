@@ -59,4 +59,5 @@ def test_no_noninvariant_draw_fails_detection(monkeypatch):
                for r in algebra_records(ScenarioConfig(samples=1))}
     r = records["noninvariant-detected(n=1)"]
     assert r.value == math.inf and not r.passed
+    assert r.points == 0
     assert records["invariant-annihilated(n=1)"].passed

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -107,6 +108,94 @@ def test_bianchi_identity(rng, name):
         assert bianchi_residual(conn, pt) < 1e-12
 
 
+# ----- reference: nested-list curvature, Bianchi through the whole curvature
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_comm(a, b):
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
+                 for j in range(len(b[0]))] for i in range(len(a))]
+    return mat_sub(mul(a, b), mul(b, a))
+
+
+def seeded_derivative(f, pt, lam):
+    """d_lam of every entry of the nested lists f(pt), by one seeding."""
+    lev = fresh_level()
+
+    def strip(x):
+        return ([strip(y) for y in x] if isinstance(x, list)
+                else dot_part(x, lev))
+
+    return strip(f(seed_unit(pt, lam, lev)))
+
+
+def reference_curvature(conn, pt):
+    """F[mu][nu] as r x r nested lists, the commutator on nested Duals."""
+    dim = 4 * conn.base_n
+    A = conn.coeff(pt)
+    dA = [seeded_derivative(conn.coeff, pt, mu) for mu in range(dim)]
+    return [[mat_add(mat_sub(dA[mu][nu], dA[nu][mu]), mat_comm(A[mu], A[nu]))
+             for nu in range(dim)] for mu in range(dim)]
+
+
+def reference_bianchi_residual(conn, pt):
+    """Max entry of the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu], with
+    d_lam F from seeding the whole reference curvature."""
+    dim = 4 * conn.base_n
+    A = conn.coeff(pt)
+    F = reference_curvature(conn, pt)
+    dF = [seeded_derivative(lambda p: reference_curvature(conn, p), pt, lam)
+          for lam in range(dim)]
+    worst = 0.0
+    for lam, mu, nu in itertools.combinations(range(dim), 3):
+        acc = [[0.0] * conn.rank for _ in range(conn.rank)]
+        for a, b, c in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu)):
+            acc = mat_add(acc, mat_add(dF[a][b][c], mat_comm(A[a], F[b][c])))
+        worst = max([worst] + [abs(complex(x)) for row in acc for x in row])
+    return worst
+
+
+@pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
+def test_curvature_and_bianchi_match_nested_reference(rng, name):
+    conn = get_connection(name)
+    for pt in sample_points(rng, 4, 3):
+        F = curvature(conn, pt)
+        assert isinstance(F, np.ndarray) and F.shape == (4, 4) + (conn.rank,) * 2
+        assert np.max(np.abs(F - np.array(reference_curvature(conn, pt),
+                                          dtype=complex))) < 1e-12
+        assert abs(bianchi_residual(conn, pt)
+                   - reference_bianchi_residual(conn, pt)) < 1e-12
+
+
+_FIELD_STRENGTH = bundles._field_strength
+FIELD_STRENGTH_MUTANTS = {
+    "commutator-dropped": lambda D, X, Y: _FIELD_STRENGTH(D, 0 * X, Y),
+    "derivative-sign-flipped": lambda D, X, Y: _FIELD_STRENGTH(-D, X, Y),
+    # X_mu Y_nu without - Y_nu X_mu: half of the commutator
+    "only-x-y": lambda D, X, Y: (_FIELD_STRENGTH(D, 0 * X, Y)
+                                 + X[..., :, None, :, :] @ Y[..., None, :, :, :]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(FIELD_STRENGTH_MUTANTS))
+def test_bianchi_catches_field_strength_mutants(rng, monkeypatch, mutant):
+    # curvature and the Bianchi check share the helper, so a fault in it
+    # cannot cancel between F and dF
+    conn = get_connection("bpst")
+    pts = sample_points(rng, 4, 3)
+    assert max(bianchi_residual(conn, pt) for pt in pts) < 1e-12
+    monkeypatch.setattr(bundles, "_field_strength",
+                        FIELD_STRENGTH_MUTANTS[mutant])
+    assert max(bianchi_residual(conn, pt) for pt in pts) > 1e-3
+
+
 @pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum"])
 def test_invariance_and_type_criteria_pass(rng, name):
     conn = get_connection(name)
@@ -193,8 +282,8 @@ def test_bundle_records_build_flat_charts_once_per_connection(monkeypatch):
 
 
 def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
-    # flat, bpst and direct-sum: one shared curvature and four seeded
-    # Bianchi ones at each of 10 samples; criteria-agreement reads their
+    # flat, bpst and direct-sum: one curvature shared by all three
+    # criteria at each of 10 samples; criteria-agreement reads their
     # residuals and builds nonholo-demo's at its 10 samples
     calls = collections.Counter()
 
@@ -204,8 +293,30 @@ def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(bundles, "curvature", counted)
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {"flat": 50, "bpst": 50, "direct-sum": 50,
+    assert calls == {"flat": 10, "bpst": 10, "direct-sum": 10,
                      "nonholo-demo": 10}
+
+
+def test_bundle_records_coeff_calls_per_sample(monkeypatch):
+    # a checked connection: 1 + 4 calls for the jet (A and dA) and 16
+    # second-order ones for Bianchi at each of 10 samples; nonholo-demo
+    # only needs the jet of its curvature at its 10 agreement samples
+    calls = collections.Counter()
+    real = suites.get_connection
+
+    def counted(name):
+        conn = real(name)
+
+        def coeff(pt):
+            calls[conn.name] += 1
+            return conn.coeff(pt)
+
+        return dataclasses.replace(conn, coeff=coeff)
+
+    monkeypatch.setattr(suites, "get_connection", counted)
+    bundle_records(ScenarioConfig(samples=10))
+    assert calls == {"flat": 210, "bpst": 210, "direct-sum": 210,
+                     "nonholo-demo": 50}
 
 
 def test_nan_coefficient_fails_bundle_criteria(monkeypatch):

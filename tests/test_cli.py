@@ -49,19 +49,26 @@ def test_failing_bundle_exit_one(capsys):
     assert failing
 
 
-def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["hopf", "--q", "1.0"] + FAST)
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["algebra", "--n", "0"] + FAST)
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bundle", "--bundle", "nope"] + FAST)
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+USAGE_ERRORS = [
+    ["hopf", "--q", "1.0"] + FAST,
+    ["algebra", "--n", "0"] + FAST,
+    ["bundle", "--bundle", "nope"] + FAST,
+    [],
+    # a non-finite q or a nan tolerance is refused before any suite runs
+    ["hopf", "--q=nan", "--samples", "2"],
+    ["hopf", "--q=inf", "--samples", "2"],
+    ["hopf", "--q=-inf", "--samples", "2"],
+    ["algebra", "--tol-sl2", "nan"] + FAST,
+    ["bundle", "--tol-bundle", "nan"] + FAST,
+]
+
+
+def test_usage_error_exit_two(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert not capsys.readouterr().out, argv
 
 
 def test_out_file(tmp_path, capsys):
