@@ -7,11 +7,14 @@ labels, and two substitution tables:
     inverse_table(pt)[real label] = dx_label expanded in the frame covectors
 
 Both tables may depend on the point (the total-space frame does); closures must
-be pure in the point argument so dual seeding nests correctly.  to_frame and
-to_real build a table only for an element with a labelled monomial: a scalar
-or empty element is its own conversion.  They build each table at most once
-per Point (duals.point_memo), so the nested conversions of one seeded
-evaluation share their tables; a plain list gets a fresh table on every call.
+be pure in the point argument so dual seeding nests correctly.  Fields live in
+frame labels (fields.py), which read the tables 1-form by 1-form.  to_frame
+and to_real convert whole k-forms, and only at the boundary: FormField.at,
+the real-label random_form_field, the bundle criteria and the
+frame-roundtrip record.  They build a table only for an element with a
+labelled monomial: a scalar or empty element is its own conversion.  Tables
+are built at most once per Point (duals.point_memo); a plain list gets a fresh
+table on every call.
 """
 
 from __future__ import annotations

@@ -1,14 +1,26 @@
 """Form-valued fields and the Dolbeault-type operators acting on them.
 
-A FormField evaluates to a sparse element over real-coordinate labels.  Every
-operator differentiates with one forward-mode dual pass per coordinate
-direction and is exact to rounding: at each level the inner field is
-evaluated once at each seeded point (duals.seed_unit), and del / dbar split
-that one value into all of its bidegrees in frame labels, so del, dbar and
-del_J compose by nesting closures (and nesting dual levels) without
-re-running the inner field per bidegree.  Frame and inverse tables are
-memoised on each seeded Point, so the conversions of one evaluation at one
-point share a single build of each table.
+A FormField evaluates to a sparse element over the frame labels of its chart,
+the labels in which del, dbar, del_J, the ladder and R act, so no operator
+converts a k-form.  Real-coordinate labels appear only at the boundary:
+FormField.at, the real-label random_form_field, and the callers that compare
+with real-label data (charts.to_frame / to_real).
+
+exterior_d follows Cartan's rule
+
+    d(f_I theta_I) = sum_i dx_i ^ d_i(f_I theta_I)
+
+with one forward-mode dual pass per coordinate direction i (duals.seed_unit).
+d_i acts on the coefficients through the seed of direction i, and on the
+coframe as a derivation whose table d_i theta_a is the dot part of the frame
+table at the seeded point, converted by the inverse table at the point; dx_i
+is row i of that inverse table.  Only 1-forms are converted, and a constant
+coframe has no derivative rows, so flat charts take the same path.  del and
+dbar split the seeded value into its bidegrees, apply that d to each part and
+keep the (p+1, q) or (p, q+1) piece, so del, dbar and del_J compose by nesting
+closures (and dual levels) without re-running the inner field per bidegree.
+Chart tables are memoised on each Point, so one evaluation at one point
+shares a single build of each table.
 
 del_J is the twisted holomorphic differential: on functions del_J f equals the
 multiplicative J applied to dbar f, and on (p, 0)-forms
@@ -28,95 +40,85 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, to_frame, to_real
-from .duals import Point, as_point, dot_part, fresh_level, seed_unit
-from .exterior import eadd, escale, wedge
+from .duals import (Point, as_point, dot_part, fresh_level, point_memo,
+                    seed_unit, val_part)
+from .exterior import apply_derivation, eadd, escale, wedge
 
 
 @dataclass
 class FormField:
+    """A degree-`degree` form on `chart`.  eval_real maps a Point to the value
+    in frame labels; perfbench/spans.py rebinds the attribute by that name."""
     chart: Chart
     degree: int
     eval_real: Callable[[Point], dict]
 
     def at(self, pt):
-        return self.eval_real(as_point(pt))
+        """The value at pt in real-coordinate labels."""
+        pt = as_point(pt)
+        return to_real(self.chart, self.eval_real(pt), pt)
 
     def frame_at(self, pt):
-        pt = as_point(pt)
-        return to_frame(self.chart, self.eval_real(pt), pt)
+        return self.eval_real(as_point(pt))
 
 
 def scalar_field(chart: Chart, fn: Callable) -> FormField:
     return FormField(chart, 0, lambda pt: {(): fn(pt)})
 
 
-def frame_form_field(chart: Chart, degree: int, expr: Callable) -> FormField:
-    """Field given by a frame-label element expression pt -> element."""
-    return FormField(chart, degree, lambda pt: to_real(chart, expr(pt), pt))
-
-
-def _d_along(el: dict, i: int, lev: int) -> dict:
-    """dx_i ^ (derivative of el's coefficients along the seed of level lev)."""
-    dcoef = {}
+def _dot(el: dict, lev: int) -> dict:
+    """Derivative of el's coefficients along the seed of level lev."""
+    out = {}
     for mono, c in el.items():
         dc = dot_part(c, lev)
         if not (isinstance(dc, (int, float, complex)) and dc == 0):
-            dcoef[mono] = dc
-    return wedge({(i,): 1.0}, dcoef)
+            out[mono] = dc
+    return out
+
+
+def _cartan_d(field: FormField, pt: Point, split: Callable) -> dict:
+    """{key: d of that part at pt} for the parts {key: part} that `split`
+    cuts from the field's value, in one seeded pass per direction."""
+    ch = field.chart
+    inv = point_memo(pt, ch.inverse_table, ch.inverse_table)
+    acc: dict = {}
+    for i in range(ch.dim):
+        lev = fresh_level()
+        sp = seed_unit(pt, i, lev)
+        coframe = None  # a -> d_i theta_a, built for the first k-form part
+        for key, part in split(field.eval_real(sp)).items():
+            d_i = _dot(part, lev)
+            if any(part):
+                if coframe is None:
+                    frame = point_memo(sp, ch.frame_table, ch.frame_table)
+                    coframe = {a: apply_derivation(inv, _dot(row, lev))
+                               for a, row in frame.items()}
+                values = {mono: val_part(c, lev) for mono, c in part.items()}
+                d_i = eadd(d_i, apply_derivation(coframe, values))
+            acc[key] = eadd(acc.get(key, {}), wedge(inv[i], d_i))
+    return acc
 
 
 def exterior_d(field: FormField) -> FormField:
-    ch = field.chart
-
     def ev(pt):
-        out: dict = {}
-        for i in range(ch.dim):
-            lev = fresh_level()
-            out = eadd(out, _d_along(field.eval_real(seed_unit(pt, i, lev)),
-                                     i, lev))
-        return out
+        return _cartan_d(field, pt, lambda el: {None: el})[None]
 
-    return FormField(ch, field.degree + 1, ev)
-
-
-def hodge_field(field: FormField, p: int, q: int) -> FormField:
-    ch = field.chart
-
-    def ev(pt):
-        fr = to_frame(ch, field.eval_real(pt), pt)
-        return to_real(ch, ch.ctx.component(fr, p, q), pt)
-
-    return FormField(ch, field.degree, ev)
+    return FormField(field.chart, field.degree + 1, ev)
 
 
 def dolbeault(field: FormField, kind: str) -> FormField:
-    """The (p+1, q) ("del") or (p, q+1) ("dbar") graded piece of d.
-
-    One pass per direction i: the field's value at the seeded point is split
-    into its (p, q) parts, and dx_i ^ d_i of each part (in real labels) joins
-    that bidegree's accumulator.  Each accumulator is then d of one (p, q)
-    part, of which the unseeded point keeps the piece `kind` names.
-    """
-    ch = field.chart
-    ctx = ch.ctx
+    """The (p+1, q) ("del") or (p, q+1) ("dbar") graded piece of d: d of
+    each (p, q) part of the value, of which the piece `kind` names is kept."""
+    ctx = field.chart.ctx
     dp, dq = (1, 0) if kind == "del" else (0, 1)
 
     def ev(pt):
-        acc: dict = {}
-        for i in range(ch.dim):
-            lev = fresh_level()
-            sp = seed_unit(pt, i, lev)
-            fr = to_frame(ch, field.eval_real(sp), sp)
-            for pq, part in ctx.hodge(fr).items():
-                acc[pq] = eadd(acc.get(pq, {}),
-                               _d_along(to_real(ch, part, sp), i, lev))
         out: dict = {}
-        for (p, q), d_part in acc.items():
-            fr = to_frame(ch, d_part, pt)
-            out = eadd(out, ctx.component(fr, p + dp, q + dq))
-        return to_real(ch, out, pt)
+        for (p, q), d_part in _cartan_d(field, pt, ctx.hodge).items():
+            out = eadd(out, ctx.component(d_part, p + dp, q + dq))
+        return out
 
-    return FormField(ch, field.degree + 1, ev)
+    return FormField(field.chart, field.degree + 1, ev)
 
 
 def del_bar(field: FormField) -> FormField:
@@ -132,17 +134,12 @@ def del_j(field: FormField) -> FormField:
     ch = field.chart
     p = field.degree
     sign = (-1) ** p
-
     conjugated = FormField(
-        ch, p,
-        lambda pt: to_real(ch, ch.ctx.cov_mult("J", to_frame(ch, field.eval_real(pt), pt)), pt))
+        ch, p, lambda pt: ch.ctx.cov_mult("J", field.eval_real(pt)))
     db = dolbeault(conjugated, "dbar")
-
-    def ev(pt):
-        fr = to_frame(ch, db.eval_real(pt), pt)
-        return to_real(ch, escale(ch.ctx.cov_mult("J", fr), sign), pt)
-
-    return FormField(ch, p + 1, ev)
+    return FormField(
+        ch, p + 1, lambda pt: escale(ch.ctx.cov_mult("J", db.eval_real(pt)),
+                                     sign))
 
 
 # ----- ladder between top-weight (p, q) fields and (p+q, 0) fields -----
@@ -161,10 +158,10 @@ def ladder_map(field: FormField, p: int, q: int) -> FormField:
     c = ladder_constant(p, q)
 
     def ev(pt):
-        el = to_frame(ch, field.eval_real(pt), pt)
+        el = field.eval_real(pt)
         for _ in range(q):
             el = ch.ctx.raising(el)
-        return to_real(ch, escale(el, 1.0 / c), pt)
+        return escale(el, 1.0 / c)
 
     return FormField(ch, p + q, ev)
 
@@ -177,9 +174,8 @@ def d_plus(field: FormField, p: int, q: int, kind: str) -> FormField:
     ch = field.chart
 
     def ev(pt):
-        fr = to_frame(ch, df.eval_real(pt), pt)
-        el = ch.ctx.weight_project(ch.ctx.component(fr, tp, tq), p + q + 1)
-        return to_real(ch, el, pt)
+        el = ch.ctx.component(df.eval_real(pt), tp, tq)
+        return ch.ctx.weight_project(el, p + q + 1)
 
     return FormField(ch, p + q + 1, ev)
 
@@ -211,9 +207,10 @@ def random_polynomial(chart: Chart, rng, degree: int = 3, terms: int = 6,
     return scalar_field(chart, _poly_closure(spec))
 
 
-def random_form_field(chart: Chart, degree: int, rng, terms: int = 4,
-                      coeff_degree: int = 2) -> FormField:
-    monos = list(itertools.combinations(range(chart.dim), degree))
+def _random_element(chart: Chart, monos: list, rng, terms: int,
+                    coeff_degree: int) -> Callable:
+    """pt -> sum of `terms` monomials drawn from monos, each with a random
+    complex polynomial coefficient of degree at most coeff_degree."""
     picks = []
     for _ in range(terms):
         mono = monos[int(rng.integers(0, len(monos)))]
@@ -223,38 +220,33 @@ def random_form_field(chart: Chart, degree: int, rng, terms: int = 4,
                 for _ in range(2)]
         picks.append((mono, _poly_closure(spec)))
 
-    def ev(pt):
+    def el(pt):
         out: dict = {}
         for mono, fn in picks:
             out = eadd(out, {mono: fn(pt)})
         return out
 
-    return FormField(chart, degree, ev)
+    return el
+
+
+def random_form_field(chart: Chart, degree: int, rng, terms: int = 4,
+                      coeff_degree: int = 2) -> FormField:
+    """Random field given on real-label monomials."""
+    el = _random_element(chart,
+                         list(itertools.combinations(range(chart.dim), degree)),
+                         rng, terms, coeff_degree)
+    return FormField(chart, degree, lambda pt: to_frame(chart, el(pt), pt))
 
 
 def random_pq_field(chart: Chart, p: int, q: int, rng, terms: int = 4,
                     coeff_degree: int = 2, top_weight: bool = False) -> FormField:
     """Random (p, q) field in frame labels, optionally weight-projected."""
     ctx = chart.ctx
-    monos = ctx.basis_pq(p, q)
-    picks = []
-    for _ in range(terms):
-        mono = monos[int(rng.integers(0, len(monos)))]
-        spec = [(complex(rng.standard_normal(), rng.standard_normal()),
-                 tuple(int(rng.integers(0, chart.dim))
-                       for _ in range(int(rng.integers(0, coeff_degree + 1)))))
-                for _ in range(2)]
-        picks.append((mono, _poly_closure(spec)))
-
-    def expr(pt):
-        el: dict = {}
-        for mono, fn in picks:
-            el = eadd(el, {mono: fn(pt)})
-        if top_weight:
-            el = ctx.weight_project(el, p + q)
-        return el
-
-    return frame_form_field(chart, p + q, expr)
+    el = _random_element(chart, ctx.basis_pq(p, q), rng, terms, coeff_degree)
+    if top_weight:
+        return FormField(chart, p + q,
+                         lambda pt: ctx.weight_project(el(pt), p + q))
+    return FormField(chart, p + q, el)
 
 
 def sample_points(rng, dim: int, count: int, scale: float = 1.0) -> list:

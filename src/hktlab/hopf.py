@@ -19,7 +19,7 @@ import numpy as np
 
 from .duals import dlog, numeric
 from .exterior import Element, eadd, escale, esub, wedge
-from .fields import FormField, frame_form_field, scalar_field
+from .fields import FormField, scalar_field
 from .total_space import (TotalSpace, del_j_psi_expr, del_psi_expr,
                           omega_hor_expr, omega_ver_canonical, psi)
 
@@ -56,7 +56,7 @@ def omega_tilde_expr(h: HopfData, pt) -> Element:
 
 
 def omega_tilde_field(h: HopfData) -> FormField:
-    return frame_form_field(h.ts.chart, 2, lambda pt: omega_tilde_expr(h, pt))
+    return FormField(h.ts.chart, 2, lambda pt: omega_tilde_expr(h, pt))
 
 
 def rho_apply(h: HopfData, pt, scale: float | None = None) -> list:

@@ -27,10 +27,10 @@ from .bundles import (bianchi_residual, catalog_names, curvature_entry_forms,
 from .charts import flat_chart, to_frame, to_real
 from .duals import Point
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
-from .fields import (d_plus, del_bar, del_hol, del_j, exterior_d,
-                     frame_form_field, ladder_constant, ladder_map,
-                     nijenhuis_residual, random_form_field, random_polynomial,
-                     random_pq_field, sample_points, scalar_field)
+from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
+                     ladder_constant, ladder_map, nijenhuis_residual,
+                     random_form_field, random_polynomial, random_pq_field,
+                     sample_points, scalar_field)
 from .hermitian import (gram, hermitian_pair, hyperhermitian_project,
                         hyperhermitian_residual, omega_from_gram, qpos_margin,
                         qreal_residual, quaternionic_conj,
@@ -88,8 +88,9 @@ class ScenarioConfig:
                 or abs(abs(self.q) - 1.0) < 1e-12):
             raise ValueError("q must be finite with |q| neither 0 nor 1")
         for name, value in self.tol.as_dict().items():
-            if math.isnan(value):
-                raise ValueError(f"tolerance {name} must not be nan")
+            if not value >= 0.0:
+                raise ValueError(f"tolerance {name} must be a non-negative "
+                                 "number")
         try:
             get_connection(self.bundle)
         except KeyError as exc:
@@ -309,9 +310,8 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
     def anti(f):
         a = del_hol(del_j(f))
         b = del_j(del_hol(f))
-        return frame_form_field(a.chart, a.degree,
-                                lambda pt: eadd(a.frame_at(pt),
-                                                b.frame_at(pt)))
+        return FormField(a.chart, a.degree,
+                         lambda pt: eadd(a.eval_real(pt), b.eval_real(pt)))
 
     for identity, detail, zeros in (
             ("d-squared", "d of d vanishes on scalars and 1-form fields",
@@ -582,10 +582,9 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
     dim = ts.dim
     nb = 4 * ts.n
     mb = 2 * ts.n
-    pts = sample_points(rng, dim, samples)
-    zf = [list(pt) for pt in pts[:2]]
-    for pt in zf:
-        pt[nb:] = [0.0] * (dim - nb)
+    # Points, so each sample builds its tables and curvature once
+    pts = [Point(pt) for pt in sample_points(rng, dim, samples)]
+    zf = [Point(pt[:nb] + [0.0] * (dim - nb)) for pt in pts[:2]]
 
     def roundtrip_gaps():
         for pt in pts:
@@ -598,8 +597,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
         "real to frame coefficients and back is the identity",
         len(pts), roundtrip_gaps(), tolv))
 
-    fiber_fields = [frame_form_field(ch, 1,
-                                     (lambda a: lambda pt: {(mb + a,): 1.0})(a))
+    fiber_fields = [FormField(ch, 1, (lambda a: lambda pt: {(mb + a,): 1.0})(a))
                     for a in range(ts.rank)]
     d_fields = [exterior_d(f) for f in fiber_fields]
 
@@ -607,10 +605,9 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
 
     def structure_gaps():
         for pt in spts:
-            base = list(pt[:nb])
             v = ts.fiber_values(pt)
-            A = conn.coeff(base)
-            grid = curvature_entry_forms(conn, base)
+            A = conn.coeff(pt)
+            grid = curvature_entry_forms(conn, pt)
             for a in range(ts.rank):
                 rhs: dict = {}
                 for b in range(ts.rank):
@@ -669,8 +666,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
     def curvature_term_gaps(pt):
         xi = xi_curv_expr(ts, pt)
         fr_xi = to_frame(ch, xi, pt)
-        pt2 = list(pt)
-        pt2[nb:] = [2.0 * x for x in pt2[nb:]]
+        pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
         return (enorm(ctx.raising(fr_xi)),
                 enorm(esub(fr_xi, ctx.invariant_part(fr_xi))),
                 enorm(esub(xi_curv_expr(ts, pt2), escale(xi, 4.0))))
@@ -694,7 +690,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
         1, enorm(esub(ctx.raising(omega_ver_expr(ts)), two_over)), tolv))
 
     omega_el = eadd(omega_hor_expr(ts), two_over)
-    om_f = frame_form_field(ch, 2, lambda pt: omega_el)
+    om_f = FormField(ch, 2, lambda pt: omega_el)
     dom = del_hol(om_f)
     out.append(residual_record(
         "del-closed", "del of the candidate HKT form vanishes", len(pts),

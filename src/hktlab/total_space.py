@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, curvature
+from .bundles import Connection, _point_curvature
 from .charts import Chart, flat_chart
 from .duals import dconj, dre, point_memo
 from .exterior import StructureContext, Element, eadd, escale, esub, standard_m
@@ -183,7 +183,8 @@ def omega_hor_expr(ts: TotalSpace) -> Element:
 def xi_curv_expr(ts: TotalSpace, pt) -> Element:
     """-<Theta v, v> as a real-label 2-form: -sum conj(v_a) Theta_ab v_b."""
     v = np.array(ts.fiber_values(pt), dtype=complex)
-    xi = -np.einsum("a,mnab,b->mn", v.conj(), curvature(ts.conn, pt), v)
+    F = _point_curvature(ts.conn, pt)
+    xi = -np.einsum("a,mnab,b->mn", v.conj(), F, v)
     dim_base = 4 * ts.n
     return {(mu, nu): complex(xi[mu, nu]) for mu in range(dim_base)
             for nu in range(mu + 1, dim_base) if xi[mu, nu] != 0}

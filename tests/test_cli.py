@@ -54,12 +54,14 @@ USAGE_ERRORS = [
     ["algebra", "--n", "0"] + FAST,
     ["bundle", "--bundle", "nope"] + FAST,
     [],
-    # a non-finite q or a nan tolerance is refused before any suite runs
+    # a non-finite q or a nan or negative tolerance is refused before any
+    # suite runs
     ["hopf", "--q=nan", "--samples", "2"],
     ["hopf", "--q=inf", "--samples", "2"],
     ["hopf", "--q=-inf", "--samples", "2"],
     ["algebra", "--tol-sl2", "nan"] + FAST,
     ["bundle", "--tol-bundle", "nan"] + FAST,
+    ["algebra", "--tol-sl2", "-1"] + FAST,
 ]
 
 

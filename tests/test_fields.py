@@ -3,13 +3,78 @@ import pytest
 
 from hktlab.bundles import get_connection
 from hktlab.charts import flat_chart, to_frame, to_real
+from hktlab.duals import Point, dot_part, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub, wedge
 from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
-                           dolbeault, exterior_d, hodge_field, ladder_constant,
-                           ladder_map, nijenhuis_residual, random_form_field,
+                           dolbeault, exterior_d, ladder_constant, ladder_map,
+                           nijenhuis_residual, random_form_field,
                            random_polynomial, random_pq_field, sample_points)
 from hktlab.quaternions import hypercomplex_matrices
 from hktlab.total_space import total_space
+
+
+# ----- reference: the real-label path -----
+#
+# Fields as real-label evaluators (FormField.at); d is sum_i dx_i ^ d_i of the
+# value at the seeded point, and every frame-label step is a round trip
+# through to_frame / to_real at the point it runs at.  It shares no code with
+# fields.py's Cartan rule in frame labels, so it sees a dropped or wrong
+# coframe-derivative term.
+
+def ref_d(ch, ev):
+    def out(pt):
+        acc = {}
+        for i in range(ch.dim):
+            lev = fresh_level()
+            val = ev(seed_unit(pt, i, lev))
+            dcoef = {mono: dot_part(c, lev) for mono, c in val.items()}
+            acc = eadd(acc, wedge({(i,): 1.0}, dcoef))
+        return acc
+    return out
+
+
+def ref_in_frame(ch, ev, fn):
+    """The real-label evaluator of fn applied to ev's value in frame labels."""
+    return lambda pt: to_real(ch, fn(to_frame(ch, ev(pt), pt)), pt)
+
+
+def ref_hodge(ch, ev, p, q):
+    return ref_in_frame(ch, ev, lambda fr: ch.ctx.component(fr, p, q))
+
+
+def ref_dolbeault(ch, ev, degree, kind):
+    """d of each (p, q) part on its own, one run of ev per part."""
+    dp, dq = (1, 0) if kind == "del" else (0, 1)
+    pieces = [ref_hodge(ch, ref_d(ch, ref_hodge(ch, ev, p, degree - p)),
+                        p + dp, degree - p + dq)
+              for p in range(degree + 1)
+              if p <= ch.ctx.m and degree - p <= ch.ctx.m]
+
+    def out(pt):
+        acc = {}
+        for piece in pieces:
+            acc = eadd(acc, piece(pt))
+        return acc
+    return out
+
+
+def ref_del_j(ch, ev, degree):
+    def cov_j(fr):
+        return ch.ctx.cov_mult("J", fr)
+
+    db = ref_dolbeault(ch, ref_in_frame(ch, ev, cov_j), degree, "dbar")
+    return ref_in_frame(ch, db,
+                        lambda fr: escale(cov_j(fr), (-1) ** degree))
+
+
+def hodge_field(field, p, q):
+    ctx = field.chart.ctx
+    return FormField(field.chart, field.degree,
+                     lambda pt: ctx.component(field.eval_real(pt), p, q))
+
+
+def assert_close(value, reference, rel=1e-12):
+    assert enorm(esub(value, reference)) <= rel * max(1.0, enorm(reference))
 
 
 def fd_exterior_d(field, pt, h=1e-5):
@@ -70,32 +135,46 @@ def test_d_splits_into_del_and_dbar_on_bpst(bpst_chart, rng):
             assert enorm(esub(df.at(pt), total)) < 1e-10
 
 
-def per_bidegree_dolbeault(field, kind):
-    """Reference: d of each (p, q) part on its own, one field run per part."""
-    ch = field.chart
-    k = field.degree
-    pieces = [(exterior_d(hodge_field(field, p, k - p)),
-               (p + 1, k - p) if kind == "del" else (p, k - p + 1))
-              for p in range(k + 1) if p <= ch.ctx.m and k - p <= ch.ctx.m]
-
-    def ev(pt):
-        out = {}
-        for dcomp, (tp, tq) in pieces:
-            fr = to_frame(ch, dcomp.at(pt), pt)
-            out = eadd(out, to_real(ch, ch.ctx.component(fr, tp, tq), pt))
-        return out
-
-    return FormField(ch, k + 1, ev)
-
-
 @pytest.mark.parametrize("kind", ["del", "dbar"])
 def test_one_pass_dolbeault_matches_per_bidegree_reference(bpst_chart, rng,
                                                            kind):
     for field in bpst_fields(bpst_chart, rng):
         fast = dolbeault(field, kind)
-        ref = per_bidegree_dolbeault(field, kind)
+        ref = ref_dolbeault(bpst_chart, field.at, field.degree, kind)
         for pt in sample_points(rng, 8, 2):
-            assert enorm(esub(fast.at(pt), ref.at(pt))) < 1e-12
+            assert_close(fast.at(pt), ref(Point(pt)))
+
+
+def reference_cases(ch, rng):
+    """(operator field, real-label reference) pairs on chart ch: d, del and
+    dbar of a scalar, a real-label 1-form and a frame (1, 0)-form; del_J of
+    the scalar and the (1, 0)-form; del del_J and del dbar of the scalar."""
+    f = random_polynomial(ch, rng, degree=3, real=False)
+    one = random_form_field(ch, 1, rng)
+    f10 = random_pq_field(ch, 1, 0, rng)
+    cases = []
+    for field in (f, one, f10):
+        k = field.degree
+        cases += [(exterior_d(field), ref_d(ch, field.at)),
+                  (del_hol(field), ref_dolbeault(ch, field.at, k, "del")),
+                  (del_bar(field), ref_dolbeault(ch, field.at, k, "dbar"))]
+    for field in (f, f10):
+        cases.append((del_j(field), ref_del_j(ch, field.at, field.degree)))
+    cases += [(del_hol(del_j(f)),
+               ref_dolbeault(ch, ref_del_j(ch, f.at, 0), 1, "del")),
+              (del_hol(del_bar(f)),
+               ref_dolbeault(ch, ref_dolbeault(ch, f.at, 0, "dbar"), 1,
+                             "del"))]
+    return cases
+
+
+@pytest.mark.parametrize("where", ["bpst", "flat"])
+def test_frame_operators_match_real_label_reference(bpst_chart, rng, where):
+    ch = bpst_chart if where == "bpst" else flat_chart(2)
+    pts = sample_points(rng, ch.dim, 2)
+    for op, ref in reference_cases(ch, rng):
+        for pt in pts:
+            assert_close(op.at(pt), ref(Point(pt)))
 
 
 def test_d_squared_is_zero(rng):

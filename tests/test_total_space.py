@@ -8,8 +8,8 @@ from hktlab.bundles import get_connection
 from hktlab.charts import Chart, to_frame, to_real
 from hktlab.duals import Point
 from hktlab.exterior import eadd, enorm, escale, esub
-from hktlab.fields import (del_bar, del_hol, del_j, nijenhuis_residual,
-                           sample_points, scalar_field)
+from hktlab.fields import (FormField, del_bar, del_hol, del_j,
+                           nijenhuis_residual, sample_points, scalar_field)
 from hktlab.total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                                 natural_metric, omega_hor_expr,
                                 omega_ver_canonical, omega_ver_expr, psi,
@@ -106,15 +106,17 @@ def test_one_form_conversions_build_each_table_once_per_point(rng):
 
 def check_second_order_counts(rng, inner):
     # one seeded pass per direction and level: 8 x 8 potential runs; the 64
-    # innermost conversions see only the scalar potential, so tables and
-    # coeff are built once at each of the 1 + 8 points above them
+    # innermost values are scalars, which need no table; the inverse table
+    # (dx_i in frame labels) is built at each of the 1 + 8 points above them,
+    # the frame table only at the 8 seeds, whose values are 1-forms whose
+    # coframe moves, and coeff once per point for both
     calls = collections.Counter()
     _, psi_f = counted_total_space(calls)
     op = del_hol(inner(psi_f))
     for pt in sample_points(rng, 8, 2):
         calls.clear()
         op.frame_at(pt)
-        assert calls == {"psi": 64, "coeff": 9, "frame": 9, "inverse": 9}
+        assert calls == {"psi": 64, "coeff": 9, "frame": 8, "inverse": 9}
 
 
 def test_deldelj_potential_evaluation_counts(rng):
@@ -162,10 +164,8 @@ def test_flat_total_space_has_no_curvature_term(flat_ts, rng):
 
 
 def test_candidate_form_is_del_closed(ts, rng):
-    from hktlab.fields import frame_form_field
-
     omega_el = eadd(omega_hor_expr(ts), escale(omega_ver_canonical(ts), 2.0))
-    om_f = frame_form_field(ts.chart, 2, lambda pt: omega_el)
+    om_f = FormField(ts.chart, 2, lambda pt: omega_el)
     dom = del_hol(om_f)
     for pt in sample_points(rng, 8, 3):
         assert enorm(dom.at(pt)) < 1e-10
@@ -232,3 +232,24 @@ def test_potential_gradient_norm(ts, rng):
         w[4:] = 2.0 * np.array(pt[4:])
         val = w @ np.linalg.solve(g, w)
         assert val == pytest.approx(4.0 * psi(ts, pt), rel=1e-10)
+
+
+def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
+    # per sweep of 20 samples: one build at each sample (shared by the
+    # structure equation, the potential family and the curvature term), one
+    # at each of the 2 zero-fiber copies and one at each of the 20
+    # fiber-doubled twins
+    from hktlab import bundles
+    from hktlab.suites import ScenarioConfig, totspace_records
+
+    builds = collections.Counter()
+    real = bundles.curvature
+
+    def counted(conn, pt):
+        builds[conn.name] += 1
+        return real(conn, pt)
+
+    monkeypatch.setattr(bundles, "curvature", counted)
+    records = totspace_records(ScenarioConfig(samples=20))
+    assert all(r.passed for r in records)
+    assert builds == {"bpst": 42, "flat": 42}
