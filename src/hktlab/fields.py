@@ -253,21 +253,14 @@ def sample_points(rng, dim: int, count: int, scale: float = 1.0) -> list:
     return [(scale * rng.standard_normal(dim)).tolist() for _ in range(count)]
 
 
-# ----- Nijenhuis tensor of an almost complex structure given as a matrix field -----
+# ----- Nijenhuis tensor of an almost complex structure and its derivative -----
 
-def nijenhuis_residual(mat_field: Callable, pt, dim: int) -> float:
-    """Max component of N_L(e_i, e_j) for the real matrix field L."""
-    L = np.array([[float(x) for x in row] for row in mat_field(pt)])
-    Jc = np.zeros((dim, dim, dim))
-    for l in range(dim):
-        lev = fresh_level()
-        Ld = mat_field(seed_unit(pt, l, lev))
-        for k in range(dim):
-            row = Ld[k]
-            for j in range(dim):
-                Jc[k, j, l] = dot_part(row[j], lev)
-    term1 = np.einsum('li,kjl->kij', L, Jc)
-    term2 = np.einsum('lj,kil->kij', L, Jc)
-    term3 = np.einsum('kl,lji->kij', L, Jc)
-    term4 = np.einsum('kl,lij->kij', L, Jc)
+def nijenhuis_residual(L: np.ndarray, dL: np.ndarray) -> float:
+    """Max component of N_L(e_i, e_j) for the real matrix L at a point and
+    its exact first derivative dL[k, j, l] = d_l L[k, j] there
+    (total_space.structure_matrix_field builds both by the chain rule)."""
+    term1 = np.einsum('li,kjl->kij', L, dL)
+    term2 = np.einsum('lj,kil->kij', L, dL)
+    term3 = np.einsum('kl,lji->kij', L, dL)
+    term4 = np.einsum('kl,lij->kij', L, dL)
     return float(np.max(np.abs(term1 - term2 - term3 + term4)))

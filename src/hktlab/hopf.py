@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import dlog, numeric
+from .duals import Point, dlog, numeric
 from .exterior import Element, eadd, escale, esub, wedge
 from .fields import FormField, scalar_field
 from .total_space import (TotalSpace, del_j_psi_expr, del_psi_expr,
@@ -84,7 +84,8 @@ def rho_pullback(h: HopfData, el: Element, scale: float | None = None) -> Elemen
 
 def fundamental_domain_points(h: HopfData, rng, count: int,
                               base_scale: float = 1.0) -> list:
-    """Base uniform in a box, log fiber radius uniform over one period."""
+    """Base uniform in a box, log fiber radius uniform over one period; as
+    Points, so every evaluation at a sample shares its chart tables."""
     ts = h.ts
     lo, hi = sorted((0.0, -np.log(abs(h.q))))
     pts = []
@@ -93,7 +94,7 @@ def fundamental_domain_points(h: HopfData, rng, count: int,
         direction = rng.standard_normal(2 * ts.rank)
         direction = direction / np.linalg.norm(direction)
         radius = float(np.exp(rng.uniform(lo, hi)))
-        pt = base + (radius * direction).tolist()
+        pt = Point(base + (radius * direction).tolist())
         if psi(ts, pt) >= MIN_PSI:
             pts.append(pt)
     return pts

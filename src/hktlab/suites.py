@@ -15,7 +15,6 @@ downstream of the config is deterministic.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,6 +66,12 @@ class Tolerances:
                 for f in dataclasses.fields(self)}
 
 
+# the hopf suite evaluates fiber radii down to |q| (dilated samples) and
+# 0.03 / max(1, |q|) (blow-up probes), which in this range of |q| stay above
+# sqrt(hopf.MIN_PSI) = 1e-4; beyond it the zero section or overflow is reached
+HOPF_Q_RANGE = (1e-3, 1e2)
+
+
 @dataclass
 class ScenarioConfig:
     n: int = 1
@@ -84,9 +89,10 @@ class ScenarioConfig:
             raise ValueError("samples must be a positive integer")
         if self.probes < 1:
             raise ValueError("probes must be a positive integer")
-        if (not math.isfinite(self.q) or self.q == 0.0
-                or abs(abs(self.q) - 1.0) < 1e-12):
-            raise ValueError("q must be finite with |q| neither 0 nor 1")
+        lo, hi = HOPF_Q_RANGE
+        if not lo <= abs(self.q) <= hi or abs(abs(self.q) - 1.0) < 1e-12:
+            raise ValueError(f"q must satisfy {lo:g} <= |q| <= {hi:g} and "
+                             "|q| != 1")
         for name, value in self.tol.as_dict().items():
             if not value >= 0.0:
                 raise ValueError(f"tolerance {name} must be a non-negative "
@@ -714,7 +720,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
             len(pts), _max_abs(g - np.eye(dim) for g in gs), tolv))
 
     def structure_matrix_gaps(pt, g):
-        L = {u: np.array(mats[u](pt), dtype=float) for u in mats}
+        L = {u: mats[u](pt)[0] for u in mats}
         quat = [L[u] @ L[u] + np.eye(dim) for u in L]
         quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
         return _max_abs(L[u].T @ g @ L[u] - g for u in L), _max_abs(quat)
@@ -764,7 +770,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
     out.append(residual_record(
         "nijenhuis",
         "all three lifted structures have vanishing Nijenhuis tensor",
-        len(npts_nij), (nijenhuis_residual(mats[u], pt, dim)
+        len(npts_nij), (nijenhuis_residual(*mats[u](pt))
                         for pt in npts_nij for u in mats), nij_tol))
     return out
 

@@ -19,7 +19,10 @@ The fiber-norm potential Psi = |v|^2 ties the calculus together:
 where Omega_ver is the canonical vertical (2, 0)-form of the fiber metric and
 the curvature pairing ksi = -sum_ab conj(v_a) Theta_ab v_b.  The suites verify
 all four against dual-number differentiation, plus del-closedness of
-Omega_hor + Omega_ver and integrability of the lifted structures.
+Omega_hor + Omega_ver and integrability of the lifted structures I, J, K.
+Those are numpy matrices built from the connection jet (A, dA) that
+bundles._jet memoises on a Point, and so is their first derivative, exactly
+by the chain rule: no dual number enters the Nijenhuis tensor.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, _point_curvature
+from .bundles import Connection, _jet, _point_curvature
 from .charts import Chart, flat_chart
-from .duals import dconj, dre, point_memo
+from .duals import dconj, point_memo
 from .exterior import StructureContext, Element, eadd, escale, esub, standard_m
+from .quaternions import hypercomplex_matrices
 
 
 @dataclass
@@ -230,63 +234,54 @@ def horizontal_lift(ts: TotalSpace, pt, u) -> list:
 
 
 def structure_matrix_field(ts: TotalSpace, unit: str):
-    """The lifted structure as a real matrix field on total-space coordinates.
+    """The lifted structure L and its derivative as a pt -> (L, dL) field,
+    dL[k, j, l] = d_l L[k, j], both real arrays over total-space coordinates.
 
     Horizontal part: the flat tangent action on the base.  Vertical part of a
     tangent (u, wdot) is w = wdot + A(u) v; the lift maps it by the fiber
-    action of the unit and subtracts A(L u) v to return to coordinates.
+    action F of the unit (i, Mf conj or i Mf conj) and subtracts A(L u) v to
+    return to coordinates.  So L is a constant L0 plus, in the vertical rows
+    and base columns, realify(F(X) - X Lbase) with X[a, mu] = (A_mu v)_a.
+    That block is real-linear in X, so the chain rule gives dL exactly as the
+    same block of d_l X: (d_l A_mu) v along a base direction, A_mu e_b or
+    i A_mu e_b along the fiber direction of Re v_b or Im v_b.  A and dA are
+    the jet of bundles._jet, memoised on a Point; A depends only on the base
+    coordinates.
     """
-    from .quaternions import hypercomplex_matrices
+    nb, r, dim = 4 * ts.n, ts.rank, ts.dim
+    Lbase = hypercomplex_matrices(ts.n)[unit]
+    Mf = np.asarray(ts.conn.mfib, dtype=complex)
 
-    n, r = ts.n, ts.rank
-    dim = ts.dim
-    Lbase = hypercomplex_matrices(n)[unit].tolist()
-    Mf = np.asarray(ts.conn.mfib, dtype=complex).tolist()
+    def act(W):
+        """F on the fiber axis (-2) of W, broadcast over leading axes."""
+        if unit != "I":
+            W = Mf @ W.conj()
+        return W if unit == "J" else 1j * W  # K = I . J
 
-    def fiber_action(w):
-        if unit == "I":
-            return [1j * x for x in w]
-        jw = [sum(Mf[a][b] * dconj(w[b]) for b in range(r)) for a in range(r)]
-        if unit == "J":
-            return jw
-        return [1j * x for x in jw]  # K = I . J
+    def realify(W):
+        """Rows Re w_a, Im w_a in the order of the fiber coordinates."""
+        re_im = np.stack((W.real, W.imag), axis=-2)
+        return re_im.reshape(*W.shape[:-2], 2 * r, W.shape[-1])
+
+    def block(X):
+        return realify(act(X) - X @ Lbase)
+
+    dv = np.zeros((r, 2 * r), dtype=complex)  # dv[b, l] = d v_b / d y_l
+    dv[range(r), range(0, 2 * r, 2)] = 1.0
+    dv[range(r), range(1, 2 * r, 2)] = 1j
+    L0 = np.zeros((dim, dim))
+    L0[:nb, :nb] = Lbase
+    L0[nb:, nb:] = realify(act(dv))
 
     def field(pt):
-        A = ts.conn.coeff(pt)
-        v = ts.fiber_values(pt)
-        # av[a][mu] = (A_mu v)_a, shared by every column
-        av = [[sum(A[mu][a][b] * v[b] for b in range(r))
-               for mu in range(4 * n)] for a in range(r)]
-        cols = []
-        for c in range(dim):
-            u = [0.0] * (4 * n)
-            wdot = [0.0] * r
-            if c < 4 * n:
-                u[c] = 1.0
-            else:
-                a, par = divmod(c - 4 * n, 2)
-                wdot[a] = 1.0 if par == 0 else 1j
-            w = list(wdot)
-            for mu in range(4 * n):
-                if u[mu] == 0.0:
-                    continue
-                for a in range(r):
-                    w[a] = w[a] + av[a][mu] * u[mu]
-            lu = [sum(Lbase[i][j] * u[j] for j in range(4 * n))
-                  for i in range(4 * n)]
-            wl = fiber_action(w)
-            for a in range(r):
-                corr = 0.0
-                for mu in range(4 * n):
-                    if lu[mu] == 0.0:
-                        continue
-                    corr = corr + av[a][mu] * lu[mu]
-                wl[a] = wl[a] - corr
-            col = list(lu)
-            for a in range(r):
-                col.append(dre(wl[a]))
-                col.append(dre(-1j * wl[a]))
-            cols.append(col)
-        return [[cols[c][k] for c in range(dim)] for k in range(dim)]
+        A, dA = _jet(ts.conn, pt)
+        v = np.array(ts.fiber_values(pt), dtype=complex)
+        L = L0.copy()
+        L[nb:, :nb] = block(np.einsum("mab,b->am", A, v))
+        dX = np.concatenate((np.einsum("lmab,b->lam", dA, v),
+                             np.einsum("mab,bl->lam", A, dv)))
+        dL = np.zeros((dim, dim, dim))
+        dL[nb:, :nb] = np.moveaxis(block(dX), 0, -1)
+        return L, dL
 
     return field

@@ -62,6 +62,12 @@ USAGE_ERRORS = [
     ["algebra", "--tol-sl2", "nan"] + FAST,
     ["bundle", "--tol-bundle", "nan"] + FAST,
     ["algebra", "--tol-sl2", "-1"] + FAST,
+    # beyond the supported |q| the hopf samples would reach the zero section
+    # or overflow
+    ["hopf", "--q=1e3", "--samples", "4"],
+    ["hopf", "--q=1e6", "--samples", "4"],
+    ["hopf", "--q=1e-6", "--samples", "4"],
+    ["hopf", "--q=1e300", "--samples", "4"],
 ]
 
 
@@ -71,6 +77,12 @@ def test_usage_error_exit_two(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert not capsys.readouterr().out, argv
+
+
+def test_hopf_q_range_ends_pass(capsys):
+    for q in ("100", "-100", "1e-3", "-1e-3"):
+        assert main(["hopf", f"--q={q}"] + FAST) == 0, q
+        assert "result: PASS" in capsys.readouterr().out, q
 
 
 def test_out_file(tmp_path, capsys):

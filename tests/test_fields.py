@@ -11,6 +11,7 @@ from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            random_polynomial, random_pq_field, sample_points)
 from hktlab.quaternions import hypercomplex_matrices
 from hktlab.total_space import total_space
+from test_total_space import seeded_jet
 
 
 # ----- reference: the real-label path -----
@@ -311,7 +312,7 @@ def test_nijenhuis_zero_for_constant_structure(rng):
         return [[I4[i, j] for j in range(4)] for i in range(4)]
 
     for pt in sample_points(rng, 4, 5):
-        assert nijenhuis_residual(const_field, pt, 4) == 0.0
+        assert nijenhuis_residual(*seeded_jet(const_field, pt)) == 0.0
 
 
 def test_nijenhuis_detects_twisted_structure(rng):
@@ -327,6 +328,6 @@ def test_nijenhuis_detects_twisted_structure(rng):
     for pt in sample_points(rng, 4, 3):
         L = np.array(twisted(pt))
         assert np.allclose(L @ L, -np.eye(4))
-    worst = max(nijenhuis_residual(twisted, pt, 4)
+    worst = max(nijenhuis_residual(*seeded_jet(twisted, pt))
                 for pt in sample_points(rng, 4, 10))
     assert worst > 0.05

@@ -1,7 +1,12 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hktlab import suites
 from hktlab.bundles import get_connection
+from hktlab.duals import Dual
 from hktlab.exterior import eadd, enorm, esub
 from hktlab.fields import del_hol, del_j
 from hktlab.hermitian import gram, hermitian_pair, qpos_margin, qreal_residual
@@ -9,6 +14,7 @@ from hktlab.hopf import (MIN_PSI, fiber_norm2, fundamental_domain_points,
                          hopf_data, log_psi_field, omega_tilde_expr,
                          omega_tilde_field, radial_probe, rho_apply,
                          rho_pullback, vertical_probe)
+from hktlab.suites import ScenarioConfig, hopf_records
 from hktlab.total_space import omega_hor_expr, psi, total_space
 
 
@@ -160,3 +166,25 @@ def test_homogeneity_of_log_potential(hopf, rng):
         a = float(np.log(float(psi(hopf.ts, rho_apply(hopf, pt)))))
         b = float(np.log(float(psi(hopf.ts, pt))))
         assert a - b == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+
+
+def test_hopf_builds_inverse_table_once_per_sample(monkeypatch):
+    # the log-potential identity and del-closedness both need dx_i in frame
+    # labels at each sample; samples are Points, so they share one build
+    builds = collections.Counter()
+    real = suites.total_space
+
+    def counted_total_space(conn):
+        ts = real(conn)
+
+        def inverse_table(pt):
+            if not any(isinstance(c, Dual) for c in pt):
+                builds[tuple(pt)] += 1
+            return ts.chart.inverse_table(pt)
+
+        chart = dataclasses.replace(ts.chart, inverse_table=inverse_table)
+        return dataclasses.replace(ts, chart=chart)
+
+    monkeypatch.setattr(suites, "total_space", counted_total_space)
+    hopf_records(ScenarioConfig(samples=4, probes=2))
+    assert sorted(builds.values()) == [1, 1, 1, 1]

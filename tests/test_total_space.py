@@ -4,9 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hktlab.bundles import get_connection
+from hktlab import bundles, duals, suites
+from hktlab.bundles import catalog_names, get_connection
 from hktlab.charts import Chart, to_frame, to_real
-from hktlab.duals import Point
+from hktlab.duals import Point, dconj, dot_part, dre, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (FormField, del_bar, del_hol, del_j,
                            nijenhuis_residual, sample_points, scalar_field)
@@ -15,6 +16,76 @@ from hktlab.total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                                 omega_ver_canonical, omega_ver_expr, psi,
                                 structure_matrix_field, total_space,
                                 xi_curv_expr)
+from hktlab.quaternions import hypercomplex_matrices
+from hktlab.suites import ScenarioConfig, totspace_records
+
+
+# ----- reference: the lifted structures on nested dual numbers -----
+#
+# The structure column by column from conn.coeff, in plain Python arithmetic
+# that dual numbers flow through, and d_l of any such matrix field from one
+# seeded evaluation per direction.  It shares no code with the numpy jet of
+# total_space.structure_matrix_field.
+
+def reference_structure_field(ts, unit, correction=True):
+    """pt -> L as nested lists; correction=False drops the A(L u) v term."""
+    n, r, dim = ts.n, ts.rank, ts.dim
+    Lbase = hypercomplex_matrices(n)[unit].tolist()
+    Mf = np.asarray(ts.conn.mfib, dtype=complex).tolist()
+
+    def fiber_action(w):
+        if unit == "I":
+            return [1j * x for x in w]
+        jw = [sum(Mf[a][b] * dconj(w[b]) for b in range(r)) for a in range(r)]
+        return jw if unit == "J" else [1j * x for x in jw]
+
+    def field(pt):
+        A = ts.conn.coeff(pt)
+        v = ts.fiber_values(pt)
+        av = [[sum(A[mu][a][b] * v[b] for b in range(r))
+               for mu in range(4 * n)] for a in range(r)]
+        cols = []
+        for c in range(dim):
+            u = [0.0] * (4 * n)
+            w = [0.0] * r
+            if c < 4 * n:
+                u[c] = 1.0
+                w = [w[a] + av[a][c] for a in range(r)]
+            else:
+                a, par = divmod(c - 4 * n, 2)
+                w[a] = 1.0 if par == 0 else 1j
+            lu = [sum(Lbase[i][j] * u[j] for j in range(4 * n))
+                  for i in range(4 * n)]
+            wl = fiber_action(w)
+            if correction:
+                for a in range(r):
+                    corr = 0.0
+                    for mu in range(4 * n):
+                        if lu[mu] != 0.0:
+                            corr = corr + av[a][mu] * lu[mu]
+                    wl[a] = wl[a] - corr
+            col = list(lu)
+            for a in range(r):
+                col.extend((dre(wl[a]), dre(-1j * wl[a])))
+            cols.append(col)
+        return [[cols[c][k] for c in range(dim)] for k in range(dim)]
+
+    return field
+
+
+def seeded_jet(mat_field, pt):
+    """(L, dL) of a nested-list matrix field at pt, dL[k, j, l] = d_l L[k, j]
+    from one dual seed per coordinate direction."""
+    dim = len(pt)
+    L = np.array([[float(x) for x in row] for row in mat_field(pt)])
+    dL = np.zeros((dim, dim, dim))
+    for l in range(dim):
+        lev = fresh_level()
+        Ld = mat_field(seed_unit(pt, l, lev))
+        for k in range(dim):
+            for j in range(dim):
+                dL[k, j, l] = dot_part(Ld[k][j], lev)
+    return L, dL
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +265,7 @@ def test_natural_metric_splitting(ts, rng):
 def test_structure_quaternion_relations(ts, rng):
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
     for pt in sample_points(rng, 8, 3):
-        L = {u: np.array(mats[u](pt), dtype=float) for u in mats}
+        L = {u: mats[u](pt)[0] for u in mats}
         for u in mats:
             assert np.max(np.abs(L[u] @ L[u] + np.eye(8))) < 1e-12
         assert np.max(np.abs(L["I"] @ L["J"] - L["K"])) < 1e-12
@@ -203,13 +274,11 @@ def test_structure_quaternion_relations(ts, rng):
 
 def test_structures_preserve_metric_and_lifts(ts, rng):
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
-    from hktlab.quaternions import hypercomplex_matrices
-
     base = hypercomplex_matrices(1)
     for pt in sample_points(rng, 8, 2):
         g = natural_metric(ts, pt)
         for u in mats:
-            L = np.array(mats[u](pt), dtype=float)
+            L, _ = mats[u](pt)
             assert np.max(np.abs(L.T @ g @ L - g)) < 1e-12
             v = rng.standard_normal(4)
             lifted = np.array(horizontal_lift(ts, pt, list(v)))
@@ -221,7 +290,43 @@ def test_lifted_structures_are_integrable(ts, rng):
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
     for pt in sample_points(rng, 8, 2):
         for u in mats:
-            assert nijenhuis_residual(mats[u], pt, 8) < 1e-8
+            assert nijenhuis_residual(*mats[u](pt)) < 1e-8
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_structure_jet_matches_nested_dual_reference(name, rng):
+    ts = total_space(get_connection(name))
+    coords = sample_points(rng, ts.dim, 4)
+    for pt in [Point(c) for c in coords[:2]] + coords[2:]:
+        for u in ("I", "J", "K"):
+            L, dL = structure_matrix_field(ts, u)(pt)
+            ref_L, ref_dL = seeded_jet(reference_structure_field(ts, u), pt)
+            assert np.array_equal(L, ref_L), (name, u)
+            assert np.max(np.abs(dL - ref_dL)) < 1e-12, (name, u)
+
+
+def test_nijenhuis_sees_dropped_lift_correction(ts, rng):
+    # without the A(L u) v term the lifted J and K are not integrable
+    worst = max(nijenhuis_residual(*seeded_jet(
+        reference_structure_field(ts, u, correction=False), pt))
+        for pt in sample_points(rng, 8, 3) for u in ("I", "J", "K"))
+    assert worst > 1e-3
+
+
+def test_nijenhuis_at_memoised_jet_builds_no_dual(ts, rng, monkeypatch):
+    pt = Point(sample_points(rng, 8, 1)[0])
+    field = structure_matrix_field(ts, "J")
+    field(pt)  # memoises the jet on pt
+    made = [0]
+    real_init = duals.Dual.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(duals.Dual, "__init__", counted)
+    assert nijenhuis_residual(*field(pt)) < 1e-8
+    assert made[0] == 0
 
 
 def test_potential_gradient_norm(ts, rng):
@@ -239,9 +344,6 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
     # structure equation, the potential family and the curvature term), one
     # at each of the 2 zero-fiber copies and one at each of the 20
     # fiber-doubled twins
-    from hktlab import bundles
-    from hktlab.suites import ScenarioConfig, totspace_records
-
     builds = collections.Counter()
     real = bundles.curvature
 
@@ -253,3 +355,35 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
     records = totspace_records(ScenarioConfig(samples=20))
     assert all(r.passed for r in records)
     assert builds == {"bpst": 42, "flat": 42}
+
+
+def test_totspace_coeff_calls(monkeypatch):
+    # 1014 per sweep of 20 samples, from the jet (1 + 4 calls at each sample,
+    # zero-fiber copy and fiber-doubled twin), the chart tables, the
+    # structure equation, the natural metric and the horizontal lifts; the
+    # lifted structures (the 120 Nijenhuis and 60 structure-matrix
+    # evaluations) read the jet memoised on each sample and add none
+    calls = collections.Counter()
+    real = suites.get_connection
+
+    def counted_connection(name):
+        conn = real(name)
+
+        def coeff(pt):
+            calls[conn.name] += 1
+            return conn.coeff(pt)
+
+        return dataclasses.replace(conn, coeff=coeff)
+
+    monkeypatch.setattr(suites, "get_connection", counted_connection)
+    totspace_records(ScenarioConfig(samples=20))
+    assert calls == {"bpst": 1014, "flat": 1014}
+
+
+def test_totspace_nijenhuis_rejects_nonholomorphic_lift():
+    bad = {r.identity: r for r in
+           totspace_records(ScenarioConfig(bundle="nonholo-demo", samples=4))}
+    assert not bad["nijenhuis"].passed and bad["nijenhuis"].value > 1.0
+    good = {r.identity: r for r in
+            totspace_records(ScenarioConfig(bundle="direct-sum", samples=4))}
+    assert good["nijenhuis"].passed
