@@ -154,18 +154,6 @@ def apply_multiplicative(table, el: Element) -> Element:
     return out
 
 
-def compose_tables(outer, inner):
-    """Table of (outer . inner) on 1-forms."""
-    out = {}
-    for lab, img in inner.items():
-        acc: Element = {}
-        for (mid,), c in img.items():
-            for (final,), c2 in outer.get(mid, {}).items():
-                acc = eadd(acc, {(final,): c * c2})
-        out[lab] = acc
-    return out
-
-
 def standard_m(m: int) -> np.ndarray:
     """Block-diagonal [[0,-1],[1,0]] structure matrix on C^m (m even)."""
     if m % 2:
@@ -278,7 +266,9 @@ class StructureContext:
             rais[a] = {}
             lowr[a] = {(m + b,): Mc[a][b] for b in nz}
             lowr[m + a] = {}
-        cov_k = compose_tables(cov_i, cov_j)
+        # on 1-forms the derivation extension is plain composition
+        cov_k = {lab: apply_derivation(cov_i, img)
+                 for lab, img in cov_j.items()}
         neg = lambda t: {lab: escale(img, -1) for lab, img in t.items()}
         self.tables = {
             "cov_I": cov_i, "cov_J": cov_j, "cov_K": cov_k,

@@ -20,6 +20,7 @@ UNITS = {
     "j": (0, 0, 1, 0),
     "k": (0, 0, 0, 1),
 }
+_BASIS = [UNITS[u] for u in "1ijk"]
 
 
 def quat_mul(a, b):
@@ -50,35 +51,22 @@ def quat_abs2(a):
 
 def left_mult_matrix(unit: str) -> np.ndarray:
     """4x4 real matrix of b -> unit * b on components."""
-    u = UNITS[unit]
-    cols = []
-    for c in range(4):
-        e = [0, 0, 0, 0]
-        e[c] = 1
-        cols.append(quat_mul(u, tuple(e)))
-    return np.array(cols, dtype=float).T
+    return np.array([quat_mul(UNITS[unit], e) for e in _BASIS], dtype=float).T
 
 
 def right_mult_matrix(q) -> np.ndarray:
     """4x4 real matrix of b -> b * q on components."""
-    cols = []
-    for c in range(4):
-        e = [0, 0, 0, 0]
-        e[c] = 1
-        cols.append(quat_mul(tuple(e), q))
-    return np.array(cols, dtype=float).T
+    return np.array([quat_mul(e, q) for e in _BASIS], dtype=float).T
 
 
 def hypercomplex_matrices(n: int) -> dict[str, np.ndarray]:
     """Block-diagonal tangent actions of I, J, K on R^{4n}."""
     out = {}
-    for unit in ("i", "j", "k"):
+    for name, unit in (("I", "i"), ("J", "j"), ("K", "k")):
         blk = left_mult_matrix(unit)
-        mats = [blk] * n
-        full = np.zeros((4 * n, 4 * n))
-        for t in range(n):
-            full[4 * t:4 * t + 4, 4 * t:4 * t + 4] = mats[t]
-        out[{"i": "I", "j": "J", "k": "K"}[unit]] = full
+        out[name] = np.zeros((4 * n, 4 * n))
+        for t in range(0, 4 * n, 4):
+            out[name][t:t + 4, t:t + 4] = blk
     return out
 
 

@@ -5,7 +5,8 @@ value <= threshold) or bounds a margin from below (kind "margin", pass iff
 value >= threshold), and passes only if its value is finite.  The record
 constructors take a value or an iterable of per-sample values and reduce
 it themselves: residuals by max_keep_nan, margins by min_keep_nan, so one
-nan sample makes the record nan, hence FAIL.
+nan sample makes the record nan, hence FAIL.  sweep_records builds the
+records of one sweep, one per Spec, from its per-sample rows.
 
 The JSON rendering is strict and byte-stable for a fixed config: keys are
 sorted, floats go through repr, a non-finite float is written as the
@@ -19,6 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SCHEMA_VERSION = "1"
 
@@ -90,6 +92,33 @@ def margin_record(identity: str, detail: str, points: int, values,
     return CheckRecord(identity, detail, points,
                        _reduce(values, min_keep_nan), float(floor),
                        kind="margin")
+
+
+class Spec(NamedTuple):
+    """One record of a sweep; kind "margin" bounds a minimum from below."""
+    identity: str
+    detail: str
+    bound: float
+    kind: str = "residual"
+
+
+def sweep_records(specs, rows) -> list[CheckRecord]:
+    """One record per spec from a sweep's rows, one row per evaluated sample.
+
+    A row holds one cell per spec (a sweep of one spec gives the cells
+    themselves).  A tuple cell, one sample's several values, is reduced in
+    place by max_keep_nan, so its nan fails only its own record.  Each
+    record reduces its column by its kind and counts one point per row.
+    """
+    rows = [row if len(specs) > 1 else (row,) for row in rows]
+    out = []
+    for j, spec in enumerate(specs):
+        col = [max_keep_nan(row[j]) if isinstance(row[j], tuple) else row[j]
+               for row in rows]
+        make = margin_record if spec.kind == "margin" else residual_record
+        out.append(make(spec.identity, spec.detail, len(rows), col,
+                        spec.bound))
+    return out
 
 
 def _strict(obj):

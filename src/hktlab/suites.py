@@ -3,13 +3,16 @@
 Each suite builds its objects fresh from the config, sweeps the identities
 it owns over seeded random samples, and returns one CheckRecord per
 identity.  Residual records bound a max residual from above; margin
-records bound a min (positivity gaps, detection ratios) from below.  A
-suite hands each record its per-sample values, often as a lazy generator
-over the random draws, and the record constructors in report.py reduce
-them with one NaN-keeping rule; a loop that serves several records builds
-one tuple per sample and gives each record its column.  Generators are
-consumed record by record, so the draws keep their order.  Everything
-downstream of the config is deterministic.
+records bound a min (positivity gaps, detection ratios) from below.
+
+A sweep yields one row per evaluated sample, one cell per record it
+serves, and report.sweep_records reduces each column by one NaN-keeping
+rule.  The one rule for `points`: a swept record counts its sweep's rows.
+Only records of whole operator blocks or of one value (the algebra block
+checks, r-omega, r-kernel-invariant, criteria-agreement and the totspace
+records of constant forms) state their count.  A suite's records share
+one cfg.rng() stream, and each sweep is consumed before the next starts,
+so the draws keep the order that fixes every value of the report.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .bundles import (bianchi_residual, catalog_names, curvature_entry_forms,
-                      get_connection, invariance_residual, structure_charts,
-                      type11_residual)
+from .bundles import (_jet, bianchi_residual, catalog_names,
+                      curvature_entry_forms, get_connection,
+                      invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
 from .duals import Point
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
@@ -37,8 +41,8 @@ from .hermitian import (gram, hermitian_pair, hyperhermitian_project,
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
                    rho_pullback, vertical_probe)
-from .report import (VerificationReport, margin_record, max_keep_nan,
-                     residual_record)
+from .report import (Spec, VerificationReport, margin_record, max_keep_nan,
+                     residual_record, sweep_records)
 from .total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                           natural_metric, omega_hor_expr, omega_ver_canonical,
                           omega_ver_expr, psi, structure_matrix_field,
@@ -62,8 +66,7 @@ class Tolerances:
     positivity_floor: float = 1e-10
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
+        return dataclasses.asdict(self)
 
 
 # the hopf suite evaluates fiber radii down to |q| (dilated samples) and
@@ -83,12 +86,9 @@ class ScenarioConfig:
     tol: Tolerances = field(default_factory=Tolerances)
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.samples < 1:
-            raise ValueError("samples must be a positive integer")
-        if self.probes < 1:
-            raise ValueError("probes must be a positive integer")
+        for name in ("n", "samples", "probes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer")
         lo, hi = HOPF_Q_RANGE
         if not lo <= abs(self.q) <= hi or abs(abs(self.q) - 1.0) < 1e-12:
             raise ValueError(f"q must satisfy {lo:g} <= |q| <= {hi:g} and "
@@ -131,11 +131,9 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         ctx = flat_chart(n).ctx
         m = ctx.m
         tag = f"(n={n})"
-        bases = [ctx.basis(k) for k in range(2 * m + 1)]
-        npts = sum(len(b) for b in bases)
-
         blocks = [ctx.su2_blocks(k) for k in range(2 * m + 1)]
         every = [blk for per_degree in blocks for blk in per_degree]
+        npts = sum(len(blk.monos) for blk in every)
 
         def brackets(blk):
             R, Rb, H = blk.ops["R"], blk.ops["Rb"], blk.ops["H"]
@@ -161,14 +159,12 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             3 * npts, _max_abs(r for blk in every for r in cyclic(blk)),
             tol.sl2))
 
-        gaps = [enorm(esub(ctx.lie("I", {mono: 1.0}),
-                           escale({mono: 1.0}, 1j * (p - q))))
-                for p in range(m + 1) for q in range(m + 1)
-                for mono in ctx.basis_pq(p, q)]
-        out.append(residual_record(
-            f"unit-weight{tag}",
-            "L_I acts as i(p-q) on (p,q)-forms",
-            len(gaps), gaps, tol.sl2))
+        out += sweep_records([Spec(
+            f"unit-weight{tag}", "L_I acts as i(p-q) on (p,q)-forms",
+            tol.sl2)], (enorm(esub(ctx.lie("I", {mono: 1.0}),
+                                   escale({mono: 1.0}, 1j * (p - q))))
+                        for p in range(m + 1) for q in range(m + 1)
+                        for mono in ctx.basis_pq(p, q)))
 
         def spectrum(per_degree, name):
             return np.concatenate([np.linalg.eigvals(blk.ops[name])
@@ -214,13 +210,13 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             "weight projectors are idempotent, orthogonal, and sum to 1",
             npts, _max_abs(projector_residuals()), tol.sl2))
 
-        out.append(residual_record(
+        out += sweep_records([Spec(
             f"positive-dimension{tag}",
             "top-weight subspace of degree p has dimension (p+1) C(m,p)",
-            m + 1, _max_abs(
-                sum(np.trace(blk.projectors[p]).real for blk in blocks[p])
-                - positive_dimension(m, p) for p in range(m + 1)),
-            tol.sl2))
+            tol.sl2)], (abs(sum(np.trace(blk.projectors[p]).real
+                                for blk in blocks[p])
+                            - positive_dimension(m, p))
+                        for p in range(m + 1)))
 
         out.append(residual_record(
             f"r-omega{tag}",
@@ -229,7 +225,6 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                           ctx.omega_canonical())), tol.sl2))
 
         b11 = ctx.basis_pq(1, 1)
-        count = max(100, cfg.samples)
 
         def split_draw():
             el = _rand_element(b11, rng)
@@ -238,19 +233,18 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             return (enorm(ctx.raising(inv)), enorm(ctx.raising(beta)),
                     enorm(beta))
 
-        rows = [split_draw() for _ in range(count)]
-        out.append(residual_record(
+        rows = [split_draw() for _ in range(max(100, cfg.samples))]
+        out += sweep_records([Spec(
             f"invariant-annihilated{tag}",
-            "R kills the invariant part of every (1,1)-form",
-            count, (r_inv for r_inv, _, _ in rows), tol.sl2))
+            "R kills the invariant part of every (1,1)-form", tol.sl2)],
+            (r_inv for r_inv, _, _ in rows))
         # R is sqrt(2) times an isometry on the non-invariant part, so any
         # floor below that certifies detection with a wide gap; a sweep
         # with no non-invariant draw reduces to inf and fails
-        ratios = [r_beta / nb for _, r_beta, nb in rows if nb > 1e-8]
-        out.append(margin_record(
+        out += sweep_records([Spec(
             f"noninvariant-detected{tag}",
-            "R is bounded below on non-invariant (1,1)-forms",
-            len(ratios), ratios, 1.0))
+            "R is bounded below on non-invariant (1,1)-forms", 1.0,
+            "margin")], (r_beta / nb for _, r_beta, nb in rows if nb > 1e-8))
 
         rmat = ctx.operator_matrix(ctx.raising, b11, ctx.basis_pq(2, 0))
         dimker = len(b11) - int(np.linalg.matrix_rank(rmat, tol=1e-8))
@@ -267,32 +261,32 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                 el = op(el)
             return enorm(esub(el, escale({mono: 1.0}, c)))
 
-        gaps = [ladder_gap(mono, q, ladder_constant(k - q, q))
-                for k in range(1, m + 1) for q in range(1, k + 1)
-                for mono in ctx.basis_pq(k, 0)]
-        out.append(residual_record(
+        out += sweep_records([Spec(
             f"ladder-normalization{tag}",
             "R^q Rbar^q multiplies (k,0)-forms by the ladder constant",
-            len(gaps), gaps, tol.sl2))
+            tol.sl2)], (ladder_gap(mono, q, ladder_constant(k - q, q))
+                        for k in range(1, m + 1) for q in range(1, k + 1)
+                        for mono in ctx.basis_pq(k, 0)))
 
         M = ctx.mmat
-        out.append(residual_record(
+        out += sweep_records([Spec(
             f"antilinear-structure{tag}",
             "M is unitary, antisymmetric, and squares to -1 with conj",
-            1, _max_abs([M @ M.conj().T - np.eye(m),
-                         M @ np.conj(M) + np.eye(m), M + M.T]), tol.linear))
+            tol.linear)], [_max_abs([M @ M.conj().T - np.eye(m),
+                                     M @ np.conj(M) + np.eye(m), M + M.T])])
 
-        def cov_square_gap(k, mono, u):
-            el = {mono: 1.0}
-            return enorm(esub(ctx.cov_mult(u, ctx.cov_mult(u, el)),
-                              escale(el, (-1.0) ** k)))
+        def cov_squares():
+            for k, per_degree in enumerate(blocks):
+                for blk in per_degree:
+                    for u in ("I", "J", "K"):
+                        c = ctx.operator_matrix(partial(ctx.cov_mult, u),
+                                                blk.monos, blk.monos)
+                        yield c @ c - (-1.0) ** k * np.eye(len(blk.monos))
 
         out.append(residual_record(
             f"cov-squares{tag}",
             "each multiplicative unit action squares to (-1)^degree",
-            3 * npts, (cov_square_gap(k, mono, u) for k in range(2 * m + 1)
-                       for mono in bases[k] for u in ("I", "J", "K")),
-            tol.sl2))
+            3 * npts, _max_abs(cov_squares()), tol.sl2))
     return out
 
 
@@ -331,26 +325,24 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
             ("del-delj-anticommute",
              "del and del_J anticommute on (p,0) fields",
              [anti(f) for f in scalars + [f10]])):
-        out.append(residual_record(
-            identity, detail, len(zeros) * len(pts),
-            (enorm(g.at(pt)) for g in zeros for pt in pts), tol.bicomplex))
+        out += sweep_records([Spec(identity, detail, tol.bicomplex)],
+                             (enorm(g.at(pt)) for g in zeros for pt in pts))
 
     pairs = [(del_hol(del_j(f)), del_hol(del_bar(f))) for f in scalars]
-    out.append(residual_record(
-        "ddj-r-transfer",
-        "del del_J equals R applied to del dbar on scalars",
-        len(pairs) * len(pts),
-        (enorm(esub(ddj.frame_at(pt), ch.ctx.raising(ddb.frame_at(pt))))
-         for ddj, ddb in pairs for pt in pts), tol.bicomplex))
+    out += sweep_records([Spec(
+        "ddj-r-transfer", "del del_J equals R applied to del dbar on scalars",
+        tol.bicomplex)], (enorm(esub(ddj.frame_at(pt),
+                                     ch.ctx.raising(ddb.frame_at(pt))))
+                          for ddj, ddb in pairs for pt in pts))
 
     sq = scalar_field(ch, lambda pt: sum(x * x for x in pt))
     dd = del_hol(del_j(sq))
     target = escale(ch.ctx.omega_canonical(), 2.0)
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "moment-potential",
         "del del_J of the squared radius is twice the canonical form",
-        len(pts[:3]), (enorm(esub(dd.frame_at(pt), target)) for pt in pts[:3]),
-        tol.bicomplex))
+        tol.bicomplex)], (enorm(esub(dd.frame_at(pt), target))
+                          for pt in pts[:3]))
 
     chx = flat_chart(max(2, cfg.n))
     cpts = sample_points(rng, chx.dim, max(3, cfg.samples // 30))
@@ -369,27 +361,22 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
                   enorm(esub(lhs_s.at(pt),
                              {k: ks * v for k, v in rhs_s.at(pt).items()})))
                  for pt in cpts]
-    prime, second = zip(*rows)
-    out.append(residual_record(
-        "ladder-correspondence-prime",
-        "normalized R-ladder intertwines the first refined differential "
-        "with (p+1)/(p+q+1) del",
-        len(rows), prime, tol.correspondence))
-    out.append(residual_record(
-        "ladder-correspondence-second",
-        "normalized R-ladder intertwines the second refined differential "
-        "with 1/(p+q+1) del_J",
-        len(rows), second, tol.correspondence))
+    out += sweep_records([
+        Spec("ladder-correspondence-prime",
+             "normalized R-ladder intertwines the first refined "
+             "differential with (p+1)/(p+q+1) del", tol.correspondence),
+        Spec("ladder-correspondence-second",
+             "normalized R-ladder intertwines the second refined "
+             "differential with 1/(p+q+1) del_J", tol.correspondence)], rows)
 
     fields = [random_pq_field(chx, p, 0, rng) for p in range(3)]
     pairs = [(d_plus(f, p, 0, "prime"), del_hol(f))
              for p, f in enumerate(fields)]
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "dplus-is-del",
         "the first refined differential reduces to del on (p,0) fields",
-        len(pairs) * len(cpts),
-        (enorm(esub(dp.at(pt), dh.at(pt))) for dp, dh in pairs for pt in cpts),
-        tol.correspondence))
+        tol.correspondence)], (enorm(esub(dp.at(pt), dh.at(pt)))
+                               for dp, dh in pairs for pt in cpts))
     return out
 
 
@@ -411,101 +398,78 @@ def qpos_records(cfg: ScenarioConfig) -> list:
         def complex_draw(shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        def involution_gaps():
-            for _ in range(count):
-                el = form20()
-                yield enorm(esub(
-                    quaternionic_conj(ctx, quaternionic_conj(ctx, el)), el))
-
-        out.append(residual_record(
-            f"conj-involution{tag}",
-            "the quaternionic conjugation of (2,0)-forms is an involution",
-            count, involution_gaps(), tol.linear))
+        def involution_gap():
+            el = form20()
+            return enorm(esub(
+                quaternionic_conj(ctx, quaternionic_conj(ctx, el)), el))
 
         def symmetrized_gaps():
-            for _ in range(count):
-                el = form20()
-                sym = escale(eadd(el, quaternionic_conj(ctx, el)), 0.5)
-                G = gram(ctx, sym)
-                yield qreal_residual(ctx, sym)
-                yield float(np.max(np.abs(G - G.conj().T)))
+            el = form20()
+            sym = escale(eadd(el, quaternionic_conj(ctx, el)), 0.5)
+            G = gram(ctx, sym)
+            return (qreal_residual(ctx, sym),
+                    float(np.max(np.abs(G - G.conj().T))))
 
-        out.append(residual_record(
-            f"qreal-gram-hermitian{tag}",
-            "symmetrized forms are q-real with Hermitian Gram matrix",
-            count, symmetrized_gaps(), tol.linear))
+        def hermitian_gram_gap():
+            G0 = complex_draw((m, m))
+            return qreal_residual(ctx,
+                                  omega_from_gram(ctx, (G0 + G0.conj().T) / 2))
 
-        def hermitian_gram_gaps():
-            for _ in range(count):
-                G0 = complex_draw((m, m))
-                yield qreal_residual(ctx, omega_from_gram(
-                    ctx, (G0 + G0.conj().T) / 2))
+        def form_roundtrip_gap():
+            el = random_qreal_positive(ctx, rng)
+            return enorm(esub(omega_from_gram(ctx, gram(ctx, el)), el))
 
-        out.append(residual_record(
-            f"hermitian-gram-qreal{tag}",
-            "every Hermitian Gram matrix produces a q-real form",
-            count, hermitian_gram_gaps(), tol.linear))
-
-        def form_roundtrip_gaps():
-            for _ in range(count):
-                el = random_qreal_positive(ctx, rng)
-                yield enorm(esub(omega_from_gram(ctx, gram(ctx, el)), el))
-
-        out.append(residual_record(
-            f"roundtrip-form{tag}",
-            "form to Gram matrix and back is the identity",
-            count, form_roundtrip_gaps(), tol.roundtrip))
-
-        def metric_roundtrip_gaps():
-            for _ in range(count):
-                G = random_hyperhermitian_metric(ctx, rng)
-                yield gram(ctx, omega_from_gram(ctx, G)) - G
-
-        out.append(residual_record(
-            f"roundtrip-metric{tag}",
-            "Gram matrix to form and back is the identity",
-            count, _max_abs(metric_roundtrip_gaps()), tol.roundtrip))
+        def metric_roundtrip_gap():
+            G = random_hyperhermitian_metric(ctx, rng)
+            return _max_abs([gram(ctx, omega_from_gram(ctx, G)) - G])
 
         def hyperhermitian_gaps():
-            for _ in range(count):
-                G = random_hyperhermitian_metric(ctx, rng)
-                P = hyperhermitian_project(ctx, complex_draw((m, m)))
-                yield hyperhermitian_residual(ctx, G)
-                yield float(np.max(np.abs(
-                    hyperhermitian_project(ctx, P) - P)))
+            G = random_hyperhermitian_metric(ctx, rng)
+            P = hyperhermitian_project(ctx, complex_draw((m, m)))
+            return (hyperhermitian_residual(ctx, G),
+                    float(np.max(np.abs(hyperhermitian_project(ctx, P) - P))))
 
-        out.append(residual_record(
-            f"hyperhermitian-structure{tag}",
-            "generated metrics are J-compatible and the projector is "
-            "idempotent",
-            count, hyperhermitian_gaps(), tol.linear))
+        def pairing_gap():
+            el = form20()
+            G = gram(ctx, el)
+            x, y = complex_draw(m), complex_draw(m)
+            return abs(hermitian_pair(ctx, el, x, y) - x @ G @ np.conj(y))
 
-        out.append(margin_record(
-            f"positivity-margin{tag}",
-            "generated q-positive forms have a strictly positive Gram floor",
-            count, (qpos_margin(ctx, random_qreal_positive(ctx, rng))
-                    for _ in range(count)), tol.positivity_floor))
-
-        def pairing_gaps():
-            for _ in range(count):
-                el = form20()
-                G = gram(ctx, el)
-                x = complex_draw(m)
-                y = complex_draw(m)
-                yield abs(hermitian_pair(ctx, el, x, y) - x @ G @ np.conj(y))
-
-        out.append(residual_record(
-            f"pairing-gram{tag}",
-            "the Hermitian pairing of a form matches its Gram matrix",
-            count, pairing_gaps(), tol.linear))
+        # each record sweeps its own `count` draws, in this order
+        for spec, draw in (
+                (Spec(f"conj-involution{tag}", "the quaternionic conjugation "
+                      "of (2,0)-forms is an involution", tol.linear),
+                 involution_gap),
+                (Spec(f"qreal-gram-hermitian{tag}", "symmetrized forms are "
+                      "q-real with Hermitian Gram matrix", tol.linear),
+                 symmetrized_gaps),
+                (Spec(f"hermitian-gram-qreal{tag}", "every Hermitian Gram "
+                      "matrix produces a q-real form", tol.linear),
+                 hermitian_gram_gap),
+                (Spec(f"roundtrip-form{tag}", "form to Gram matrix and back "
+                      "is the identity", tol.roundtrip), form_roundtrip_gap),
+                (Spec(f"roundtrip-metric{tag}", "Gram matrix to form and "
+                      "back is the identity", tol.roundtrip),
+                 metric_roundtrip_gap),
+                (Spec(f"hyperhermitian-structure{tag}", "generated metrics "
+                      "are J-compatible and the projector is idempotent",
+                      tol.linear), hyperhermitian_gaps),
+                (Spec(f"positivity-margin{tag}", "generated q-positive "
+                      "forms have a strictly positive Gram floor",
+                      tol.positivity_floor, "margin"),
+                 lambda: qpos_margin(ctx, random_qreal_positive(ctx, rng))),
+                (Spec(f"pairing-gram{tag}", "the Hermitian pairing of a "
+                      "form matches its Gram matrix", tol.linear),
+                 pairing_gap)):
+            out += sweep_records([spec], (draw() for _ in range(count)))
 
         G = gram(ctx, ctx.omega_canonical())
-        out.append(residual_record(
+        out += sweep_records([Spec(
             f"canonical-form{tag}",
             "the canonical (2,0)-form has identity Gram matrix",
-            1, (float(np.max(np.abs(G - np.eye(m)))),
-                abs(qpos_margin(ctx, ctx.omega_canonical()) - 1.0)),
-            tol.linear))
+            tol.linear)], [(float(np.max(np.abs(G - np.eye(m)))),
+                            abs(qpos_margin(ctx, ctx.omega_canonical())
+                                - 1.0))])
     return out
 
 
@@ -524,10 +488,8 @@ def bundle_records(cfg: ScenarioConfig) -> list:
     requested = get_connection(cfg.bundle)
     conns = [get_connection(nm) for nm in catalog_names()]
     charts = {conn.name: structure_charts(conn.base_n) for conn in conns}
-    if requested.hyperholomorphic:
-        checked = {conn.name for conn in conns if conn.hyperholomorphic}
-    else:
-        checked = {requested.name}
+    checked = ({conn.name for conn in conns if conn.hyperholomorphic}
+               if requested.hyperholomorphic else {requested.name})
     pts = sample_points(rng, 4, cfg.samples)
     n_agree = min(len(pts), max(10, cfg.samples // 10))
     # per connection: invariance, type11 and bianchi residual of each sample
@@ -543,23 +505,16 @@ def bundle_records(cfg: ScenarioConfig) -> list:
                 bia.append(bianchi_residual(conn, pt))
 
     out = []
-    for conn in conns:
-        if conn.name not in checked:
-            continue
-        nm = conn.name
-        inv, t11, bia = res[nm]
-        out.append(residual_record(
-            f"curvature-invariance({nm})",
-            "curvature 2-forms have no weight-2 component",
-            len(pts), inv, tol.bundle))
-        out.append(residual_record(
-            f"curvature-type11({nm})",
-            "curvature is (1,1) for each of the three complex structures",
-            len(pts), t11, tol.bundle))
-        out.append(residual_record(
-            f"bianchi({nm})",
-            "covariant exterior derivative of the curvature vanishes",
-            len(pts), bia, tol.bundle))
+    for nm in [conn.name for conn in conns if conn.name in checked]:
+        out += sweep_records([
+            Spec(f"curvature-invariance({nm})",
+                 "curvature 2-forms have no weight-2 component", tol.bundle),
+            Spec(f"curvature-type11({nm})",
+                 "curvature is (1,1) for each of the three complex "
+                 "structures", tol.bundle),
+            Spec(f"bianchi({nm})",
+                 "covariant exterior derivative of the curvature vanishes",
+                 tol.bundle)], zip(*res[nm]))
 
     def disagreement(conn):
         inv, t11, _ = res[conn.name]
@@ -577,58 +532,56 @@ def bundle_records(cfg: ScenarioConfig) -> list:
 
 # ----- total space -----
 
-def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
-                      nij_tol: float, samples: int, rng) -> list:
+def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
+                      rng) -> list:
     tol = cfg.tol
+    flat = bundle_name == "flat"
+    tolv = tol.flat_control if flat else tol.secondderiv
+    nij_tol = tol.flat_control if flat else tol.nijenhuis
     out = []
     conn = get_connection(bundle_name)
     ts = total_space(conn)
-    ch = ts.chart
-    ctx = ts.ctx
-    dim = ts.dim
-    nb = 4 * ts.n
-    mb = 2 * ts.n
+    ch, ctx, dim = ts.chart, ts.ctx, ts.dim
+    nb, mb = 4 * ts.n, 2 * ts.n
     # Points, so each sample builds its tables and curvature once
     pts = [Point(pt) for pt in sample_points(rng, dim, samples)]
     zf = [Point(pt[:nb] + [0.0] * (dim - nb)) for pt in pts[:2]]
 
-    def roundtrip_gaps():
-        for pt in pts:
-            el = {(i,): complex(rng.standard_normal(), rng.standard_normal())
-                  for i in range(dim)}
-            yield enorm(esub(to_real(ch, to_frame(ch, el, pt), pt), el))
+    def roundtrip_gap(pt):
+        el = {(i,): complex(rng.standard_normal(), rng.standard_normal())
+              for i in range(dim)}
+        return enorm(esub(to_real(ch, to_frame(ch, el, pt), pt), el))
 
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "frame-roundtrip",
-        "real to frame coefficients and back is the identity",
-        len(pts), roundtrip_gaps(), tolv))
+        "real to frame coefficients and back is the identity", tolv)],
+        map(roundtrip_gap, pts))
 
-    fiber_fields = [FormField(ch, 1, (lambda a: lambda pt: {(mb + a,): 1.0})(a))
-                    for a in range(ts.rank)]
-    d_fields = [exterior_d(f) for f in fiber_fields]
+    # d of the fiber coframe Dv_a, whose frame coefficients are constant
+    d_fields = [exterior_d(FormField(ch, 1, lambda pt, a=a: {(mb + a,): 1.0}))
+                for a in range(ts.rank)]
 
-    spts = pts[:max(10, samples // 10)]
+    def structure_gaps(pt):
+        v = ts.fiber_values(pt)
+        A = _jet(conn, pt)[0]
+        grid = curvature_entry_forms(conn, pt)
+        gaps = []
+        for a in range(ts.rank):
+            rhs: dict = {}
+            for b in range(ts.rank):
+                rhs = eadd(rhs, escale(grid[a][b], complex(v[b])))
+                aform = {(mu,): A[mu, a, b] for mu in range(nb)
+                         if A[mu, a, b] != 0}
+                rhs = esub(rhs, wedge(aform,
+                                      to_real(ch, {(mb + b,): 1.0}, pt)))
+            gaps.append(enorm(esub(d_fields[a].at(pt), rhs)))
+        return tuple(gaps)
 
-    def structure_gaps():
-        for pt in spts:
-            v = ts.fiber_values(pt)
-            A = conn.coeff(pt)
-            grid = curvature_entry_forms(conn, pt)
-            for a in range(ts.rank):
-                rhs: dict = {}
-                for b in range(ts.rank):
-                    rhs = eadd(rhs, escale(grid[a][b], complex(v[b])))
-                    aform = {(mu,): A[mu][a][b] for mu in range(nb)
-                             if A[mu][a][b] != 0}
-                    rhs = esub(rhs, wedge(aform,
-                                          to_real(ch, {(mb + b,): 1.0}, pt)))
-                yield enorm(esub(d_fields[a].at(pt), rhs))
-
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "structure-equation",
         "d of the covariant fiber coframe is curvature times the fiber "
-        "minus connection wedge coframe",
-        len(spts), structure_gaps(), tolv))
+        "minus connection wedge coframe", tolv)],
+        map(structure_gaps, pts[:max(10, samples // 10)]))
 
     psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
     dpsi = del_hol(psi_f)
@@ -647,27 +600,20 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
                 enorm(esub(fr_dj, two_over)),
                 enorm(esub(fr_dj, ctx.raising(fr_db))))
 
-    w_dp, w_dj, w_db, w_ddj, w_rt = zip(*map(potential_gaps, pts + zf))
-    npts = len(pts) + len(zf)
-    out.append(residual_record(
-        "del-potential", "del of the fiber norm matches its closed form",
-        npts, w_dp, tolv))
-    out.append(residual_record(
-        "delj-potential", "del_J of the fiber norm matches its closed form",
-        npts, w_dj, tolv))
-    out.append(residual_record(
-        "deldbar-potential",
-        "del dbar of the fiber norm is the vertical (1,1)-form plus the "
-        "curvature correction",
-        npts, w_db, tolv))
-    out.append(residual_record(
-        "deldelj-potential",
-        "del del_J of the fiber norm is the vertical canonical (2,0)-form",
-        npts, w_ddj, tolv))
-    out.append(residual_record(
-        "r-transfer",
-        "del del_J of the potential equals R of del dbar of it",
-        npts, w_rt, tolv))
+    out += sweep_records([
+        Spec("del-potential", "del of the fiber norm matches its closed form",
+             tolv),
+        Spec("delj-potential",
+             "del_J of the fiber norm matches its closed form", tolv),
+        Spec("deldbar-potential",
+             "del dbar of the fiber norm is the vertical (1,1)-form plus the "
+             "curvature correction", tolv),
+        Spec("deldelj-potential",
+             "del del_J of the fiber norm is the vertical canonical "
+             "(2,0)-form", tolv),
+        Spec("r-transfer",
+             "del del_J of the potential equals R of del dbar of it", tolv)],
+        map(potential_gaps, pts + zf))
 
     def curvature_term_gaps(pt):
         xi = xi_curv_expr(ts, pt)
@@ -677,18 +623,14 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
                 enorm(esub(fr_xi, ctx.invariant_part(fr_xi))),
                 enorm(esub(xi_curv_expr(ts, pt2), escale(xi, 4.0))))
 
-    w_wt, w_inv, w_sc = zip(*map(curvature_term_gaps, pts))
-    out.append(residual_record(
-        "curvature-term-weightless",
-        "the curvature correction is killed by R", len(pts), w_wt, tolv))
-    out.append(residual_record(
-        "curvature-term-invariant",
-        "the curvature correction is its own invariant part",
-        len(pts), w_inv, tolv))
-    out.append(residual_record(
-        "curvature-term-quadratic",
-        "the curvature correction is quadratic in the fiber",
-        len(pts), w_sc, tolv))
+    out += sweep_records([
+        Spec("curvature-term-weightless",
+             "the curvature correction is killed by R", tolv),
+        Spec("curvature-term-invariant",
+             "the curvature correction is its own invariant part", tolv),
+        Spec("curvature-term-quadratic",
+             "the curvature correction is quadratic in the fiber", tolv)],
+        map(curvature_term_gaps, pts))
 
     out.append(residual_record(
         "r-omega-ver",
@@ -696,11 +638,10 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
         1, enorm(esub(ctx.raising(omega_ver_expr(ts)), two_over)), tolv))
 
     omega_el = eadd(omega_hor_expr(ts), two_over)
-    om_f = FormField(ch, 2, lambda pt: omega_el)
-    dom = del_hol(om_f)
-    out.append(residual_record(
-        "del-closed", "del of the candidate HKT form vanishes", len(pts),
-        (enorm(dom.at(pt)) for pt in pts), tolv))
+    dom = del_hol(FormField(ch, 2, lambda pt: omega_el))
+    out += sweep_records([Spec(
+        "del-closed", "del of the candidate HKT form vanishes", tolv)],
+        (enorm(dom.at(pt)) for pt in pts))
 
     # the candidate form has constant frame coefficients: one evaluation
     out.append(residual_record(
@@ -713,79 +654,58 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, tolv: float,
 
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
     gs = [natural_metric(ts, pt) for pt in pts]
-    if bundle_name == "flat":
-        out.append(residual_record(
+    if flat:
+        out += sweep_records([Spec(
             "metric-flat-identity",
             "the natural metric of the flat bundle is the euclidean one",
-            len(pts), _max_abs(g - np.eye(dim) for g in gs), tolv))
+            tolv)], (_max_abs([g - np.eye(dim)]) for g in gs))
 
-    def structure_matrix_gaps(pt, g):
+    V = np.eye(dim)[:, nb:]
+    dpsi_real = exterior_d(psi_f)
+
+    def metric_gaps(pt, g):
         L = {u: mats[u](pt)[0] for u in mats}
         quat = [L[u] @ L[u] + np.eye(dim) for u in L]
         quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
-        return _max_abs(L[u].T @ g @ L[u] - g for u in L), _max_abs(quat)
-
-    w_minv, w_quat = zip(*map(structure_matrix_gaps, pts, gs))
-    out.append(residual_record(
-        "metric-invariance",
-        "the natural metric is invariant under all three structures",
-        len(pts), w_minv, tolv))
-    out.append(residual_record(
-        "quaternion-relations",
-        "the lifted structures square to -1 and multiply like i, j, k",
-        len(pts), w_quat, tolv))
-
-    V = np.zeros((dim, dim - nb))
-    V[nb:, :] = np.eye(dim - nb)
-
-    def splitting_gaps(pt, g):
         H = np.array([horizontal_lift(ts, pt, row)
                       for row in np.eye(nb)], dtype=float).T
-        yield H.T @ g @ H - np.eye(nb)
-        yield H.T @ g @ V
-        yield V.T @ g @ V - np.eye(dim - nb)
-
-    out.append(residual_record(
-        "metric-splitting",
-        "horizontal lifts are orthonormal and orthogonal to the fibres",
-        len(pts), (_max_abs(splitting_gaps(pt, g)) for pt, g in zip(pts, gs)),
-        tolv))
-
-    dpsi_real = exterior_d(psi_f)
-
-    def gradient_norm_gap(pt, g):
         w = np.zeros(dim)
         for mono, c in dpsi_real.at(pt).items():
             w[mono[0]] = float(complex(c).real)
         val = float(w @ np.linalg.solve(g, w))
         p = float(psi(ts, pt))
-        return abs(val - 4.0 * p) / (1.0 + 4.0 * p)
+        return (_max_abs(L[u].T @ g @ L[u] - g for u in L), _max_abs(quat),
+                _max_abs([H.T @ g @ H - np.eye(nb), H.T @ g @ V,
+                          V.T @ g @ V - np.eye(dim - nb)]),
+                abs(val - 4.0 * p) / (1.0 + 4.0 * p))
 
-    out.append(residual_record(
-        "potential-gradient-norm",
-        "the metric norm of d of the potential is twice its square root",
-        len(pts), map(gradient_norm_gap, pts, gs), tolv))
+    out += sweep_records([
+        Spec("metric-invariance",
+             "the natural metric is invariant under all three structures",
+             tolv),
+        Spec("quaternion-relations",
+             "the lifted structures square to -1 and multiply like i, j, k",
+             tolv),
+        Spec("metric-splitting",
+             "horizontal lifts are orthonormal and orthogonal to the fibres",
+             tolv),
+        Spec("potential-gradient-norm",
+             "the metric norm of d of the potential is twice its square root",
+             tolv)], map(metric_gaps, pts, gs))
 
-    npts_nij = pts[:max(50, samples // 2)]
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "nijenhuis",
         "all three lifted structures have vanishing Nijenhuis tensor",
-        len(npts_nij), (nijenhuis_residual(*mats[u](pt))
-                        for pt in npts_nij for u in mats), nij_tol))
+        nij_tol)], (tuple(nijenhuis_residual(*mats[u](pt)) for u in mats)
+                    for pt in pts[:max(50, samples // 2)]))
     return out
 
 
 def totspace_records(cfg: ScenarioConfig) -> list:
-    tol = cfg.tol
     rng = cfg.rng()
-    main_tol = tol.flat_control if cfg.bundle == "flat" else tol.secondderiv
-    nij_tol = tol.flat_control if cfg.bundle == "flat" else tol.nijenhuis
-    out = _totspace_records(cfg, cfg.bundle, main_tol, nij_tol,
-                            cfg.samples, rng)
+    out = _totspace_records(cfg, cfg.bundle, cfg.samples, rng)
     if cfg.bundle != "flat":
-        ctrl = _totspace_records(cfg, "flat", tol.flat_control,
-                                 tol.flat_control,
-                                 max(20, cfg.samples // 5), rng)
+        ctrl = _totspace_records(cfg, "flat", max(20, cfg.samples // 5), rng)
         for r in ctrl:
             r.identity = "flat-control:" + r.identity
         out.extend(ctrl)
@@ -801,155 +721,133 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     conn = get_connection(cfg.bundle)
     ts = total_space(conn)
     h = hopf_data(ts, cfg.q)
-    ctx = ts.ctx
-    mb = 2 * ts.n
-    m = ctx.m
+    ctx, mb, m = ts.ctx, 2 * ts.n, ts.ctx.m
     pts = fundamental_domain_points(h, rng, cfg.samples)
     otf = omega_tilde_field(h)
     omh = omega_hor_expr(ts)
     frames = [otf.frame_at(pt) for pt in pts]
 
-    def log_shift_gap(pt):
+    ddj_log = del_hol(del_j(log_psi_field(h)))
+    dot = del_hol(otf)
+    margins = [qpos_margin(ctx, fr) for fr in frames]
+
+    def form_values(pt, fr, mg):
         a = float(np.log(float(psi(ts, rho_apply(h, pt)))))
         b = float(np.log(float(psi(ts, pt))))
-        return abs(a - b - 2.0 * np.log(abs(h.q)))
-
-    out.append(residual_record(
-        "potential-homogeneity",
-        "log of the fiber norm shifts by 2 log|q| under the dilation",
-        len(pts), map(log_shift_gap, pts), tol.secondderiv))
-
-    ddj_log = del_hol(del_j(log_psi_field(h)))
-    out.append(residual_record(
-        "log-potential-identity",
-        "the quotient form is the horizontal form plus del del_J of the "
-        "log potential",
-        len(pts), (enorm(esub(fr, eadd(omh, ddj_log.frame_at(pt))))
-                   for pt, fr in zip(pts, frames)), tol.secondderiv))
-
-    def dilation_gaps(pt, fr):
         img = otf.frame_at(rho_apply(h, pt))
         lam = float(rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0]))
         img2 = otf.frame_at(rho_apply(h, pt, scale=lam))
-        return (enorm(esub(rho_pullback(h, img), fr)),
-                enorm(esub(rho_pullback(h, img2, scale=lam), fr)))
-
-    w_inv, w_hom = zip(*map(dilation_gaps, pts, frames))
-    out.append(residual_record(
-        "dilation-invariance",
-        "the quotient form pulls back to itself under the dilation",
-        len(pts), w_inv, tol.secondderiv))
-    out.append(residual_record(
-        "dilation-homogeneity",
-        "invariance holds for arbitrary nonzero real fiber scalings",
-        len(pts), w_hom, tol.secondderiv))
-
-    dot = del_hol(otf)
-    out.append(residual_record(
-        "del-closed", "del of the quotient form vanishes",
-        len(pts), (enorm(dot.at(pt)) for pt in pts), tol.secondderiv))
-
-    def gram_values(fr):
         G = gram(ctx, fr)
         scale = max(1.0, float(np.linalg.norm(G, 2)))
-        mg = qpos_margin(ctx, fr)
-        return (qreal_residual(ctx, fr), hyperhermitian_residual(ctx, G),
-                mg / scale, mg)
+        return (abs(a - b - 2.0 * np.log(abs(h.q))),
+                enorm(esub(fr, eadd(omh, ddj_log.frame_at(pt)))),
+                enorm(esub(rho_pullback(h, img), fr)),
+                enorm(esub(rho_pullback(h, img2, scale=lam), fr)),
+                enorm(dot.at(pt)), qreal_residual(ctx, fr),
+                hyperhermitian_residual(ctx, G), mg / scale)
 
-    w_qr, w_hh, relative, margins = zip(*map(gram_values, frames))
-    out.append(residual_record(
-        "omega-qreal", "the quotient form is q-real",
-        len(pts), w_qr, tol.secondderiv))
-    out.append(residual_record(
-        "omega-hyperhermitian",
-        "the Gram matrix of the quotient form is J-compatible",
-        len(pts), w_hh, tol.secondderiv))
-    out.append(margin_record(
-        "positivity-margin",
-        "the quotient form has a strictly positive scale-relative Gram "
-        "floor",
-        len(pts), relative, tol.positivity_floor))
+    # one sweep for every record of a sample's form; only the dilation
+    # draws, two numbers per sample
+    out += sweep_records([
+        Spec("potential-homogeneity",
+             "log of the fiber norm shifts by 2 log|q| under the dilation",
+             tol.secondderiv),
+        Spec("log-potential-identity",
+             "the quotient form is the horizontal form plus del del_J of the "
+             "log potential", tol.secondderiv),
+        Spec("dilation-invariance",
+             "the quotient form pulls back to itself under the dilation",
+             tol.secondderiv),
+        Spec("dilation-homogeneity",
+             "invariance holds for arbitrary nonzero real fiber scalings",
+             tol.secondderiv),
+        Spec("del-closed", "del of the quotient form vanishes",
+             tol.secondderiv),
+        Spec("omega-qreal", "the quotient form is q-real", tol.secondderiv),
+        Spec("omega-hyperhermitian",
+             "the Gram matrix of the quotient form is J-compatible",
+             tol.secondderiv),
+        Spec("positivity-margin",
+             "the quotient form has a strictly positive scale-relative Gram "
+             "floor", tol.positivity_floor, "margin")],
+        map(form_values, pts, frames, margins))
 
+    # per probe its (lower, upper) ratio to the fiber norm over the
+    # potential, per sample its probe values and, on a fiber of rank above
+    # 2, the gap of an orthogonal probe to the upper bound
     mfib = ctx.mmat[mb:, mb:]
-    probe_rows, w_orth = [], []
+    ratios, pairs, orth = [], [], []
     for pt, fr in zip(pts, frames):
         p = float(psi(ts, pt))
-        v = np.asarray(ts.fiber_values(pt), dtype=complex)
-        w = -(mfib.T @ np.conj(v))
         probes = [vertical_probe(h, rng) for _ in range(cfg.probes - 1)]
         probes.append(radial_probe(h, pt))
-        for x in probes:
-            pair = float(complex(hermitian_pair(ctx, fr, x, x)).real)
+        pairs.append([float(complex(hermitian_pair(ctx, fr, x, x)).real)
+                      for x in probes])
+        for x, pair in zip(probes, pairs[-1]):
             nx = fiber_norm2(h, x)
-            probe_rows.append(((pair - nx / p) / (nx / p),
-                               (2.0 * nx / p - pair) / (nx / p),
-                               abs(pair - nx / p) / (nx / p), pair))
-        if ts.rank >= 3:
-            u = np.zeros(m, dtype=complex)
-            u[mb:] = rng.standard_normal(ts.rank) \
-                + 1j * rng.standard_normal(ts.rank)
-            for r in (v, w):
+            ratios.append(((pair - nx / p) / (nx / p),
+                           (2.0 * nx / p - pair) / (nx / p)))
+        if ts.rank > 2:
+            v = np.asarray(ts.fiber_values(pt), dtype=complex)
+            u = vertical_probe(h, rng)
+            for r in (v, -(mfib.T @ np.conj(v))):
                 rr = np.zeros(m, dtype=complex)
                 rr[mb:] = r
                 u = u - (np.vdot(rr, u) / np.vdot(rr, rr)) * rr
             pair = float(complex(hermitian_pair(ctx, fr, u, u)).real)
             nx = fiber_norm2(h, u)
-            w_orth.append(abs(pair - 2.0 * nx / p) / (nx / p))
-    lower, upper, tight, pairs = zip(*probe_rows)
-    out.append(margin_record(
-        "cauchy-lower",
-        "vertical values are at least the fiber norm over the potential",
-        len(probe_rows), lower, -tol.positivity_floor))
-    out.append(margin_record(
-        "cauchy-upper",
-        "vertical values are at most twice the fiber norm over the "
-        "potential",
-        len(probe_rows), upper, -tol.positivity_floor))
+            orth.append(abs(pair - 2.0 * nx / p) / (nx / p))
+    out += sweep_records([
+        Spec("cauchy-lower",
+             "vertical values are at least the fiber norm over the potential",
+             -tol.positivity_floor, "margin"),
+        Spec("cauchy-upper",
+             "vertical values are at most twice the fiber norm over the "
+             "potential", -tol.positivity_floor, "margin")], ratios)
     if ts.rank == 2:
-        out.append(residual_record(
+        # the gap |pair - nx/p| / (nx/p) is the modulus of the lower ratio
+        out += sweep_records([Spec(
             "cauchy-tight-rank2",
             "on a rank-2 fiber the lower bound is an equality for every "
-            "vertical probe",
-            len(probe_rows), tight, tol.secondderiv))
+            "vertical probe", tol.secondderiv)],
+            (abs(lower) for lower, _ in ratios))
     else:
-        out.append(residual_record(
+        out += sweep_records([Spec(
             "cauchy-orthogonal-probe",
             "probes orthogonal to the fiber value and its conjugate "
-            "partner attain the upper bound",
-            len(pts), w_orth, tol.secondderiv))
+            "partner attain the upper bound", tol.secondderiv)], orth)
 
-    def orthogonality_gaps():
-        for fr in frames:
-            xb = np.zeros(m, dtype=complex)
-            xb[:mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
-            xv = vertical_probe(h, rng)
-            sc = float(np.linalg.norm(xb) * np.linalg.norm(xv))
-            yield abs(hermitian_pair(ctx, fr, xb, xv)) / sc
+    def orthogonality_gap(fr):
+        xb = np.zeros(m, dtype=complex)
+        xb[:mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
+        xv = vertical_probe(h, rng)
+        sc = float(np.linalg.norm(xb) * np.linalg.norm(xv))
+        return abs(hermitian_pair(ctx, fr, xb, xv)) / sc
 
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "horizontal-vertical-orthogonal",
         "base directions pair to zero with fiber directions",
-        len(pts), orthogonality_gaps(), tol.secondderiv))
+        tol.secondderiv)], map(orthogonality_gap, frames))
 
     def blowup_gap(pt, eps):
-        pe = list(pt)
-        pe[4 * ts.n:] = [eps * x for x in pe[4 * ts.n:]]
+        pe = rho_apply(h, pt, scale=eps)
         Gv = gram(ctx, otf.frame_at(pe))[mb:, mb:]
         lam = float(np.linalg.eigvalsh((Gv + Gv.conj().T) / 2)[0])
         return abs(lam * float(psi(ts, pe)) - 1.0)
 
-    near = [(pt, eps) for pt in pts[:10] for eps in (1.0, 0.3, 0.1, 0.03)]
-    out.append(residual_record(
+    out += sweep_records([Spec(
         "vertical-blowup-rate",
         "the smallest vertical Gram eigenvalue scales as one over the "
-        "potential",
-        len(near), (blowup_gap(pt, eps) for pt, eps in near),
-        tol.secondderiv))
+        "potential", tol.secondderiv)],
+        (blowup_gap(pt, eps) for pt in pts[:10]
+         for eps in (1.0, 0.3, 0.1, 0.03)))
 
-    out.append(residual_record(
+    # one row per sample: its matrix margin and its probe values
+    out += sweep_records([Spec(
         "positivity-agreement",
-        "matrix margin and probe values certify positivity together",
-        len(pts), [float(x <= 0.0) for x in margins + pairs], 0.5))
+        "matrix margin and probe values certify positivity together", 0.5)],
+        (tuple(float(x <= 0.0) for x in [mg] + prs)
+         for mg, prs in zip(margins, pairs)))
     return out
 
 

@@ -22,7 +22,8 @@ all four against dual-number differentiation, plus del-closedness of
 Omega_hor + Omega_ver and integrability of the lifted structures I, J, K.
 Those are numpy matrices built from the connection jet (A, dA) that
 bundles._jet memoises on a Point, and so is their first derivative, exactly
-by the chain rule: no dual number enters the Nijenhuis tensor.
+by the chain rule: no dual number enters the Nijenhuis tensor.  The natural
+metric's coframe and the horizontal lift read A from the same jet.
 """
 
 from __future__ import annotations
@@ -166,22 +167,15 @@ def omega_ver_expr(ts: TotalSpace) -> Element:
 
 def omega_ver_canonical(ts: TotalSpace) -> Element:
     """Vertical (2, 0)-form with Gram = Id on the fiber block."""
-    mb = 2 * ts.n
+    mb, r = 2 * ts.n, ts.rank
     MH = np.asarray(ts.conn.mfib).conj().T
-    out: Element = {}
-    for a in range(ts.rank):
-        for b in range(a + 1, ts.rank):
-            if MH[a, b] != 0:
-                out[(mb + a, mb + b)] = MH[a, b]
-    return out
+    return {(mb + a, mb + b): MH[a, b] for a in range(r)
+            for b in range(a + 1, r) if MH[a, b] != 0}
 
 
 def omega_hor_expr(ts: TotalSpace) -> Element:
     """Pullback of the flat base HKT form."""
-    out: Element = {}
-    for t in range(ts.n):
-        out[(2 * t, 2 * t + 1)] = 1.0
-    return out
+    return {(2 * t, 2 * t + 1): 1.0 for t in range(ts.n)}
 
 
 def xi_curv_expr(ts: TotalSpace, pt) -> Element:
@@ -196,15 +190,12 @@ def xi_curv_expr(ts: TotalSpace, pt) -> Element:
 
 def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:
     """Rows dx_mu, Re(Dv_a), Im(Dv_a) over the coordinate differentials."""
-    n, r = ts.n, ts.rank
-    A = ts.conn.coeff(pt)
-    v = ts.fiber_values(pt)
+    nb = 4 * ts.n
+    A = _jet(ts.conn, pt)[0]
+    X = np.einsum("mab,b->am", A, np.array(ts.fiber_values(pt), dtype=complex))
     E = np.eye(ts.dim)
-    for a in range(r):
-        for mu in range(4 * n):
-            c = complex(sum(A[mu][a][b] * v[b] for b in range(r)))
-            E[4 * n + 2 * a, mu] += c.real
-            E[4 * n + 2 * a + 1, mu] += c.imag
+    E[nb::2, :nb] += X.real
+    E[nb + 1::2, :nb] += X.imag
     return E
 
 
@@ -221,16 +212,10 @@ def natural_metric(ts: TotalSpace, pt) -> np.ndarray:
 
 def horizontal_lift(ts: TotalSpace, pt, u) -> list:
     """Tangent coordinates of the connection lift (u, -A(u) v) at pt."""
-    n, r = ts.n, ts.rank
-    A = ts.conn.coeff(pt)
-    v = ts.fiber_values(pt)
-    out = list(u)
-    for a in range(r):
-        w = -sum(A[mu][a][b] * v[b] * u[mu]
-                 for mu in range(4 * n) for b in range(r))
-        w = complex(w)
-        out.extend((w.real, w.imag))
-    return out
+    A = _jet(ts.conn, pt)[0]
+    v = np.array(ts.fiber_values(pt), dtype=complex)
+    w = -np.einsum("mab,b,m->a", A, v, np.asarray(u, dtype=float))
+    return list(u) + [x for c in w for x in (c.real, c.imag)]
 
 
 def structure_matrix_field(ts: TotalSpace, unit: str):

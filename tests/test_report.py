@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from hktlab.report import (SCHEMA_VERSION, CheckRecord, VerificationReport,
-                           margin_record, max_keep_nan, min_keep_nan,
-                           residual_record)
+from hktlab.report import (SCHEMA_VERSION, CheckRecord, Spec,
+                           VerificationReport, margin_record, max_keep_nan,
+                           min_keep_nan, residual_record, sweep_records)
 
 
 def test_residual_pass_semantics():
@@ -19,6 +19,39 @@ def test_margin_pass_semantics():
     assert margin_record("a", "d", 1, 1e-10, 1e-10).passed
     assert not margin_record("a", "d", 1, 0.0, 1e-10).passed
     assert not margin_record("a", "d", 1, -0.5, 1e-10).passed
+
+
+def test_sweep_points_count_the_rows():
+    specs = [Spec("a", "first", 1e-9), Spec("b", "second", 1e-9)]
+    a, b = sweep_records(specs, iter([(1e-12, 2e-12)] * 7))
+    assert a.points == b.points == 7
+    assert (a.value, b.value) == (1e-12, 2e-12)
+    assert (a.identity, a.detail, a.threshold, a.kind) == (
+        "a", "first", 1e-9, "residual")
+
+
+def test_sweep_of_one_spec_takes_the_cells_as_rows():
+    rec, = sweep_records([Spec("a", "d", 1.0)], (0.1 * k for k in range(5)))
+    assert rec.points == 5 and rec.value == 0.4
+
+
+def test_sweep_tuple_cell_keeps_nan_in_its_own_record():
+    specs = [Spec("a", "d", 1.0), Spec("b", "d", 1.0)]
+    rows = [((0.1, 0.2), 0.3), ((math.nan, 0.5), 0.4), ((0.9,), 0.2)]
+    a, b = sweep_records(specs, rows)
+    assert math.isnan(a.value) and not a.passed and a.points == 3
+    assert b.value == 0.4 and b.passed
+    # the nan sits inside a cell: wherever it is, the record is nan
+    a, = sweep_records([specs[0]], [(0.1, 0.2), (0.5, math.nan), (0.3,)])
+    assert math.isnan(a.value) and not a.passed
+
+
+def test_sweep_margin_spec_takes_the_min():
+    rec, = sweep_records([Spec("m", "d", 0.1, "margin")], [0.5, 0.2, 0.7])
+    assert (rec.kind, rec.value, rec.points) == ("margin", 0.2, 3)
+    assert rec.passed
+    empty, = sweep_records([Spec("m", "d", 0.1, "margin")], [])
+    assert (empty.value, empty.points, empty.passed) == (math.inf, 0, False)
 
 
 def sample_report():

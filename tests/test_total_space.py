@@ -358,9 +358,9 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # 1014 per sweep of 20 samples, from the jet (1 + 4 calls at each sample,
-    # zero-fiber copy and fiber-doubled twin), the chart tables, the
-    # structure equation, the natural metric and the horizontal lifts; the
+    # 904 per sweep of 20 samples, from the jet (1 + 4 calls at each sample,
+    # zero-fiber copy and fiber-doubled twin) and the chart tables; the
+    # structure equation, the natural metric, the horizontal lifts and the
     # lifted structures (the 120 Nijenhuis and 60 structure-matrix
     # evaluations) read the jet memoised on each sample and add none
     calls = collections.Counter()
@@ -377,7 +377,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 1014, "flat": 1014}
+    assert calls == {"bpst": 904, "flat": 904}
 
 
 def test_totspace_nijenhuis_rejects_nonholomorphic_lift():
