@@ -43,7 +43,7 @@ import numpy as np
 
 from .charts import flat_chart, to_frame
 from .duals import dot_part, fresh_level, point_memo, seed_unit
-from .exterior import Element, enorm
+from .exterior import Element, element_from_antisym, enorm
 from .quaternions import fiber_j_matrix, quat_abs2, right_mult_c2
 from .report import max_keep_nan
 
@@ -147,11 +147,17 @@ def _derivative(conn: Connection, pt, dirs=()) -> np.ndarray:
                      for Anu in conn.coeff(pt)], dtype=complex)
 
 
+def _point_coeff(conn: Connection, pt) -> np.ndarray:
+    """A as an array of shape (dim, r, r), built once per Point and
+    coefficient function: one coeff call, and no derivative."""
+    return point_memo(pt, ("coeff", conn.coeff), lambda p: _derivative(conn, p))
+
+
 def _jet(conn: Connection, pt):
     """(A, dA), built once per Point and coefficient function."""
     dim = 4 * conn.base_n
     return point_memo(pt, ("jet", conn.coeff), lambda p: (
-        _derivative(conn, p),
+        _point_coeff(conn, p),
         np.array([_derivative(conn, p, (lam,)) for lam in range(dim)])))
 
 
@@ -188,11 +194,8 @@ def structure_charts(n: int) -> dict:
 def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
     """Curvature as an r x r grid of real-label 2-form elements."""
     F = _point_curvature(conn, pt)
-    grid = [[{} for _ in range(conn.rank)] for _ in range(conn.rank)]
-    for mu, nu in itertools.combinations(range(4 * conn.base_n), 2):
-        for a, b in zip(*np.nonzero(F[mu, nu])):
-            grid[a][b][(mu, nu)] = complex(F[mu, nu, a, b])
-    return grid
+    return [[element_from_antisym(F[:, :, a, b]) for b in range(conn.rank)]
+            for a in range(conn.rank)]
 
 
 def invariance_residual(conn: Connection, pt, charts=None) -> float:

@@ -8,6 +8,7 @@ identical across runs of the same config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
@@ -63,13 +64,16 @@ def main(argv=None) -> int:
         cfg.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    report = run_suite(cfg, args.suite)
-    text = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --out before any suite runs, so a bad path costs no run
+    try:
+        sink = (open(args.out, "w") if args.out
+                else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+    with sink as fh:
+        report = run_suite(cfg, args.suite)
+        fh.write(report.to_json() if args.format == "json"
+                 else report.to_text())
     return 0 if report.passed else 1
 
 

@@ -5,6 +5,11 @@ m holomorphic covectors theta_0..theta_{m-1}, labels 0..m-1 are the theta_a and
 labels m..2m-1 their conjugates.  Coefficients may be complex numbers or dual
 numbers; all maps here are linear or multilinear in the coefficients.
 
+This module owns the element rules that the other modules call: one
+accumulation rule, which drops a coefficient only when it is an exact
+plain-number zero (a Dual never is); element_from_antisym for the 2-form of a
+matrix; and StructureContext.conj for conjugating frame labels.
+
 The quaternionic data is a single antilinear structure matrix M (unitary,
 M conj(M) = -Id) describing J theta_a.  Everything else - the three Lie-type
 operators with eigenvalue sqrt(-1)(p - q) each on its own bidegrees, the
@@ -63,17 +68,27 @@ def sort_sign(labels):
     return tuple(lst), sign
 
 
+def _is_zero(c) -> bool:
+    """An exact plain-number zero; a Dual never is, whatever its parts."""
+    return isinstance(c, (int, float, complex)) and c == 0
+
+
+def _accumulate(out: Element, key, c) -> None:
+    """Add the term c at key, dropping the key when the sum is an exact zero."""
+    if key in out:
+        s = out[key] + c
+        if _is_zero(s):
+            del out[key]
+        else:
+            out[key] = s
+    else:
+        out[key] = c
+
+
 def eadd(a: Element, b: Element) -> Element:
     out = dict(a)
     for k, c in b.items():
-        if k in out:
-            s = out[k] + c
-            if isinstance(s, (int, float, complex)) and s == 0:
-                del out[k]
-            else:
-                out[k] = s
-        else:
-            out[k] = c
+        _accumulate(out, k, c)
     return out
 
 
@@ -92,15 +107,7 @@ def wedge(a: Element, b: Element) -> Element:
             key, sgn = sort_sign(ka + kb)
             if key is None:
                 continue
-            c = ca * cb * sgn
-            if key in out:
-                s = out[key] + c
-                if isinstance(s, (int, float, complex)) and s == 0:
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
+            _accumulate(out, key, ca * cb * sgn)
     return out
 
 
@@ -129,15 +136,7 @@ def apply_derivation(table, el: Element) -> Element:
                 key, sgn = sort_sign(labels[:p] + (new_lab,) + labels[p + 1:])
                 if key is None:
                     continue
-                coeff = c * c2 * sgn
-                if key in out:
-                    s = out[key] + coeff
-                    if isinstance(s, (int, float, complex)) and s == 0:
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = coeff
+                _accumulate(out, key, c * c2 * sgn)
     return out
 
 
@@ -363,15 +362,7 @@ class StructureContext:
         out: Element = {}
         for labels, c in el.items():
             for key, p in self._projector_columns(len(labels), w)[labels]:
-                coeff = c * p
-                if key in out:
-                    s = out[key] + coeff
-                    if isinstance(s, (int, float, complex)) and s == 0:
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = coeff
+                _accumulate(out, key, c * p)
         return out
 
     def invariant_part(self, el: Element) -> Element:
@@ -385,14 +376,7 @@ class StructureContext:
 
     def omega_canonical(self) -> Element:
         """(1/2) sum (M^H)_ab theta_a ^ theta_b, Gram matrix = Id."""
-        MH = self.mmat.conj().T
-        out: Element = {}
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                c = MH[a, b] - MH[b, a]
-                if c != 0:
-                    out[(a, b)] = 0.5 * c
-        return out
+        return element_from_antisym(self.mmat.conj().T)
 
     # ----- bases and matrices -----
 
@@ -419,6 +403,19 @@ class StructureContext:
                     continue
                 mat[row, col] = numeric(c)
         return mat
+
+
+def element_from_antisym(A) -> Element:
+    """The 2-form sum_{a<b} (1/2)(A_ab - A_ba) theta_a ^ theta_b of a square
+    matrix, with plain complex coefficients and no exact zeros."""
+    m = len(A)
+    out: Element = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            c = complex(0.5 * (A[a, b] - A[b, a]))
+            if c != 0:
+                out[(a, b)] = c
+    return out
 
 
 def eval2(el: Element, x, y):

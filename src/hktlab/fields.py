@@ -42,7 +42,7 @@ import numpy as np
 from .charts import Chart, to_frame, to_real
 from .duals import (Point, as_point, dot_part, fresh_level, point_memo,
                     seed_unit, val_part)
-from .exterior import apply_derivation, eadd, escale, wedge
+from .exterior import _is_zero, apply_derivation, eadd, escale, wedge
 
 
 @dataclass
@@ -71,7 +71,7 @@ def _dot(el: dict, lev: int) -> dict:
     out = {}
     for mono, c in el.items():
         dc = dot_part(c, lev)
-        if not (isinstance(dc, (int, float, complex)) and dc == 0):
+        if not _is_zero(dc):
             out[mono] = dc
     return out
 

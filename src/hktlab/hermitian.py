@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import StructureContext, Element, eadd, escale
+from .exterior import (StructureContext, Element, eadd, element_from_antisym,
+                       escale, eval2)
 from .duals import numeric
 
 
@@ -37,17 +38,6 @@ def antisym_matrix(ctx: StructureContext, el: Element) -> np.ndarray:
     return A
 
 
-def element_from_antisym(A: np.ndarray) -> Element:
-    m = A.shape[0]
-    out: Element = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            c = 0.5 * (A[a, b] - A[b, a])
-            if c != 0:
-                out[(a, b)] = c
-    return out
-
-
 def gram(ctx: StructureContext, el: Element) -> np.ndarray:
     return -antisym_matrix(ctx, el) @ ctx.mmat.T
 
@@ -58,8 +48,6 @@ def omega_from_gram(ctx: StructureContext, G: np.ndarray) -> Element:
 
 def hermitian_pair(ctx: StructureContext, el: Element, x, y):
     """eta(x, J conj(y)) evaluated directly; equals x . Gram . conj(y)."""
-    from .exterior import eval2
-
     m = ctx.m
     jy = -(ctx.mmat.T @ np.conj(np.asarray(y, dtype=complex)))
     return eval2(el, list(x) + [0.0] * m, list(jy) + [0.0] * m)

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .bundles import (_jet, bianchi_residual, catalog_names,
+from .bundles import (_point_coeff, bianchi_residual, catalog_names,
                       curvature_entry_forms, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
@@ -89,6 +89,8 @@ class ScenarioConfig:
         for name in ("n", "samples", "probes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         lo, hi = HOPF_Q_RANGE
         if not lo <= abs(self.q) <= hi or abs(abs(self.q) - 1.0) < 1e-12:
             raise ValueError(f"q must satisfy {lo:g} <= |q| <= {hi:g} and "
@@ -172,16 +174,16 @@ def algebra_records(cfg: ScenarioConfig) -> list:
 
         def spectrum_gaps():
             for per_degree in blocks:
-                si = np.sort(np.round(spectrum(per_degree, "L_I").imag, 6))
+                si = np.sort(spectrum(per_degree, "L_I").imag)
                 for u in ("L_J", "L_K"):
                     ev = spectrum(per_degree, u)
                     yield ev.real
-                    yield np.sort(np.round(ev.imag, 6)) - si
+                    yield np.sort(ev.imag) - si
 
         out.append(residual_record(
             f"unit-spectra{tag}",
             "L_J and L_K have the same spectrum as L_I on each degree",
-            npts, _max_abs(spectrum_gaps()), 1e-5))
+            npts, _max_abs(spectrum_gaps()), tol.casimir))
 
         def casimir_gaps():
             for k, per_degree in enumerate(blocks):
@@ -563,7 +565,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
 
     def structure_gaps(pt):
         v = ts.fiber_values(pt)
-        A = _jet(conn, pt)[0]
+        A = _point_coeff(conn, pt)
         grid = curvature_entry_forms(conn, pt)
         gaps = []
         for a in range(ts.rank):

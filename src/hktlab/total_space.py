@@ -23,7 +23,8 @@ Omega_hor + Omega_ver and integrability of the lifted structures I, J, K.
 Those are numpy matrices built from the connection jet (A, dA) that
 bundles._jet memoises on a Point, and so is their first derivative, exactly
 by the chain rule: no dual number enters the Nijenhuis tensor.  The natural
-metric's coframe and the horizontal lift read A from the same jet.
+metric's coframe and the horizontal lift read A alone from its memo
+(bundles._point_coeff), which the jet shares.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, _jet, _point_curvature
+from .bundles import Connection, _jet, _point_coeff, _point_curvature
 from .charts import Chart, flat_chart
 from .duals import dconj, point_memo
-from .exterior import StructureContext, Element, eadd, escale, esub, standard_m
+from .exterior import (StructureContext, Element, _is_zero, eadd,
+                       element_from_antisym, escale, esub, standard_m)
 from .quaternions import hypercomplex_matrices
 
 
@@ -102,7 +104,7 @@ def total_space(conn: Connection) -> TotalSpace:
         for a in range(r):
             row = {(4 * n + 2 * a,): 1.0, (4 * n + 2 * a + 1,): 1j}
             for mu, acc in enumerate(av[a]):
-                if not (isinstance(acc, (int, float, complex)) and acc == 0):
+                if not _is_zero(acc):
                     row = eadd(row, {(mu,): acc})
             table[mb + a] = row
             table[m + mb + a] = {k: dconj(c) for k, c in row.items()}
@@ -115,11 +117,10 @@ def total_space(conn: Connection) -> TotalSpace:
             # dv_a = Dv_a - sum_{b,mu} A^mu_ab v_b dx_mu, dx_mu in frame labels
             dv: Element = {(mb + a,): 1.0}
             for mu, acc in enumerate(av[a]):
-                if isinstance(acc, (int, float, complex)) and acc == 0:
+                if _is_zero(acc):
                     continue
                 dv = eadd(dv, escale(table[mu], -acc))
-            dvbar = {tuple((l + m) % (2 * m) for l in k): dconj(c)
-                     for k, c in dv.items()}
+            dvbar = ctx.conj(dv)
             table[4 * n + 2 * a] = escale(eadd(dv, dvbar), 0.5)
             table[4 * n + 2 * a + 1] = escale(esub(dv, dvbar), -0.5j)
         return table
@@ -167,10 +168,10 @@ def omega_ver_expr(ts: TotalSpace) -> Element:
 
 def omega_ver_canonical(ts: TotalSpace) -> Element:
     """Vertical (2, 0)-form with Gram = Id on the fiber block."""
-    mb, r = 2 * ts.n, ts.rank
-    MH = np.asarray(ts.conn.mfib).conj().T
-    return {(mb + a, mb + b): MH[a, b] for a in range(r)
-            for b in range(a + 1, r) if MH[a, b] != 0}
+    mb, m = 2 * ts.n, ts.ctx.m
+    MH = np.zeros((m, m), dtype=complex)
+    MH[mb:, mb:] = np.asarray(ts.conn.mfib).conj().T
+    return element_from_antisym(MH)
 
 
 def omega_hor_expr(ts: TotalSpace) -> Element:
@@ -182,16 +183,13 @@ def xi_curv_expr(ts: TotalSpace, pt) -> Element:
     """-<Theta v, v> as a real-label 2-form: -sum conj(v_a) Theta_ab v_b."""
     v = np.array(ts.fiber_values(pt), dtype=complex)
     F = _point_curvature(ts.conn, pt)
-    xi = -np.einsum("a,mnab,b->mn", v.conj(), F, v)
-    dim_base = 4 * ts.n
-    return {(mu, nu): complex(xi[mu, nu]) for mu in range(dim_base)
-            for nu in range(mu + 1, dim_base) if xi[mu, nu] != 0}
+    return element_from_antisym(-np.einsum("a,mnab,b->mn", v.conj(), F, v))
 
 
 def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:
     """Rows dx_mu, Re(Dv_a), Im(Dv_a) over the coordinate differentials."""
     nb = 4 * ts.n
-    A = _jet(ts.conn, pt)[0]
+    A = _point_coeff(ts.conn, pt)
     X = np.einsum("mab,b->am", A, np.array(ts.fiber_values(pt), dtype=complex))
     E = np.eye(ts.dim)
     E[nb::2, :nb] += X.real
@@ -212,7 +210,7 @@ def natural_metric(ts: TotalSpace, pt) -> np.ndarray:
 
 def horizontal_lift(ts: TotalSpace, pt, u) -> list:
     """Tangent coordinates of the connection lift (u, -A(u) v) at pt."""
-    A = _jet(ts.conn, pt)[0]
+    A = _point_coeff(ts.conn, pt)
     v = np.array(ts.fiber_values(pt), dtype=complex)
     w = -np.einsum("mab,b,m->a", A, v, np.asarray(u, dtype=float))
     return list(u) + [x for c in w for x in (c.real, c.imag)]

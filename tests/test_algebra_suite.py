@@ -4,15 +4,17 @@ import math
 
 from hktlab import suites
 from hktlab.charts import flat_chart
-from hktlab.suites import ScenarioConfig, algebra_records
+from hktlab.suites import ScenarioConfig, Tolerances, algebra_records
 
 # points and threshold of every n=3 record, as the sparse per-monomial
-# suite reported them before the su(2) operators were cached as blocks
+# suite reported them before the su(2) operators were cached as blocks;
+# unit-spectra has since been bounded by the eigenvalue tolerance tol.casimir
+# in place of a hard-coded 1e-5
 N3_RECORDS = {
     "sl2-brackets": (4096, 1e-12),
     "su2-brackets": (12288, 1e-12),
     "unit-weight": (4096, 1e-12),
-    "unit-spectra": (4096, 1e-5),
+    "unit-spectra": (4096, 1e-9),
     "casimir-spectrum": (4096, 1e-9),
     "weight-projectors": (4096, 1e-12),
     "positive-dimension": (7, 1e-12),
@@ -61,3 +63,14 @@ def test_no_noninvariant_draw_fails_detection(monkeypatch):
     assert r.value == math.inf and not r.passed
     assert r.points == 0
     assert records["invariant-annihilated(n=1)"].passed
+
+
+def test_unit_spectra_bound_is_the_casimir_tolerance():
+    # the spectra are compared unrounded, so their gap is a few ulps
+    # (about 1e-15), and a casimir tolerance below it fails the record
+    cfg = ScenarioConfig(samples=1, tol=Tolerances(casimir=1e-20))
+    records = {r.identity: r for r in algebra_records(cfg)}
+    for n in (1, 2):
+        r = records[f"unit-spectra(n={n})"]
+        assert r.threshold == 1e-20 and r.value < 1e-13
+        assert not r.passed

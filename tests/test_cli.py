@@ -1,9 +1,14 @@
+import contextlib
+import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hktlab import cli
 from hktlab.cli import main
-from hktlab.suites import SUITES
+from hktlab.suites import HOPF_Q_RANGE, SUITES, Tolerances
 
 FAST = ["--samples", "6", "--probes", "4"]
 
@@ -68,6 +73,8 @@ USAGE_ERRORS = [
     ["hopf", "--q=1e6", "--samples", "4"],
     ["hopf", "--q=1e-6", "--samples", "4"],
     ["hopf", "--q=1e300", "--samples", "4"],
+    # numpy's generator takes no negative seed
+    ["qpos", "--seed=-1", "--samples", "2"],
 ]
 
 
@@ -94,6 +101,21 @@ def test_out_file(tmp_path, capsys):
     assert payload["suite"] == "qpos"
 
 
+def test_unwritable_out_is_refused_before_any_run(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_run(cfg, suite):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    target = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["qpos", "--samples", "2", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert str(target) in captured.err
+
+
 def test_tolerance_override_can_force_failure(capsys):
     code = main(["algebra", "--tol-sl2", "0"] + FAST)
     assert code == 1
@@ -108,12 +130,56 @@ def test_subcommands_exist(name):
     assert exc.value.code == 2
 
 
-def test_infinite_tolerance_echoes_as_strict_json(capsys):
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
+
+def test_infinite_tolerance_echoes_as_strict_json(capsys):
     code = main(["algebra", "--tol-sl2", "inf", "--format", "json"] + FAST)
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
     assert code == 0
     assert payload["config"]["tolerances"]["sl2"] == "inf"
     assert "inf" in [r["threshold"] for r in payload["records"]]
+
+
+LO, HI = HOPF_Q_RANGE
+QS = [float("nan"), float("inf"), float("-inf"), 0.0, 1.0, -1.0, LO, -LO, HI,
+      -HI, 2.0, -1.6, 0.37, LO / 10, HI * 10, 1e300]
+TOL_FLAGS = ["--tol-" + f.name.replace("_", "-")
+             for f in dataclasses.fields(Tolerances)]
+
+
+# seeds near zero, negative ones included, are drawn as often as large ones
+SEEDS = st.one_of(st.integers(-3, 2), st.integers(0, 2**40))
+
+
+# Most draws are refused in milliseconds (each of n, samples, probes, q and
+# the tolerance can be out of range), so 200 examples reach a verdict about a
+# dozen times and take 1-2 s; the example pins the negative-seed crash.
+@settings(max_examples=200, deadline=None)
+@given(suite=st.sampled_from(["algebra", "qpos", "bundle", "hopf"]),
+       n=st.integers(0, 2), samples=st.integers(0, 2),
+       probes=st.integers(0, 2), seed=SEEDS,
+       q=st.sampled_from(QS), tol_flag=st.sampled_from(TOL_FLAGS),
+       tol=st.sampled_from([float("nan"), -1.0, 0.0, 1e-12, float("inf")]))
+@example(suite="qpos", n=1, samples=2, probes=2, seed=-1, q=2.0,
+         tol_flag="--tol-sl2", tol=0.0)
+def test_exit_code_contract(suite, n, samples, probes, seed, q, tol_flag, tol):
+    # 0 or 1 with a strict JSON report, or 2 with nothing on stdout; any
+    # other exception (a traceback) fails the test
+    argv = [suite, f"--n={n}", f"--samples={samples}", f"--probes={probes}",
+            f"--seed={seed}", f"--q={q!r}", f"{tol_flag}={tol!r}",
+            "--format", "json"]
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        assert not out.getvalue(), argv
+        return
+    assert code in (0, 1), argv
+    payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert payload["passed"] is (code == 0), argv

@@ -14,6 +14,7 @@ from hktlab.fields import (FormField, del_bar, del_hol, del_j,
 from hktlab.total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                                 natural_metric, omega_hor_expr,
                                 omega_ver_canonical, omega_ver_expr, psi,
+                                real_coframe_matrix,
                                 structure_matrix_field, total_space,
                                 xi_curv_expr)
 from hktlab.quaternions import hypercomplex_matrices
@@ -378,6 +379,26 @@ def test_totspace_coeff_calls(monkeypatch):
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
     assert calls == {"bpst": 904, "flat": 904}
+
+
+def test_plain_point_reads_coefficients_once():
+    # at a plain list nothing is memoised, and A alone needs one coeff call:
+    # none of the four seeded first derivatives of the jet
+    calls = []
+    conn = get_connection("bpst")
+
+    def coeff(pt):
+        calls.append(pt)
+        return conn.coeff(pt)
+
+    ts = total_space(dataclasses.replace(conn, coeff=coeff))
+    pt = [0.3, -0.2, 0.5, 0.1, 0.7, -0.4, 0.2, 0.6]
+    for fn in (lambda: natural_metric(ts, pt),
+               lambda: horizontal_lift(ts, pt, [1.0, 0.0, -0.5, 2.0]),
+               lambda: real_coframe_matrix(ts, pt)):
+        calls.clear()
+        fn()
+        assert len(calls) == 1
 
 
 def test_totspace_nijenhuis_rejects_nonholomorphic_lift():
