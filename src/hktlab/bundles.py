@@ -235,8 +235,3 @@ def bianchi_residual(conn: Connection, pt) -> float:
     lam, mu, nu = np.array(list(itertools.combinations(range(dim), 3))).T
     cyc = cov[lam, mu, nu] + cov[mu, nu, lam] + cov[nu, lam, mu]
     return max_keep_nan(np.abs(cyc).ravel())
-
-
-def curvature_scale(conn: Connection, pt) -> float:
-    grid = curvature_entry_forms(conn, pt)
-    return max_keep_nan(enorm(el) for row in grid for el in row)

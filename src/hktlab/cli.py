@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 
 from .suites import SUITES, ScenarioConfig, Tolerances, run_suite
@@ -64,16 +65,28 @@ def main(argv=None) -> int:
         cfg.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    # open --out before any suite runs, so a bad path costs no run
+    if args.n != 1 and args.suite in ("bundle", "totspace", "hopf"):
+        parser.error(f"--n must be 1 for {args.suite}: every catalog "
+                     "connection lives over H^1")
+    # the report goes to a temporary file beside --out, opened before any
+    # suite runs (so a bad path costs no run) and renamed once it is whole
+    tmp = f"{args.out}.{os.getpid()}.tmp" if args.out else None
+    if tmp and os.path.isdir(args.out):
+        parser.error(f"cannot write --out {args.out}: it is a directory")
     try:
-        sink = (open(args.out, "w") if args.out
-                else contextlib.nullcontext(sys.stdout))
+        sink = open(tmp, "x") if tmp else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
-    with sink as fh:
-        report = run_suite(cfg, args.suite)
-        fh.write(report.to_json() if args.format == "json"
-                 else report.to_text())
+    try:
+        with sink as fh:
+            report = run_suite(cfg, args.suite)
+            fh.write(report.to_json() if args.format == "json"
+                     else report.to_text())
+        if tmp:
+            os.replace(tmp, args.out)
+    finally:
+        if tmp and os.path.exists(tmp):
+            os.remove(tmp)
     return 0 if report.passed else 1
 
 

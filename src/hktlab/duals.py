@@ -8,12 +8,16 @@ inner and an outer seed would alias into the same infinitesimal and
 first-derivative values would contaminate second derivatives whenever a
 point-dependent coefficient sits between the two levels.
 
-Derivatives are taken along real coordinate directions only, so conj and
-the real part act slotwise and remain valid operations.
+Derivatives are taken along real coordinate directions only, so conj
+(dconj) acts slotwise and remains a valid operation.
 
 Seeded coordinates come back as a Point: a list with a memo of what has
 been built at it (chart tables, connection products), so every consumer of
 one seeded point shares one build, and the memo is freed with the point.
+
+A coordinate may also be a numpy array over a sweep's samples, so one pass
+evaluates them all (vector forward mode).  Dual.__array_ufunc__ = None makes
+`ndarray op Dual` defer to Dual (NumPy NEP 13), not build a slow object array.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ def fresh_level() -> int:
 
 class Dual:
     __slots__ = ("val", "dot", "level")
+    __array_ufunc__ = None  # ndarray op Dual defers to Dual's reflected op
 
     def __init__(self, val, dot=0.0, level=0):
         self.val = val
@@ -136,12 +141,6 @@ def dconj(x):
     if isinstance(x, Dual):
         return Dual(dconj(x.val), dconj(x.dot), x.level)
     return x.conjugate()
-
-
-def dre(x):
-    if isinstance(x, Dual):
-        return Dual(dre(x.val), dre(x.dot), x.level)
-    return x.real
 
 
 def dlog(x):

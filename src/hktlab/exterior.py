@@ -39,6 +39,7 @@ block (at most 64x64 at n=3, degree 6) instead of on 924x924 matrices.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -111,15 +112,17 @@ def wedge(a: Element, b: Element) -> Element:
     return out
 
 
-def enorm(a: Element) -> float:
-    """Largest coefficient modulus; nan if any coefficient is nan, whatever
-    the dict order (an infinite one, with no nan, gives inf)."""
+def enorm(a: Element):
+    """Largest coefficient modulus, per sample for array coefficients; nan if
+    a coefficient is nan, whatever the dict order (inf if one is inf)."""
     worst = 0.0
     for c in a.values():
         x = abs(numeric(c))
-        if math.isnan(x):
+        if isinstance(x, np.ndarray) or isinstance(worst, np.ndarray):
+            worst = np.maximum(worst, x)  # propagates nan entrywise
+        elif math.isnan(x):
             return math.nan
-        if x > worst:
+        elif x > worst:
             worst = x
     return worst
 
@@ -278,11 +281,15 @@ class StructureContext:
     # ----- basic structure maps -----
 
     def conj(self, el: Element) -> Element:
+        """Swaps the run of p labels below m and the run of q at or above m,
+        each shifted by m, with sign (-1)^(pq): no sort is needed."""
         m = self.m
         out: Element = {}
         for labels, c in el.items():
-            key, sgn = sort_sign(tuple((l + m) % (2 * m) for l in labels))
-            out[key] = dconj(c) * sgn if sgn != 1 else dconj(c)
+            p = bisect.bisect_left(labels, m)
+            key = (tuple(l - m for l in labels[p:])
+                   + tuple(l + m for l in labels[:p]))
+            out[key] = dconj(c) * -1 if p * (len(labels) - p) % 2 else dconj(c)
         return out
 
     def bidegree_of(self, labels) -> tuple[int, int]:

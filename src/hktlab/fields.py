@@ -20,7 +20,8 @@ dbar split the seeded value into its bidegrees, apply that d to each part and
 keep the (p+1, q) or (p, q+1) piece, so del, dbar and del_J compose by nesting
 closures (and dual levels) without re-running the inner field per bidegree.
 Chart tables are memoised on each Point, so one evaluation at one point
-shares a single build of each table.
+shares a single build of each table.  A Point may hold arrays over a sweep's
+samples (stack_points), and then one evaluation covers the whole sweep.
 
 del_J is the twisted holomorphic differential: on functions del_J f equals the
 multiplicative J applied to dbar f, and on (p, 0)-forms
@@ -251,6 +252,12 @@ def random_pq_field(chart: Chart, p: int, q: int, rng, terms: int = 4,
 
 def sample_points(rng, dim: int, count: int, scale: float = 1.0) -> list:
     return [(scale * rng.standard_normal(dim)).tolist() for _ in range(count)]
+
+
+def stack_points(pts) -> Point:
+    """One Point for a whole sweep: coordinate i is the float array of every
+    sample's i-th coordinate, in sample order."""
+    return Point(np.array(pts, dtype=float).T.copy())
 
 
 # ----- Nijenhuis tensor of an almost complex structure and its derivative -----

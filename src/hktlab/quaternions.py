@@ -34,16 +34,6 @@ def quat_mul(a, b):
     )
 
 
-def quat_conj(a):
-    a0, a1, a2, a3 = a
-    return (a0, -a1, -a2, -a3)
-
-
-def quat_im(a):
-    a0, a1, a2, a3 = a
-    return (0 * a0, a1, a2, a3)
-
-
 def quat_abs2(a):
     a0, a1, a2, a3 = a
     return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -52,11 +42,6 @@ def quat_abs2(a):
 def left_mult_matrix(unit: str) -> np.ndarray:
     """4x4 real matrix of b -> unit * b on components."""
     return np.array([quat_mul(UNITS[unit], e) for e in _BASIS], dtype=float).T
-
-
-def right_mult_matrix(q) -> np.ndarray:
-    """4x4 real matrix of b -> b * q on components."""
-    return np.array([quat_mul(e, q) for e in _BASIS], dtype=float).T
 
 
 def hypercomplex_matrices(n: int) -> dict[str, np.ndarray]:

@@ -12,7 +12,9 @@ Only records of whole operator blocks or of one value (the algebra block
 checks, r-omega, r-kernel-invariant, criteria-agreement and the totspace
 records of constant forms) state their count.  A suite's records share
 one cfg.rng() stream, and each sweep is consumed before the next starts,
-so the draws keep the order that fixes every value of the report.
+so the draws keep the order that fixes every value of the report.  The
+bicomplex sweeps and the totspace del-closed sweep evaluate each field
+once, at the stacked Point of all their samples, field-major as before.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
                      random_form_field, random_polynomial, random_pq_field,
-                     sample_points, scalar_field)
+                     sample_points, scalar_field, stack_points)
 from .hermitian import (gram, hermitian_pair, hyperhermitian_project,
                         hyperhermitian_residual, omega_from_gram, qpos_margin,
                         qreal_residual, quaternionic_conj,
@@ -116,6 +118,17 @@ class ScenarioConfig:
 def _rand_element(monos, rng) -> dict:
     return {mono: complex(rng.standard_normal(), rng.standard_normal())
             for mono in monos}
+
+
+def _stacked_records(specs, pts, columns) -> list:
+    """Records of a sweep whose fields each evaluate once, at the stacked Point
+    of its samples: column j lists the Point -> element maps whose enorm, an
+    array over the samples or one value they share, gives spec j's values."""
+    stacked = stack_points(pts)
+    cols = [[float(x) for f in fields
+             for x in np.broadcast_to(enorm(f(stacked)), len(pts))]
+            for fields in columns]
+    return sweep_records(specs, zip(*cols) if len(cols) > 1 else cols[0])
 
 
 def _max_abs(arrays) -> float:
@@ -294,10 +307,12 @@ def algebra_records(cfg: ScenarioConfig) -> list:
 
 # ----- bicomplex -----
 
-def bicomplex_records(cfg: ScenarioConfig) -> list:
+def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
+    """The bicomplex sweeps as (specs, samples, columns), drawn in report
+    order: column j lists the fields, as Point -> element maps, whose enorm
+    at each sample is a value of the record of spec j."""
     tol = cfg.tol
     rng = cfg.rng()
-    out = []
     ch = flat_chart(cfg.n)
     pts = sample_points(rng, ch.dim, cfg.samples)
 
@@ -309,77 +324,71 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
     f20 = random_pq_field(ch, 2, 0, rng) if ch.ctx.m >= 2 else f10
     one = random_form_field(ch, 1, rng)
 
-    def anti(f):
-        a = del_hol(del_j(f))
-        b = del_j(del_hol(f))
-        return FormField(a.chart, a.degree,
-                         lambda pt: eadd(a.eval_real(pt), b.eval_real(pt)))
+    def gap(lhs, rhs, k=1.0):
+        return lambda pt: esub(lhs.at(pt), escale(rhs.at(pt), k))
 
-    for identity, detail, zeros in (
-            ("d-squared", "d of d vanishes on scalars and 1-form fields",
-             [exterior_d(exterior_d(f)) for f in scalars + [one]]),
-            ("del-squared", "del of del vanishes",
-             [del_hol(del_hol(f)) for f in scalars + [f10, f11]]),
-            ("dbar-squared", "dbar of dbar vanishes",
-             [del_bar(del_bar(f)) for f in scalars + [f01, f11]]),
-            ("delj-squared", "del_J of del_J vanishes on (p,0) fields",
-             [del_j(del_j(f)) for f in scalars + [f10, f20]]),
-            ("del-delj-anticommute",
-             "del and del_J anticommute on (p,0) fields",
-             [anti(f) for f in scalars + [f10]])):
-        out += sweep_records([Spec(identity, detail, tol.bicomplex)],
-                             (enorm(g.at(pt)) for g in zeros for pt in pts))
+    def transfer(f):
+        ddj, ddb = del_hol(del_j(f)), del_hol(del_bar(f))
+        return lambda pt: esub(ddj.frame_at(pt),
+                               ch.ctx.raising(ddb.frame_at(pt)))
 
-    pairs = [(del_hol(del_j(f)), del_hol(del_bar(f))) for f in scalars]
-    out += sweep_records([Spec(
-        "ddj-r-transfer", "del del_J equals R applied to del dbar on scalars",
-        tol.bicomplex)], (enorm(esub(ddj.frame_at(pt),
-                                     ch.ctx.raising(ddb.frame_at(pt))))
-                          for ddj, ddb in pairs for pt in pts))
+    sweeps = [([Spec(identity, detail, tol.bicomplex)], pts, [fields])
+              for identity, detail, fields in (
+        ("d-squared", "d of d vanishes on scalars and 1-form fields",
+         [exterior_d(exterior_d(f)).at for f in scalars + [one]]),
+        ("del-squared", "del of del vanishes",
+         [del_hol(del_hol(f)).at for f in scalars + [f10, f11]]),
+        ("dbar-squared", "dbar of dbar vanishes",
+         [del_bar(del_bar(f)).at for f in scalars + [f01, f11]]),
+        ("delj-squared", "del_J of del_J vanishes on (p,0) fields",
+         [del_j(del_j(f)).at for f in scalars + [f10, f20]]),
+        ("del-delj-anticommute", "del and del_J anticommute on (p,0) fields",
+         [gap(del_hol(del_j(f)), del_j(del_hol(f)), -1.0)
+          for f in scalars + [f10]]),
+        ("ddj-r-transfer", "del del_J equals R applied to del dbar on "
+         "scalars", [transfer(f) for f in scalars]))]
 
     sq = scalar_field(ch, lambda pt: sum(x * x for x in pt))
     dd = del_hol(del_j(sq))
     target = escale(ch.ctx.omega_canonical(), 2.0)
-    out += sweep_records([Spec(
+    sweeps.append(([Spec(
         "moment-potential",
         "del del_J of the squared radius is twice the canonical form",
-        tol.bicomplex)], (enorm(esub(dd.frame_at(pt), target))
-                          for pt in pts[:3]))
+        tol.bicomplex)], pts[:3],
+        [[lambda pt: esub(dd.frame_at(pt), target)]]))
 
     chx = flat_chart(max(2, cfg.n))
     cpts = sample_points(rng, chx.dim, max(3, cfg.samples // 30))
-    rows = []
+    prime, second = [], []
     for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
         eta = random_pq_field(chx, p, q, rng, top_weight=True)
         phi_eta = ladder_map(eta, p, q)
-        lhs_p = ladder_map(d_plus(eta, p, q, "prime"), p + 1, q)
-        rhs_p = del_hol(phi_eta)
-        kp = (p + 1) / (p + q + 1)
-        lhs_s = ladder_map(d_plus(eta, p, q, "second"), p, q + 1)
-        rhs_s = del_j(phi_eta)
-        ks = 1.0 / (p + q + 1)
-        rows += [(enorm(esub(lhs_p.at(pt),
-                             {k: kp * v for k, v in rhs_p.at(pt).items()})),
-                  enorm(esub(lhs_s.at(pt),
-                             {k: ks * v for k, v in rhs_s.at(pt).items()})))
-                 for pt in cpts]
-    out += sweep_records([
+        prime.append(gap(ladder_map(d_plus(eta, p, q, "prime"), p + 1, q),
+                         del_hol(phi_eta), (p + 1) / (p + q + 1)))
+        second.append(gap(ladder_map(d_plus(eta, p, q, "second"), p, q + 1),
+                          del_j(phi_eta), 1.0 / (p + q + 1)))
+    sweeps.append(([
         Spec("ladder-correspondence-prime",
              "normalized R-ladder intertwines the first refined "
              "differential with (p+1)/(p+q+1) del", tol.correspondence),
         Spec("ladder-correspondence-second",
              "normalized R-ladder intertwines the second refined "
-             "differential with 1/(p+q+1) del_J", tol.correspondence)], rows)
+             "differential with 1/(p+q+1) del_J", tol.correspondence)],
+        cpts, [prime, second]))
 
     fields = [random_pq_field(chx, p, 0, rng) for p in range(3)]
-    pairs = [(d_plus(f, p, 0, "prime"), del_hol(f))
-             for p, f in enumerate(fields)]
-    out += sweep_records([Spec(
+    sweeps.append(([Spec(
         "dplus-is-del",
         "the first refined differential reduces to del on (p,0) fields",
-        tol.correspondence)], (enorm(esub(dp.at(pt), dh.at(pt)))
-                               for dp, dh in pairs for pt in cpts))
-    return out
+        tol.correspondence)], cpts,
+        [[gap(d_plus(f, p, 0, "prime"), del_hol(f))
+          for p, f in enumerate(fields)]]))
+    return sweeps
+
+
+def bicomplex_records(cfg: ScenarioConfig) -> list:
+    return [r for sweep in _bicomplex_sweeps(cfg)
+            for r in _stacked_records(*sweep)]
 
 
 # ----- q-positivity layer -----
@@ -641,9 +650,9 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
 
     omega_el = eadd(omega_hor_expr(ts), two_over)
     dom = del_hol(FormField(ch, 2, lambda pt: omega_el))
-    out += sweep_records([Spec(
+    out += _stacked_records([Spec(
         "del-closed", "del of the candidate HKT form vanishes", tolv)],
-        (enorm(dom.at(pt)) for pt in pts))
+        pts, [[dom.at]])
 
     # the candidate form has constant frame coefficients: one evaluation
     out.append(residual_record(

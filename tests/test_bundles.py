@@ -7,19 +7,26 @@ import numpy as np
 import pytest
 
 from hktlab import bundles, suites
+from conftest import quat_conj, quat_im
 from hktlab.bundles import (bianchi_residual, catalog_names, curvature,
-                            curvature_entry_forms, curvature_scale,
-                            get_connection, instanton_coeff,
-                            invariance_residual, type11_residual)
+                            curvature_entry_forms, get_connection,
+                            instanton_coeff, invariance_residual,
+                            type11_residual)
 from hktlab.charts import flat_chart
 from hktlab.duals import dot_part, fresh_level, numeric, seed_unit, val_part
 from hktlab.fields import sample_points
-from hktlab.quaternions import (quat_abs2, quat_conj, quat_im, quat_mul,
-                                right_mult_c2)
+from hktlab.exterior import enorm
+from hktlab.quaternions import quat_abs2, quat_mul, right_mult_c2
+from hktlab.report import max_keep_nan
 from hktlab.suites import ScenarioConfig, bundle_records
 
 # star pairs on 2-forms of R^4, orientation dx0 dx1 dx2 dx3
 STAR_PAIRS = [((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2))]
+
+
+def curvature_scale(conn, pt) -> float:
+    grid = curvature_entry_forms(conn, pt)
+    return max_keep_nan(enorm(el) for row in grid for el in row)
 
 
 def entry(F, a, b):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hktlab import cli
 from hktlab.cli import main
+from hktlab.report import VerificationReport
 from hktlab.suites import HOPF_Q_RANGE, SUITES, Tolerances
 
 FAST = ["--samples", "6", "--probes", "4"]
@@ -75,6 +76,10 @@ USAGE_ERRORS = [
     ["hopf", "--q=1e300", "--samples", "4"],
     # numpy's generator takes no negative seed
     ["qpos", "--seed=-1", "--samples", "2"],
+    # every catalog connection lives over H^1
+    ["bundle", "--n", "2"] + FAST,
+    ["totspace", "--n", "3"] + FAST,
+    ["hopf", "--n", "2"] + FAST,
 ]
 
 
@@ -114,6 +119,50 @@ def test_unwritable_out_is_refused_before_any_run(tmp_path, capsys,
     captured = capsys.readouterr()
     assert not captured.out
     assert str(target) in captured.err
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = ["qpos", "--format", "json"] + FAST
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_text() == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_is_not_left_behind_by_a_run_that_raises(tmp_path, monkeypatch):
+    def broken_run(cfg, suite):
+        raise RuntimeError("suite stopped")
+
+    monkeypatch.setattr(cli, "run_suite", broken_run)
+    target = tmp_path / "r.json"
+    with pytest.raises(RuntimeError):
+        main(["qpos", "--samples", "2", "--out", str(target)])
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_directory_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qpos", "--samples", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_all_still_takes_n(monkeypatch, capsys):
+    # all applies n to algebra, bicomplex and qpos; the H^1 suites refuse it
+    # only when run alone
+    seen = []
+
+    def recorded_run(cfg, suite):
+        seen.append((cfg.n, suite))
+        return VerificationReport(suite, cfg.echo())
+
+    monkeypatch.setattr(cli, "run_suite", recorded_run)
+    assert main(["all", "--n", "2"] + FAST) == 0
+    assert seen == [(2, "all")]
 
 
 def test_tolerance_override_can_force_failure(capsys):

@@ -3,11 +3,13 @@ derivatives through point-dependent coefficients come out right."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hktlab.duals import (Dual, dconj, dlog, dot_part, dre, fresh_level,
-                          numeric, seed_unit, val_part)
+from conftest import dre
+from hktlab.duals import (Dual, dconj, dlog, dot_part, fresh_level, numeric,
+                          seed_unit, val_part)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -124,3 +126,19 @@ def test_seed_unit():
 def test_fresh_levels_increase():
     a, b = fresh_level(), fresh_level()
     assert b > a
+
+
+def test_ndarray_times_dual_is_a_dual():
+    # without Dual.__array_ufunc__ = None numpy builds an object array
+    lev = fresh_level()
+    for out in (np.ones(3) * Dual(1.0, 1.0, lev),
+                np.arange(3.0) + Dual(2.0, 1.0, lev),
+                np.arange(3.0) - Dual(2.0, 1.0, lev),
+                np.arange(1.0, 4.0) / Dual(2.0, 1.0, lev)):
+        assert isinstance(out, Dual) and out.level == lev
+    out = np.arange(1.0, 4.0) * Dual(np.array([2.0, 3.0, 4.0]), 1.0, lev)
+    assert list(out.val) == [2.0, 6.0, 12.0]
+    assert list(out.dot) == [1.0, 2.0, 3.0]
+    out = np.arange(1.0, 4.0) / Dual(2.0, 1.0, lev)
+    assert list(out.val) == [0.5, 1.0, 1.5]
+    assert list(out.dot) == [-0.25, -0.5, -0.75]

@@ -207,6 +207,43 @@ def test_conj_is_antilinear_involution():
                       escale(ctx.conj(el), -1j))) == 0.0
 
 
+def test_enorm_keeps_a_nan_in_its_own_sample():
+    el = {(0,): np.array([1.0, math.nan, 2.0]),
+          (1,): np.array([3.0 + 4.0j, 0.5, -4.0])}
+    got = enorm(el)
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+    assert got[0] == 5.0 and got[2] == 4.0
+    # the same per sample whatever the dict order
+    got = enorm(dict(reversed(list(el.items()))))
+    assert np.isnan(got[1]) and list(got[[0, 2]]) == [5.0, 4.0]
+
+
+def test_enorm_broadcasts_plain_and_array_coefficients():
+    el = {(0,): 2.5, (1,): np.array([1.0, -3.0j, 0.5]), (2,): -1.0 + 0.0j}
+    assert list(enorm(el)) == [2.5, 3.0, 2.5]
+    assert list(enorm({(0,): np.array([0.5, 7.0]), (1,): 2.0})) == [2.0, 7.0]
+    nan_plain = enorm({(0,): np.array([0.5, 7.0]), (1,): math.nan})
+    assert np.isnan(np.broadcast_to(nan_plain, (2,))).all()
+
+
+def test_enorm_of_plain_coefficients_is_a_float():
+    assert type(enorm({(0,): 1.0 + 1.0j, (1,): -3.0})) is float
+    assert enorm({(0,): 1.0 + 1.0j, (1,): -3.0}) == 3.0
+    assert type(enorm({})) is float and enorm({}) == 0.0
+    assert math.isnan(enorm({(0,): 1.0, (1,): math.nan, (2,): 5.0}))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_conj_swaps_the_label_runs(m):
+    # brute-force oracle: shift every label across the middle and sort it,
+    # with the sign of the sorting permutation
+    ctx = _ctx(m)
+    for k in range(2 * m + 1):
+        for mono in ctx.basis(k):
+            key, sgn = sort_sign(tuple((l + m) % (2 * m) for l in mono))
+            assert ctx.conj({mono: 1.0 + 2.0j}) == {key: sgn * (1.0 - 2.0j)}
+
+
 def test_hodge_components_sum():
     ctx = _ctx(2)
     el = {mono: complex(i, -i) for i, mono in enumerate(ctx.basis(2), 1)}

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import quat_conj, quat_im
 from hktlab.quaternions import (UNITS, fiber_j_matrix, hypercomplex_matrices,
-                                left_mult_matrix, quat_abs2, quat_conj,
-                                quat_im, quat_mul, right_mult_c2,
-                                right_mult_matrix)
+                                left_mult_matrix, quat_abs2, quat_mul,
+                                right_mult_c2)
+
+
+def right_mult_matrix(q) -> np.ndarray:
+    """4x4 real matrix of b -> b * q on components."""
+    return np.array([quat_mul(UNITS[u], q) for u in "1ijk"], dtype=float).T
 
 
 def test_quaternion_table():

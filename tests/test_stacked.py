@@ -1,0 +1,82 @@
+"""A sweep evaluated at the stacked Point of its samples agrees with the same
+fields evaluated at each sample's own plain-float Point.
+
+The plain-float Point runs the same operator code with float coordinates,
+so it is the oracle: entry by entry, each sample's coefficients must match
+to 1e-12 relative to that sample's largest coefficient (at least 1).
+"""
+
+import numpy as np
+import pytest
+
+from hktlab import suites
+from hktlab.bundles import get_connection
+from hktlab.charts import flat_chart
+from hktlab.duals import Point, numeric
+from hktlab.exterior import eadd, enorm, escale
+from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
+                           exterior_d, ladder_map, random_form_field,
+                           random_polynomial, random_pq_field, sample_points,
+                           scalar_field, stack_points)
+from hktlab.suites import ScenarioConfig
+from hktlab.total_space import (omega_hor_expr, omega_ver_canonical, psi,
+                                total_space)
+
+
+def assert_agrees(evaluate, pts):
+    stacked = evaluate(stack_points(pts))
+    for k, pt in enumerate(pts):
+        el = evaluate(Point(pt))
+        scale = max(1.0, enorm(el))
+        for key in stacked.keys() | el.keys():
+            got = np.broadcast_to(numeric(stacked.get(key, 0.0)),
+                                  (len(pts),))[k]
+            assert abs(got - el.get(key, 0.0)) <= 1e-12 * scale, (key, k)
+
+
+def test_stack_points_keeps_the_samples():
+    pts = [[0.5, -1.0, 2.0], [3.0, 0.25, -0.75]]
+    stacked = stack_points(pts)
+    assert isinstance(stacked, Point) and len(stacked) == 3
+    assert [list(map(float, c)) for c in zip(*stacked)] == pts
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bicomplex_sweeps_agree_with_each_sample(n):
+    sweeps = suites._bicomplex_sweeps(ScenarioConfig(n=n, samples=3))
+    assert len(sweeps) == 9
+    for _, pts, columns in sweeps:
+        for fields in columns:
+            for f in fields:
+                assert_agrees(f, pts)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operators_agree_with_each_sample(rng, n):
+    # the sweeps' fields are residuals near zero; their operands are not
+    ch = flat_chart(n)
+    pts = sample_points(rng, ch.dim, 3)
+    f = random_polynomial(ch, rng, real=False)
+    one = random_form_field(ch, 1, rng)
+    f10 = random_pq_field(ch, 1, 0, rng)
+    eta = random_pq_field(ch, 1, 1, rng, top_weight=True)
+    e10 = random_pq_field(ch, 1, 0, rng, top_weight=True)
+    for field in (exterior_d(one), del_bar(f), del_j(f), del_hol(del_j(f)),
+                  del_bar(f10), ladder_map(eta, 1, 1),
+                  d_plus(e10, 1, 0, "prime"),
+                  ladder_map(d_plus(e10, 1, 0, "second"), 1, 1)):
+        assert enorm(field.at(pts[0])) > 1e-3
+        assert_agrees(field.at, pts)
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum", "flat"])
+def test_del_closed_agrees_with_each_sample(rng, bundle):
+    ts = total_space(get_connection(bundle))
+    ch = ts.chart
+    pts = [Point(pt) for pt in sample_points(rng, ts.dim, 3)]
+    omega = eadd(omega_hor_expr(ts), escale(omega_ver_canonical(ts), 2.0))
+    assert_agrees(del_hol(FormField(ch, 2, lambda pt: omega)).at, pts)
+    # a field that does not vanish, through the same point-dependent tables
+    psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
+    assert_agrees(del_hol(del_bar(psi_f)).frame_at, pts)
+    assert_agrees(exterior_d(del_j(psi_f)).at, pts)

@@ -1,11 +1,15 @@
 """Suite records count what they evaluate, and a nan sample fails them.
 
 Each nan test wraps one helper that a suite imports so that it returns nan
-at one call that is neither the first nor the last of the record's sweep;
-the record must then FAIL with value nan, and its neighbours still pass.
+at one call that is neither the first nor the last of the record's sweep
+(or, where the sweep evaluates all its samples at once, at one sample of
+such a call); the record must then FAIL with value nan, and its neighbours
+still pass.
 """
 
 import math
+
+import numpy as np
 
 from hktlab import suites
 from hktlab.suites import (ScenarioConfig, bicomplex_records, hopf_records,
@@ -46,9 +50,23 @@ def test_qpos_positivity_margin_nan_fails(monkeypatch):
 
 
 def test_bicomplex_d_squared_nan_fails(monkeypatch):
-    # d-squared is the first record: 4 fields times 3 points
-    nan_at(monkeypatch, "enorm", 5)
+    # d-squared is the first record: 4 fields, each evaluated once at the
+    # stacked Point of 3 samples; the nan goes into the middle sample of the
+    # second field's per-sample array
+    real = suites.enorm
+    calls = []
+
+    def wrapped(el):
+        value = real(el)
+        calls.append(value)
+        if len(calls) == 2:
+            value = np.array(np.broadcast_to(value, (3,)))
+            value[1] = math.nan
+        return value
+
+    monkeypatch.setattr(suites, "enorm", wrapped)
     records = by_identity(bicomplex_records(ScenarioConfig(samples=3)))
+    assert np.shape(calls[1]) == (3,)
     assert records["d-squared"].points == 12
     assert_nan_fail(records["d-squared"])
     assert records["del-squared"].passed

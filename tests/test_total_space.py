@@ -7,7 +7,8 @@ import pytest
 from hktlab import bundles, duals, suites
 from hktlab.bundles import catalog_names, get_connection
 from hktlab.charts import Chart, to_frame, to_real
-from hktlab.duals import Point, dconj, dot_part, dre, fresh_level, seed_unit
+from conftest import dre
+from hktlab.duals import Point, dconj, dot_part, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (FormField, del_bar, del_hol, del_j,
                            nijenhuis_residual, sample_points, scalar_field)
@@ -359,11 +360,13 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # 904 per sweep of 20 samples, from the jet (1 + 4 calls at each sample,
+    # 753 per sweep of 20 samples, from the jet (1 + 4 calls at each sample,
     # zero-fiber copy and fiber-doubled twin) and the chart tables; the
-    # structure equation, the natural metric, the horizontal lifts and the
-    # lifted structures (the 120 Nijenhuis and 60 structure-matrix
-    # evaluations) read the jet memoised on each sample and add none
+    # del-closed sweep builds its tables once at the stacked Point of the 20
+    # samples (1 + 8 seeds: 9 calls, not 8 per sample); the structure
+    # equation, the natural metric, the horizontal lifts and the lifted
+    # structures (the 120 Nijenhuis and 60 structure-matrix evaluations)
+    # read the jet memoised on each sample and add none
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -378,7 +381,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 904, "flat": 904}
+    assert calls == {"bpst": 753, "flat": 753}
 
 
 def test_plain_point_reads_coefficients_once():
