@@ -9,6 +9,11 @@ direction) gives the curvature as one (dim, dim, r, r) array
 
     F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
+At a stacked Point (fields.stack_points), whose coordinates are arrays over
+a sweep's S samples, each of these arrays gains a leading sample axis: A is
+(S, dim, r, r), dA and F are (S, dim, dim, r, r), and one coeff call per
+seed serves every sample.
+
 The Bianchi residual is the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu],
 with d_lam F_mu_nu = d_lam d_mu A_nu - d_lam d_nu A_mu + [d_lam A_mu, A_nu]
 + [A_mu, d_lam A_nu] from two-level seeds of coeff, built by the same
@@ -23,9 +28,11 @@ structures are implemented and compared against each other:
   * type: the curvature is (1, 1) with respect to each of I, J, K.
 
 The residuals read the jet and the curvature through the memo of a Point
-(duals.point_memo), so the criteria evaluated at one sample share one
+(duals.point_memo), so the criteria evaluated at one Point share one
 curvature, and accept the flat I/J/K charts prebuilt (structure_charts).
-Their maxima keep a nan (report.max_keep_nan), so a nan curvature fails.
+Each residual is a maximum per sample: a float at a plain point, an array
+over the samples at a stacked one.  A nan stays in its own sample, so a nan
+curvature fails the records of that sample's sweep.
 
 The catalog ships the flat connection, the standard 1-instanton on H (fiber H,
 acting by right quaternion multiplication), its direct sum with the dual
@@ -42,10 +49,9 @@ from typing import Callable
 import numpy as np
 
 from .charts import flat_chart, to_frame
-from .duals import dot_part, fresh_level, point_memo, seed_unit
+from .duals import dot_part, fresh_level, point_memo, sample_shape, seed_unit
 from .exterior import Element, element_from_antisym, enorm
 from .quaternions import fiber_j_matrix, quat_abs2, right_mult_c2
-from .report import max_keep_nan
 
 
 @dataclass
@@ -131,8 +137,10 @@ def get_connection(name: str) -> Connection:
 
 
 def _derivative(conn: Connection, pt, dirs=()) -> np.ndarray:
-    """d_{dirs[0]} d_{dirs[1]} ... A at a plain point, shape (dim, r, r), from
-    one coeff call with each direction seeded at its own level."""
+    """d_{dirs[0]} d_{dirs[1]} ... A at an unseeded point, shape (..., dim, r,
+    r) with the point's sample axis leading, from one coeff call with each
+    direction seeded at its own level."""
+    samples = sample_shape(pt)
     levels = []
     for i in dirs:
         levels.append(fresh_level())
@@ -143,8 +151,18 @@ def _derivative(conn: Connection, pt, dirs=()) -> np.ndarray:
             x = dot_part(x, lev)
         return x
 
-    return np.array([[[part(x) for x in row] for row in Anu]
-                     for Anu in conn.coeff(pt)], dtype=complex)
+    entries = [[[part(x) for x in row] for row in Anu]
+               for Anu in conn.coeff(pt)]
+    if not samples:
+        return np.array(entries, dtype=complex)
+    # an entry is an array over the samples or a number they share
+    out = np.empty(samples + (len(entries), conn.rank, conn.rank),
+                   dtype=complex)
+    for mu, Anu in enumerate(entries):
+        for a, row in enumerate(Anu):
+            for b, x in enumerate(row):
+                out[..., mu, a, b] = x
+    return out
 
 
 def _point_coeff(conn: Connection, pt) -> np.ndarray:
@@ -158,7 +176,8 @@ def _jet(conn: Connection, pt):
     dim = 4 * conn.base_n
     return point_memo(pt, ("jet", conn.coeff), lambda p: (
         _point_coeff(conn, p),
-        np.array([_derivative(conn, p, (lam,)) for lam in range(dim)])))
+        np.stack([_derivative(conn, p, (lam,)) for lam in range(dim)],
+                 axis=-4)))
 
 
 # batched a @ b summed in index order like a plain Python sum (matmul may
@@ -175,7 +194,7 @@ def _field_strength(D, X, Y) -> np.ndarray:
 
 
 def curvature(conn: Connection, pt) -> np.ndarray:
-    """F[mu, nu] as an array of shape (dim, dim, r, r)."""
+    """F[..., mu, nu] as an array of shape (..., dim, dim, r, r)."""
     A, dA = _jet(conn, pt)
     return _field_strength(dA, A, A)
 
@@ -194,19 +213,26 @@ def structure_charts(n: int) -> dict:
 def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
     """Curvature as an r x r grid of real-label 2-form elements."""
     F = _point_curvature(conn, pt)
-    return [[element_from_antisym(F[:, :, a, b]) for b in range(conn.rank)]
+    return [[element_from_antisym(F[..., a, b]) for b in range(conn.rank)]
             for a in range(conn.rank)]
 
 
-def invariance_residual(conn: Connection, pt, charts=None) -> float:
+def _max_per_sample(pt, values):
+    """Largest of values and 0.0 at each sample of pt, nan where one is nan:
+    a float at a plain point, an array over the samples at a stacked one."""
+    return functools.reduce(np.maximum, values, np.zeros(sample_shape(pt)))
+
+
+def invariance_residual(conn: Connection, pt, charts=None):
     """Max weight-2 component of the curvature over all fiber entries."""
     ch = (charts or structure_charts(conn.base_n))["I"]
     grid = curvature_entry_forms(conn, pt)
-    return max_keep_nan(enorm(ch.ctx.weight_project(to_frame(ch, el, pt), 2))
-                        for row in grid for el in row)
+    return _max_per_sample(pt, (
+        enorm(ch.ctx.weight_project(to_frame(ch, el, pt), 2))
+        for row in grid for el in row))
 
 
-def type11_residual(conn: Connection, pt, charts=None) -> float:
+def type11_residual(conn: Connection, pt, charts=None):
     """Max (2,0) + (0,2) component w.r.t. each of I, J, K."""
     charts = charts or structure_charts(conn.base_n)
     grid = curvature_entry_forms(conn, pt)
@@ -219,19 +245,31 @@ def type11_residual(conn: Connection, pt, charts=None) -> float:
                     yield enorm(ch.ctx.component(fr, 2, 0))
                     yield enorm(ch.ctx.component(fr, 0, 2))
 
-    return max_keep_nan(parts())
+    return _max_per_sample(pt, parts())
 
 
-def bianchi_residual(conn: Connection, pt) -> float:
+def bianchi_residual(conn: Connection, pt):
     """Max entry of the cyclic sum over lam < mu < nu of
-    d_lam F_mu_nu + [A_lam, F_mu_nu]."""
+    d_lam F_mu_nu + [A_lam, F_mu_nu], per sample.
+
+    The covariant derivative is built one lam at a time and added to the
+    sums of the triples that a rotation starting at lam belongs to, so each
+    sum runs (lam, mu, nu), (mu, nu, lam), (nu, lam, mu), and only one lam's
+    arrays are held at once."""
     dim = 4 * conn.base_n
     A, dA = _jet(conn, pt)
     F = _point_curvature(conn, pt)
-    d2A = np.array([[_derivative(conn, pt, (lam, mu)) for mu in range(dim)]
-                    for lam in range(dim)])
-    dF = _field_strength(d2A, dA, A) + _field_strength(0, A, dA)
-    cov = dF + (_mul(A[:, None, None], F) - _mul(F, A[:, None, None]))
-    lam, mu, nu = np.array(list(itertools.combinations(range(dim), 3))).T
-    cyc = cov[lam, mu, nu] + cov[mu, nu, lam] + cov[nu, lam, mu]
-    return max_keep_nan(np.abs(cyc).ravel())
+    triples = list(itertools.combinations(range(dim), 3))
+    rotations = [(t, rot) for t, (l, m, n) in enumerate(triples)
+                 for rot in ((l, m, n), (m, n, l), (n, l, m))]
+    cyc = np.zeros(A.shape[:-3] + (len(triples),) + A.shape[-2:],
+                   dtype=complex)
+    for lam in range(dim):
+        d2A = np.stack([_derivative(conn, pt, (lam, mu)) for mu in range(dim)],
+                       axis=-4)
+        dA_lam, A_lam = dA[..., lam, :, :, :], A[..., lam, None, None, :, :]
+        dF = _field_strength(d2A, dA_lam, A) + _field_strength(0, A, dA_lam)
+        cov = dF + (_mul(A_lam, F) - _mul(F, A_lam))
+        t, mu, nu = zip(*[(t, b, c) for t, (a, b, c) in rotations if a == lam])
+        cyc[..., t, :, :] += cov[..., mu, nu, :, :]
+    return np.max(np.abs(cyc), axis=(-3, -2, -1))

@@ -68,6 +68,9 @@ def main(argv=None) -> int:
     if args.n != 1 and args.suite in ("bundle", "totspace", "hopf"):
         parser.error(f"--n must be 1 for {args.suite}: every catalog "
                      "connection lives over H^1")
+    if args.n not in (1, 2) and args.suite == "qpos":
+        parser.error("--n must be 1 or 2 for qpos: it checks H^1 and H^2 "
+                     "whatever --n is")
     # the report goes to a temporary file beside --out, opened before any
     # suite runs (so a bad path costs no run) and renamed once it is whole
     tmp = f"{args.out}.{os.getpid()}.tmp" if args.out else None

@@ -26,6 +26,8 @@ import cmath
 import itertools
 import math
 
+import numpy as np
+
 _levels = itertools.count(1)
 
 
@@ -158,6 +160,12 @@ class Point(list):
     def __init__(self, coords):
         super().__init__(coords)
         self.memo = {}
+
+
+def sample_shape(pt) -> tuple:
+    """() at a plain point, (S,) at one whose coordinates are arrays over S
+    samples."""
+    return np.shape(numeric(pt[0]))
 
 
 def as_point(coords):

@@ -414,7 +414,15 @@ class StructureContext:
 
 def element_from_antisym(A) -> Element:
     """The 2-form sum_{a<b} (1/2)(A_ab - A_ba) theta_a ^ theta_b of a square
-    matrix, with plain complex coefficients and no exact zeros."""
+    matrix, with plain complex coefficients and no exact zeros.  An array of
+    shape (..., m, m) gives each coefficient as its array over the leading
+    (sample) axes, dropped only where it is zero at every sample."""
+    if A.ndim > 2:
+        half = np.moveaxis(0.5 * (A - np.swapaxes(A, -1, -2)), (-2, -1),
+                           (0, 1)).copy()
+        return {(a, b): half[a, b]
+                for a, b in itertools.combinations(range(len(half)), 2)
+                if half[a, b].any()}
     m = len(A)
     out: Element = {}
     for a in range(m):

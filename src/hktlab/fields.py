@@ -262,12 +262,15 @@ def stack_points(pts) -> Point:
 
 # ----- Nijenhuis tensor of an almost complex structure and its derivative -----
 
-def nijenhuis_residual(L: np.ndarray, dL: np.ndarray) -> float:
+def nijenhuis_residual(L: np.ndarray, dL: np.ndarray):
     """Max component of N_L(e_i, e_j) for the real matrix L at a point and
     its exact first derivative dL[k, j, l] = d_l L[k, j] there
-    (total_space.structure_matrix_field builds both by the chain rule)."""
-    term1 = np.einsum('li,kjl->kij', L, dL)
-    term2 = np.einsum('lj,kil->kij', L, dL)
-    term3 = np.einsum('kl,lji->kij', L, dL)
-    term4 = np.einsum('kl,lij->kij', L, dL)
-    return float(np.max(np.abs(term1 - term2 - term3 + term4)))
+    (total_space.structure_matrix_field builds both by the chain rule).
+    Leading axes are samples: the maximum is taken per sample, and a nan
+    stays in its own sample."""
+    # summed in place, in the order term1 - term2 - term3 + term4
+    N = np.einsum('...li,...kjl->...kij', L, dL)
+    N -= np.einsum('...lj,...kil->...kij', L, dL)
+    N -= np.einsum('...kl,...lji->...kij', L, dL)
+    N += np.einsum('...kl,...lij->...kij', L, dL)
+    return np.max(np.abs(N), axis=(-3, -2, -1))

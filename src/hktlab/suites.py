@@ -13,8 +13,10 @@ checks, r-omega, r-kernel-invariant, criteria-agreement and the totspace
 records of constant forms) state their count.  A suite's records share
 one cfg.rng() stream, and each sweep is consumed before the next starts,
 so the draws keep the order that fixes every value of the report.  The
-bicomplex sweeps and the totspace del-closed sweep evaluate each field
-once, at the stacked Point of all their samples, field-major as before.
+bicomplex sweeps, the bundle criteria and the totspace structure-equation,
+potential, curvature-term, del-closed and Nijenhuis sweeps evaluate each
+field once, at the stacked Point of all their samples (fields.stack_points),
+field-major as before; the other sweeps go one sample at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bundles import (_point_coeff, bianchi_residual, catalog_names,
                       curvature_entry_forms, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
-from .duals import Point
+from .duals import Point, point_memo
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
@@ -123,11 +125,16 @@ def _rand_element(monos, rng) -> dict:
 def _stacked_records(specs, pts, columns) -> list:
     """Records of a sweep whose fields each evaluate once, at the stacked Point
     of its samples: column j lists the Point -> element maps whose enorm, an
-    array over the samples or one value they share, gives spec j's values."""
+    array over the samples or one value they share, gives spec j's values.
+    A tuple of maps gives each sample one cell, the tuple of their enorms."""
     stacked = stack_points(pts)
-    cols = [[float(x) for f in fields
-             for x in np.broadcast_to(enorm(f(stacked)), len(pts))]
-            for fields in columns]
+
+    def values(f):
+        if isinstance(f, tuple):
+            return list(zip(*map(values, f)))
+        return [float(x) for x in np.broadcast_to(enorm(f(stacked)), len(pts))]
+
+    cols = [[x for f in fields for x in values(f)] for fields in columns]
     return sweep_records(specs, zip(*cols) if len(cols) > 1 else cols[0])
 
 
@@ -489,31 +496,31 @@ def qpos_records(cfg: ScenarioConfig) -> list:
 def bundle_records(cfg: ScenarioConfig) -> list:
     """Curvature criteria over the catalog.
 
-    Samples go one at a time, each as a Point: every criterion of every
-    connection there shares one curvature (duals.point_memo), freed with
-    the sample.  criteria-agreement reads the residuals of the first
-    samples, and each connection's I/J/K charts are built once.
+    Each connection evaluates its criteria once, at the stacked Point of its
+    samples (all of them for a checked connection, the first n_agree for
+    the others), where they share one curvature (duals.point_memo) and
+    each residual is an array over the samples.  criteria-agreement reads
+    the residuals of the first samples, and each connection's I/J/K charts
+    are built once.
     """
     tol = cfg.tol
     rng = cfg.rng()
     requested = get_connection(cfg.bundle)
     conns = [get_connection(nm) for nm in catalog_names()]
-    charts = {conn.name: structure_charts(conn.base_n) for conn in conns}
     checked = ({conn.name for conn in conns if conn.hyperholomorphic}
                if requested.hyperholomorphic else {requested.name})
     pts = sample_points(rng, 4, cfg.samples)
     n_agree = min(len(pts), max(10, cfg.samples // 10))
-    # per connection: invariance, type11 and bianchi residual of each sample
-    res = {conn.name: ([], [], []) for conn in conns}
-    for k, coords in enumerate(pts):
-        pt = Point(coords)
-        for conn in conns:
-            inv, t11, bia = res[conn.name]
-            if conn.name in checked or k < n_agree:
-                inv.append(invariance_residual(conn, pt, charts[conn.name]))
-                t11.append(type11_residual(conn, pt, charts[conn.name]))
-            if conn.name in checked:
-                bia.append(bianchi_residual(conn, pt))
+    # per connection: invariance, type11 and (if checked) bianchi residuals
+    res = {}
+    for conn in conns:
+        charts = structure_charts(conn.base_n)
+        full = conn.name in checked
+        pt = stack_points(pts if full else pts[:n_agree])
+        res[conn.name] = [invariance_residual(conn, pt, charts),
+                          type11_residual(conn, pt, charts)]
+        if full:
+            res[conn.name].append(bianchi_residual(conn, pt))
 
     out = []
     for nm in [conn.name for conn in conns if conn.name in checked]:
@@ -528,7 +535,7 @@ def bundle_records(cfg: ScenarioConfig) -> list:
                  tol.bundle)], zip(*res[nm]))
 
     def disagreement(conn):
-        inv, t11, _ = res[conn.name]
+        inv, t11 = res[conn.name][:2]
         inv_ok = max_keep_nan(inv[:n_agree]) <= tol.bundle
         t11_ok = max_keep_nan(t11[:n_agree]) <= tol.bundle
         return float(inv_ok != t11_ok or inv_ok != conn.hyperholomorphic)
@@ -543,6 +550,87 @@ def bundle_records(cfg: ScenarioConfig) -> list:
 
 # ----- total space -----
 
+def _totspace_sweeps(ts, pts, tol: float) -> list:
+    """The structure-equation, potential and curvature-term sweeps of the
+    total space ts as (specs, samples, columns), in report order, for
+    _stacked_records: the structure equation at the first
+    max(10, len(pts) // 10) samples, the potential at pts and the
+    zero-fiber copies of the first two, the curvature term at pts."""
+    ch, ctx = ts.chart, ts.ctx
+    nb, mb = 4 * ts.n, 2 * ts.n
+    zf = [pt[:nb] + [0.0] * (ts.dim - nb) for pt in pts[:2]]
+
+    def once(fn):
+        """fn, evaluated at most once per Point."""
+        key = object()
+        return lambda pt: point_memo(pt, key, fn)
+
+    # d of the fiber coframe Dv_a, whose frame coefficients are constant
+    d_fields = [exterior_d(FormField(ch, 1, lambda pt, a=a: {(mb + a,): 1.0}))
+                for a in range(ts.rank)]
+
+    def structure_gap(pt, a):
+        v = ts.fiber_values(pt)
+        A = _point_coeff(ts.conn, pt)
+        grid = curvature_entry_forms(ts.conn, pt)
+        rhs: dict = {}
+        for b in range(ts.rank):
+            rhs = eadd(rhs, escale(grid[a][b], v[b]))
+            aform = {(mu,): A[..., mu, a, b] for mu in range(nb)
+                     if np.any(A[..., mu, a, b])}
+            rhs = esub(rhs, wedge(aform, to_real(ch, {(mb + b,): 1.0}, pt)))
+        return esub(d_fields[a].at(pt), rhs)
+
+    psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
+    dpsi = del_hol(psi_f)
+    djpsi = del_j(psi_f)
+    fr_db = once(del_hol(del_bar(psi_f)).frame_at)
+    fr_dj = once(del_hol(del_j(psi_f)).frame_at)
+    two_over = escale(omega_ver_canonical(ts), 2.0)
+    # the curvature correction, in real and in frame labels
+    xi = once(lambda pt: xi_curv_expr(ts, pt))
+    fr_xi = once(lambda pt: to_frame(ch, xi(pt), pt))
+
+    def quadratic_gap(pt):
+        pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
+        return esub(xi_curv_expr(ts, pt2), escale(xi(pt), 4.0))
+
+    return [
+        ([Spec("structure-equation",
+               "d of the covariant fiber coframe is curvature times the "
+               "fiber minus connection wedge coframe", tol)],
+         pts[:max(10, len(pts) // 10)],
+         [[tuple(partial(structure_gap, a=a) for a in range(ts.rank))]]),
+        ([Spec("del-potential",
+               "del of the fiber norm matches its closed form", tol),
+          Spec("delj-potential",
+               "del_J of the fiber norm matches its closed form", tol),
+          Spec("deldbar-potential",
+               "del dbar of the fiber norm is the vertical (1,1)-form plus "
+               "the curvature correction", tol),
+          Spec("deldelj-potential",
+               "del del_J of the fiber norm is the vertical canonical "
+               "(2,0)-form", tol),
+          Spec("r-transfer",
+               "del del_J of the potential equals R of del dbar of it", tol)],
+         pts + zf,
+         [[lambda pt: esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))],
+          [lambda pt: esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))],
+          [lambda pt: esub(fr_db(pt), eadd(omega_ver_expr(ts), fr_xi(pt)))],
+          [lambda pt: esub(fr_dj(pt), two_over)],
+          [lambda pt: esub(fr_dj(pt), ctx.raising(fr_db(pt)))]]),
+        ([Spec("curvature-term-weightless",
+               "the curvature correction is killed by R", tol),
+          Spec("curvature-term-invariant",
+               "the curvature correction is its own invariant part", tol),
+          Spec("curvature-term-quadratic",
+               "the curvature correction is quadratic in the fiber", tol)],
+         pts,
+         [[lambda pt: ctx.raising(fr_xi(pt))],
+          [lambda pt: esub(fr_xi(pt), ctx.invariant_part(fr_xi(pt)))],
+          [quadratic_gap]])]
+
+
 def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
                       rng) -> list:
     tol = cfg.tol
@@ -550,13 +638,12 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     tolv = tol.flat_control if flat else tol.secondderiv
     nij_tol = tol.flat_control if flat else tol.nijenhuis
     out = []
-    conn = get_connection(bundle_name)
-    ts = total_space(conn)
+    ts = total_space(get_connection(bundle_name))
     ch, ctx, dim = ts.chart, ts.ctx, ts.dim
-    nb, mb = 4 * ts.n, 2 * ts.n
-    # Points, so each sample builds its tables and curvature once
+    nb = 4 * ts.n
+    # Points, so each sample of the per-sample sweeps builds its tables and
+    # jet once
     pts = [Point(pt) for pt in sample_points(rng, dim, samples)]
-    zf = [Point(pt[:nb] + [0.0] * (dim - nb)) for pt in pts[:2]]
 
     def roundtrip_gap(pt):
         el = {(i,): complex(rng.standard_normal(), rng.standard_normal())
@@ -568,81 +655,10 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
         "real to frame coefficients and back is the identity", tolv)],
         map(roundtrip_gap, pts))
 
-    # d of the fiber coframe Dv_a, whose frame coefficients are constant
-    d_fields = [exterior_d(FormField(ch, 1, lambda pt, a=a: {(mb + a,): 1.0}))
-                for a in range(ts.rank)]
+    out += [r for sweep in _totspace_sweeps(ts, pts, tolv)
+            for r in _stacked_records(*sweep)]
 
-    def structure_gaps(pt):
-        v = ts.fiber_values(pt)
-        A = _point_coeff(conn, pt)
-        grid = curvature_entry_forms(conn, pt)
-        gaps = []
-        for a in range(ts.rank):
-            rhs: dict = {}
-            for b in range(ts.rank):
-                rhs = eadd(rhs, escale(grid[a][b], complex(v[b])))
-                aform = {(mu,): A[mu, a, b] for mu in range(nb)
-                         if A[mu, a, b] != 0}
-                rhs = esub(rhs, wedge(aform,
-                                      to_real(ch, {(mb + b,): 1.0}, pt)))
-            gaps.append(enorm(esub(d_fields[a].at(pt), rhs)))
-        return tuple(gaps)
-
-    out += sweep_records([Spec(
-        "structure-equation",
-        "d of the covariant fiber coframe is curvature times the fiber "
-        "minus connection wedge coframe", tolv)],
-        map(structure_gaps, pts[:max(10, samples // 10)]))
-
-    psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
-    dpsi = del_hol(psi_f)
-    djpsi = del_j(psi_f)
-    ddbar = del_hol(del_bar(psi_f))
-    ddj = del_hol(del_j(psi_f))
     two_over = escale(omega_ver_canonical(ts), 2.0)
-
-    def potential_gaps(pt):
-        fr_db = ddbar.frame_at(pt)
-        fr_dj = ddj.frame_at(pt)
-        rhs = eadd(omega_ver_expr(ts), to_frame(ch, xi_curv_expr(ts, pt), pt))
-        return (enorm(esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))),
-                enorm(esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))),
-                enorm(esub(fr_db, rhs)),
-                enorm(esub(fr_dj, two_over)),
-                enorm(esub(fr_dj, ctx.raising(fr_db))))
-
-    out += sweep_records([
-        Spec("del-potential", "del of the fiber norm matches its closed form",
-             tolv),
-        Spec("delj-potential",
-             "del_J of the fiber norm matches its closed form", tolv),
-        Spec("deldbar-potential",
-             "del dbar of the fiber norm is the vertical (1,1)-form plus the "
-             "curvature correction", tolv),
-        Spec("deldelj-potential",
-             "del del_J of the fiber norm is the vertical canonical "
-             "(2,0)-form", tolv),
-        Spec("r-transfer",
-             "del del_J of the potential equals R of del dbar of it", tolv)],
-        map(potential_gaps, pts + zf))
-
-    def curvature_term_gaps(pt):
-        xi = xi_curv_expr(ts, pt)
-        fr_xi = to_frame(ch, xi, pt)
-        pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
-        return (enorm(ctx.raising(fr_xi)),
-                enorm(esub(fr_xi, ctx.invariant_part(fr_xi))),
-                enorm(esub(xi_curv_expr(ts, pt2), escale(xi, 4.0))))
-
-    out += sweep_records([
-        Spec("curvature-term-weightless",
-             "the curvature correction is killed by R", tolv),
-        Spec("curvature-term-invariant",
-             "the curvature correction is its own invariant part", tolv),
-        Spec("curvature-term-quadratic",
-             "the curvature correction is quadratic in the fiber", tolv)],
-        map(curvature_term_gaps, pts))
-
     out.append(residual_record(
         "r-omega-ver",
         "R of the vertical (1,1)-form is the vertical (2,0)-form",
@@ -672,7 +688,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
             tolv)], (_max_abs([g - np.eye(dim)]) for g in gs))
 
     V = np.eye(dim)[:, nb:]
-    dpsi_real = exterior_d(psi_f)
+    dpsi_real = exterior_d(scalar_field(ch, lambda pt: psi(ts, pt)))
 
     def metric_gaps(pt, g):
         L = {u: mats[u](pt)[0] for u in mats}
@@ -704,11 +720,11 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
              "the metric norm of d of the potential is twice its square root",
              tolv)], map(metric_gaps, pts, gs))
 
+    nij_pt = stack_points(pts[:max(50, samples // 2)])
     out += sweep_records([Spec(
         "nijenhuis",
         "all three lifted structures have vanishing Nijenhuis tensor",
-        nij_tol)], (tuple(nijenhuis_residual(*mats[u](pt)) for u in mats)
-                    for pt in pts[:max(50, samples // 2)]))
+        nij_tol)], zip(*(nijenhuis_residual(*mats[u](nij_pt)) for u in mats)))
     return out
 
 

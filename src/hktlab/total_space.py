@@ -22,9 +22,11 @@ all four against dual-number differentiation, plus del-closedness of
 Omega_hor + Omega_ver and integrability of the lifted structures I, J, K.
 Those are numpy matrices built from the connection jet (A, dA) that
 bundles._jet memoises on a Point, and so is their first derivative, exactly
-by the chain rule: no dual number enters the Nijenhuis tensor.  The natural
-metric's coframe and the horizontal lift read A alone from its memo
-(bundles._point_coeff), which the jet shares.
+by the chain rule: no dual number enters the Nijenhuis tensor.  At a stacked
+Point (fields.stack_points) L and dL have the sample axis leading, shapes
+(S, dim, dim) and (S, dim, dim, dim), and fields.nijenhuis_residual reduces
+them per sample.  The natural metric's coframe and the horizontal lift read
+A alone from its memo (bundles._point_coeff), which the jet shares.
 """
 
 from __future__ import annotations
@@ -93,7 +95,11 @@ def total_space(conn: Connection) -> TotalSpace:
             for mu in range(4 * n):
                 acc = 0.0
                 for b in range(r):
-                    acc = acc + A[mu][a][b] * v[b]
+                    # a plain zero of A stays out, so no array of zeros
+                    # times v enters the tables of a stacked Point
+                    c = A[mu][a][b]
+                    if not _is_zero(c):
+                        acc = acc + c * v[b]
                 row.append(acc)
             out.append(row)
         return out
@@ -154,8 +160,9 @@ def del_j_psi_expr(ts: TotalSpace, pt) -> Element:
     for b in range(ts.rank):
         acc = 0.0
         for a in range(ts.rank):
-            acc = acc - Mf_bar[a][b] * v[a]
-        if acc != 0:
+            if not _is_zero(Mf_bar[a][b]):
+                acc = acc - Mf_bar[a][b] * v[a]
+        if not _is_zero(acc):
             out[(mb + b,)] = acc
     return out
 
@@ -181,9 +188,10 @@ def omega_hor_expr(ts: TotalSpace) -> Element:
 
 def xi_curv_expr(ts: TotalSpace, pt) -> Element:
     """-<Theta v, v> as a real-label 2-form: -sum conj(v_a) Theta_ab v_b."""
-    v = np.array(ts.fiber_values(pt), dtype=complex)
+    v = np.moveaxis(np.array(ts.fiber_values(pt), dtype=complex), 0, -1)
     F = _point_curvature(ts.conn, pt)
-    return element_from_antisym(-np.einsum("a,mnab,b->mn", v.conj(), F, v))
+    return element_from_antisym(
+        -np.einsum("...a,...mnab,...b->...mn", v.conj(), F, v))
 
 
 def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:
@@ -218,7 +226,8 @@ def horizontal_lift(ts: TotalSpace, pt, u) -> list:
 
 def structure_matrix_field(ts: TotalSpace, unit: str):
     """The lifted structure L and its derivative as a pt -> (L, dL) field,
-    dL[k, j, l] = d_l L[k, j], both real arrays over total-space coordinates.
+    dL[k, j, l] = d_l L[k, j], both real arrays over total-space coordinates
+    (behind the sample axis of a stacked Point).
 
     Horizontal part: the flat tangent action on the base.  Vertical part of a
     tangent (u, wdot) is w = wdot + A(u) v; the lift maps it by the fiber
@@ -258,13 +267,14 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
 
     def field(pt):
         A, dA = _jet(ts.conn, pt)
-        v = np.array(ts.fiber_values(pt), dtype=complex)
-        L = L0.copy()
-        L[nb:, :nb] = block(np.einsum("mab,b->am", A, v))
-        dX = np.concatenate((np.einsum("lmab,b->lam", dA, v),
-                             np.einsum("mab,bl->lam", A, dv)))
-        dL = np.zeros((dim, dim, dim))
-        dL[nb:, :nb] = np.moveaxis(block(dX), 0, -1)
+        v = np.moveaxis(np.array(ts.fiber_values(pt), dtype=complex), 0, -1)
+        samples = A.shape[:-3]
+        L = np.broadcast_to(L0, samples + L0.shape).copy()
+        L[..., nb:, :nb] = block(np.einsum("...mab,...b->...am", A, v))
+        dX = np.concatenate((np.einsum("...lmab,...b->...lam", dA, v),
+                             np.einsum("...mab,bl->...lam", A, dv)), axis=-3)
+        dL = np.zeros(samples + (dim, dim, dim))
+        dL[..., nb:, :nb, :] = np.moveaxis(block(dX), -3, -1)
         return L, dL
 
     return field

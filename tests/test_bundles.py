@@ -13,8 +13,9 @@ from hktlab.bundles import (bianchi_residual, catalog_names, curvature,
                             instanton_coeff, invariance_residual,
                             type11_residual)
 from hktlab.charts import flat_chart
-from hktlab.duals import dot_part, fresh_level, numeric, seed_unit, val_part
-from hktlab.fields import sample_points
+from hktlab.duals import (dot_part, fresh_level, numeric, sample_shape,
+                          seed_unit, val_part)
+from hktlab.fields import sample_points, stack_points
 from hktlab.exterior import enorm
 from hktlab.quaternions import quat_abs2, quat_mul, right_mult_c2
 from hktlab.report import max_keep_nan
@@ -289,25 +290,29 @@ def test_bundle_records_build_flat_charts_once_per_connection(monkeypatch):
 
 
 def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
-    # flat, bpst and direct-sum: one curvature shared by all three
-    # criteria at each of 10 samples; criteria-agreement reads their
-    # residuals and builds nonholo-demo's at its 10 samples
+    # each connection builds one curvature, at the stacked Point of its
+    # samples, shared by all its criteria: all 10 samples for flat, bpst and
+    # direct-sum, and the 10 agreement samples for nonholo-demo
     calls = collections.Counter()
+    shapes = set()
 
     def counted(conn, pt):
         calls[conn.name] += 1
+        shapes.add(sample_shape(pt))
         return curvature(conn, pt)
 
     monkeypatch.setattr(bundles, "curvature", counted)
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {"flat": 10, "bpst": 10, "direct-sum": 10,
-                     "nonholo-demo": 10}
+    assert calls == {"flat": 1, "bpst": 1, "direct-sum": 1,
+                     "nonholo-demo": 1}
+    assert shapes == {(10,)}
 
 
 def test_bundle_records_coeff_calls_per_sample(monkeypatch):
     # a checked connection: 1 + 4 calls for the jet (A and dA) and 16
-    # second-order ones for Bianchi at each of 10 samples; nonholo-demo
-    # only needs the jet of its curvature at its 10 agreement samples
+    # two-level seeds for Bianchi, once at the stacked Point of its 10
+    # samples (210 when each sample was its own Point); nonholo-demo only
+    # needs the jet of its curvature, at its 10 agreement samples (was 50)
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -322,20 +327,23 @@ def test_bundle_records_coeff_calls_per_sample(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted)
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {"flat": 210, "bpst": 210, "direct-sum": 210,
-                     "nonholo-demo": 50}
+    assert calls == {"flat": 21, "bpst": 21, "direct-sum": 21,
+                     "nonholo-demo": 5}
 
 
 def test_nan_coefficient_fails_bundle_criteria(monkeypatch):
+    # bpst's coefficients are nan in sample 5 of the 12 its criteria are
+    # evaluated at, all at once: each of its records fails with value nan,
+    # flat's pass, and the residuals are nan in that sample alone
     cfg = ScenarioConfig(samples=12)
-    bad = sample_points(cfg.rng(), 4, cfg.samples)[5]
+    poison = np.ones(cfg.samples)
+    poison[5] = math.nan
     bpst = get_connection("bpst")
 
     def coeff(pt):
-        A = bpst.coeff(pt)
-        if [numeric(x) for x in pt] == bad:
-            return [[[x * math.nan for x in row] for row in Amu] for Amu in A]
-        return A
+        assert sample_shape(pt) == poison.shape
+        return [[[x * poison for x in row] for row in Amu]
+                for Amu in bpst.coeff(pt)]
 
     poisoned = dataclasses.replace(bpst, coeff=coeff)
     real = suites.get_connection
@@ -346,4 +354,10 @@ def test_nan_coefficient_fails_bundle_criteria(monkeypatch):
     for stem in ("curvature-invariance", "curvature-type11", "bianchi"):
         r = records[f"{stem}(bpst)"]
         assert math.isnan(r.value) and not r.passed, stem
+        assert r.points == cfg.samples, stem
         assert records[f"{stem}(flat)"].passed
+    pt = stack_points(sample_points(cfg.rng(), 4, cfg.samples))
+    for residual in (invariance_residual, type11_residual, bianchi_residual):
+        values = residual(poisoned, pt)
+        assert list(np.isnan(values)) == [k == 5 for k in range(12)]
+        assert np.max(values[~np.isnan(values)]) < 1e-9

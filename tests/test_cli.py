@@ -80,6 +80,8 @@ USAGE_ERRORS = [
     ["bundle", "--n", "2"] + FAST,
     ["totspace", "--n", "3"] + FAST,
     ["hopf", "--n", "2"] + FAST,
+    # qpos checks H^1 and H^2 whatever n is
+    ["qpos", "--n", "3", "--samples", "2"],
 ]
 
 

@@ -2,16 +2,19 @@
 fields evaluated at each sample's own plain-float Point.
 
 The plain-float Point runs the same operator code with float coordinates,
-so it is the oracle: entry by entry, each sample's coefficients must match
-to 1e-12 relative to that sample's largest coefficient (at least 1).
+so it is the oracle: entry by entry, each sample's coefficients (or array
+entries, or residuals) must match to 1e-12 relative to that sample's
+largest one (at least 1).
 """
 
 import numpy as np
 import pytest
 
 from hktlab import suites
-from hktlab.bundles import get_connection
-from hktlab.charts import flat_chart
+from hktlab.bundles import (_jet, bianchi_residual, catalog_names, curvature,
+                            get_connection, invariance_residual,
+                            structure_charts, type11_residual)
+from hktlab.charts import flat_chart, to_frame, to_real
 from hktlab.duals import Point, numeric
 from hktlab.exterior import eadd, enorm, escale
 from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
@@ -19,8 +22,9 @@ from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            random_polynomial, random_pq_field, sample_points,
                            scalar_field, stack_points)
 from hktlab.suites import ScenarioConfig
-from hktlab.total_space import (omega_hor_expr, omega_ver_canonical, psi,
-                                total_space)
+from hktlab.total_space import (omega_hor_expr, omega_ver_canonical,
+                                omega_ver_expr, psi, structure_matrix_field,
+                                total_space, xi_curv_expr)
 
 
 def assert_agrees(evaluate, pts):
@@ -32,6 +36,14 @@ def assert_agrees(evaluate, pts):
             got = np.broadcast_to(numeric(stacked.get(key, 0.0)),
                                   (len(pts),))[k]
             assert abs(got - el.get(key, 0.0)) <= 1e-12 * scale, (key, k)
+
+
+def assert_arrays_agree(stacked, per_sample):
+    """stacked[k] against the array of sample k, for every sample."""
+    assert np.shape(stacked) == (len(per_sample),) + np.shape(per_sample[0])
+    for k, want in enumerate(per_sample):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(stacked[k] - want)) <= 1e-12 * scale, k
 
 
 def test_stack_points_keeps_the_samples():
@@ -80,3 +92,63 @@ def test_del_closed_agrees_with_each_sample(rng, bundle):
     psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
     assert_agrees(del_hol(del_bar(psi_f)).frame_at, pts)
     assert_agrees(exterior_d(del_j(psi_f)).at, pts)
+
+
+@pytest.mark.parametrize("bundle", catalog_names())
+def test_jet_and_curvature_stack_the_samples(rng, bundle):
+    conn = get_connection(bundle)
+    pts = sample_points(rng, 4, 3)
+    stacked = stack_points(pts)
+    A, dA = _jet(conn, stacked)
+    jets = [_jet(conn, Point(pt)) for pt in pts]
+    assert_arrays_agree(A, [a for a, _ in jets])
+    assert_arrays_agree(dA, [da for _, da in jets])
+    assert_arrays_agree(curvature(conn, stacked),
+                        [curvature(conn, Point(pt)) for pt in pts])
+
+
+@pytest.mark.parametrize("bundle", catalog_names())
+def test_bundle_criteria_agree_with_each_sample(rng, bundle):
+    conn = get_connection(bundle)
+    charts = structure_charts(conn.base_n)
+    pts = sample_points(rng, 4, 3)
+    for residual in (lambda pt: invariance_residual(conn, pt, charts),
+                     lambda pt: type11_residual(conn, pt, charts),
+                     lambda pt: bianchi_residual(conn, pt)):
+        assert_arrays_agree(residual(stack_points(pts)),
+                            [residual(Point(pt)) for pt in pts])
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum", "flat"])
+def test_totspace_sweeps_agree_with_each_sample(rng, bundle):
+    ts = total_space(get_connection(bundle))
+    ch = ts.chart
+    pts = sample_points(rng, ts.dim, 3)
+    sweeps = suites._totspace_sweeps(ts, pts, 1e-8)
+    assert [len(specs) for specs, _, _ in sweeps] == [1, 5, 3]
+    for _, samples, columns in sweeps:
+        for fields in columns:
+            for f in fields:
+                for g in (f if isinstance(f, tuple) else (f,)):
+                    assert_agrees(g, samples)
+    # fields that do not vanish: the right side of the del dbar identity,
+    # with the curvature correction in frame labels, and the vertical form
+    # in real labels, both through the point-dependent tables
+    for field in (lambda pt: eadd(omega_ver_expr(ts),
+                                  to_frame(ch, xi_curv_expr(ts, pt), pt)),
+                  lambda pt: to_real(ch, omega_ver_expr(ts), pt)):
+        assert enorm(field(Point(pts[0]))) > 1e-3
+        assert_agrees(field, pts)
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum", "nonholo-demo"])
+def test_structure_matrices_agree_with_each_sample(rng, bundle):
+    ts = total_space(get_connection(bundle))
+    pts = sample_points(rng, ts.dim, 3)
+    for unit in ("I", "J", "K"):
+        field = structure_matrix_field(ts, unit)
+        L, dL = field(stack_points(pts))
+        per_sample = [field(Point(pt)) for pt in pts]
+        assert_arrays_agree(L, [l for l, _ in per_sample])
+        assert_arrays_agree(dL, [dl for _, dl in per_sample])
+        assert max(np.max(np.abs(dl)) for _, dl in per_sample) > 1e-3

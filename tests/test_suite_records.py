@@ -2,9 +2,9 @@
 
 Each nan test wraps one helper that a suite imports so that it returns nan
 at one call that is neither the first nor the last of the record's sweep
-(or, where the sweep evaluates all its samples at once, at one sample of
-such a call); the record must then FAIL with value nan, and its neighbours
-still pass.
+(or, where the sweep evaluates all its samples at once, at one middle
+sample of such a call: d-squared and nijenhuis); the record must then FAIL
+with value nan, and its neighbours still pass.
 """
 
 import math
@@ -73,11 +73,24 @@ def test_bicomplex_d_squared_nan_fails(monkeypatch):
 
 
 def test_totspace_nijenhuis_nan_fails(monkeypatch):
-    # 4 points times 3 structures
-    calls = nan_at(monkeypatch, "nijenhuis_residual", 5)
+    # one call per structure, each at the stacked Point of the 4 samples;
+    # the nan goes into the third sample of the second structure's array
+    real = suites.nijenhuis_residual
+    calls = []
+
+    def wrapped(L, dL):
+        value = real(L, dL)
+        calls.append(value)
+        if len(calls) == 2:
+            value = value.copy()
+            value[2] = math.nan
+        return value
+
+    monkeypatch.setattr(suites, "nijenhuis_residual", wrapped)
     records = by_identity(
         totspace_records(ScenarioConfig(bundle="flat", samples=4)))
-    assert calls[0] == 12
+    assert [np.shape(v) for v in calls] == [(4,)] * 3
+    assert records["nijenhuis"].points == 4
     assert_nan_fail(records["nijenhuis"])
     assert records["potential-gradient-norm"].passed
 

@@ -11,7 +11,8 @@ from conftest import dre
 from hktlab.duals import Point, dconj, dot_part, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (FormField, del_bar, del_hol, del_j,
-                           nijenhuis_residual, sample_points, scalar_field)
+                           nijenhuis_residual, sample_points, scalar_field,
+                           stack_points)
 from hktlab.total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                                 natural_metric, omega_hor_expr,
                                 omega_ver_canonical, omega_ver_expr, psi,
@@ -342,31 +343,43 @@ def test_potential_gradient_norm(ts, rng):
 
 
 def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
-    # per sweep of 20 samples: one build at each sample (shared by the
-    # structure equation, the potential family and the curvature term), one
-    # at each of the 2 zero-fiber copies and one at each of the 20
-    # fiber-doubled twins
+    # per sweep of 20 samples, one build at each stacked Point whose sweep
+    # reads the curvature: the structure equation (its first 10 samples),
+    # the potential family (the 20 samples and 2 zero-fiber copies), and
+    # the curvature term with its fiber-doubled twin (20 each); was 42, one
+    # per sample, copy and twin
     builds = collections.Counter()
+    shapes = collections.defaultdict(list)
     real = bundles.curvature
 
     def counted(conn, pt):
         builds[conn.name] += 1
+        shapes[conn.name].append(duals.sample_shape(pt))
         return real(conn, pt)
 
     monkeypatch.setattr(bundles, "curvature", counted)
     records = totspace_records(ScenarioConfig(samples=20))
     assert all(r.passed for r in records)
-    assert builds == {"bpst": 42, "flat": 42}
+    assert builds == {"bpst": 4, "flat": 4}
+    assert shapes["bpst"] == shapes["flat"] == [(10,), (22,), (20,), (20,)]
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # 753 per sweep of 20 samples, from the jet (1 + 4 calls at each sample,
-    # zero-fiber copy and fiber-doubled twin) and the chart tables; the
-    # del-closed sweep builds its tables once at the stacked Point of the 20
-    # samples (1 + 8 seeds: 9 calls, not 8 per sample); the structure
-    # equation, the natural metric, the horizontal lifts and the lifted
-    # structures (the 120 Nijenhuis and 60 structure-matrix evaluations)
-    # read the jet memoised on each sample and add none
+    # per sweep of 20 samples (was 753):
+    # - frame-roundtrip 20: one per sample Point, shared by both tables;
+    # - the structure equation 22, at the stacked Point of its 10 samples:
+    #   1 + 4 for the jet, 1 for the tables, and 8 seeded frame tables for
+    #   each of the 2 fields d Dv_a;
+    # - the potential family 22, at its stacked Point: the same 1 + 4 + 1,
+    #   and 8 seeds for each of del dbar Psi and del del_J Psi, which are
+    #   memoised on the Point for the records that share them;
+    # - the curvature term 11: 1 + 4 for the jet, 1 for the inverse table
+    #   and 1 + 4 for the fiber-doubled twin's jet (10 for flat, whose
+    #   curvature term is empty and needs no table);
+    # - del-closed 9: 1 + 8 seeds;
+    # - the metric sweeps 100: 1 for A and 4 for dA at each sample Point,
+    #   since the lifted structures read the whole jet;
+    # - Nijenhuis 5: the jet at the stacked Point of its 20 samples.
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -381,7 +394,17 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 753, "flat": 753}
+    assert calls == {"bpst": 189, "flat": 188}
+
+
+def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):
+    # the flat connection's A is all plain zeros, so no A_mu v term enters
+    # its tables, at a plain Point or at the stacked Point of 4 samples
+    ts = total_space(get_connection("flat"))
+    pts = sample_points(rng, ts.dim, 4)
+    for pt in (Point(pts[0]), stack_points(pts)):
+        for table in (ts.chart.frame_table(pt), ts.chart.inverse_table(pt)):
+            assert sum(map(len, table.values())) == 16
 
 
 def test_plain_point_reads_coefficients_once():
