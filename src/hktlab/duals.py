@@ -150,6 +150,8 @@ def dlog(x):
         return Dual(dlog(x.val), x.dot / x.val, x.level)
     if isinstance(x, complex):
         return cmath.log(x)
+    if isinstance(x, np.ndarray):
+        return np.log(x)
     return math.log(x)
 
 

@@ -13,6 +13,12 @@ matrix, so the metric <-> form correspondence is
 
 both directions exact.  A metric matrix G comes from a (2, 0)-form iff it
 satisfies the quaternionic compatibility conj(G) = M G M^H.
+
+An element with array coefficients (a stacked Point's, fields.stack_points)
+has one matrix per sample: the sample axes lead, shape (S, m, m), and the
+residuals and margins are arrays over the samples, each reduced within its
+own sample so that a nan stays there.  A plain element gives a plain matrix
+and float values.
 """
 
 from __future__ import annotations
@@ -24,18 +30,38 @@ from .exterior import (StructureContext, Element, eadd, element_from_antisym,
 from .duals import numeric
 
 
+def _per_sample(x):
+    """x reduced per sample: a float where there is no sample axis."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _adjoint(G: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(G, -1, -2))
+
+
+def _eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of H; nan for a matrix
+    with a non-finite entry, which LAPACK would refuse for the whole stack."""
+    ok = np.all(np.isfinite(H), axis=(-2, -1))
+    out = np.full(H.shape[:-1], np.nan)
+    out[ok] = np.linalg.eigvalsh(H[ok])
+    return out
+
+
 def antisym_matrix(ctx: StructureContext, el: Element) -> np.ndarray:
     """Coefficient matrix A[a, b] = eta(t_a, t_b) of the (2, 0) part."""
     m = ctx.m
-    A = np.zeros((m, m), dtype=complex)
-    for labels, c in el.items():
-        if len(labels) != 2:
-            continue
-        a, b = labels
-        if a < m and b < m:
-            A[a, b] += numeric(c)
-            A[b, a] -= numeric(c)
-    return A
+    terms = [(labels, numeric(c)) for labels, c in el.items()
+             if len(labels) == 2 and max(labels) < m]
+    shapes = [c.shape for _, c in terms if isinstance(c, np.ndarray)]
+    shape = np.broadcast_shapes(*shapes) if shapes else ()
+    # filled with the sample axes last, so a plain element pays no
+    # broadcasting index
+    A = np.zeros((m, m) + shape, dtype=complex)
+    for (a, b), c in terms:
+        A[a, b] += c
+        A[b, a] -= c
+    return np.moveaxis(A, (0, 1), (-2, -1)) if shape else A
 
 
 def gram(ctx: StructureContext, el: Element) -> np.ndarray:
@@ -47,28 +73,31 @@ def omega_from_gram(ctx: StructureContext, G: np.ndarray) -> Element:
 
 
 def hermitian_pair(ctx: StructureContext, el: Element, x, y):
-    """eta(x, J conj(y)) evaluated directly; equals x . Gram . conj(y)."""
+    """eta(x, J conj(y)) evaluated directly; equals x . Gram . conj(y).
+    x and y hold the components on their last axis; leading axes are
+    samples, matching the coefficients of el."""
     m = ctx.m
-    jy = -(ctx.mmat.T @ np.conj(np.asarray(y, dtype=complex)))
-    return eval2(el, list(x) + [0.0] * m, list(jy) + [0.0] * m)
+    jy = -(np.conj(np.asarray(y, dtype=complex)) @ ctx.mmat)
+    return eval2(el, [*np.moveaxis(np.asarray(x), -1, 0)] + [0.0] * m,
+                 [*np.moveaxis(jy, -1, 0)] + [0.0] * m)
 
 
-def qreal_residual(ctx: StructureContext, el: Element) -> float:
+def qreal_residual(ctx: StructureContext, el: Element):
     G = gram(ctx, el)
-    return float(np.max(np.abs(G - G.conj().T)))
+    return _per_sample(np.max(np.abs(G - _adjoint(G)), axis=(-2, -1)))
 
 
-def qpos_margin(ctx: StructureContext, el: Element) -> float:
+def qpos_margin(ctx: StructureContext, el: Element):
     """Smallest eigenvalue of the (Hermitian part of the) Gram matrix."""
     G = gram(ctx, el)
-    H = 0.5 * (G + G.conj().T)
-    return float(np.min(np.linalg.eigvalsh(H)))
+    return _per_sample(np.min(_eigvalsh(0.5 * (G + _adjoint(G))), axis=-1))
 
 
-def hyperhermitian_residual(ctx: StructureContext, G: np.ndarray) -> float:
+def hyperhermitian_residual(ctx: StructureContext, G: np.ndarray):
     """How far a Hermitian matrix is from quaternionic compatibility."""
     M = ctx.mmat
-    return float(np.max(np.abs(np.conj(G) - M @ G @ M.conj().T)))
+    return _per_sample(np.max(np.abs(np.conj(G) - M @ G @ M.conj().T),
+                              axis=(-2, -1)))
 
 
 def hyperhermitian_project(ctx: StructureContext, G: np.ndarray) -> np.ndarray:

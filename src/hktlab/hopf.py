@@ -9,6 +9,12 @@ complement of the zero section the form
 has fiber-degree-0 homogeneous coefficients, so it descends to the
 quotient; it stays del-closed and strictly q-positive, which is what the
 hopf suite certifies point by point on one fundamental domain.
+
+Every function here also takes a stacked Point (fields.stack_points), whose
+coordinates are arrays over a sweep's samples, and a dilation scale may be
+such an array too: the hopf suite evaluates each sweep once, at all its
+samples.  A probe then holds its components on the last axis, behind the
+sample axis.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import numpy as np
 from .duals import Point, dlog, numeric
 from .exterior import Element, eadd, escale, esub, wedge
 from .fields import FormField, scalar_field
-from .total_space import (TotalSpace, del_j_psi_expr, del_psi_expr,
-                          omega_hor_expr, omega_ver_canonical, psi)
+from .total_space import (TotalSpace, _fiber_vector, del_j_psi_expr,
+                          del_psi_expr, omega_hor_expr, omega_ver_canonical,
+                          psi)
 
 MIN_PSI = 1e-8
 
@@ -48,7 +55,8 @@ def omega_tilde_expr(h: HopfData, pt) -> Element:
     """Frame coefficients at pt; needs the fiber away from zero."""
     ts = h.ts
     p = psi(ts, pt)
-    if numeric(p) < MIN_PSI:
+    # refuses a nan fiber norm too, in any sample
+    if not np.all(numeric(p) >= MIN_PSI):
         raise ValueError("point too close to the zero section")
     vert = escale(omega_ver_canonical(ts), 2.0 / p)
     cross = wedge(del_psi_expr(ts, pt), del_j_psi_expr(ts, pt))
@@ -59,13 +67,13 @@ def omega_tilde_field(h: HopfData) -> FormField:
     return FormField(h.ts.chart, 2, lambda pt: omega_tilde_expr(h, pt))
 
 
-def rho_apply(h: HopfData, pt, scale: float | None = None) -> list:
+def rho_apply(h: HopfData, pt, scale=None) -> list:
     s = h.q if scale is None else scale
     base = 4 * h.ts.n
     return list(pt[:base]) + [s * c for c in pt[base:]]
 
 
-def rho_pullback(h: HopfData, el: Element, scale: float | None = None) -> Element:
+def rho_pullback(h: HopfData, el: Element, scale=None) -> Element:
     """Pullback of a frame-label form through the fiber dilation v -> s v.
 
     Base covectors are untouched while every fiber frame covector (barred
@@ -113,12 +121,13 @@ def radial_probe(h: HopfData, pt) -> np.ndarray:
     """The vertical probe pointing along the fiber vector itself."""
     ts = h.ts
     mb, m = 2 * ts.n, ts.ctx.m
-    x = np.zeros(m, dtype=complex)
-    x[mb:] = ts.fiber_values(pt)
+    v = _fiber_vector(ts, pt)
+    x = np.zeros(v.shape[:-1] + (m,), dtype=complex)
+    x[..., mb:] = v
     return x
 
 
-def fiber_norm2(h: HopfData, x) -> float:
+def fiber_norm2(h: HopfData, x):
     """(x, x) in the flat fiber metric, over the vertical slots."""
     mb = 2 * h.ts.n
-    return float(np.sum(np.abs(np.asarray(x)[mb:]) ** 2))
+    return np.sum(np.abs(np.asarray(x)[..., mb:]) ** 2, axis=-1)

@@ -13,10 +13,12 @@ checks, r-omega, r-kernel-invariant, criteria-agreement and the totspace
 records of constant forms) state their count.  A suite's records share
 one cfg.rng() stream, and each sweep is consumed before the next starts,
 so the draws keep the order that fixes every value of the report.  The
-bicomplex sweeps, the bundle criteria and the totspace structure-equation,
-potential, curvature-term, del-closed and Nijenhuis sweeps evaluate each
+sweeps of the bicomplex, bundle, totspace and hopf suites evaluate each
 field once, at the stacked Point of all their samples (fields.stack_points),
-field-major as before; the other sweeps go one sample at a time.
+field-major as before.  A sweep that draws per sample (frame-roundtrip, the
+hopf dilations and probes) makes all its draws first, in sample order, so
+its draws are those of a loop over the samples.  The qpos and algebra
+sweeps go one draw at a time.
 """
 
 from __future__ import annotations
@@ -28,20 +30,21 @@ from functools import partial
 
 import numpy as np
 
-from .bundles import (_point_coeff, bianchi_residual, catalog_names,
-                      curvature_entry_forms, get_connection,
+from .bundles import (_max_per_sample, _point_coeff, bianchi_residual,
+                      catalog_names, curvature_entry_forms, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
-from .duals import Point, point_memo
+from .duals import Point, point_memo, sample_shape
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
                      random_form_field, random_polynomial, random_pq_field,
                      sample_points, scalar_field, stack_points)
-from .hermitian import (gram, hermitian_pair, hyperhermitian_project,
-                        hyperhermitian_residual, omega_from_gram, qpos_margin,
-                        qreal_residual, quaternionic_conj,
-                        random_hyperhermitian_metric, random_qreal_positive)
+from .hermitian import (_eigvalsh, gram, hermitian_pair,
+                        hyperhermitian_project, hyperhermitian_residual,
+                        omega_from_gram, qpos_margin, qreal_residual,
+                        quaternionic_conj, random_hyperhermitian_metric,
+                        random_qreal_positive)
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
                    rho_pullback, vertical_probe)
@@ -122,6 +125,19 @@ def _rand_element(monos, rng) -> dict:
             for mono in monos}
 
 
+def _samples(values, count: int) -> list:
+    """values, an array over `count` samples or one value they share, as
+    one float per sample."""
+    return [float(x) for x in np.broadcast_to(values, count)]
+
+
+def _column_records(specs, columns) -> list:
+    """Records of a sweep given column by column: column j lists spec j's
+    values, one per row."""
+    return sweep_records(specs, zip(*columns) if len(columns) > 1
+                         else columns[0])
+
+
 def _stacked_records(specs, pts, columns) -> list:
     """Records of a sweep whose fields each evaluate once, at the stacked Point
     of its samples: column j lists the Point -> element maps whose enorm, an
@@ -132,10 +148,10 @@ def _stacked_records(specs, pts, columns) -> list:
     def values(f):
         if isinstance(f, tuple):
             return list(zip(*map(values, f)))
-        return [float(x) for x in np.broadcast_to(enorm(f(stacked)), len(pts))]
+        return _samples(enorm(f(stacked)), len(pts))
 
-    cols = [[x for f in fields for x in values(f)] for fields in columns]
-    return sweep_records(specs, zip(*cols) if len(cols) > 1 else cols[0])
+    return _column_records(specs, [[x for f in fields for x in values(f)]
+                                   for fields in columns])
 
 
 def _max_abs(arrays) -> float:
@@ -631,6 +647,41 @@ def _totspace_sweeps(ts, pts, tol: float) -> list:
           [quadratic_gap]])]
 
 
+def _metric_gaps(ts, mats, pt) -> list:
+    """At each sample of pt: the natural metric's gap to the euclidean one,
+    then the metric-invariance, quaternion-relations, metric-splitting and
+    potential-gradient-norm values; mats are the lifted structure fields."""
+    nb, dim = 4 * ts.n, ts.dim
+    g = natural_metric(ts, pt)
+    L = {u: mats[u](pt)[0] for u in mats}
+    quat = [L[u] @ L[u] + np.eye(dim) for u in L]
+    quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
+    # columns: the horizontal lifts of the base coordinate vectors
+    H = np.stack([horizontal_lift(ts, pt, row) for row in np.eye(nb)], -1)
+    V = np.eye(dim)[:, nb:]
+    w = np.zeros(sample_shape(pt) + (dim,))
+    dpsi = exterior_d(scalar_field(ts.chart, lambda p: psi(ts, p)))
+    for mono, c in dpsi.at(pt).items():
+        w[..., mono[0]] = np.real(c)
+    val = np.einsum("...i,...i->...", w,
+                    np.linalg.solve(g, w[..., None])[..., 0])
+    p = psi(ts, pt)
+
+    def t(X):
+        return np.swapaxes(X, -1, -2)
+
+    def worst(arrays):
+        """Largest entry modulus of each sample's matrices over arrays."""
+        return _max_per_sample(pt, (np.max(np.abs(a), axis=(-2, -1))
+                                    for a in arrays))
+
+    return [worst([g - np.eye(dim)]),
+            worst(t(L[u]) @ g @ L[u] - g for u in L), worst(quat),
+            worst([t(H) @ g @ H - np.eye(nb), t(H) @ g @ V,
+                   V.T @ g @ V - np.eye(dim - nb)]),
+            abs(val - 4.0 * p) / (1.0 + 4.0 * p)]
+
+
 def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
                       rng) -> list:
     tol = cfg.tol
@@ -640,20 +691,20 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     out = []
     ts = total_space(get_connection(bundle_name))
     ch, ctx, dim = ts.chart, ts.ctx, ts.dim
-    nb = 4 * ts.n
-    # Points, so each sample of the per-sample sweeps builds its tables and
-    # jet once
-    pts = [Point(pt) for pt in sample_points(rng, dim, samples)]
+    pts = sample_points(rng, dim, samples)
+    # the sweeps below share one stacked Point, so its tables and jet are
+    # built once
+    stacked = stack_points(pts)
 
-    def roundtrip_gap(pt):
-        el = {(i,): complex(rng.standard_normal(), rng.standard_normal())
-              for i in range(dim)}
-        return enorm(esub(to_real(ch, to_frame(ch, el, pt), pt), el))
-
+    # every sample's element is drawn before the one evaluation, in order
+    drawn = np.array([[complex(rng.standard_normal(), rng.standard_normal())
+                       for _ in range(dim)] for _ in pts])
+    el = {(i,): c for i, c in enumerate(drawn.T)}
     out += sweep_records([Spec(
         "frame-roundtrip",
         "real to frame coefficients and back is the identity", tolv)],
-        map(roundtrip_gap, pts))
+        _samples(enorm(esub(to_real(ch, to_frame(ch, el, stacked), stacked),
+                            el)), samples))
 
     out += [r for sweep in _totspace_sweeps(ts, pts, tolv)
             for r in _stacked_records(*sweep)]
@@ -680,33 +731,14 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
         1, qpos_margin(ctx, omega_el), tol.positivity_floor))
 
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
-    gs = [natural_metric(ts, pt) for pt in pts]
+    flat_gap, *gaps = [_samples(c, samples)
+                       for c in _metric_gaps(ts, mats, stacked)]
     if flat:
         out += sweep_records([Spec(
             "metric-flat-identity",
             "the natural metric of the flat bundle is the euclidean one",
-            tolv)], (_max_abs([g - np.eye(dim)]) for g in gs))
-
-    V = np.eye(dim)[:, nb:]
-    dpsi_real = exterior_d(scalar_field(ch, lambda pt: psi(ts, pt)))
-
-    def metric_gaps(pt, g):
-        L = {u: mats[u](pt)[0] for u in mats}
-        quat = [L[u] @ L[u] + np.eye(dim) for u in L]
-        quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
-        H = np.array([horizontal_lift(ts, pt, row)
-                      for row in np.eye(nb)], dtype=float).T
-        w = np.zeros(dim)
-        for mono, c in dpsi_real.at(pt).items():
-            w[mono[0]] = float(complex(c).real)
-        val = float(w @ np.linalg.solve(g, w))
-        p = float(psi(ts, pt))
-        return (_max_abs(L[u].T @ g @ L[u] - g for u in L), _max_abs(quat),
-                _max_abs([H.T @ g @ H - np.eye(nb), H.T @ g @ V,
-                          V.T @ g @ V - np.eye(dim - nb)]),
-                abs(val - 4.0 * p) / (1.0 + 4.0 * p))
-
-    out += sweep_records([
+            tolv)], flat_gap)
+    out += _column_records([
         Spec("metric-invariance",
              "the natural metric is invariant under all three structures",
              tolv),
@@ -718,13 +750,15 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
              tolv),
         Spec("potential-gradient-norm",
              "the metric norm of d of the potential is twice its square root",
-             tolv)], map(metric_gaps, pts, gs))
+             tolv)], gaps)
 
-    nij_pt = stack_points(pts[:max(50, samples // 2)])
+    # the first max(50, samples // 2) samples of the stacked structures
+    k = max(50, samples // 2)
     out += sweep_records([Spec(
         "nijenhuis",
         "all three lifted structures have vanishing Nijenhuis tensor",
-        nij_tol)], zip(*(nijenhuis_residual(*mats[u](nij_pt)) for u in mats)))
+        nij_tol)], zip(*(nijenhuis_residual(L[:k], dL[:k])
+                         for L, dL in (mats[u](stacked) for u in mats))))
     return out
 
 
@@ -741,7 +775,33 @@ def totspace_records(cfg: ScenarioConfig) -> list:
 
 # ----- quotient -----
 
+def _hopf_form(h, pt, lam):
+    """(frame value, Gram margin, fields) of the quotient form at pt, where
+    the fields are those of the hopf form sweep's records, in report order:
+    an element whose enorm is the record's value, or the value itself.  lam
+    is the arbitrary fiber scaling: an array over the samples of a stacked
+    Point, or a float at a plain one."""
+    ts, ctx = h.ts, h.ts.ctx
+    otf = omega_tilde_field(h)
+    fr = otf.frame_at(pt)
+    G = gram(ctx, fr)
+    mg = qpos_margin(ctx, fr)
+    scale = np.maximum(1.0, np.linalg.norm(G, 2, axis=(-2, -1)))
+    ddj_log = del_hol(del_j(log_psi_field(h)))
+    return fr, mg, [
+        abs(np.log(psi(ts, rho_apply(h, pt))) - np.log(psi(ts, pt))
+            - 2.0 * np.log(abs(h.q))),
+        esub(fr, eadd(omega_hor_expr(ts), ddj_log.frame_at(pt))),
+        esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt))), fr),
+        esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt, lam)), lam), fr),
+        del_hol(otf).at(pt), qreal_residual(ctx, fr),
+        hyperhermitian_residual(ctx, G), mg / scale]
+
+
 def hopf_records(cfg: ScenarioConfig) -> list:
+    """Each sweep draws what it needs for all its samples first, in the
+    order the samples come, then evaluates once at the stacked Point of its
+    samples; a probe is an (S, m) array, one row per sample."""
     tol = cfg.tol
     rng = cfg.rng()
     out = []
@@ -750,32 +810,15 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     h = hopf_data(ts, cfg.q)
     ctx, mb, m = ts.ctx, 2 * ts.n, ts.ctx.m
     pts = fundamental_domain_points(h, rng, cfg.samples)
-    otf = omega_tilde_field(h)
-    omh = omega_hor_expr(ts)
-    frames = [otf.frame_at(pt) for pt in pts]
+    count = len(pts)
+    stacked = stack_points(pts)
+    p = psi(ts, stacked)
 
-    ddj_log = del_hol(del_j(log_psi_field(h)))
-    dot = del_hol(otf)
-    margins = [qpos_margin(ctx, fr) for fr in frames]
-
-    def form_values(pt, fr, mg):
-        a = float(np.log(float(psi(ts, rho_apply(h, pt)))))
-        b = float(np.log(float(psi(ts, pt))))
-        img = otf.frame_at(rho_apply(h, pt))
-        lam = float(rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0]))
-        img2 = otf.frame_at(rho_apply(h, pt, scale=lam))
-        G = gram(ctx, fr)
-        scale = max(1.0, float(np.linalg.norm(G, 2)))
-        return (abs(a - b - 2.0 * np.log(abs(h.q))),
-                enorm(esub(fr, eadd(omh, ddj_log.frame_at(pt)))),
-                enorm(esub(rho_pullback(h, img), fr)),
-                enorm(esub(rho_pullback(h, img2, scale=lam), fr)),
-                enorm(dot.at(pt)), qreal_residual(ctx, fr),
-                hyperhermitian_residual(ctx, G), mg / scale)
-
-    # one sweep for every record of a sample's form; only the dilation
-    # draws, two numbers per sample
-    out += sweep_records([
+    # the dilation draws, two numbers per sample
+    lams = np.array([rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+                     for _ in pts])
+    fr, margins, fields = _hopf_form(h, stacked, lams)
+    out += _column_records([
         Spec("potential-homogeneity",
              "log of the fiber norm shifts by 2 log|q| under the dilation",
              tol.secondderiv),
@@ -797,84 +840,86 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         Spec("positivity-margin",
              "the quotient form has a strictly positive scale-relative Gram "
              "floor", tol.positivity_floor, "margin")],
-        map(form_values, pts, frames, margins))
+        [_samples(enorm(f) if isinstance(f, dict) else f, count)
+         for f in fields])
 
-    # per probe its (lower, upper) ratio to the fiber norm over the
-    # potential, per sample its probe values and, on a fiber of rank above
-    # 2, the gap of an orthogonal probe to the upper bound
-    mfib = ctx.mmat[mb:, mb:]
-    ratios, pairs, orth = [], [], []
-    for pt, fr in zip(pts, frames):
-        p = float(psi(ts, pt))
-        probes = [vertical_probe(h, rng) for _ in range(cfg.probes - 1)]
-        probes.append(radial_probe(h, pt))
-        pairs.append([float(complex(hermitian_pair(ctx, fr, x, x)).real)
-                      for x in probes])
-        for x, pair in zip(probes, pairs[-1]):
-            nx = fiber_norm2(h, x)
-            ratios.append(((pair - nx / p) / (nx / p),
-                           (2.0 * nx / p - pair) / (nx / p)))
+    # per sample: cfg.probes - 1 vertical probes and, on a fiber of rank
+    # above 2, one more to make orthogonal to the fiber value and its
+    # conjugate partner; the radial probe comes last among the probes
+    drawn, extra = [], []
+    for _ in pts:
+        drawn.append([vertical_probe(h, rng) for _ in range(cfg.probes - 1)])
         if ts.rank > 2:
-            v = np.asarray(ts.fiber_values(pt), dtype=complex)
-            u = vertical_probe(h, rng)
-            for r in (v, -(mfib.T @ np.conj(v))):
-                rr = np.zeros(m, dtype=complex)
-                rr[mb:] = r
-                u = u - (np.vdot(rr, u) / np.vdot(rr, rr)) * rr
-            pair = float(complex(hermitian_pair(ctx, fr, u, u)).real)
-            nx = fiber_norm2(h, u)
-            orth.append(abs(pair - 2.0 * nx / p) / (nx / p))
-    out += sweep_records([
+            extra.append(vertical_probe(h, rng))
+    probes = np.concatenate(
+        (np.array(drawn, dtype=complex).reshape(count, cfg.probes - 1, m),
+         radial_probe(h, stacked)[:, None]), axis=1)
+    # (S, probes): each probe's value, its lower bound n(x)/Psi and its
+    # (lower, upper) ratio to that bound
+    pairs = np.stack([np.real(hermitian_pair(ctx, fr, x, x))
+                      for x in np.moveaxis(probes, 1, 0)], axis=1)
+    bound = fiber_norm2(h, probes) / p[:, None]
+    lower = ((pairs - bound) / bound).ravel()
+    out += _column_records([
         Spec("cauchy-lower",
              "vertical values are at least the fiber norm over the potential",
              -tol.positivity_floor, "margin"),
         Spec("cauchy-upper",
              "vertical values are at most twice the fiber norm over the "
-             "potential", -tol.positivity_floor, "margin")], ratios)
+             "potential", -tol.positivity_floor, "margin")],
+        [lower.tolist(), ((2.0 * bound - pairs) / bound).ravel().tolist()])
     if ts.rank == 2:
         # the gap |pair - nx/p| / (nx/p) is the modulus of the lower ratio
         out += sweep_records([Spec(
             "cauchy-tight-rank2",
             "on a rank-2 fiber the lower bound is an equality for every "
             "vertical probe", tol.secondderiv)],
-            (abs(lower) for lower, _ in ratios))
+            np.abs(lower).tolist())
     else:
+        u = np.array(extra)
+        v = probes[:, -1]
+        partner = np.zeros_like(v)
+        partner[:, mb:] = -(np.conj(v[:, mb:]) @ ctx.mmat[mb:, mb:])
+        for r in (v, partner):
+            coef = (np.sum(np.conj(r) * u, axis=-1)
+                    / np.sum(np.conj(r) * r, axis=-1))
+            u = u - coef[:, None] * r
+        bound = fiber_norm2(h, u) / p
         out += sweep_records([Spec(
             "cauchy-orthogonal-probe",
             "probes orthogonal to the fiber value and its conjugate "
-            "partner attain the upper bound", tol.secondderiv)], orth)
+            "partner attain the upper bound", tol.secondderiv)],
+            _samples(np.abs(np.real(hermitian_pair(ctx, fr, u, u))
+                            - 2.0 * bound) / bound, count))
 
-    def orthogonality_gap(fr):
-        xb = np.zeros(m, dtype=complex)
-        xb[:mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
-        xv = vertical_probe(h, rng)
-        sc = float(np.linalg.norm(xb) * np.linalg.norm(xv))
-        return abs(hermitian_pair(ctx, fr, xb, xv)) / sc
-
+    xb, xv = np.zeros((2, count, m), dtype=complex)
+    for k in range(count):
+        xb[k, :mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
+        xv[k] = vertical_probe(h, rng)
+    sc = np.linalg.norm(xb, axis=-1) * np.linalg.norm(xv, axis=-1)
     out += sweep_records([Spec(
         "horizontal-vertical-orthogonal",
         "base directions pair to zero with fiber directions",
-        tol.secondderiv)], map(orthogonality_gap, frames))
+        tol.secondderiv)],
+        _samples(np.abs(hermitian_pair(ctx, fr, xb, xv)) / sc, count))
 
-    def blowup_gap(pt, eps):
-        pe = rho_apply(h, pt, scale=eps)
-        Gv = gram(ctx, otf.frame_at(pe))[mb:, mb:]
-        lam = float(np.linalg.eigvalsh((Gv + Gv.conj().T) / 2)[0])
-        return abs(lam * float(psi(ts, pe)) - 1.0)
-
+    # the first 10 samples, each dilated towards the zero section
+    dilated = stack_points([rho_apply(h, pt, eps) for pt in pts[:10]
+                            for eps in (1.0, 0.3, 0.1, 0.03)])
+    Gv = gram(ctx, omega_tilde_field(h).frame_at(dilated))[:, mb:, mb:]
+    low = _eigvalsh((Gv + np.conj(np.swapaxes(Gv, -1, -2))) / 2)[:, 0]
     out += sweep_records([Spec(
         "vertical-blowup-rate",
         "the smallest vertical Gram eigenvalue scales as one over the "
         "potential", tol.secondderiv)],
-        (blowup_gap(pt, eps) for pt in pts[:10]
-         for eps in (1.0, 0.3, 0.1, 0.03)))
+        np.abs(low * psi(ts, dilated) - 1.0).tolist())
 
     # one row per sample: its matrix margin and its probe values
     out += sweep_records([Spec(
         "positivity-agreement",
         "matrix margin and probe values certify positivity together", 0.5)],
-        (tuple(float(x <= 0.0) for x in [mg] + prs)
-         for mg, prs in zip(margins, pairs)))
+        [tuple(map(float, row)) for row in
+         np.concatenate((margins[:, None], pairs), axis=1) <= 0.0])
     return out
 
 

@@ -186,9 +186,14 @@ def omega_hor_expr(ts: TotalSpace) -> Element:
     return {(2 * t, 2 * t + 1): 1.0 for t in range(ts.n)}
 
 
+def _fiber_vector(ts: TotalSpace, pt) -> np.ndarray:
+    """v as a complex array, the fiber axis behind the sample axes."""
+    return np.moveaxis(np.array(ts.fiber_values(pt), dtype=complex), 0, -1)
+
+
 def xi_curv_expr(ts: TotalSpace, pt) -> Element:
     """-<Theta v, v> as a real-label 2-form: -sum conj(v_a) Theta_ab v_b."""
-    v = np.moveaxis(np.array(ts.fiber_values(pt), dtype=complex), 0, -1)
+    v = _fiber_vector(ts, pt)
     F = _point_curvature(ts.conn, pt)
     return element_from_antisym(
         -np.einsum("...a,...mnab,...b->...mn", v.conj(), F, v))
@@ -198,10 +203,10 @@ def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:
     """Rows dx_mu, Re(Dv_a), Im(Dv_a) over the coordinate differentials."""
     nb = 4 * ts.n
     A = _point_coeff(ts.conn, pt)
-    X = np.einsum("mab,b->am", A, np.array(ts.fiber_values(pt), dtype=complex))
-    E = np.eye(ts.dim)
-    E[nb::2, :nb] += X.real
-    E[nb + 1::2, :nb] += X.imag
+    X = np.einsum("...mab,...b->...am", A, _fiber_vector(ts, pt))
+    E = np.broadcast_to(np.eye(ts.dim), X.shape[:-2] + (ts.dim,) * 2).copy()
+    E[..., nb::2, :nb] += X.real
+    E[..., nb + 1::2, :nb] += X.imag
     return E
 
 
@@ -213,15 +218,18 @@ def natural_metric(ts: TotalSpace, pt) -> np.ndarray:
     the flat base metric.
     """
     E = real_coframe_matrix(ts, pt)
-    return E.T @ E
+    return np.swapaxes(E, -1, -2) @ E
 
 
-def horizontal_lift(ts: TotalSpace, pt, u) -> list:
-    """Tangent coordinates of the connection lift (u, -A(u) v) at pt."""
+def horizontal_lift(ts: TotalSpace, pt, u) -> np.ndarray:
+    """Tangent coordinates of the connection lift (u, -A(u) v) at pt, behind
+    the sample axes of a stacked Point."""
     A = _point_coeff(ts.conn, pt)
-    v = np.array(ts.fiber_values(pt), dtype=complex)
-    w = -np.einsum("mab,b,m->a", A, v, np.asarray(u, dtype=float))
-    return list(u) + [x for c in w for x in (c.real, c.imag)]
+    u = np.asarray(u, dtype=float)
+    w = -np.einsum("...mab,...b,m->...a", A, _fiber_vector(ts, pt), u)
+    re_im = np.stack((w.real, w.imag), axis=-1).reshape(*w.shape[:-1], -1)
+    return np.concatenate((np.broadcast_to(u, re_im.shape[:-1] + u.shape),
+                           re_im), axis=-1)
 
 
 def structure_matrix_field(ts: TotalSpace, unit: str):
@@ -267,7 +275,7 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
 
     def field(pt):
         A, dA = _jet(ts.conn, pt)
-        v = np.moveaxis(np.array(ts.fiber_values(pt), dtype=complex), 0, -1)
+        v = _fiber_vector(ts, pt)
         samples = A.shape[:-3]
         L = np.broadcast_to(L0, samples + L0.shape).copy()
         L[..., nb:, :nb] = block(np.einsum("...mab,...b->...am", A, v))

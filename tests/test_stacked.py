@@ -16,26 +16,37 @@ from hktlab.bundles import (_jet, bianchi_residual, catalog_names, curvature,
                             structure_charts, type11_residual)
 from hktlab.charts import flat_chart, to_frame, to_real
 from hktlab.duals import Point, numeric
-from hktlab.exterior import eadd, enorm, escale
+from hktlab.exterior import StructureContext, eadd, enorm, escale, standard_m
 from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            exterior_d, ladder_map, random_form_field,
                            random_polynomial, random_pq_field, sample_points,
                            scalar_field, stack_points)
+from hktlab.hermitian import (gram, hermitian_pair, hyperhermitian_residual,
+                              qpos_margin, qreal_residual)
+from hktlab.hopf import fundamental_domain_points, hopf_data
 from hktlab.suites import ScenarioConfig
-from hktlab.total_space import (omega_hor_expr, omega_ver_canonical,
+from hktlab.total_space import (horizontal_lift, natural_metric,
+                                omega_hor_expr, omega_ver_canonical,
                                 omega_ver_expr, psi, structure_matrix_field,
                                 total_space, xi_curv_expr)
+
+
+def assert_sample_agrees(stacked, k, count, el):
+    """Sample k of an element over `count` stacked samples against the
+    element at that sample's own Point; a value stands for the element
+    {(): value}."""
+    stacked, el = (x if isinstance(x, dict) else {(): x}
+                   for x in (stacked, el))
+    scale = max(1.0, enorm(el))
+    for key in stacked.keys() | el.keys():
+        got = np.broadcast_to(numeric(stacked.get(key, 0.0)), (count,))[k]
+        assert abs(got - el.get(key, 0.0)) <= 1e-12 * scale, (key, k)
 
 
 def assert_agrees(evaluate, pts):
     stacked = evaluate(stack_points(pts))
     for k, pt in enumerate(pts):
-        el = evaluate(Point(pt))
-        scale = max(1.0, enorm(el))
-        for key in stacked.keys() | el.keys():
-            got = np.broadcast_to(numeric(stacked.get(key, 0.0)),
-                                  (len(pts),))[k]
-            assert abs(got - el.get(key, 0.0)) <= 1e-12 * scale, (key, k)
+        assert_sample_agrees(stacked, k, len(pts), evaluate(Point(pt)))
 
 
 def assert_arrays_agree(stacked, per_sample):
@@ -152,3 +163,75 @@ def test_structure_matrices_agree_with_each_sample(rng, bundle):
         assert_arrays_agree(L, [l for l, _ in per_sample])
         assert_arrays_agree(dL, [dl for _, dl in per_sample])
         assert max(np.max(np.abs(dl)) for _, dl in per_sample) > 1e-3
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
+def test_hopf_form_sweep_agrees_with_each_sample(rng, bundle):
+    # the frame value, the Gram margin and every field of the form sweep,
+    # with an arbitrary fiber scaling of either sign per sample
+    h = hopf_data(total_space(get_connection(bundle)), 2.0)
+    pts = fundamental_domain_points(h, rng, 3)
+    lams = rng.uniform(0.3, 3.0, 3) * np.array([1.0, -1.0, 1.0])
+    fr, mg, fields = suites._hopf_form(h, stack_points(pts), lams)
+    assert len(fields) == 8 and mg.shape == (3,)
+    for k, pt in enumerate(pts):
+        fr_k, mg_k, fields_k = suites._hopf_form(h, Point(pt), float(lams[k]))
+        assert enorm(fr_k) > 1e-3 and mg_k > 1e-3
+        for got, want in zip([fr, mg, *fields], [fr_k, mg_k, *fields_k]):
+            assert_sample_agrees(got, k, 3, want)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_hermitian_algebra_agrees_with_each_sample(rng, m):
+    # a (2, 0)-form whose coefficients are arrays over 3 samples: it is
+    # neither q-real nor q-positive, so every value is far from zero
+    ctx = StructureContext(m, standard_m(m))
+    el = {(a, b): rng.standard_normal(3) + 1j * rng.standard_normal(3)
+          for a in range(m) for b in range(a + 1, m)}
+    per_sample = [{key: c[k] for key, c in el.items()} for k in range(3)]
+    x, y = (rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+            for _ in range(2))
+    G = gram(ctx, el)
+    assert_arrays_agree(G, [gram(ctx, e) for e in per_sample])
+    for fn in (lambda e: qpos_margin(ctx, e), lambda e: qreal_residual(ctx, e),
+               lambda e: hyperhermitian_residual(ctx, gram(ctx, e))):
+        value = fn(el)
+        assert value.shape == (3,)
+        for k, e in enumerate(per_sample):
+            assert abs(fn(e)) > 1e-3
+            assert_sample_agrees(value, k, 3, fn(e))
+    pair = hermitian_pair(ctx, el, x, y)
+    for k, e in enumerate(per_sample):
+        assert_sample_agrees(pair, k, 3, hermitian_pair(ctx, e, x[k], y[k]))
+
+
+def test_stacked_margin_and_residual_keep_a_nan_in_its_sample(rng):
+    ctx = StructureContext(4, standard_m(4))
+    el = {(a, b): rng.standard_normal(3) + 1j * rng.standard_normal(3)
+          for a in range(4) for b in range(a + 1, 4)}
+    el[(0, 1)][1] = np.nan
+    for fn in (qpos_margin, qreal_residual):
+        value = fn(ctx, el)
+        assert np.isnan(value[1]) and np.all(np.isfinite(value[[0, 2]]))
+        for k in (0, 2):
+            assert_sample_agrees(value, k, 3,
+                                 fn(ctx, {key: c[k] for key, c in el.items()}))
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum", "flat"])
+def test_metric_sweeps_agree_with_each_sample(rng, bundle):
+    ts = total_space(get_connection(bundle))
+    mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
+    pts = sample_points(rng, ts.dim, 3)
+    gaps = suites._metric_gaps(ts, mats, stack_points(pts))
+    assert len(gaps) == 5
+    for k, pt in enumerate(pts):
+        for got, want in zip(gaps, suites._metric_gaps(ts, mats, Point(pt))):
+            assert_sample_agrees(got, k, 3, want)
+    # the operands, which do not vanish: the metric and the horizontal lifts
+    u = rng.standard_normal(4)
+    for fn in (lambda pt: natural_metric(ts, pt),
+               lambda pt: horizontal_lift(ts, pt, u)):
+        assert_arrays_agree(fn(stack_points(pts)),
+                            [fn(Point(pt)) for pt in pts])
+

@@ -3,7 +3,8 @@
 Each nan test wraps one helper that a suite imports so that it returns nan
 at one call that is neither the first nor the last of the record's sweep
 (or, where the sweep evaluates all its samples at once, at one middle
-sample of such a call: d-squared and nijenhuis); the record must then FAIL
+sample of such a call: d-squared, nijenhuis and the hopf
+positivity-margin); the record must then FAIL
 with value nan, and its neighbours still pass.
 """
 
@@ -96,10 +97,22 @@ def test_totspace_nijenhuis_nan_fails(monkeypatch):
 
 
 def test_hopf_positivity_margin_nan_fails(monkeypatch):
-    # one qpos_margin call per sample point
-    calls = nan_at(monkeypatch, "qpos_margin", 2)
+    # one qpos_margin call, at the stacked Point of the 4 samples (was one
+    # call per sample); the nan goes into the third sample's entry
+    real = suites.qpos_margin
+    calls = []
+
+    def wrapped(ctx, el):
+        value = real(ctx, el)
+        calls.append(value)
+        value = value.copy()
+        value[2] = math.nan
+        return value
+
+    monkeypatch.setattr(suites, "qpos_margin", wrapped)
     records = by_identity(hopf_records(ScenarioConfig(samples=4, probes=2)))
-    assert calls[0] == 4
+    assert [np.shape(v) for v in calls] == [(4,)]
+    assert records["positivity-margin"].points == 4
     assert_nan_fail(records["positivity-margin"])
     assert records["omega-qreal"].passed
     assert records["cauchy-lower"].passed

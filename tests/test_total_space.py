@@ -365,8 +365,9 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # per sweep of 20 samples (was 753):
-    # - frame-roundtrip 20: one per sample Point, shared by both tables;
+    # per sweep of 20 samples (was 189):
+    # - frame-roundtrip 1: A for both tables at the stacked Point of all 20
+    #   samples, which the metric and Nijenhuis sweeps share;
     # - the structure equation 22, at the stacked Point of its 10 samples:
     #   1 + 4 for the jet, 1 for the tables, and 8 seeded frame tables for
     #   each of the 2 fields d Dv_a;
@@ -377,9 +378,9 @@ def test_totspace_coeff_calls(monkeypatch):
     #   and 1 + 4 for the fiber-doubled twin's jet (10 for flat, whose
     #   curvature term is empty and needs no table);
     # - del-closed 9: 1 + 8 seeds;
-    # - the metric sweeps 100: 1 for A and 4 for dA at each sample Point,
-    #   since the lifted structures read the whole jet;
-    # - Nijenhuis 5: the jet at the stacked Point of its 20 samples.
+    # - the metric sweeps 5: 1 for A (the tables' own call does not share
+    #   its memo) and 4 for dA, once at the shared stacked Point;
+    # - Nijenhuis 0: it reads the first samples of the same stacked jet.
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -394,7 +395,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 189, "flat": 188}
+    assert calls == {"bpst": 70, "flat": 69}
 
 
 def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):

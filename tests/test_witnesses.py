@@ -1,0 +1,80 @@
+"""FAIL witnesses: a record claims something only if some fault can fail it.
+
+Each entry names a record, one mathematically meaningful fault and a record
+that does not depend on that fault.  The owning suite runs at 3 samples,
+first as it is, where both records pass, then with the fault monkeypatched
+in, where the record must FAIL with a finite value above its bound while
+the unrelated record still passes.
+"""
+
+import math
+
+import pytest
+
+from hktlab import hopf, suites
+from hktlab.exterior import eadd, esub
+from hktlab.suites import ScenarioConfig, hopf_records, totspace_records
+from hktlab.total_space import omega_hor_expr
+
+
+def base_fiber_term(real):
+    """The quotient form with a (2, 0) term pairing a base and a fiber
+    direction, which the horizontal/vertical splitting forbids."""
+    def faulty(h, pt):
+        return eadd(real(h, pt), {(0, 2 * h.ts.n): 0.5})
+    return faulty
+
+
+def negated_log_part(real):
+    """Omega_hor - del del_J log Psi: the log-potential term with the wrong
+    sign, so the form is negative on the fiber."""
+    def faulty(h, pt):
+        omh = omega_hor_expr(h.ts)
+        return eadd(omh, esub(omh, real(h, pt)))
+    return faulty
+
+
+def negated(real):
+    """The probe pairing eta(x, J conj y) with the wrong sign."""
+    return lambda *args: -real(*args)
+
+
+def scaled(real):
+    """The natural metric scaled by 1.01: not the euclidean one on the flat
+    bundle, though still invariant under I, J and K."""
+    return lambda *args: 1.01 * real(*args)
+
+
+# identity -> (runner, bundle, unrelated identity, module, name, fault)
+WITNESSES = {
+    "horizontal-vertical-orthogonal": (
+        hopf_records, "bpst", "potential-homogeneity", hopf,
+        "omega_tilde_expr", base_fiber_term),
+    "cauchy-orthogonal-probe": (
+        hopf_records, "direct-sum", "omega-qreal", suites, "hermitian_pair",
+        negated),
+    "positivity-agreement": (
+        hopf_records, "bpst", "omega-qreal", hopf, "omega_tilde_expr",
+        negated_log_part),
+    "metric-flat-identity": (
+        totspace_records, "flat", "quaternion-relations", suites,
+        "natural_metric", scaled),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(WITNESSES))
+def test_fault_fails_its_record(monkeypatch, identity):
+    runner, bundle, unrelated, module, name, fault = WITNESSES[identity]
+    cfg = ScenarioConfig(bundle=bundle, samples=3, probes=3)
+
+    def run():
+        return {r.identity: r for r in runner(cfg)}
+
+    clean = run()
+    assert clean[identity].passed and clean[unrelated].passed
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    records = run()
+    record = records[identity]
+    assert math.isfinite(record.value), record
+    assert record.value > record.threshold and not record.passed, record
+    assert records[unrelated].passed
