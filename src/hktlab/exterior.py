@@ -35,6 +35,23 @@ hence the Casimir and every weight projector, vanishes outside the blocks,
 so block matrices carry the full operators exactly: weight_project sums
 cached projector columns, and the algebra suite runs np.linalg.eigvals per
 block (at most 64x64 at n=3, degree 6) instead of on 924x924 matrices.
+
+The blocks are built from the 1-form tables with array operations over all
+monomials of the degree at once, not through the sparse rules.  One
+replacement table serves the five derivations: it lists every e_S -> e_T
+where T is S with its label S[p] replaced by l (l = S[p], or a label S
+lacks), its row found by ranking T's label bitmask.  Moving l to its sorted
+place passes the labels of S strictly between S[p] and l, so the entry of
+a derivation with 1-form matrix A is (-1)^(their number) A[l, S[p]].  H is
+the diagonal p - q.  The blocks are the components of the entries' rows and
+columns, found by min-label propagation: each monomial takes the smallest
+label among its neighbours until none changes, so a block is labelled by
+its smallest member.  Blocks come in the order of that member, monomials
+in basis order within each, and each generator is scattered into one buffer
+with a view per block.  cov_blocks expands cov_I, cov_J and cov_K the same
+way, multiplicatively: one image term per position, the product's labels
+sorted with the sign of their inversions; it builds them per call.  The
+tests hold every block matrix to operator_matrix of the sparse rule.
 """
 
 from __future__ import annotations
@@ -179,45 +196,138 @@ class Su2Block(NamedTuple):
     projectors: dict
 
 
+# _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing
+# and sums, which load fewer numpy kernels than shifts (peak RSS counts them)
+_BIT = np.array([1 << l for l in range(62)])
+
+
+def _monomials(monos, n: int):
+    """Degree-k monomials as an (N, k) label array, and the rank lookup
+    that sends a label bitmask to the monomial's row (-1 for none)."""
+    labels = np.array(monos, dtype=np.int64).reshape(len(monos), -1)
+    rank = np.full(1 << n, -1)
+    rank[_BIT[labels].sum(axis=1)] = np.arange(len(monos))
+    return labels, rank
+
+
+def _table_arrays(table, n: int):
+    """A 1-form table as the matrix A[l, s], the coefficient of label l in
+    the image of label s, and the pattern of the table's entries."""
+    A = np.zeros((n, n), dtype=complex)
+    has = np.zeros((n, n), dtype=bool)
+    for s, img in table.items():
+        for (l,), c in img.items():
+            A[l, s] = c
+            has[l, s] = True
+    return A, has
+
+
+def _replacements(labels, rank, has):
+    """Every e_S -> e_T of a derivation whose 1-form images have the entry
+    pattern has: T is S with its label S[p] replaced by a label l, where l
+    is S[p] itself or a label S lacks.  Returns the rows, columns, replaced
+    labels S[p], new labels l and signs (-1)^(labels of S strictly between
+    S[p] and l), one entry per (S, p, l); the generator's value there is
+    sign * A[l, S[p]]."""
+    n = len(has)
+    masks = _BIT[labels].sum(axis=1)
+    free = np.ones((len(labels), n), dtype=bool)
+    free[np.arange(len(labels))[:, None], labels] = False
+    parts = [(np.zeros(0, dtype=np.int64),) * 5]
+    for p in range(labels.shape[1]):
+        old = labels[:, p]
+        col, new = np.nonzero(has[:, old].T
+                              & (free | (np.arange(n) == old[:, None])))
+        old = old[col]
+        lo, hi = np.minimum(old, new)[:, None], np.maximum(old, new)[:, None]
+        between = ((labels[col] > lo) & (labels[col] < hi)).sum(axis=1)
+        row = rank[masks[col] - _BIT[old] + _BIT[new]]
+        parts.append((row, col, old, new,
+                      (1 - 2 * (between % 2)).astype(complex)))
+    return [np.concatenate(a) for a in zip(*parts)]
+
+
+def _products(labels, rank, A, has):
+    """Every term of the multiplicative images of the monomials, taking at
+    each position p one term of the 1-form image of S[p]: the product's
+    labels are sorted with the sign of their inversions, and a product with
+    a repeated label is dropped.  Returns the rows, columns and values."""
+    col = np.arange(len(labels))
+    chosen = np.zeros((len(labels), 0), dtype=np.int64)
+    coef = np.ones(len(labels))
+    for p in range(labels.shape[1]):
+        old = labels[col, p]
+        term, new = np.nonzero(has[:, old].T)
+        keep = (chosen[term] != new[:, None]).all(axis=1)
+        term, new = term[keep], new[keep]
+        inversions = (chosen[term] > new[:, None]).sum(axis=1)
+        coef = coef[term] * A[new, old[term]] * (1 - 2 * (inversions % 2))
+        col, chosen = col[term], np.column_stack([chosen[term], new])
+    return rank[_BIT[chosen].sum(axis=1)], col, coef
+
+
+def _block_matrices(sizes, entries) -> dict:
+    """Scatter each operator's entries, given as (rows, cols, values) over
+    block-major positions, into one buffer per operator and hand out one
+    matrix view per block; values at a repeated position add.  Raises
+    ValueError if an entry leaves its block with a coefficient above
+    1e-13; smaller ones are dropped."""
+    sizes = np.asarray(sizes)
+    start = np.cumsum(sizes) - sizes
+    offset = np.cumsum(sizes * sizes) - sizes * sizes
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    out = {}
+    for name, (rows, cols, vals) in entries.items():
+        b = block[cols]
+        inside = block[rows] == b
+        if not inside.all() and np.any(np.abs(vals[~inside]) > 1e-13):
+            raise ValueError("image leaves its su(2) block")
+        b = b[inside]
+        buf = np.zeros(int(sizes @ sizes), dtype=complex)
+        np.add.at(buf, offset[b] + (rows[inside] - start[b]) * sizes[b]
+                  + cols[inside] - start[b], vals[inside])
+        out[name] = [buf[o:o + s * s].reshape(s, s)
+                     for o, s in zip(offset, sizes)]
+    return out
+
+
 def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
-    """Blocks of basis(k): union-find over the generators' column images."""
+    """Blocks of basis(k): the generators' entries from one replacement
+    table, grouped into min-label components."""
+    n = 2 * ctx.m
     basis = ctx.basis(k)
-    index = {mono: i for i, mono in enumerate(basis)}
-    generators = {"R": ctx.raising, "Rb": ctx.lowering, "H": ctx.h_op,
-                  "L_I": lambda el: ctx.lie("I", el),
-                  "L_J": lambda el: ctx.lie("J", el),
-                  "L_K": lambda el: ctx.lie("K", el)}
-    images = {name: [op({mono: 1.0}) for mono in basis]
-              for name, op in generators.items()}
-    parent = list(range(len(basis)))
+    labels, rank = _monomials(basis, n)
+    tables = {name: _table_arrays(ctx.tables[name], n)
+              for name in ("R", "Rb", "L_I", "L_J", "L_K")}
+    row, col, old, new, sign = _replacements(
+        labels, rank, np.any([has for _, has in tables.values()], axis=0))
 
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    comp = np.arange(len(basis))  # each monomial's smallest connected one
+    while True:
+        low = np.minimum(comp[row], comp[col])
+        nxt = comp.copy()
+        np.minimum.at(nxt, row, low)
+        np.minimum.at(nxt, col, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, comp):
+            break
+        comp = nxt
+    order = np.argsort(comp, kind="stable")  # blocks by smallest member
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    first = np.flatnonzero(np.diff(comp[order], prepend=-1))
+    sizes = np.diff(first, append=len(order))
 
-    for imgs in images.values():
-        for col, img in enumerate(imgs):
-            for labels in img:
-                a, b = root(col), root(index[labels])
-                parent[max(a, b)] = min(a, b)
-    members: dict[int, list[int]] = {}
-    for i in range(len(basis)):
-        members.setdefault(root(i), []).append(i)
+    entries = {name: (at[row], at[col], A[new, old] * sign)
+               for name, (A, _) in tables.items()}
+    pq = 2 * (labels < ctx.m).sum(axis=1) - k
+    entries["H"] = (at, at, pq.astype(complex))
+    mats = _block_matrices(sizes, entries)
 
     lams = {w: w * (w + 2) for w in ctx.weight_list(k)}
     blocks = []
-    for idx in members.values():
-        local = {basis[i]: r for r, i in enumerate(idx)}
-        size = len(idx)
-        ops = {}
-        for name, imgs in images.items():
-            mat = np.zeros((size, size), dtype=complex)
-            for col, i in enumerate(idx):
-                for labels, c in imgs[i].items():
-                    mat[local[labels], col] = c
-            ops[name] = mat
+    for b, (s0, size) in enumerate(zip(first, sizes)):
+        ops = {name: per_block[b] for name, per_block in mats.items()}
         R, Rb, H = ops["R"], ops["Rb"], ops["H"]
         C = ops["C"] = H @ H + 2 * (R @ Rb + Rb @ R)
         projectors = {}
@@ -227,7 +337,8 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
                 if w2 != w:
                     P = (C @ P - lam2 * P) * (1.0 / (lam - lam2))
             projectors[w] = P
-        blocks.append(Su2Block([basis[i] for i in idx], ops, projectors))
+        blocks.append(Su2Block([basis[i] for i in order[s0:s0 + size]], ops,
+                               projectors))
     return blocks
 
 
@@ -326,6 +437,21 @@ class StructureContext:
 
     def cov_mult(self, which: str, el: Element) -> Element:
         return apply_multiplicative(self.tables["cov_" + which], el)
+
+    def cov_blocks(self, k: int) -> dict:
+        """cov_I, cov_J and cov_K ("I", "J", "K") on each su(2) block of
+        basis(k), in the blocks' order, expanded multiplicatively from their
+        1-form tables; built on each call, never cached.  Raises ValueError
+        if an image leaves its block."""
+        blocks = self.su2_blocks(k)
+        n = 2 * self.m
+        labels, rank = _monomials([mono for blk in blocks
+                                   for mono in blk.monos], n)
+        return _block_matrices(
+            [len(blk.monos) for blk in blocks],
+            {u: _products(labels, rank,
+                          *_table_arrays(self.tables["cov_" + u], n))
+             for u in "IJK"})
 
     def casimir(self, el: Element) -> Element:
         h2 = self.h_op(self.h_op(el))

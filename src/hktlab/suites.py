@@ -17,8 +17,10 @@ sweeps of the bicomplex, bundle, totspace and hopf suites evaluate each
 field once, at the stacked Point of all their samples (fields.stack_points),
 field-major as before.  A sweep that draws per sample (frame-roundtrip, the
 hopf dilations and probes) makes all its draws first, in sample order, so
-its draws are those of a loop over the samples.  The qpos and algebra
-sweeps go one draw at a time.
+its draws are those of a loop over the samples.  The qpos draws and the
+algebra draws and ladder go one at a time; the algebra block checks,
+unit-weight and cov-squares read the per-degree block matrices that
+exterior.py builds with array operations.
 """
 
 from __future__ import annotations
@@ -197,12 +199,15 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             3 * npts, _max_abs(r for blk in every for r in cyclic(blk)),
             tol.sl2))
 
+        def unit_weight_gaps(blk):
+            """Per monomial, its L_I column's distance from i(p-q) e_mono."""
+            pq = [1j * (p - q) for p, q in map(ctx.bidegree_of, blk.monos)]
+            return np.max(np.abs(blk.ops["L_I"] - np.diag(pq)), axis=0)
+
         out += sweep_records([Spec(
             f"unit-weight{tag}", "L_I acts as i(p-q) on (p,q)-forms",
-            tol.sl2)], (enorm(esub(ctx.lie("I", {mono: 1.0}),
-                                   escale({mono: 1.0}, 1j * (p - q))))
-                        for p in range(m + 1) for q in range(m + 1)
-                        for mono in ctx.basis_pq(p, q)))
+            tol.sl2)], np.concatenate([unit_weight_gaps(blk)
+                                       for blk in every]))
 
         def spectrum(per_degree, name):
             return np.concatenate([np.linalg.eigvals(blk.ops[name])
@@ -314,12 +319,12 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                                      M @ np.conj(M) + np.eye(m), M + M.T])])
 
         def cov_squares():
-            for k, per_degree in enumerate(blocks):
-                for blk in per_degree:
-                    for u in ("I", "J", "K"):
-                        c = ctx.operator_matrix(partial(ctx.cov_mult, u),
-                                                blk.monos, blk.monos)
-                        yield c @ c - (-1.0) ** k * np.eye(len(blk.monos))
+            # one degree at a time: kept for every degree, they cost
+            # several MB of peak memory at n=3
+            for k in range(2 * m + 1):
+                for mats in ctx.cov_blocks(k).values():
+                    for c in mats:
+                        yield c @ c - (-1.0) ** k * np.eye(len(c))
 
         out.append(residual_record(
             f"cov-squares{tag}",

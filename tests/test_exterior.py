@@ -7,6 +7,7 @@ weight projectors against a numpy eigendecomposition of the Casimir.
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -329,6 +330,54 @@ def test_blocks_carry_every_generator_exactly(m, degrees):
                               initial=0.0) < 1e-12
             else:
                 assert np.array_equal(full, _assembled(ctx, k, name))
+        # the multiplicative units, built per degree from the 1-form tables
+        covs = ctx.cov_blocks(k)
+        for u in "IJK":
+            for blk, mat in zip(blocks, covs[u], strict=True):
+                oracle = ctx.operator_matrix(partial(ctx.cov_mult, u),
+                                             blk.monos, blk.monos)
+                assert np.array_equal(mat, oracle), (k, u)
+
+
+def _random_structure(m, rng):
+    """U M U^T for the standard M and a random unitary U: still unitary
+    with M conj(M) = -Id, but every 1-form table is dense."""
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    u, _ = np.linalg.qr(z)
+    return StructureContext(m, u @ standard_m(m) @ u.T)
+
+
+def test_blocks_of_a_dense_structure_match_the_sparse_operators(rng):
+    ctx = _random_structure(4, rng)
+    ops = _generators(ctx)
+    for k in range(9):
+        basis = ctx.basis(k)
+        for name, op in ops.items():
+            gap = ctx.operator_matrix(op, basis, basis) \
+                - _assembled(ctx, k, name)
+            assert np.max(np.abs(gap), initial=0.0) < 1e-12, (k, name)
+        covs = ctx.cov_blocks(k)
+        for u in "IJK":
+            for blk, mat in zip(ctx.su2_blocks(k), covs[u], strict=True):
+                oracle = ctx.operator_matrix(partial(ctx.cov_mult, u),
+                                             blk.monos, blk.monos)
+                assert np.max(np.abs(mat - oracle), initial=0.0) < 1e-12
+
+
+def test_cov_image_leaving_its_block_raises():
+    ctx = _ctx(2)
+    # the degree-1 blocks are {theta_0, conj theta_1} and {theta_1, conj theta_0}
+    assert [blk.monos for blk in ctx.su2_blocks(1)] == [[(0,), (3,)],
+                                                        [(1,), (2,)]]
+    cov_i = ctx.tables["cov_I"]
+    cov_i[0] = {(0,): -1j, (1,): 1e-14}  # dropped, as operator_matrix does
+    mats = ctx.cov_blocks(1)["I"]
+    assert np.array_equal(mats[0], np.diag([-1j, 1j]))
+    cov_i[0] = {(0,): -1j, (1,): 1e-3}
+    with pytest.raises(ValueError, match="leaves its su\\(2\\) block"):
+        ctx.cov_blocks(1)
+    with pytest.raises(ValueError):  # and in a product of two labels
+        ctx.cov_blocks(2)
 
 
 def _spectrum(values):

@@ -12,8 +12,9 @@ import math
 import pytest
 
 from hktlab import hopf, suites
-from hktlab.exterior import eadd, esub
-from hktlab.suites import ScenarioConfig, hopf_records, totspace_records
+from hktlab.exterior import eadd, escale, esub
+from hktlab.suites import (ScenarioConfig, algebra_records, hopf_records,
+                           totspace_records)
 from hktlab.total_space import omega_hor_expr
 
 
@@ -45,6 +46,20 @@ def scaled(real):
     return lambda *args: 1.01 * real(*args)
 
 
+def table_fault(name, k):
+    """flat_chart whose structure context has its 1-form table `name`
+    multiplied by k before any operator is built from it."""
+    def patch(real):
+        def faulty(*args, **kwargs):
+            chart = real(*args, **kwargs)
+            tables = chart.ctx.tables
+            tables[name] = {lab: escale(img, k)
+                            for lab, img in tables[name].items()}
+            return chart
+        return faulty
+    return patch
+
+
 # identity -> (runner, bundle, unrelated identity, module, name, fault)
 WITNESSES = {
     "horizontal-vertical-orthogonal": (
@@ -59,6 +74,15 @@ WITNESSES = {
     "metric-flat-identity": (
         totspace_records, "flat", "quaternion-relations", suites,
         "natural_metric", scaled),
+    "unit-weight(n=1)": (
+        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
+        table_fault("L_I", 1.01)),
+    "cov-squares(n=1)": (
+        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
+        table_fault("cov_J", 1.01)),
+    "su2-brackets(n=1)": (
+        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
+        table_fault("L_K", -1)),
 }
 
 
