@@ -32,9 +32,10 @@ Each StructureContext caches, per degree k and on first use, the generators
 R, Rb, H, L_I, L_J, L_K as dense matrices on blocks: the connected pieces of
 basis(k) under their joint sparsity pattern (su2_blocks).  Every generator,
 hence the Casimir and every weight projector, vanishes outside the blocks,
-so block matrices carry the full operators exactly: weight_project sums
-cached projector columns, and the algebra suite runs np.linalg.eigvals per
-block (at most 64x64 at n=3, degree 6) instead of on 924x924 matrices.
+so block matrices carry the full operators exactly.  The blocks of one size
+form one (B, s, s) stack (28 stacks for 729 blocks at n=3, at most 64x64),
+so weight_project sums cached projector columns and the algebra suite runs
+one batched matmul or eigvals per stack, never a 924x924 matrix.
 
 The blocks are built from the 1-form tables with array operations over all
 monomials of the degree at once, not through the sparse rules.  One
@@ -46,12 +47,12 @@ a derivation with 1-form matrix A is (-1)^(their number) A[l, S[p]].  H is
 the diagonal p - q.  The blocks are the components of the entries' rows and
 columns, found by min-label propagation: each monomial takes the smallest
 label among its neighbours until none changes, so a block is labelled by
-its smallest member.  Blocks come in the order of that member, monomials
-in basis order within each, and each generator is scattered into one buffer
-with a view per block.  cov_blocks expands cov_I, cov_J and cov_K the same
-way, multiplicatively: one image term per position, the product's labels
-sorted with the sign of their inversions; it builds them per call.  The
-tests hold every block matrix to operator_matrix of the sparse rule.
+its smallest member.  Each generator is scattered into one buffer, size-major
+(blocks by size, then by smallest member, monomials in basis order), so a
+size group is one reshaped view.  cov_blocks expands cov_I, cov_J and cov_K
+the same way, multiplicatively: one image term per position, the product's
+labels sorted with the sign of their inversions; it builds them per call.
+The tests hold every block matrix to operator_matrix of the sparse rule.
 """
 
 from __future__ import annotations
@@ -177,19 +178,18 @@ def standard_m(m: int) -> np.ndarray:
     """Block-diagonal [[0,-1],[1,0]] structure matrix on C^m (m even)."""
     if m % 2:
         raise ValueError("standard structure needs even m")
-    blk = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     out = np.zeros((m, m), dtype=complex)
-    for t in range(m // 2):
-        out[2 * t:2 * t + 2, 2 * t:2 * t + 2] = blk
+    even = np.arange(0, m, 2)
+    out[even, even + 1], out[even + 1, even] = -1.0, 1.0
     return out
 
 
 class Su2Block(NamedTuple):
-    """One connected piece of basis(k) under the su(2) generators.
-
-    monos lists its monomials in basis order; ops maps "R", "Rb", "H",
-    "L_I", "L_J", "L_K" and the Casimir "C" to dense matrices on them, and
-    projectors maps each weight of the degree to its Lagrange projector.
+    """The B connected pieces of size s of basis(k) under the su(2)
+    generators, stacked.  monos lists the members' monomial lists (by
+    smallest monomial, each in basis order); ops maps "R", "Rb", "H", "L_I",
+    "L_J", "L_K" and the Casimir "C", and projectors each weight of the
+    degree (Lagrange projectors), to (B, s, s) stacks of dense matrices.
     """
     monos: list
     ops: dict
@@ -268,14 +268,16 @@ def _products(labels, rank, A, has):
 
 def _block_matrices(sizes, entries) -> dict:
     """Scatter each operator's entries, given as (rows, cols, values) over
-    block-major positions, into one buffer per operator and hand out one
-    matrix view per block; values at a repeated position add.  Raises
-    ValueError if an entry leaves its block with a coefficient above
-    1e-13; smaller ones are dropped."""
+    block-major positions of blocks in nondecreasing size, into one buffer
+    per operator and hand out one (B, s, s) stack view per size group;
+    values at a repeated position add.  Raises ValueError if an entry
+    leaves its block with a coefficient above 1e-13; smaller ones are
+    dropped."""
     sizes = np.asarray(sizes)
     start = np.cumsum(sizes) - sizes
     offset = np.cumsum(sizes * sizes) - sizes * sizes
     block = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.flatnonzero(np.diff(sizes, prepend=0))  # each size's first
     out = {}
     for name, (rows, cols, vals) in entries.items():
         b = block[cols]
@@ -286,14 +288,14 @@ def _block_matrices(sizes, entries) -> dict:
         buf = np.zeros(int(sizes @ sizes), dtype=complex)
         np.add.at(buf, offset[b] + (rows[inside] - start[b]) * sizes[b]
                   + cols[inside] - start[b], vals[inside])
-        out[name] = [buf[o:o + s * s].reshape(s, s)
-                     for o, s in zip(offset, sizes)]
+        out[name] = [part.reshape(-1, s, s) for s, part in
+                     zip(sizes[first], np.split(buf, offset[first[1:]]))]
     return out
 
 
 def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     """Blocks of basis(k): the generators' entries from one replacement
-    table, grouped into min-label components."""
+    table, grouped into min-label components, stacked per block size."""
     n = 2 * ctx.m
     basis = ctx.basis(k)
     labels, rank = _monomials(basis, n)
@@ -312,9 +314,9 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
         if np.array_equal(nxt, comp):
             break
         comp = nxt
-    order = np.argsort(comp, kind="stable")  # blocks by smallest member
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
+    # blocks by size, then by smallest member; monomials in basis order
+    order = np.lexsort((comp, np.bincount(comp)[comp]))
+    at = np.argsort(order, kind="stable")  # each monomial's place in it
     first = np.flatnonzero(np.diff(comp[order], prepend=-1))
     sizes = np.diff(first, append=len(order))
 
@@ -326,18 +328,19 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
 
     lams = {w: w * (w + 2) for w in ctx.weight_list(k)}
     blocks = []
-    for b, (s0, size) in enumerate(zip(first, sizes)):
-        ops = {name: per_block[b] for name, per_block in mats.items()}
-        R, Rb, H = ops["R"], ops["Rb"], ops["H"]
+    for g, H in enumerate(mats["H"]):
+        ops = {name: stacks[g] for name, stacks in mats.items()}
+        R, Rb, size = ops["R"], ops["Rb"], H.shape[-1]
         C = ops["C"] = H @ H + 2 * (R @ Rb + Rb @ R)
         projectors = {}
         for w, lam in lams.items():
-            P = np.eye(size, dtype=complex)
+            P = np.tile(np.eye(size, dtype=complex), (len(C), 1, 1))
             for w2, lam2 in lams.items():
                 if w2 != w:
                     P = (C @ P - lam2 * P) * (1.0 / (lam - lam2))
             projectors[w] = P
-        blocks.append(Su2Block([basis[i] for i in order[s0:s0 + size]], ops,
+        blocks.append(Su2Block([[basis[i] for i in order[s0:s0 + size]]
+                                for s0 in first[sizes == size]], ops,
                                projectors))
     return blocks
 
@@ -365,10 +368,7 @@ class StructureContext:
         self.mmat = M
         m = self.m
         Mc = M.tolist()  # plain complex entries, so no numpy scalar meets a Dual
-        cov_i = {}
-        cov_j = {}
-        rais = {}
-        lowr = {}
+        cov_i, cov_j, rais, lowr = {}, {}, {}, {}
         for a in range(m):
             nz = [b for b in range(m) if Mc[a][b] != 0]
             cov_i[a] = {(a,): -1j}
@@ -439,16 +439,15 @@ class StructureContext:
         return apply_multiplicative(self.tables["cov_" + which], el)
 
     def cov_blocks(self, k: int) -> dict:
-        """cov_I, cov_J and cov_K ("I", "J", "K") on each su(2) block of
-        basis(k), in the blocks' order, expanded multiplicatively from their
-        1-form tables; built on each call, never cached.  Raises ValueError
-        if an image leaves its block."""
-        blocks = self.su2_blocks(k)
+        """cov_I, cov_J and cov_K ("I", "J", "K") as one stack per size group
+        of su2_blocks(k), expanded multiplicatively from their 1-form
+        tables; built on each call, never cached.  Raises ValueError if an
+        image leaves its block."""
         n = 2 * self.m
-        labels, rank = _monomials([mono for blk in blocks
-                                   for mono in blk.monos], n)
+        members = [mem for blk in self.su2_blocks(k) for mem in blk.monos]
+        labels, rank = _monomials([mono for mem in members for mono in mem], n)
         return _block_matrices(
-            [len(blk.monos) for blk in blocks],
+            [len(mem) for mem in members],
             {u: _products(labels, rank,
                           *_table_arrays(self.tables["cov_" + u], n))
              for u in "IJK"})
@@ -480,12 +479,12 @@ class StructureContext:
         if key not in self._columns:
             cols = dict.fromkeys(self.basis(k), ())
             if w in self.weight_list(k):
-                for blk in self.su2_blocks(k):
-                    P = blk.projectors[w].tolist()  # plain complex entries
-                    for j, mono in enumerate(blk.monos):
-                        cols[mono] = tuple((row, P[i][j])
-                                           for i, row in enumerate(blk.monos)
-                                           if P[i][j] != 0)
+                for blk in self.su2_blocks(k):  # P: plain complex entries
+                    for mem, P in zip(blk.monos, blk.projectors[w].tolist()):
+                        for j, mono in enumerate(mem):
+                            cols[mono] = tuple((row, P[i][j])
+                                               for i, row in enumerate(mem)
+                                               if P[i][j] != 0)
             self._columns[key] = cols
         return self._columns[key]
 
@@ -517,11 +516,9 @@ class StructureContext:
         return list(itertools.combinations(range(2 * self.m), k))
 
     def basis_pq(self, p: int, q: int) -> list[tuple[int, ...]]:
-        out = []
-        for holo in itertools.combinations(range(self.m), p):
-            for anti in itertools.combinations(range(self.m, 2 * self.m), q):
-                out.append(holo + anti)
-        return out
+        return [holo + anti
+                for holo in itertools.combinations(range(self.m), p)
+                for anti in itertools.combinations(range(self.m, 2 * self.m), q)]
 
     def operator_matrix(self, op, basis_in, basis_out) -> np.ndarray:
         index = {mono: i for i, mono in enumerate(basis_out)}
@@ -549,14 +546,9 @@ def element_from_antisym(A) -> Element:
         return {(a, b): half[a, b]
                 for a, b in itertools.combinations(range(len(half)), 2)
                 if half[a, b].any()}
-    m = len(A)
-    out: Element = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            c = complex(0.5 * (A[a, b] - A[b, a]))
-            if c != 0:
-                out[(a, b)] = c
-    return out
+    coeffs = {(a, b): complex(0.5 * (A[a, b] - A[b, a]))
+              for a, b in itertools.combinations(range(len(A)), 2)}
+    return {key: c for key, c in coeffs.items() if c != 0}
 
 
 def eval2(el: Element, x, y):

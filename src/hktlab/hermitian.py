@@ -39,12 +39,12 @@ def _adjoint(G: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(G, -1, -2))
 
 
-def _eigvalsh(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each Hermitian matrix of H; nan for a matrix
-    with a non-finite entry, which LAPACK would refuse for the whole stack."""
+def _eigenvalues(H: np.ndarray, hermitian: bool = True) -> np.ndarray:
+    """Eigenvalues of each matrix of H, ascending for Hermitian H; nan for a
+    matrix with a non-finite entry, which LAPACK would refuse for the stack."""
     ok = np.all(np.isfinite(H), axis=(-2, -1))
-    out = np.full(H.shape[:-1], np.nan)
-    out[ok] = np.linalg.eigvalsh(H[ok])
+    out = np.full(H.shape[:-1], np.nan, dtype=float if hermitian else complex)
+    out[ok] = (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(H[ok])
     return out
 
 
@@ -90,7 +90,7 @@ def qreal_residual(ctx: StructureContext, el: Element):
 def qpos_margin(ctx: StructureContext, el: Element):
     """Smallest eigenvalue of the (Hermitian part of the) Gram matrix."""
     G = gram(ctx, el)
-    return _per_sample(np.min(_eigvalsh(0.5 * (G + _adjoint(G))), axis=-1))
+    return _per_sample(np.min(_eigenvalues(0.5 * (G + _adjoint(G))), axis=-1))
 
 
 def hyperhermitian_residual(ctx: StructureContext, G: np.ndarray):
@@ -114,10 +114,8 @@ def quaternionic_conj(ctx: StructureContext, el: Element) -> Element:
 def random_qreal_positive(ctx: StructureContext, rng) -> Element:
     """Random strictly q-positive q-real (2, 0)-form (Gershgorin shift)."""
     m = ctx.m
-    raw: Element = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            raw[(a, b)] = complex(rng.standard_normal(), rng.standard_normal())
+    raw = {mono: complex(rng.standard_normal(), rng.standard_normal())
+           for mono in ctx.basis_pq(2, 0)}
     sym = escale(eadd(raw, quaternionic_conj(ctx, raw)), 0.5)
     shift = float(2 * m * max(abs(c) for c in sym.values()) + 1.0)
     return eadd(sym, escale(ctx.omega_canonical(), shift))

@@ -18,9 +18,9 @@ field once, at the stacked Point of all their samples (fields.stack_points),
 field-major as before.  A sweep that draws per sample (frame-roundtrip, the
 hopf dilations and probes) makes all its draws first, in sample order, so
 its draws are those of a loop over the samples.  The qpos draws and the
-algebra draws and ladder go one at a time; the algebra block checks,
-unit-weight and cov-squares read the per-degree block matrices that
-exterior.py builds with array operations.
+algebra draws go one at a time; the algebra block checks, unit-weight,
+ladder-normalization and cov-squares broadcast over exterior.py's stacks
+of same-size su(2) blocks, one stack per block size and degree.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
                      random_form_field, random_polynomial, random_pq_field,
                      sample_points, scalar_field, stack_points)
-from .hermitian import (_eigvalsh, gram, hermitian_pair,
+from .hermitian import (_eigenvalues, gram, hermitian_pair,
                         hyperhermitian_project, hyperhermitian_residual,
                         omega_from_gram, qpos_margin, qreal_residual,
                         quaternionic_conj, random_hyperhermitian_metric,
@@ -173,7 +173,7 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         tag = f"(n={n})"
         blocks = [ctx.su2_blocks(k) for k in range(2 * m + 1)]
         every = [blk for per_degree in blocks for blk in per_degree]
-        npts = sum(len(blk.monos) for blk in every)
+        npts = 4 ** m  # the monomials of every degree
 
         def brackets(blk):
             R, Rb, H = blk.ops["R"], blk.ops["Rb"], blk.ops["H"]
@@ -201,8 +201,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
 
         def unit_weight_gaps(blk):
             """Per monomial, its L_I column's distance from i(p-q) e_mono."""
-            pq = [1j * (p - q) for p, q in map(ctx.bidegree_of, blk.monos)]
-            return np.max(np.abs(blk.ops["L_I"] - np.diag(pq)), axis=0)
+            pq = np.array([[1j * (p - q) for p, q in map(ctx.bidegree_of, mem)]
+                           for mem in blk.monos])
+            gap = blk.ops["L_I"] - pq[:, None, :] * np.eye(pq.shape[1])
+            return np.max(np.abs(gap), axis=1).ravel()
 
         out += sweep_records([Spec(
             f"unit-weight{tag}", "L_I acts as i(p-q) on (p,q)-forms",
@@ -210,7 +212,7 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                                        for blk in every]))
 
         def spectrum(per_degree, name):
-            return np.concatenate([np.linalg.eigvals(blk.ops[name])
+            return np.concatenate([_eigenvalues(blk.ops[name], False).ravel()
                                    for blk in per_degree])
 
         def spectrum_gaps():
@@ -242,7 +244,7 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                 ws = ctx.weight_list(k)
                 for blk in per_degree:
                     ps = [blk.projectors[w] for w in ws]
-                    yield sum(ps) - np.eye(len(blk.monos))
+                    yield sum(ps) - np.eye(ps[0].shape[-1])
                     for i, pw in enumerate(ps):
                         yield pw @ pw - pw
                         for pw2 in ps[i + 1:]:
@@ -253,12 +255,16 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             "weight projectors are idempotent, orthogonal, and sum to 1",
             npts, _max_abs(projector_residuals()), tol.sl2))
 
+        def top_trace(p):
+            # summed over the blocks in the order of their smallest member
+            traces = sorted((mem[0], t) for blk in blocks[p] for mem, t in zip(
+                blk.monos, np.trace(blk.projectors[p], 0, 1, 2).real))
+            return sum(t for _, t in traces)
+
         out += sweep_records([Spec(
             f"positive-dimension{tag}",
             "top-weight subspace of degree p has dimension (p+1) C(m,p)",
-            tol.sl2)], (abs(sum(np.trace(blk.projectors[p]).real
-                                for blk in blocks[p])
-                            - positive_dimension(m, p))
+            tol.sl2)], (abs(top_trace(p) - positive_dimension(m, p))
                         for p in range(m + 1)))
 
         out.append(residual_record(
@@ -298,18 +304,22 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             "kernel of R on (1,1)-forms is exactly the invariant subspace",
             len(b11), abs(dimker - dim_inv), tol.sl2))
 
-        def ladder_gap(mono, q, c):
-            el = {mono: 1.0}
-            for op in [ctx.lowering] * q + [ctx.raising] * q:
-                el = op(el)
-            return enorm(esub(el, escale({mono: 1.0}, c)))
+        def ladder_gaps():
+            # per (k,0) monomial and q, the column of R^q Rbar^q - c Id
+            for k in range(1, m + 1):
+                for blk in blocks[k]:
+                    top = np.array([[max(mono) < m for mono in mem]
+                                    for mem in blk.monos])
+                    prod = eye = np.eye(top.shape[1])
+                    for q in range(1, k + 1):
+                        prod = blk.ops["R"] @ prod @ blk.ops["Rb"]
+                        gap = prod - ladder_constant(k - q, q) * eye
+                        yield from np.max(np.abs(gap), axis=1)[top]
 
         out += sweep_records([Spec(
             f"ladder-normalization{tag}",
             "R^q Rbar^q multiplies (k,0)-forms by the ladder constant",
-            tol.sl2)], (ladder_gap(mono, q, ladder_constant(k - q, q))
-                        for k in range(1, m + 1) for q in range(1, k + 1)
-                        for mono in ctx.basis_pq(k, 0)))
+            tol.sl2)], ladder_gaps())
 
         M = ctx.mmat
         out += sweep_records([Spec(
@@ -324,7 +334,7 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             for k in range(2 * m + 1):
                 for mats in ctx.cov_blocks(k).values():
                     for c in mats:
-                        yield c @ c - (-1.0) ** k * np.eye(len(c))
+                        yield c @ c - (-1.0) ** k * np.eye(c.shape[-1])
 
         out.append(residual_record(
             f"cov-squares{tag}",
@@ -912,7 +922,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     dilated = stack_points([rho_apply(h, pt, eps) for pt in pts[:10]
                             for eps in (1.0, 0.3, 0.1, 0.03)])
     Gv = gram(ctx, omega_tilde_field(h).frame_at(dilated))[:, mb:, mb:]
-    low = _eigvalsh((Gv + np.conj(np.swapaxes(Gv, -1, -2))) / 2)[:, 0]
+    low = _eigenvalues((Gv + np.conj(np.swapaxes(Gv, -1, -2))) / 2)[:, 0]
     out += sweep_records([Spec(
         "vertical-blowup-rate",
         "the smallest vertical Gram eigenvalue scales as one over the "

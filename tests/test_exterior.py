@@ -300,14 +300,44 @@ def _generators(ctx):
             "L_K": lambda el: ctx.lie("K", el), "C": ctx.casimir}
 
 
+def _members(blocks, stacks):
+    """Each block member's monomials with its matrix, from one stack per
+    size group in the groups' order."""
+    for blk, stack in zip(blocks, stacks, strict=True):
+        yield from zip(blk.monos, stack, strict=True)
+
+
 def _assembled(ctx, k, name):
     """The blocks' matrices of one operator placed in a basis(k) matrix."""
     index = {mono: i for i, mono in enumerate(ctx.basis(k))}
     out = np.zeros((len(index), len(index)), dtype=complex)
-    for blk in ctx.su2_blocks(k):
-        ix = [index[mono] for mono in blk.monos]
-        out[np.ix_(ix, ix)] = blk.ops[name]
+    blocks = ctx.su2_blocks(k)
+    for mem, mat in _members(blocks, [blk.ops[name] for blk in blocks]):
+        ix = [index[mono] for mono in mem]
+        out[np.ix_(ix, ix)] = mat
     return out
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_blocks_group_by_size(m):
+    ctx = _ctx(m)
+    for k in range(2 * m + 1):
+        blocks = ctx.su2_blocks(k)
+        monos = [mono for blk in blocks for mem in blk.monos for mono in mem]
+        assert sorted(monos) == ctx.basis(k) and len(set(monos)) == len(monos)
+        sizes = [blk.ops["H"].shape[-1] for blk in blocks]
+        assert sizes == sorted(set(sizes)), k  # one group per size
+        for blk, size in zip(blocks, sizes):
+            shape = (len(blk.monos), size, size)
+            assert {len(mem) for mem in blk.monos} == {size}
+            # members by smallest monomial, each in basis order
+            assert blk.monos == sorted(blk.monos)
+            assert all(mem == sorted(mem) for mem in blk.monos)
+            assert all(a.shape == shape for a in [*blk.ops.values(),
+                                                  *blk.projectors.values()])
+        for stacks in ctx.cov_blocks(k).values():
+            assert [a.shape[:2] for a in stacks] == [
+                (len(blk.monos), blk.ops["H"].shape[-1]) for blk in blocks]
 
 
 @pytest.mark.parametrize("m,degrees", [(4, range(9)), (6, [6])])
@@ -316,11 +346,12 @@ def test_blocks_carry_every_generator_exactly(m, degrees):
     for k in degrees:
         basis = ctx.basis(k)
         blocks = ctx.su2_blocks(k)
-        assert sorted(mono for blk in blocks for mono in blk.monos) == basis
+        assert sorted(mono for blk in blocks for mem in blk.monos
+                      for mono in mem) == basis
         inside = np.zeros((len(basis), len(basis)), dtype=bool)
         index = {mono: i for i, mono in enumerate(basis)}
-        for blk in blocks:
-            ix = [index[mono] for mono in blk.monos]
+        for mem in (mem for blk in blocks for mem in blk.monos):
+            ix = [index[mono] for mono in mem]
             inside[np.ix_(ix, ix)] = True
         for name, op in _generators(ctx).items():
             full = ctx.operator_matrix(op, basis, basis)
@@ -333,9 +364,9 @@ def test_blocks_carry_every_generator_exactly(m, degrees):
         # the multiplicative units, built per degree from the 1-form tables
         covs = ctx.cov_blocks(k)
         for u in "IJK":
-            for blk, mat in zip(blocks, covs[u], strict=True):
+            for mem, mat in _members(blocks, covs[u]):
                 oracle = ctx.operator_matrix(partial(ctx.cov_mult, u),
-                                             blk.monos, blk.monos)
+                                             mem, mem)
                 assert np.array_equal(mat, oracle), (k, u)
 
 
@@ -358,21 +389,22 @@ def test_blocks_of_a_dense_structure_match_the_sparse_operators(rng):
             assert np.max(np.abs(gap), initial=0.0) < 1e-12, (k, name)
         covs = ctx.cov_blocks(k)
         for u in "IJK":
-            for blk, mat in zip(ctx.su2_blocks(k), covs[u], strict=True):
+            for mem, mat in _members(ctx.su2_blocks(k), covs[u]):
                 oracle = ctx.operator_matrix(partial(ctx.cov_mult, u),
-                                             blk.monos, blk.monos)
+                                             mem, mem)
                 assert np.max(np.abs(mat - oracle), initial=0.0) < 1e-12
 
 
 def test_cov_image_leaving_its_block_raises():
     ctx = _ctx(2)
-    # the degree-1 blocks are {theta_0, conj theta_1} and {theta_1, conj theta_0}
-    assert [blk.monos for blk in ctx.su2_blocks(1)] == [[(0,), (3,)],
-                                                        [(1,), (2,)]]
+    # the degree-1 blocks, {theta_0, conj theta_1} and {theta_1, conj
+    # theta_0}, form one group of size 2
+    assert [blk.monos for blk in ctx.su2_blocks(1)] == [[[(0,), (3,)],
+                                                         [(1,), (2,)]]]
     cov_i = ctx.tables["cov_I"]
     cov_i[0] = {(0,): -1j, (1,): 1e-14}  # dropped, as operator_matrix does
     mats = ctx.cov_blocks(1)["I"]
-    assert np.array_equal(mats[0], np.diag([-1j, 1j]))
+    assert np.array_equal(mats[0][0], np.diag([-1j, 1j]))
     cov_i[0] = {(0,): -1j, (1,): 1e-3}
     with pytest.raises(ValueError, match="leaves its su\\(2\\) block"):
         ctx.cov_blocks(1)
@@ -393,7 +425,7 @@ def test_block_spectra_match_full_eigvals():
         for name in ("L_J", "L_K", "C"):
             full = np.linalg.eigvals(ctx.operator_matrix(ops[name], basis,
                                                          basis))
-            blocks = np.concatenate([np.linalg.eigvals(blk.ops[name])
+            blocks = np.concatenate([np.linalg.eigvals(blk.ops[name]).ravel()
                                      for blk in ctx.su2_blocks(k)])
             assert np.array_equal(_spectrum(full), _spectrum(blocks)), \
                 (k, name)

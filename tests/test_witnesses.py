@@ -83,6 +83,21 @@ WITNESSES = {
     "su2-brackets(n=1)": (
         algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
         table_fault("L_K", -1)),
+    "unit-spectra(n=1)": (
+        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
+        table_fault("L_J", 1.01)),
+    "casimir-spectrum(n=1)": (
+        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
+        table_fault("Rb", 1.01)),
+    "weight-projectors(n=1)": (
+        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
+        table_fault("Rb", 1.01)),
+    "positive-dimension(n=1)": (
+        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
+        table_fault("Rb", 1.01)),
+    "ladder-normalization(n=1)": (
+        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
+        table_fault("Rb", 1.01)),
 }
 
 
