@@ -18,7 +18,7 @@ An element with array coefficients (a stacked Point's, fields.stack_points)
 has one matrix per sample: the sample axes lead, shape (S, m, m), and the
 residuals and margins are arrays over the samples, each reduced within its
 own sample so that a nan stays there.  A plain element gives a plain matrix
-and float values.
+and numpy scalar values.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ import numpy as np
 from .exterior import (StructureContext, Element, eadd, element_from_antisym,
                        escale, eval2)
 from .duals import numeric
-
-
-def _per_sample(x):
-    """x reduced per sample: a float where there is no sample axis."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _adjoint(G: np.ndarray) -> np.ndarray:
@@ -84,20 +79,19 @@ def hermitian_pair(ctx: StructureContext, el: Element, x, y):
 
 def qreal_residual(ctx: StructureContext, el: Element):
     G = gram(ctx, el)
-    return _per_sample(np.max(np.abs(G - _adjoint(G)), axis=(-2, -1)))
+    return np.max(np.abs(G - _adjoint(G)), axis=(-2, -1))
 
 
 def qpos_margin(ctx: StructureContext, el: Element):
     """Smallest eigenvalue of the (Hermitian part of the) Gram matrix."""
     G = gram(ctx, el)
-    return _per_sample(np.min(_eigenvalues(0.5 * (G + _adjoint(G))), axis=-1))
+    return np.min(_eigenvalues(0.5 * (G + _adjoint(G))), axis=-1)
 
 
 def hyperhermitian_residual(ctx: StructureContext, G: np.ndarray):
     """How far a Hermitian matrix is from quaternionic compatibility."""
     M = ctx.mmat
-    return _per_sample(np.max(np.abs(np.conj(G) - M @ G @ M.conj().T),
-                              axis=(-2, -1)))
+    return np.max(np.abs(np.conj(G) - M @ G @ M.conj().T), axis=(-2, -1))
 
 
 def hyperhermitian_project(ctx: StructureContext, G: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 A record either bounds a residual from above (kind "residual", pass iff
 value <= threshold) or bounds a margin from below (kind "margin", pass iff
-value >= threshold), and passes only if its value is finite.  The record
-constructors take a value or an iterable of per-sample values and reduce
-it themselves: residuals by max_keep_nan, margins by min_keep_nan, so one
-nan sample makes the record nan, hence FAIL.  sweep_records builds the
-records of one sweep, one per Spec, from its per-sample rows.
+value >= threshold), and passes only if its value is finite.  A record
+reduces its values by one rule: the values are an array of any shape, a
+residual is their max (0.0 if there are none), a margin their min (inf if
+there are none), and one nan anywhere makes the record nan, hence FAIL.
+A sweep's values come as columns: column j is an array of spec j's values
+with one row per evaluated sample, trailing axes holding one sample's
+several values, and sweep_records makes each record count its rows.
 
 The JSON rendering is strict and byte-stable for a fixed config: keys are
 sorted, floats go through repr, a non-finite float is written as the
@@ -16,11 +18,13 @@ appearing only in the text rendering.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 SCHEMA_VERSION = "1"
 
@@ -43,55 +47,7 @@ class CheckRecord:
         return bool(self.value <= self.threshold)
 
     def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "detail": self.detail,
-            "points": int(self.points),
-            "value": float(self.value),
-            "threshold": float(self.threshold),
-            "kind": self.kind,
-            "passed": self.passed,
-        }
-
-
-def max_keep_nan(values) -> float:
-    """Largest of values and 0.0; nan if one of them is nan (the builtin
-    max keeps or drops a nan depending on where it sits)."""
-    return _keep_nan(max, 0.0, values)
-
-
-def min_keep_nan(values) -> float:
-    """Smallest of values, inf if there are none; nan if one of them is
-    nan."""
-    return _keep_nan(min, math.inf, values)
-
-
-def _keep_nan(pick, start, values) -> float:
-    # every value is drawn, so a nan sample leaves a shared random stream
-    # where the following records expect it
-    vals = [start, *map(float, values)]
-    return math.nan if any(map(math.isnan, vals)) else pick(vals)
-
-
-def _reduce(values, reducer) -> float:
-    if isinstance(values, numbers.Real):
-        return float(values)
-    return reducer(values)
-
-
-def residual_record(identity: str, detail: str, points: int, values,
-                    tol: float) -> CheckRecord:
-    """values: the residual, or an iterable of per-sample residuals."""
-    return CheckRecord(identity, detail, points,
-                       _reduce(values, max_keep_nan), float(tol))
-
-
-def margin_record(identity: str, detail: str, points: int, values,
-                  floor: float) -> CheckRecord:
-    """values: the margin, or an iterable of per-sample margins."""
-    return CheckRecord(identity, detail, points,
-                       _reduce(values, min_keep_nan), float(floor),
-                       kind="margin")
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 class Spec(NamedTuple):
@@ -102,23 +58,28 @@ class Spec(NamedTuple):
     kind: str = "residual"
 
 
-def sweep_records(specs, rows) -> list[CheckRecord]:
-    """One record per spec from a sweep's rows, one row per evaluated sample.
+def record(spec: Spec, points: int, values) -> CheckRecord:
+    """The record of spec over values, an array of any shape (a bare number
+    is a column of one value): a residual is their max, 0.0 if there are
+    none, a margin their min, inf if there are none, and one nan anywhere
+    makes the record nan."""
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        value = math.inf if spec.kind == "margin" else 0.0
+    else:
+        # + 0.0 turns -0.0 into 0.0: which of two equal zeros np.max or
+        # np.min keeps depends on its kernel, and the JSON prints the sign
+        value = float(np.min(a) if spec.kind == "margin" else np.max(a)) + 0.0
+    return CheckRecord(spec.identity, spec.detail, int(points), value,
+                       float(spec.bound), spec.kind)
 
-    A row holds one cell per spec (a sweep of one spec gives the cells
-    themselves).  A tuple cell, one sample's several values, is reduced in
-    place by max_keep_nan, so its nan fails only its own record.  Each
-    record reduces its column by its kind and counts one point per row.
-    """
-    rows = [row if len(specs) > 1 else (row,) for row in rows]
-    out = []
-    for j, spec in enumerate(specs):
-        col = [max_keep_nan(row[j]) if isinstance(row[j], tuple) else row[j]
-               for row in rows]
-        make = margin_record if spec.kind == "margin" else residual_record
-        out.append(make(spec.identity, spec.detail, len(rows), col,
-                        spec.bound))
-    return out
+
+def sweep_records(specs, columns) -> list[CheckRecord]:
+    """One record per spec of a sweep: column j holds spec j's values, one
+    row per evaluated sample (trailing axes hold one sample's several
+    values), and the record counts its column's rows as its points."""
+    return [record(spec, len(col), col)
+            for spec, col in zip(specs, map(np.asarray, columns), strict=True)]
 
 
 def _strict(obj):
@@ -145,11 +106,8 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def extend(self, records, prefix: str = "") -> None:
-        for r in records:
-            if prefix:
-                r = CheckRecord(prefix + r.identity, r.detail, r.points,
-                                r.value, r.threshold, r.kind)
-            self.records.append(r)
+        self.records += [dataclasses.replace(r, identity=prefix + r.identity)
+                         for r in records]
 
     def to_json(self) -> str:
         payload = {

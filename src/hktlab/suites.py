@@ -5,22 +5,22 @@ it owns over seeded random samples, and returns one CheckRecord per
 identity.  Residual records bound a max residual from above; margin
 records bound a min (positivity gaps, detection ratios) from below.
 
-A sweep yields one row per evaluated sample, one cell per record it
-serves, and report.sweep_records reduces each column by one NaN-keeping
-rule.  The one rule for `points`: a swept record counts its sweep's rows.
-Only records of whole operator blocks or of one value (the algebra block
-checks, r-omega, r-kernel-invariant, criteria-agreement and the totspace
-records of constant forms) state their count.  A suite's records share
-one cfg.rng() stream, and each sweep is consumed before the next starts,
-so the draws keep the order that fixes every value of the report.  The
-sweeps of the bicomplex, bundle, totspace and hopf suites evaluate each
-field once, at the stacked Point of all their samples (fields.stack_points),
-field-major as before.  A sweep that draws per sample (frame-roundtrip, the
-hopf dilations and probes) makes all its draws first, in sample order, so
-its draws are those of a loop over the samples.  The qpos draws and the
-algebra draws go one at a time; the algebra block checks, unit-weight,
-ladder-normalization and cov-squares broadcast over exterior.py's stacks
-of same-size su(2) blocks, one stack per block size and degree.
+A sweep yields one column per record it serves: an array of the record's
+values with one row per evaluated sample, and trailing axes where a sample
+has several values.  report.record reduces every record's values by one
+rule, and a swept record counts its column's rows as its `points`; only
+records of whole operator blocks or of one value (the algebra block checks,
+r-omega, r-kernel-invariant, antilinear-structure, canonical-form,
+criteria-agreement and the totspace records of constant forms) state their
+count.  A suite's records share one cfg.rng() stream, and each sweep makes
+its draws before the next starts, in the order that fixes every value of
+the report.  The bicomplex, bundle, totspace and hopf sweeps evaluate each
+field once, at the stacked Point of all their samples (fields.stack_points);
+a sweep that draws per sample (frame-roundtrip, the hopf dilations and
+probes) makes all its draws first, in sample order.  The qpos and algebra
+draws go one at a time; the algebra block checks broadcast over
+exterior.py's stacks of same-size su(2) blocks, one stack per block size
+and degree.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from .hermitian import (_eigenvalues, gram, hermitian_pair,
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
                    rho_pullback, vertical_probe)
-from .report import (Spec, VerificationReport, margin_record, max_keep_nan,
-                     residual_record, sweep_records)
+from .report import Spec, VerificationReport, record, sweep_records
 from .total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                           natural_metric, omega_hor_expr, omega_ver_canonical,
                           omega_ver_expr, psi, structure_matrix_field,
@@ -83,6 +82,10 @@ class Tolerances:
 # sqrt(hopf.MIN_PSI) = 1e-4; beyond it the zero section or overflow is reached
 HOPF_Q_RANGE = (1e-3, 1e2)
 
+# the algebra suite's su(2) block cache holds 36^n entries per operator, about
+# 180 bytes each with the projectors: 299 MB at n=4, about 11 GB at n=5
+ALGEBRA_MAX_N = 4
+
 
 @dataclass
 class ScenarioConfig:
@@ -94,7 +97,8 @@ class ScenarioConfig:
     seed: int = 42
     tol: Tolerances = field(default_factory=Tolerances)
 
-    def validate(self) -> None:
+    def validate(self, suite: str) -> None:
+        """Raise ValueError for a config that `suite` cannot run."""
         for name in ("n", "samples", "probes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -112,6 +116,13 @@ class ScenarioConfig:
             get_connection(self.bundle)
         except KeyError as exc:
             raise ValueError(f"bundle: {exc.args[0]}") from None
+        if self.n != 1 and suite in ("bundle", "totspace", "hopf"):
+            raise ValueError(f"n must be 1 for {suite}: every catalog "
+                             "connection lives over H^1")
+        if self.n > ALGEBRA_MAX_N and suite in ("algebra", "all"):
+            raise ValueError(f"n must be at most {ALGEBRA_MAX_N} for {suite}: "
+                             "its su(2) block cache grows 36-fold with each "
+                             "step of n, to about 11 GB at n=5")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -127,38 +138,21 @@ def _rand_element(monos, rng) -> dict:
             for mono in monos}
 
 
-def _samples(values, count: int) -> list:
-    """values, an array over `count` samples or one value they share, as
-    one float per sample."""
-    return [float(x) for x in np.broadcast_to(values, count)]
-
-
-def _column_records(specs, columns) -> list:
-    """Records of a sweep given column by column: column j lists spec j's
-    values, one per row."""
-    return sweep_records(specs, zip(*columns) if len(columns) > 1
-                         else columns[0])
-
-
 def _stacked_records(specs, pts, columns) -> list:
     """Records of a sweep whose fields each evaluate once, at the stacked Point
     of its samples: column j lists the Point -> element maps whose enorm, an
-    array over the samples or one value they share, gives spec j's values.
-    A tuple of maps gives each sample one cell, the tuple of their enorms."""
+    array over the samples or one value they share, gives spec j's values,
+    field after field.  A tuple of maps gives each sample a trailing axis of
+    their enorms."""
     stacked = stack_points(pts)
 
     def values(f):
         if isinstance(f, tuple):
-            return list(zip(*map(values, f)))
-        return _samples(enorm(f(stacked)), len(pts))
+            return np.stack([values(g) for g in f], axis=-1)
+        return np.broadcast_to(enorm(f(stacked)), len(pts))
 
-    return _column_records(specs, [[x for f in fields for x in values(f)]
-                                   for fields in columns])
-
-
-def _max_abs(arrays) -> float:
-    """Largest entry modulus over all arrays, reduced by max_keep_nan."""
-    return max_keep_nan(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+    return sweep_records(specs, [np.concatenate([values(f) for f in fields])
+                                 for fields in columns])
 
 
 # ----- algebra -----
@@ -181,11 +175,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             yield H @ Rb - Rb @ H + 2.0 * Rb
             yield R @ Rb - Rb @ R - H
 
-        out.append(residual_record(
+        out.append(record(Spec(
             f"sl2-brackets{tag}",
-            "[H,R]=2R, [H,Rbar]=-2Rbar, [R,Rbar]=H on every degree",
-            npts, _max_abs(r for blk in every for r in brackets(blk)),
-            tol.sl2))
+            "[H,R]=2R, [H,Rbar]=-2Rbar, [R,Rbar]=H on every degree", tol.sl2),
+            npts, [np.abs(r).max() for blk in every for r in brackets(blk)]))
 
         def cyclic(blk):
             for x, y, z in (("I", "J", "K"), ("J", "K", "I"),
@@ -193,11 +186,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                 lx, ly = blk.ops["L_" + x], blk.ops["L_" + y]
                 yield lx @ ly - ly @ lx + 2.0 * blk.ops["L_" + z]
 
-        out.append(residual_record(
-            f"su2-brackets{tag}",
-            "[L_I,L_J]=-2L_K and cyclic permutations",
-            3 * npts, _max_abs(r for blk in every for r in cyclic(blk)),
-            tol.sl2))
+        out.append(record(Spec(
+            f"su2-brackets{tag}", "[L_I,L_J]=-2L_K and cyclic permutations",
+            tol.sl2),
+            3 * npts, [np.abs(r).max() for blk in every for r in cyclic(blk)]))
 
         def unit_weight_gaps(blk):
             """Per monomial, its L_I column's distance from i(p-q) e_mono."""
@@ -208,8 +200,8 @@ def algebra_records(cfg: ScenarioConfig) -> list:
 
         out += sweep_records([Spec(
             f"unit-weight{tag}", "L_I acts as i(p-q) on (p,q)-forms",
-            tol.sl2)], np.concatenate([unit_weight_gaps(blk)
-                                       for blk in every]))
+            tol.sl2)], [np.concatenate([unit_weight_gaps(blk)
+                                        for blk in every])])
 
         def spectrum(per_degree, name):
             return np.concatenate([_eigenvalues(blk.ops[name], False).ravel()
@@ -223,10 +215,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                     yield ev.real
                     yield np.sort(ev.imag) - si
 
-        out.append(residual_record(
+        out.append(record(Spec(
             f"unit-spectra{tag}",
             "L_J and L_K have the same spectrum as L_I on each degree",
-            npts, _max_abs(spectrum_gaps()), tol.casimir))
+            tol.casimir), npts, [np.abs(g).max() for g in spectrum_gaps()]))
 
         def casimir_gaps():
             for k, per_degree in enumerate(blocks):
@@ -234,10 +226,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                 lam = spectrum(per_degree, "C")
                 yield np.min(np.abs(lam[:, None] - targets[None, :]), axis=1)
 
-        out.append(residual_record(
+        out.append(record(Spec(
             f"casimir-spectrum{tag}",
             "Casimir eigenvalues sit on w(w+2) for admissible weights",
-            npts, _max_abs(casimir_gaps()), tol.casimir))
+            tol.casimir), npts, np.concatenate(list(casimir_gaps()))))
 
         def projector_residuals():
             for k, per_degree in enumerate(blocks):
@@ -250,10 +242,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                         for pw2 in ps[i + 1:]:
                             yield pw2 @ pw
 
-        out.append(residual_record(
+        out.append(record(Spec(
             f"weight-projectors{tag}",
             "weight projectors are idempotent, orthogonal, and sum to 1",
-            npts, _max_abs(projector_residuals()), tol.sl2))
+            tol.sl2), npts, [np.abs(r).max() for r in projector_residuals()]))
 
         def top_trace(p):
             # summed over the blocks in the order of their smallest member
@@ -264,14 +256,14 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         out += sweep_records([Spec(
             f"positive-dimension{tag}",
             "top-weight subspace of degree p has dimension (p+1) C(m,p)",
-            tol.sl2)], (abs(top_trace(p) - positive_dimension(m, p))
-                        for p in range(m + 1)))
+            tol.sl2)], [[abs(top_trace(p) - positive_dimension(m, p))
+                         for p in range(m + 1)]])
 
-        out.append(residual_record(
+        out.append(record(Spec(
             f"r-omega{tag}",
             "R sends the fundamental (1,1)-form to the canonical (2,0)-form",
-            1, enorm(esub(ctx.raising(ctx.omega_hat()),
-                          ctx.omega_canonical())), tol.sl2))
+            tol.sl2), 1, enorm(esub(ctx.raising(ctx.omega_hat()),
+                                    ctx.omega_canonical()))))
 
         b11 = ctx.basis_pq(1, 1)
 
@@ -282,27 +274,28 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             return (enorm(ctx.raising(inv)), enorm(ctx.raising(beta)),
                     enorm(beta))
 
-        rows = [split_draw() for _ in range(max(100, cfg.samples))]
-        out += sweep_records([Spec(
-            f"invariant-annihilated{tag}",
-            "R kills the invariant part of every (1,1)-form", tol.sl2)],
-            (r_inv for r_inv, _, _ in rows))
+        r_inv, r_beta, nb = np.array(
+            [split_draw() for _ in range(max(100, cfg.samples))]).T
+        detected = nb > 1e-8
         # R is sqrt(2) times an isometry on the non-invariant part, so any
         # floor below that certifies detection with a wide gap; a sweep
         # with no non-invariant draw reduces to inf and fails
-        out += sweep_records([Spec(
-            f"noninvariant-detected{tag}",
-            "R is bounded below on non-invariant (1,1)-forms", 1.0,
-            "margin")], (r_beta / nb for _, r_beta, nb in rows if nb > 1e-8))
+        out += sweep_records([
+            Spec(f"invariant-annihilated{tag}",
+                 "R kills the invariant part of every (1,1)-form", tol.sl2),
+            Spec(f"noninvariant-detected{tag}",
+                 "R is bounded below on non-invariant (1,1)-forms", 1.0,
+                 "margin")],
+            [r_inv, r_beta[detected] / nb[detected]])
 
         rmat = ctx.operator_matrix(ctx.raising, b11, ctx.basis_pq(2, 0))
         dimker = len(b11) - int(np.linalg.matrix_rank(rmat, tol=1e-8))
         dim_inv = sum(complex(ctx.invariant_part({mono: 1.0})
                               .get(mono, 0.0)).real for mono in b11)
-        out.append(residual_record(
+        out.append(record(Spec(
             f"r-kernel-invariant{tag}",
             "kernel of R on (1,1)-forms is exactly the invariant subspace",
-            len(b11), abs(dimker - dim_inv), tol.sl2))
+            tol.sl2), len(b11), abs(dimker - dim_inv)))
 
         def ladder_gaps():
             # per (k,0) monomial and q, the column of R^q Rbar^q - c Id
@@ -314,19 +307,19 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                     for q in range(1, k + 1):
                         prod = blk.ops["R"] @ prod @ blk.ops["Rb"]
                         gap = prod - ladder_constant(k - q, q) * eye
-                        yield from np.max(np.abs(gap), axis=1)[top]
+                        yield np.max(np.abs(gap), axis=1)[top]
 
         out += sweep_records([Spec(
             f"ladder-normalization{tag}",
             "R^q Rbar^q multiplies (k,0)-forms by the ladder constant",
-            tol.sl2)], ladder_gaps())
+            tol.sl2)], [np.concatenate(list(ladder_gaps()))])
 
         M = ctx.mmat
-        out += sweep_records([Spec(
+        out.append(record(Spec(
             f"antilinear-structure{tag}",
             "M is unitary, antisymmetric, and squares to -1 with conj",
-            tol.linear)], [_max_abs([M @ M.conj().T - np.eye(m),
-                                     M @ np.conj(M) + np.eye(m), M + M.T])])
+            tol.linear), 1, np.abs([M @ M.conj().T - np.eye(m),
+                                    M @ np.conj(M) + np.eye(m), M + M.T])))
 
         def cov_squares():
             # one degree at a time: kept for every degree, they cost
@@ -336,10 +329,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                     for c in mats:
                         yield c @ c - (-1.0) ** k * np.eye(c.shape[-1])
 
-        out.append(residual_record(
+        out.append(record(Spec(
             f"cov-squares{tag}",
             "each multiplicative unit action squares to (-1)^degree",
-            3 * npts, _max_abs(cov_squares()), tol.sl2))
+            tol.sl2), 3 * npts, [np.abs(r).max() for r in cov_squares()]))
     return out
 
 
@@ -456,8 +449,7 @@ def qpos_records(cfg: ScenarioConfig) -> list:
             el = form20()
             sym = escale(eadd(el, quaternionic_conj(ctx, el)), 0.5)
             G = gram(ctx, sym)
-            return (qreal_residual(ctx, sym),
-                    float(np.max(np.abs(G - G.conj().T))))
+            return qreal_residual(ctx, sym), np.abs(G - G.conj().T).max()
 
         def hermitian_gram_gap():
             G0 = complex_draw((m, m))
@@ -470,13 +462,13 @@ def qpos_records(cfg: ScenarioConfig) -> list:
 
         def metric_roundtrip_gap():
             G = random_hyperhermitian_metric(ctx, rng)
-            return _max_abs([gram(ctx, omega_from_gram(ctx, G)) - G])
+            return np.abs(gram(ctx, omega_from_gram(ctx, G)) - G).max()
 
         def hyperhermitian_gaps():
             G = random_hyperhermitian_metric(ctx, rng)
             P = hyperhermitian_project(ctx, complex_draw((m, m)))
             return (hyperhermitian_residual(ctx, G),
-                    float(np.max(np.abs(hyperhermitian_project(ctx, P) - P))))
+                    np.abs(hyperhermitian_project(ctx, P) - P).max())
 
         def pairing_gap():
             el = form20()
@@ -484,7 +476,8 @@ def qpos_records(cfg: ScenarioConfig) -> list:
             x, y = complex_draw(m), complex_draw(m)
             return abs(hermitian_pair(ctx, el, x, y) - x @ G @ np.conj(y))
 
-        # each record sweeps its own `count` draws, in this order
+        # each record sweeps its own `count` draws, in this order; a draw
+        # of two values gives its row a trailing axis
         for spec, draw in (
                 (Spec(f"conj-involution{tag}", "the quaternionic conjugation "
                       "of (2,0)-forms is an involution", tol.linear),
@@ -510,15 +503,14 @@ def qpos_records(cfg: ScenarioConfig) -> list:
                 (Spec(f"pairing-gram{tag}", "the Hermitian pairing of a "
                       "form matches its Gram matrix", tol.linear),
                  pairing_gap)):
-            out += sweep_records([spec], (draw() for _ in range(count)))
+            out += sweep_records([spec], [[draw() for _ in range(count)]])
 
         G = gram(ctx, ctx.omega_canonical())
-        out += sweep_records([Spec(
+        out.append(record(Spec(
             f"canonical-form{tag}",
-            "the canonical (2,0)-form has identity Gram matrix",
-            tol.linear)], [(float(np.max(np.abs(G - np.eye(m)))),
-                            abs(qpos_margin(ctx, ctx.omega_canonical())
-                                - 1.0))])
+            "the canonical (2,0)-form has identity Gram matrix", tol.linear),
+            1, [np.abs(G - np.eye(m)).max(),
+                abs(qpos_margin(ctx, ctx.omega_canonical()) - 1.0)]))
     return out
 
 
@@ -542,40 +534,37 @@ def bundle_records(cfg: ScenarioConfig) -> list:
                if requested.hyperholomorphic else {requested.name})
     pts = sample_points(rng, 4, cfg.samples)
     n_agree = min(len(pts), max(10, cfg.samples // 10))
-    # per connection: invariance, type11 and (if checked) bianchi residuals
-    res = {}
+    # per connection: its records if it is checked, and whether its two
+    # criteria agree, with each other and its flag, on the first n_agree
+    out, disagree = [], []
     for conn in conns:
         charts = structure_charts(conn.base_n)
-        full = conn.name in checked
+        nm, full = conn.name, conn.name in checked
         pt = stack_points(pts if full else pts[:n_agree])
-        res[conn.name] = [invariance_residual(conn, pt, charts),
-                          type11_residual(conn, pt, charts)]
+        inv, t11 = (invariance_residual(conn, pt, charts),
+                    type11_residual(conn, pt, charts))
         if full:
-            res[conn.name].append(bianchi_residual(conn, pt))
+            out += sweep_records([
+                Spec(f"curvature-invariance({nm})",
+                     "curvature 2-forms have no weight-2 component",
+                     tol.bundle),
+                Spec(f"curvature-type11({nm})",
+                     "curvature is (1,1) for each of the three complex "
+                     "structures", tol.bundle),
+                Spec(f"bianchi({nm})",
+                     "covariant exterior derivative of the curvature "
+                     "vanishes", tol.bundle)],
+                [inv, t11, bianchi_residual(conn, pt)])
+        inv_ok, t11_ok = (record(Spec(nm, "", tol.bundle), n_agree,
+                                 r[:n_agree]).passed for r in (inv, t11))
+        disagree.append(float(inv_ok != t11_ok
+                              or inv_ok != conn.hyperholomorphic))
 
-    out = []
-    for nm in [conn.name for conn in conns if conn.name in checked]:
-        out += sweep_records([
-            Spec(f"curvature-invariance({nm})",
-                 "curvature 2-forms have no weight-2 component", tol.bundle),
-            Spec(f"curvature-type11({nm})",
-                 "curvature is (1,1) for each of the three complex "
-                 "structures", tol.bundle),
-            Spec(f"bianchi({nm})",
-                 "covariant exterior derivative of the curvature vanishes",
-                 tol.bundle)], zip(*res[nm]))
-
-    def disagreement(conn):
-        inv, t11 = res[conn.name][:2]
-        inv_ok = max_keep_nan(inv[:n_agree]) <= tol.bundle
-        t11_ok = max_keep_nan(t11[:n_agree]) <= tol.bundle
-        return float(inv_ok != t11_ok or inv_ok != conn.hyperholomorphic)
-
-    out.append(residual_record(
+    out.append(record(Spec(
         "criteria-agreement",
         "invariance and (1,1)-type accept and reject the same catalog "
-        "entries, matching each entry's flag",
-        n_agree * len(conns), map(disagreement, conns), 0.5))
+        "entries, matching each entry's flag", 0.5),
+        n_agree * len(conns), disagree))
     return out
 
 
@@ -718,17 +707,17 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     out += sweep_records([Spec(
         "frame-roundtrip",
         "real to frame coefficients and back is the identity", tolv)],
-        _samples(enorm(esub(to_real(ch, to_frame(ch, el, stacked), stacked),
-                            el)), samples))
+        [np.broadcast_to(enorm(esub(to_real(ch, to_frame(ch, el, stacked),
+                                            stacked), el)), samples)])
 
     out += [r for sweep in _totspace_sweeps(ts, pts, tolv)
             for r in _stacked_records(*sweep)]
 
     two_over = escale(omega_ver_canonical(ts), 2.0)
-    out.append(residual_record(
+    out.append(record(Spec(
         "r-omega-ver",
-        "R of the vertical (1,1)-form is the vertical (2,0)-form",
-        1, enorm(esub(ctx.raising(omega_ver_expr(ts)), two_over)), tolv))
+        "R of the vertical (1,1)-form is the vertical (2,0)-form", tolv),
+        1, enorm(esub(ctx.raising(omega_ver_expr(ts)), two_over))))
 
     omega_el = eadd(omega_hor_expr(ts), two_over)
     dom = del_hol(FormField(ch, 2, lambda pt: omega_el))
@@ -737,23 +726,23 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
         pts, [[dom.at]])
 
     # the candidate form has constant frame coefficients: one evaluation
-    out.append(residual_record(
-        "omega-qreal", "the candidate HKT form is q-real",
-        1, qreal_residual(ctx, omega_el), tolv))
-    out.append(margin_record(
+    out.append(record(Spec(
+        "omega-qreal", "the candidate HKT form is q-real", tolv),
+        1, qreal_residual(ctx, omega_el)))
+    out.append(record(Spec(
         "omega-qpositive",
         "the candidate HKT form has a strictly positive Gram floor",
-        1, qpos_margin(ctx, omega_el), tol.positivity_floor))
+        tol.positivity_floor, "margin"), 1, qpos_margin(ctx, omega_el)))
 
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
-    flat_gap, *gaps = [_samples(c, samples)
+    flat_gap, *gaps = [np.broadcast_to(c, samples)
                        for c in _metric_gaps(ts, mats, stacked)]
     if flat:
         out += sweep_records([Spec(
             "metric-flat-identity",
             "the natural metric of the flat bundle is the euclidean one",
-            tolv)], flat_gap)
-    out += _column_records([
+            tolv)], [flat_gap])
+    out += sweep_records([
         Spec("metric-invariance",
              "the natural metric is invariant under all three structures",
              tolv),
@@ -772,8 +761,9 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     out += sweep_records([Spec(
         "nijenhuis",
         "all three lifted structures have vanishing Nijenhuis tensor",
-        nij_tol)], zip(*(nijenhuis_residual(L[:k], dL[:k])
-                         for L, dL in (mats[u](stacked) for u in mats))))
+        nij_tol)], [np.stack([nijenhuis_residual(L[:k], dL[:k])
+                              for L, dL in (mats[u](stacked) for u in mats)],
+                             axis=-1)])
     return out
 
 
@@ -782,9 +772,8 @@ def totspace_records(cfg: ScenarioConfig) -> list:
     out = _totspace_records(cfg, cfg.bundle, cfg.samples, rng)
     if cfg.bundle != "flat":
         ctrl = _totspace_records(cfg, "flat", max(20, cfg.samples // 5), rng)
-        for r in ctrl:
-            r.identity = "flat-control:" + r.identity
-        out.extend(ctrl)
+        out += [dataclasses.replace(r, identity="flat-control:" + r.identity)
+                for r in ctrl]
     return out
 
 
@@ -833,7 +822,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     lams = np.array([rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
                      for _ in pts])
     fr, margins, fields = _hopf_form(h, stacked, lams)
-    out += _column_records([
+    out += sweep_records([
         Spec("potential-homogeneity",
              "log of the fiber norm shifts by 2 log|q| under the dilation",
              tol.secondderiv),
@@ -855,7 +844,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         Spec("positivity-margin",
              "the quotient form has a strictly positive scale-relative Gram "
              "floor", tol.positivity_floor, "margin")],
-        [_samples(enorm(f) if isinstance(f, dict) else f, count)
+        [np.broadcast_to(enorm(f) if isinstance(f, dict) else f, count)
          for f in fields])
 
     # per sample: cfg.probes - 1 vertical probes and, on a fiber of rank
@@ -875,21 +864,21 @@ def hopf_records(cfg: ScenarioConfig) -> list:
                       for x in np.moveaxis(probes, 1, 0)], axis=1)
     bound = fiber_norm2(h, probes) / p[:, None]
     lower = ((pairs - bound) / bound).ravel()
-    out += _column_records([
+    out += sweep_records([
         Spec("cauchy-lower",
              "vertical values are at least the fiber norm over the potential",
              -tol.positivity_floor, "margin"),
         Spec("cauchy-upper",
              "vertical values are at most twice the fiber norm over the "
              "potential", -tol.positivity_floor, "margin")],
-        [lower.tolist(), ((2.0 * bound - pairs) / bound).ravel().tolist()])
+        [lower, ((2.0 * bound - pairs) / bound).ravel()])
     if ts.rank == 2:
         # the gap |pair - nx/p| / (nx/p) is the modulus of the lower ratio
         out += sweep_records([Spec(
             "cauchy-tight-rank2",
             "on a rank-2 fiber the lower bound is an equality for every "
             "vertical probe", tol.secondderiv)],
-            np.abs(lower).tolist())
+            [np.abs(lower)])
     else:
         u = np.array(extra)
         v = probes[:, -1]
@@ -904,8 +893,8 @@ def hopf_records(cfg: ScenarioConfig) -> list:
             "cauchy-orthogonal-probe",
             "probes orthogonal to the fiber value and its conjugate "
             "partner attain the upper bound", tol.secondderiv)],
-            _samples(np.abs(np.real(hermitian_pair(ctx, fr, u, u))
-                            - 2.0 * bound) / bound, count))
+            [np.abs(np.real(hermitian_pair(ctx, fr, u, u)) - 2.0 * bound)
+             / bound])
 
     xb, xv = np.zeros((2, count, m), dtype=complex)
     for k in range(count):
@@ -916,7 +905,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         "horizontal-vertical-orthogonal",
         "base directions pair to zero with fiber directions",
         tol.secondderiv)],
-        _samples(np.abs(hermitian_pair(ctx, fr, xb, xv)) / sc, count))
+        [np.abs(hermitian_pair(ctx, fr, xb, xv)) / sc])
 
     # the first 10 samples, each dilated towards the zero section
     dilated = stack_points([rho_apply(h, pt, eps) for pt in pts[:10]
@@ -927,14 +916,13 @@ def hopf_records(cfg: ScenarioConfig) -> list:
         "vertical-blowup-rate",
         "the smallest vertical Gram eigenvalue scales as one over the "
         "potential", tol.secondderiv)],
-        np.abs(low * psi(ts, dilated) - 1.0).tolist())
+        [np.abs(low * psi(ts, dilated) - 1.0)])
 
     # one row per sample: its matrix margin and its probe values
     out += sweep_records([Spec(
         "positivity-agreement",
         "matrix margin and probe values certify positivity together", 0.5)],
-        [tuple(map(float, row)) for row in
-         np.concatenate((margins[:, None], pairs), axis=1) <= 0.0])
+        [np.concatenate((margins[:, None], pairs), axis=1) <= 0.0])
     return out
 
 
@@ -951,16 +939,15 @@ _RUNNERS = {
 
 
 def run_suite(cfg: ScenarioConfig, name: str) -> VerificationReport:
-    cfg.validate()
+    if name not in _RUNNERS and name != "all":
+        raise KeyError(f"unknown suite {name!r}; have {list(_RUNNERS) + ['all']}")
+    cfg.validate(name)
     t0 = time.perf_counter()
+    report = VerificationReport(name, cfg.echo())
     if name == "all":
-        report = VerificationReport("all", cfg.echo())
         for sub in SUITES:
             report.extend(_RUNNERS[sub](cfg), prefix=sub + ":")
-    elif name in _RUNNERS:
-        report = VerificationReport(name, cfg.echo())
-        report.extend(_RUNNERS[name](cfg))
     else:
-        raise KeyError(f"unknown suite {name!r}; have {list(_RUNNERS) + ['all']}")
+        report.extend(_RUNNERS[name](cfg))
     report.wall_time = time.perf_counter() - t0
     return report

@@ -9,8 +9,8 @@ from hktlab.charts import flat_chart
 from hktlab.exterior import enorm, esub, positive_dimension
 from hktlab.fields import ladder_constant
 from hktlab.hermitian import _eigenvalues
-from hktlab.suites import (ScenarioConfig, Tolerances, _max_abs,
-                           algebra_records)
+from hktlab.report import Spec, record
+from hktlab.suites import ScenarioConfig, Tolerances, algebra_records
 
 # points and threshold of every n=3 record, as the sparse per-monomial
 # suite reported them before the su(2) operators were cached as blocks;
@@ -96,6 +96,12 @@ def _member_blocks(ctx, k):
             out.append((mem, ops, {w: p[i]
                                    for w, p in blk.projectors.items()}))
     return sorted(out, key=lambda t: t[0])
+
+
+def _max_abs(arrays):
+    """A residual record's value over the entry moduli of arrays."""
+    return record(Spec("", "", 0.0), 1,
+                  [np.abs(a).max() for a in arrays]).value
 
 
 def _per_block_values(ctx):

@@ -18,7 +18,7 @@ from hktlab.duals import (dot_part, fresh_level, numeric, sample_shape,
 from hktlab.fields import sample_points, stack_points
 from hktlab.exterior import enorm
 from hktlab.quaternions import quat_abs2, quat_mul, right_mult_c2
-from hktlab.report import max_keep_nan
+from hktlab.report import Spec, record
 from hktlab.suites import ScenarioConfig, bundle_records
 
 # star pairs on 2-forms of R^4, orientation dx0 dx1 dx2 dx3
@@ -27,7 +27,8 @@ STAR_PAIRS = [((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2))]
 
 def curvature_scale(conn, pt) -> float:
     grid = curvature_entry_forms(conn, pt)
-    return max_keep_nan(enorm(el) for row in grid for el in row)
+    return record(Spec("scale", "", 0.0), 1,
+                  [enorm(el) for row in grid for el in row]).value
 
 
 def entry(F, a, b):

@@ -6,12 +6,31 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hktlab import cli
+from hktlab import cli, suites
 from hktlab.cli import main
 from hktlab.report import VerificationReport
-from hktlab.suites import HOPF_Q_RANGE, SUITES, Tolerances
+from hktlab.suites import (ALGEBRA_MAX_N, HOPF_Q_RANGE, SUITES,
+                           ScenarioConfig, Tolerances, run_suite)
 
 FAST = ["--samples", "6", "--probes", "4"]
+
+
+@contextlib.contextmanager
+def charts_up_to_algebra_max_n():
+    """suites.flat_chart refuses an n the algebra suite refuses, so a
+    refusal that goes missing fails the test instead of building the su(2)
+    blocks of n=5, which need about 11 GB."""
+    real = suites.flat_chart
+
+    def bounded(n, *args, **kwargs):
+        assert n <= ALGEBRA_MAX_N, f"flat_chart built at refused n={n}"
+        return real(n, *args, **kwargs)
+
+    suites.flat_chart = bounded
+    try:
+        yield
+    finally:
+        suites.flat_chart = real
 
 
 def test_passing_suite_exit_zero(capsys):
@@ -82,15 +101,31 @@ USAGE_ERRORS = [
     ["hopf", "--n", "2"] + FAST,
     # qpos checks H^1 and H^2 whatever n is
     ["qpos", "--n", "3", "--samples", "2"],
+    # the su(2) block cache of the algebra suite would take about 11 GB
+    ["algebra", "--n", "5", "--samples", "1"],
+    ["all", "--n", "5", "--samples", "1"],
 ]
 
 
 def test_usage_error_exit_two(capsys):
     for argv in USAGE_ERRORS:
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc, charts_up_to_algebra_max_n():
             main(argv)
         assert exc.value.code == 2, argv
         assert not capsys.readouterr().out, argv
+
+
+@pytest.mark.parametrize("suite, n", [("bundle", 2), ("totspace", 3),
+                                      ("hopf", 2), ("algebra", 5),
+                                      ("all", 5), ("algebra", 6)])
+def test_run_suite_refuses_n_before_building(monkeypatch, suite, n):
+    def no_build(*args):
+        raise AssertionError(f"{suite} at n={n} built before refusing")
+
+    for name in ("flat_chart", "total_space", "structure_charts"):
+        monkeypatch.setattr(suites, name, no_build)
+    with pytest.raises(ValueError, match="n must be"):
+        run_suite(ScenarioConfig(n=n, samples=1), suite)
 
 
 def test_hopf_q_range_ends_pass(capsys):
@@ -207,10 +242,12 @@ SEEDS = st.one_of(st.integers(-3, 2), st.integers(0, 2**40))
 
 # Most draws are refused in milliseconds (each of n, samples, probes, q and
 # the tolerance can be out of range), so 200 examples reach a verdict about a
-# dozen times and take 1-2 s; the example pins the negative-seed crash.
+# dozen times and take a few seconds; the example pins the negative-seed
+# crash.  n=5 and n=6 must be refused before anything is built; n=4 (about
+# 2 s and 393 MB for algebra) is left to the CI step that runs it.
 @settings(max_examples=200, deadline=None)
 @given(suite=st.sampled_from(["algebra", "qpos", "bundle", "hopf"]),
-       n=st.integers(0, 2), samples=st.integers(0, 2),
+       n=st.sampled_from([0, 1, 2, 3, 5, 6]), samples=st.integers(0, 2),
        probes=st.integers(0, 2), seed=SEEDS,
        q=st.sampled_from(QS), tol_flag=st.sampled_from(TOL_FLAGS),
        tol=st.sampled_from([float("nan"), -1.0, 0.0, 1e-12, float("inf")]))
@@ -225,7 +262,8 @@ def test_exit_code_contract(suite, n, samples, probes, seed, q, tol_flag, tol):
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO()), \
+                charts_up_to_algebra_max_n():
             code = main(argv)
     except SystemExit as exc:
         assert exc.code == 2, argv

@@ -12,9 +12,9 @@ import math
 import pytest
 
 from hktlab import hopf, suites
-from hktlab.exterior import eadd, escale, esub
+from hktlab.exterior import eadd, element_from_antisym, escale, esub
 from hktlab.suites import (ScenarioConfig, algebra_records, hopf_records,
-                           totspace_records)
+                           qpos_records, totspace_records)
 from hktlab.total_space import omega_hor_expr
 
 
@@ -41,9 +41,21 @@ def negated(real):
 
 
 def scaled(real):
-    """The natural metric scaled by 1.01: not the euclidean one on the flat
-    bundle, though still invariant under I, J and K."""
-    return lambda *args: 1.01 * real(*args)
+    """real off by 1%.  The natural metric so scaled is not the euclidean one
+    on the flat bundle, though still invariant under I, J and K; the
+    quaternionic conjugation squares to 1.0201 and no longer symmetrizes to
+    a q-real form; the Gram matrix no longer matches the pairing; the
+    hyperhermitian projection is no longer idempotent."""
+    def faulty(*args):
+        value = real(*args)
+        return escale(value, 1.01) if isinstance(value, dict) else 1.01 * value
+    return faulty
+
+
+def dropped_m(real):
+    """omega_from_gram without its M factor: the antisymmetric part of G
+    itself, whose Gram matrix is not Hermitian."""
+    return lambda ctx, G: element_from_antisym(G)
 
 
 def table_fault(name, k):
@@ -98,6 +110,21 @@ WITNESSES = {
     "ladder-normalization(n=1)": (
         algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
         table_fault("Rb", 1.01)),
+    "conj-involution(m=2)": (
+        qpos_records, "bpst", "roundtrip-metric(m=2)", suites,
+        "quaternionic_conj", scaled),
+    "qreal-gram-hermitian(m=2)": (
+        qpos_records, "bpst", "hermitian-gram-qreal(m=2)", suites,
+        "quaternionic_conj", scaled),
+    "hermitian-gram-qreal(m=2)": (
+        qpos_records, "bpst", "conj-involution(m=2)", suites,
+        "omega_from_gram", dropped_m),
+    "hyperhermitian-structure(m=2)": (
+        qpos_records, "bpst", "conj-involution(m=2)", suites,
+        "hyperhermitian_project", scaled),
+    "pairing-gram(m=2)": (
+        qpos_records, "bpst", "conj-involution(m=2)", suites, "gram",
+        scaled),
 }
 
 
