@@ -103,21 +103,6 @@ class Dual:
         v = self.val
         return Dual(other / v, -other * self.dot / (v * v), self.level)
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("only integer powers are supported")
-        if n < 0:
-            return (1.0 / self) ** (-n)
-        out = 1.0
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out if isinstance(out, Dual) else Dual(out, 0.0, self.level)
-
 
 def numeric(x):
     """Strip every dual layer, returning the underlying number."""

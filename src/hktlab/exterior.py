@@ -432,9 +432,6 @@ class StructureContext:
     def lowering(self, el: Element) -> Element:
         return apply_derivation(self.tables["Rb"], el)
 
-    def lie(self, which: str, el: Element) -> Element:
-        return apply_derivation(self.tables["L_" + which], el)
-
     def cov_mult(self, which: str, el: Element) -> Element:
         return apply_multiplicative(self.tables["cov_" + which], el)
 

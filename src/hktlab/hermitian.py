@@ -18,7 +18,8 @@ An element with array coefficients (a stacked Point's, fields.stack_points)
 has one matrix per sample: the sample axes lead, shape (S, m, m), and the
 residuals and margins are arrays over the samples, each reduced within its
 own sample so that a nan stays there.  A plain element gives a plain matrix
-and numpy scalar values.
+and numpy scalar values.  The module draws nothing: qpositive_form and
+hyperhermitian_metric build from values the caller drew.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import (StructureContext, Element, eadd, element_from_antisym,
-                       escale, eval2)
+                       enorm, escale, eval2)
 from .duals import numeric
 
 
@@ -105,19 +106,17 @@ def quaternionic_conj(ctx: StructureContext, el: Element) -> Element:
     return ctx.component(ctx.cov_mult("J", ctx.conj(el)), 2, 0)
 
 
-def random_qreal_positive(ctx: StructureContext, rng) -> Element:
-    """Random strictly q-positive q-real (2, 0)-form (Gershgorin shift)."""
-    m = ctx.m
-    raw = {mono: complex(rng.standard_normal(), rng.standard_normal())
-           for mono in ctx.basis_pq(2, 0)}
+def qpositive_form(ctx: StructureContext, raw: Element) -> Element:
+    """Strictly q-positive q-real (2, 0)-form made from the (2, 0)-form raw:
+    its q-real part, shifted per sample by a multiple of the canonical form
+    past the Gershgorin bound."""
     sym = escale(eadd(raw, quaternionic_conj(ctx, raw)), 0.5)
-    shift = float(2 * m * max(abs(c) for c in sym.values()) + 1.0)
+    shift = 2 * ctx.m * enorm(sym) + 1.0
     return eadd(sym, escale(ctx.omega_canonical(), shift))
 
 
-def random_hyperhermitian_metric(ctx: StructureContext, rng) -> np.ndarray:
-    """Random positive-definite Hermitian matrix with quaternionic symmetry."""
-    m = ctx.m
-    B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    G = B @ B.conj().T + m * np.eye(m)
-    return hyperhermitian_project(ctx, G)
+def hyperhermitian_metric(ctx: StructureContext, B: np.ndarray) -> np.ndarray:
+    """Positive-definite Hermitian matrix with quaternionic symmetry made from
+    the square matrix B, or one per matrix of a (S, m, m) stack."""
+    return hyperhermitian_project(
+        ctx, B @ _adjoint(B) + ctx.m * np.eye(ctx.m))

@@ -12,20 +12,19 @@ rule, and a swept record counts its column's rows as its `points`; only
 records of whole operator blocks or of one value (the algebra block checks,
 r-omega, r-kernel-invariant, antilinear-structure, canonical-form,
 criteria-agreement and the totspace records of constant forms) state their
-count.  A suite's records share one cfg.rng() stream, and each sweep makes
-its draws before the next starts, in the order that fixes every value of
-the report.  The bicomplex, bundle, totspace and hopf sweeps evaluate each
-field once, at the stacked Point of all their samples (fields.stack_points);
-a sweep that draws per sample (frame-roundtrip, the hopf dilations and
-probes) makes all its draws first, in sample order.  The qpos and algebra
-draws go one at a time; the algebra block checks broadcast over
-exterior.py's stacks of same-size su(2) blocks, one stack per block size
-and degree.
+count.  A suite's records share one cfg.rng() stream.  Each sweep makes
+all its draws first, in the order that fixes every value of the report,
+then evaluates them once: the bicomplex, bundle, totspace and hopf fields
+at the stacked Point of all their samples (fields.stack_points), a qpos
+record or the algebra (1,1) check on its block of draws (_draw).  The
+algebra block checks broadcast over exterior.py's stacks of same-size
+su(2) blocks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -42,11 +41,11 @@ from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
                      random_form_field, random_polynomial, random_pq_field,
                      sample_points, scalar_field, stack_points)
-from .hermitian import (_eigenvalues, gram, hermitian_pair,
+from .hermitian import (_adjoint, _eigenvalues, gram, hermitian_pair,
                         hyperhermitian_project, hyperhermitian_residual,
-                        omega_from_gram, qpos_margin, qreal_residual,
-                        quaternionic_conj, random_hyperhermitian_metric,
-                        random_qreal_positive)
+                        hyperhermitian_metric, omega_from_gram,
+                        qpos_margin, qpositive_form, qreal_residual,
+                        quaternionic_conj)
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
                    rho_pullback, vertical_probe)
@@ -133,9 +132,24 @@ class ScenarioConfig:
                 "seed": self.seed, "tolerances": self.tol.as_dict()}
 
 
-def _rand_element(monos, rng) -> dict:
-    return {mono: complex(rng.standard_normal(), rng.standard_normal())
-            for mono in monos}
+def _draw(rng, count: int, *parts) -> list:
+    """`count` samples read from rng as one block of normals, each sample's
+    values contiguous and in the order of a loop drawing one sample at a
+    time, split into `parts`: a list of monomials gives an element whose
+    coefficients, each drawn as a real and imaginary pair, are arrays over
+    the samples; a shape gives a complex (count, *shape) array, its real
+    parts drawn before its imaginary parts."""
+    sizes = [2 * (len(p) if isinstance(p, list) else math.prod(p))
+             for p in parts]
+    block = rng.standard_normal((count, sum(sizes)))
+    out = []
+    for part, vals in zip(parts, np.split(block, np.cumsum(sizes)[:-1], 1)):
+        if isinstance(part, list):
+            out.append(dict(zip(part, vals.copy().view(complex).T)))
+        else:
+            re, im = np.split(vals, 2, 1)
+            out.append((re + 1j * im).reshape(count, *part))
+    return out
 
 
 def _stacked_records(specs, pts, columns) -> list:
@@ -156,6 +170,24 @@ def _stacked_records(specs, pts, columns) -> list:
 
 
 # ----- algebra -----
+
+def _top_trace(stacks, w) -> float:
+    """Trace of the weight-w projector over the block stacks of one degree:
+    the blocks' traces summed one at a time in the order of their smallest
+    member, whatever stack holds them, so that the last bit does not depend
+    on how the blocks group by size."""
+    traces = sorted((mem[0], t) for blk in stacks for mem, t in zip(
+        blk.monos, np.trace(blk.projectors[w], 0, 1, 2).real))
+    return sum(t for _, t in traces)
+
+
+def _split_norms(ctx, el) -> tuple:
+    """The enorms of R of the invariant part of the (1,1)-form el, of R of
+    the rest, and of the rest."""
+    inv = ctx.invariant_part(el)
+    beta = esub(el, inv)
+    return enorm(ctx.raising(inv)), enorm(ctx.raising(beta)), enorm(beta)
+
 
 def algebra_records(cfg: ScenarioConfig) -> list:
     tol = cfg.tol
@@ -247,16 +279,11 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             "weight projectors are idempotent, orthogonal, and sum to 1",
             tol.sl2), npts, [np.abs(r).max() for r in projector_residuals()]))
 
-        def top_trace(p):
-            # summed over the blocks in the order of their smallest member
-            traces = sorted((mem[0], t) for blk in blocks[p] for mem, t in zip(
-                blk.monos, np.trace(blk.projectors[p], 0, 1, 2).real))
-            return sum(t for _, t in traces)
-
         out += sweep_records([Spec(
             f"positive-dimension{tag}",
             "top-weight subspace of degree p has dimension (p+1) C(m,p)",
-            tol.sl2)], [[abs(top_trace(p) - positive_dimension(m, p))
+            tol.sl2)], [[abs(_top_trace(blocks[p], p)
+                             - positive_dimension(m, p))
                          for p in range(m + 1)]])
 
         out.append(record(Spec(
@@ -266,16 +293,9 @@ def algebra_records(cfg: ScenarioConfig) -> list:
                                     ctx.omega_canonical()))))
 
         b11 = ctx.basis_pq(1, 1)
-
-        def split_draw():
-            el = _rand_element(b11, rng)
-            inv = ctx.invariant_part(el)
-            beta = esub(el, inv)
-            return (enorm(ctx.raising(inv)), enorm(ctx.raising(beta)),
-                    enorm(beta))
-
-        r_inv, r_beta, nb = np.array(
-            [split_draw() for _ in range(max(100, cfg.samples))]).T
+        count = max(100, cfg.samples)
+        r_inv, r_beta, nb = (np.broadcast_to(v, count) for v in _split_norms(
+            ctx, *_draw(rng, count, b11)))
         detected = nb > 1e-8
         # R is sqrt(2) times an isometry on the non-invariant part, so any
         # floor below that certifies detection with a wide gap; a sweep
@@ -424,93 +444,77 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
 
 # ----- q-positivity layer -----
 
+def _qpos_sweeps(ctx, tol: Tolerances) -> list:
+    """The drawn qpos records of ctx, in report order, as (spec, parts,
+    evaluate): evaluate maps a record's draws _draw(rng, count, *parts), or
+    one sample's, to its values, two per sample on a trailing axis."""
+    m = ctx.m
+    tag = f"(m={m})"
+    b20 = ctx.basis_pq(2, 0)
+
+    def form_roundtrip_gap(raw):
+        el = qpositive_form(ctx, raw)
+        return enorm(esub(omega_from_gram(ctx, gram(ctx, el)), el))
+
+    def metric_roundtrip_gap(B):
+        G = hyperhermitian_metric(ctx, B)
+        return np.abs(gram(ctx, omega_from_gram(ctx, G)) - G).max((-2, -1))
+
+    def hyperhermitian_gaps(B, P0):
+        P = hyperhermitian_project(ctx, P0)
+        return np.stack([
+            hyperhermitian_residual(ctx, hyperhermitian_metric(ctx, B)),
+            np.abs(hyperhermitian_project(ctx, P) - P).max((-2, -1))], -1)
+
+    def pairing_gap(el, x, y):
+        xgy = x[..., None, :] @ gram(ctx, el) @ np.conj(y)[..., :, None]
+        return abs(hermitian_pair(ctx, el, x, y) - xgy[..., 0, 0])
+
+    return [
+        (Spec(f"conj-involution{tag}", "the quaternionic conjugation of "
+              "(2,0)-forms is an involution", tol.linear), [b20],
+         lambda el: enorm(esub(quaternionic_conj(
+             ctx, quaternionic_conj(ctx, el)), el))),
+        (Spec(f"qreal-gram-hermitian{tag}", "symmetrized forms are q-real "
+              "with Hermitian Gram matrix", tol.linear), [b20],
+         lambda el: qreal_residual(
+             ctx, escale(eadd(el, quaternionic_conj(ctx, el)), 0.5))),
+        (Spec(f"hermitian-gram-qreal{tag}", "every Hermitian Gram matrix "
+              "produces a q-real form", tol.linear), [(m, m)],
+         lambda G0: qreal_residual(
+             ctx, omega_from_gram(ctx, (G0 + _adjoint(G0)) / 2))),
+        (Spec(f"roundtrip-form{tag}", "form to Gram matrix and back is the "
+              "identity", tol.roundtrip), [b20], form_roundtrip_gap),
+        (Spec(f"roundtrip-metric{tag}", "Gram matrix to form and back is the "
+              "identity", tol.roundtrip), [(m, m)], metric_roundtrip_gap),
+        (Spec(f"hyperhermitian-structure{tag}", "generated metrics are "
+              "J-compatible and the projector is idempotent", tol.linear),
+         [(m, m), (m, m)], hyperhermitian_gaps),
+        (Spec(f"positivity-margin{tag}", "generated q-positive forms have a "
+              "strictly positive Gram floor", tol.positivity_floor,
+              "margin"), [b20],
+         lambda raw: qpos_margin(ctx, qpositive_form(ctx, raw))),
+        (Spec(f"pairing-gram{tag}", "the Hermitian pairing of a form "
+              "matches its Gram matrix", tol.linear), [b20, (m,), (m,)],
+         pairing_gap)]
+
+
 def qpos_records(cfg: ScenarioConfig) -> list:
-    tol = cfg.tol
     rng = cfg.rng()
     out = []
     count = max(50, cfg.samples // 2)
     for n in (1, 2):
         ctx = flat_chart(n).ctx
-        m = ctx.m
-        tag = f"(m={m})"
-
-        def form20():
-            return _rand_element(ctx.basis_pq(2, 0), rng)
-
-        def complex_draw(shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        def involution_gap():
-            el = form20()
-            return enorm(esub(
-                quaternionic_conj(ctx, quaternionic_conj(ctx, el)), el))
-
-        def symmetrized_gaps():
-            el = form20()
-            sym = escale(eadd(el, quaternionic_conj(ctx, el)), 0.5)
-            G = gram(ctx, sym)
-            return qreal_residual(ctx, sym), np.abs(G - G.conj().T).max()
-
-        def hermitian_gram_gap():
-            G0 = complex_draw((m, m))
-            return qreal_residual(ctx,
-                                  omega_from_gram(ctx, (G0 + G0.conj().T) / 2))
-
-        def form_roundtrip_gap():
-            el = random_qreal_positive(ctx, rng)
-            return enorm(esub(omega_from_gram(ctx, gram(ctx, el)), el))
-
-        def metric_roundtrip_gap():
-            G = random_hyperhermitian_metric(ctx, rng)
-            return np.abs(gram(ctx, omega_from_gram(ctx, G)) - G).max()
-
-        def hyperhermitian_gaps():
-            G = random_hyperhermitian_metric(ctx, rng)
-            P = hyperhermitian_project(ctx, complex_draw((m, m)))
-            return (hyperhermitian_residual(ctx, G),
-                    np.abs(hyperhermitian_project(ctx, P) - P).max())
-
-        def pairing_gap():
-            el = form20()
-            G = gram(ctx, el)
-            x, y = complex_draw(m), complex_draw(m)
-            return abs(hermitian_pair(ctx, el, x, y) - x @ G @ np.conj(y))
-
-        # each record sweeps its own `count` draws, in this order; a draw
-        # of two values gives its row a trailing axis
-        for spec, draw in (
-                (Spec(f"conj-involution{tag}", "the quaternionic conjugation "
-                      "of (2,0)-forms is an involution", tol.linear),
-                 involution_gap),
-                (Spec(f"qreal-gram-hermitian{tag}", "symmetrized forms are "
-                      "q-real with Hermitian Gram matrix", tol.linear),
-                 symmetrized_gaps),
-                (Spec(f"hermitian-gram-qreal{tag}", "every Hermitian Gram "
-                      "matrix produces a q-real form", tol.linear),
-                 hermitian_gram_gap),
-                (Spec(f"roundtrip-form{tag}", "form to Gram matrix and back "
-                      "is the identity", tol.roundtrip), form_roundtrip_gap),
-                (Spec(f"roundtrip-metric{tag}", "Gram matrix to form and "
-                      "back is the identity", tol.roundtrip),
-                 metric_roundtrip_gap),
-                (Spec(f"hyperhermitian-structure{tag}", "generated metrics "
-                      "are J-compatible and the projector is idempotent",
-                      tol.linear), hyperhermitian_gaps),
-                (Spec(f"positivity-margin{tag}", "generated q-positive "
-                      "forms have a strictly positive Gram floor",
-                      tol.positivity_floor, "margin"),
-                 lambda: qpos_margin(ctx, random_qreal_positive(ctx, rng))),
-                (Spec(f"pairing-gram{tag}", "the Hermitian pairing of a "
-                      "form matches its Gram matrix", tol.linear),
-                 pairing_gap)):
-            out += sweep_records([spec], [[draw() for _ in range(count)]])
-
+        # each record draws its `count` samples as one block, evaluated once
+        for spec, parts, evaluate in _qpos_sweeps(ctx, cfg.tol):
+            out += sweep_records([spec],
+                                 [evaluate(*_draw(rng, count, *parts))])
         G = gram(ctx, ctx.omega_canonical())
         out.append(record(Spec(
-            f"canonical-form{tag}",
-            "the canonical (2,0)-form has identity Gram matrix", tol.linear),
-            1, [np.abs(G - np.eye(m)).max(),
-                abs(qpos_margin(ctx, ctx.omega_canonical()) - 1.0)]))
+            f"canonical-form(m={ctx.m})",
+            "the canonical (2,0)-form has identity Gram matrix",
+            cfg.tol.linear), 1, [np.abs(G - np.eye(ctx.m)).max(), abs(
+                qpos_margin(ctx, ctx.omega_canonical()) - 1.0)]))
     return out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from hktlab import suites
 from hktlab.charts import flat_chart
-from hktlab.exterior import enorm, esub, positive_dimension
+from hktlab.exterior import Su2Block, enorm, esub, positive_dimension
 from hktlab.fields import ladder_constant
 from hktlab.hermitian import _eigenvalues
 from hktlab.report import Spec, record
@@ -185,9 +185,11 @@ def test_stacked_block_checks_match_per_block_loop():
 
 
 def test_no_noninvariant_draw_fails_detection(monkeypatch):
-    # every draw is the zero form: nothing to detect, so the margin sweep
-    # is empty, reduces to inf, and must not pass
-    monkeypatch.setattr(suites, "_rand_element", lambda monos, rng: {})
+    # every draw is the zero form, whose enorms broadcast over the draws:
+    # nothing to detect, so the margin sweep is empty, reduces to inf, and
+    # must not pass
+    monkeypatch.setattr(suites, "_draw",
+                        lambda rng, count, *parts: [{} for _ in parts])
     records = {r.identity: r
                for r in algebra_records(ScenarioConfig(samples=1))}
     r = records["noninvariant-detected(n=1)"]
@@ -205,3 +207,17 @@ def test_unit_spectra_bound_is_the_casimir_tolerance():
         r = records[f"unit-spectra(n={n})"]
         assert r.threshold == 1e-20 and r.value < 1e-13
         assert not r.passed
+
+
+def test_top_trace_sums_in_member_order_across_stacks():
+    # members (1,) and (2,) are two blocks of one stack, each of trace
+    # 2^-53; member (0,) leads a block of another stack, of trace 1.  In
+    # member order the sum is (1 + 2^-53) + 2^-53 = 1, each addition
+    # rounding to even; summed per stack, or in the order [small, large],
+    # it is 2^-52 + 1, one ulp above
+    tiny = 2.0 ** -53
+    small = Su2Block([[(1,)], [(2,)]], {}, {1: np.full((2, 1, 1), tiny)})
+    large = Su2Block([[(0,), (3,)]], {}, {1: np.diag([1.0, 0.0])[None]})
+    assert (tiny + tiny) + 1.0 == 1.0 + 2.0 ** -52 != 1.0
+    for stacks in ([small, large], [large, small]):
+        assert suites._top_trace(stacks, 1) == 1.0

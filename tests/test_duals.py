@@ -34,16 +34,6 @@ def test_quotient_rule(a, da):
     assert dot_part(q, lev) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
 
-@given(st.integers(min_value=0, max_value=8), finite)
-def test_integer_power(k, a):
-    lev = fresh_level()
-    x = Dual(a, 1.0, lev)
-    p = x ** k
-    assert numeric(p) == pytest.approx(a ** k, rel=1e-9, abs=1e-9)
-    expect = 0.0 if k == 0 else k * a ** (k - 1)
-    assert dot_part(p, lev) == pytest.approx(expect, rel=1e-9, abs=1e-6)
-
-
 def test_second_derivative_nested():
     # f(x) = x^3: f''(2) = 12
     lev1 = fresh_level()

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from hktlab import exterior
 from hktlab.duals import Dual, fresh_level
-from hktlab.exterior import (StructureContext, eadd, enorm, escale, esub,
-                             eval2, positive_dimension, sort_sign,
-                             standard_m, wedge)
+from hktlab.exterior import (StructureContext, apply_derivation, eadd, enorm,
+                             escale, esub, eval2, positive_dimension,
+                             sort_sign, standard_m, wedge)
 
 
 def _ctx(m=2):
@@ -294,10 +294,12 @@ def test_enorm_is_largest_modulus():
 # ----- per-degree su(2) blocks -----
 
 def _generators(ctx):
-    return {"R": ctx.raising, "Rb": ctx.lowering, "H": ctx.h_op,
-            "L_I": lambda el: ctx.lie("I", el),
-            "L_J": lambda el: ctx.lie("J", el),
-            "L_K": lambda el: ctx.lie("K", el), "C": ctx.casimir}
+    """The sparse rule of each su(2) generator, the oracle for its blocks;
+    L_I, L_J and L_K are the derivations of their 1-form tables."""
+    lie = {"L_" + u: partial(apply_derivation, ctx.tables["L_" + u])
+           for u in "IJK"}
+    return {"R": ctx.raising, "Rb": ctx.lowering, "H": ctx.h_op, **lie,
+            "C": ctx.casimir}
 
 
 def _members(blocks, stacks):

@@ -3,11 +3,10 @@ import pytest
 
 from hktlab.exterior import StructureContext, enorm, esub, eval2, standard_m
 from hktlab.hermitian import (antisym_matrix, element_from_antisym, gram,
-                              hermitian_pair, hyperhermitian_project,
-                              hyperhermitian_residual, omega_from_gram,
-                              qpos_margin, qreal_residual, quaternionic_conj,
-                              random_hyperhermitian_metric,
-                              random_qreal_positive)
+                              hermitian_pair, hyperhermitian_metric,
+                              hyperhermitian_project, hyperhermitian_residual,
+                              omega_from_gram, qpos_margin, qpositive_form,
+                              qreal_residual, quaternionic_conj)
 
 
 @pytest.fixture(params=[2, 4])
@@ -20,6 +19,16 @@ def random_20(ctx, rng):
     m = ctx.m
     return {(a, b): complex(rng.standard_normal(), rng.standard_normal())
             for a in range(m) for b in range(a + 1, m)}
+
+
+def random_qreal_positive(ctx, rng):
+    return qpositive_form(ctx, random_20(ctx, rng))
+
+
+def random_hyperhermitian_metric(ctx, rng):
+    shape = (ctx.m, ctx.m)
+    return hyperhermitian_metric(
+        ctx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def test_antisym_roundtrip(ctx, rng):

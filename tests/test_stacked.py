@@ -4,7 +4,8 @@ fields evaluated at each sample's own plain-float Point.
 The plain-float Point runs the same operator code with float coordinates,
 so it is the oracle: entry by entry, each sample's coefficients (or array
 entries, or residuals) must match to 1e-12 relative to that sample's
-largest one (at least 1).
+largest one (at least 1).  The qpos records and the algebra (1,1) draws are
+held the same way to their code run at each draw alone.
 """
 
 import numpy as np
@@ -21,8 +22,10 @@ from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            exterior_d, ladder_map, random_form_field,
                            random_polynomial, random_pq_field, sample_points,
                            scalar_field, stack_points)
-from hktlab.hermitian import (gram, hermitian_pair, hyperhermitian_residual,
-                              qpos_margin, qreal_residual)
+from hktlab.hermitian import (gram, hermitian_pair, hyperhermitian_metric,
+                              hyperhermitian_residual, omega_from_gram,
+                              qpos_margin, qpositive_form, qreal_residual,
+                              quaternionic_conj)
 from hktlab.hopf import fundamental_domain_points, hopf_data
 from hktlab.suites import ScenarioConfig
 from hktlab.total_space import (horizontal_lift, natural_metric,
@@ -216,6 +219,67 @@ def test_stacked_margin_and_residual_keep_a_nan_in_its_sample(rng):
         for k in (0, 2):
             assert_sample_agrees(value, k, 3,
                                  fn(ctx, {key: c[k] for key, c in el.items()}))
+
+
+def one_draw(drawn, k):
+    """Draw k of stacked draws: plain complex coefficients, or arrays."""
+    return [{key: complex(c[k]) for key, c in part.items()}
+            if isinstance(part, dict) else part[k] for part in drawn]
+
+
+def test_draw_reads_the_stream_as_a_per_sample_loop():
+    # one block of normals against a loop that draws one sample at a time,
+    # its parts in order: an element's coefficients as (real, imaginary)
+    # pairs, an array's real parts before its imaginary parts
+    b20 = StructureContext(4, standard_m(4)).basis_pq(2, 0)
+    drawn = suites._draw(np.random.default_rng(7), 3, b20, (4,), (4, 4))
+    rng = np.random.default_rng(7)
+    for k in range(3):
+        el, x, G = one_draw(drawn, k)
+        assert el == {mono: complex(rng.standard_normal(),
+                                    rng.standard_normal()) for mono in b20}
+        for got in (x, G):
+            want = (rng.standard_normal(got.shape)
+                    + 1j * rng.standard_normal(got.shape))
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qpos_draws_agree_with_each_draw(rng, n):
+    # every record's values, evaluated once on its stacked draws and on
+    # each draw alone, and the operands that do not vanish
+    ctx = flat_chart(n).ctx
+    sweeps = suites._qpos_sweeps(ctx, suites.Tolerances())
+    assert len(sweeps) == 8
+    for _, parts, evaluate in sweeps:
+        drawn = suites._draw(rng, 3, *parts)
+        assert_arrays_agree(evaluate(*drawn),
+                            [evaluate(*one_draw(drawn, k)) for k in range(3)])
+    drawn = suites._draw(rng, 3, ctx.basis_pq(2, 0), (ctx.m, ctx.m))
+    maps = (lambda raw, B: qpositive_form(ctx, raw),
+            lambda raw, B: quaternionic_conj(ctx, raw),
+            lambda raw, B: omega_from_gram(ctx, hyperhermitian_metric(ctx, B)))
+    for k in range(3):
+        for fn in maps:
+            assert_sample_agrees(fn(*drawn), k, 3, fn(*one_draw(drawn, k)))
+    assert_arrays_agree(hyperhermitian_metric(ctx, drawn[1]),
+                        [hyperhermitian_metric(ctx, B) for B in drawn[1]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_split_draws_agree_with_each_draw(rng, n):
+    # the algebra suite's (1,1) draws: the invariant part, and the norms of
+    # R of it, of R of the rest and of the rest
+    ctx = flat_chart(n).ctx
+    el, = suites._draw(rng, 3, ctx.basis_pq(1, 1))
+    norms = suites._split_norms(ctx, el)
+    for k in range(3):
+        one, = one_draw([el], k)
+        assert_sample_agrees(ctx.invariant_part(el), k, 3,
+                             ctx.invariant_part(one))
+        for got, want in zip(norms, suites._split_norms(ctx, one),
+                             strict=True):
+            assert_sample_agrees(got, k, 3, want)
 
 
 @pytest.mark.parametrize("bundle", ["bpst", "direct-sum", "flat"])

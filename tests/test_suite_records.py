@@ -1,11 +1,10 @@
 """Suite records count what they evaluate, and a nan sample fails them.
 
-Each nan test wraps one helper that a suite imports so that it returns nan
-at one call that is neither the first nor the last of the record's sweep
-(or, where the sweep evaluates all its samples at once, at one middle
-sample of such a call: d-squared, nijenhuis and the hopf
-positivity-margin); the record must then FAIL
-with value nan, and its neighbours still pass.
+Each nan test wraps one helper that a suite imports.  The helper's call
+evaluates all the samples of a sweep at once, and the wrapper puts a nan
+into one middle sample of it (d-squared, nijenhuis, and the qpos and hopf
+positivity-margin); the record must then FAIL with value nan, and its
+neighbours still pass.
 """
 
 import math
@@ -17,21 +16,6 @@ from hktlab.suites import (ScenarioConfig, bicomplex_records, hopf_records,
                            qpos_records, totspace_records)
 
 
-def nan_at(monkeypatch, name, index):
-    """Replace suites.<name> by a wrapper whose call number `index`
-    (from 0) returns nan; the list it returns collects the call count."""
-    real = getattr(suites, name)
-    calls = [0]
-
-    def wrapped(*args, **kwargs):
-        k = calls[0]
-        calls[0] += 1
-        return math.nan if k == index else real(*args, **kwargs)
-
-    monkeypatch.setattr(suites, name, wrapped)
-    return calls
-
-
 def by_identity(records):
     return {r.identity: r for r in records}
 
@@ -41,10 +25,24 @@ def assert_nan_fail(record):
 
 
 def test_qpos_positivity_margin_nan_fails(monkeypatch):
-    # positivity-margin(m=2) calls qpos_margin 50 times, canonical-form once
-    calls = nan_at(monkeypatch, "qpos_margin", 20)
+    # one qpos_margin call per record and size: the stacked 50 draws of
+    # positivity-margin(m=2), canonical-form(m=2), then the same for m=4;
+    # the nan goes into a middle draw of the first call
+    real = suites.qpos_margin
+    calls = []
+
+    def wrapped(ctx, el):
+        value = real(ctx, el)
+        calls.append(value)
+        if len(calls) == 1:
+            value = value.copy()
+            value[20] = math.nan
+        return value
+
+    monkeypatch.setattr(suites, "qpos_margin", wrapped)
     records = by_identity(qpos_records(ScenarioConfig(samples=1)))
-    assert calls[0] == 102
+    assert [np.shape(v) for v in calls] == [(50,), (), (50,), ()]
+    assert records["positivity-margin(m=2)"].points == 50
     assert_nan_fail(records["positivity-margin(m=2)"])
     assert records["canonical-form(m=2)"].passed
     assert records["positivity-margin(m=4)"].passed

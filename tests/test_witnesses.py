@@ -15,7 +15,7 @@ from hktlab import hopf, suites
 from hktlab.exterior import eadd, element_from_antisym, escale, esub
 from hktlab.suites import (ScenarioConfig, algebra_records, hopf_records,
                            qpos_records, totspace_records)
-from hktlab.total_space import omega_hor_expr
+from hktlab.total_space import omega_hor_expr, psi
 
 
 def base_fiber_term(real):
@@ -58,6 +58,19 @@ def dropped_m(real):
     return lambda ctx, G: element_from_antisym(G)
 
 
+def quartic_part(real):
+    """The curvature correction times 1 + Psi/100: a quartic part in the
+    fiber beside the quadratic one."""
+    return lambda ts, pt: escale(real(ts, pt), 1.0 + 0.01 * psi(ts, pt))
+
+
+def constant_term(real):
+    """The curvature correction plus the constant real 2-form
+    dx0 ^ dx4 / 100, which pairs a base with a fiber direction: R does not
+    kill it, and it is not its own invariant part."""
+    return lambda ts, pt: eadd(real(ts, pt), {(0, 4): 0.01})
+
+
 def table_fault(name, k):
     """flat_chart whose structure context has its 1-form table `name`
     multiplied by k before any operator is built from it."""
@@ -83,6 +96,18 @@ WITNESSES = {
     "positivity-agreement": (
         hopf_records, "bpst", "omega-qreal", hopf, "omega_tilde_expr",
         negated_log_part),
+    "r-omega-ver": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "omega_ver_expr", scaled),
+    "curvature-term-quadratic": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "xi_curv_expr", quartic_part),
+    "curvature-term-weightless": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "xi_curv_expr", constant_term),
+    "curvature-term-invariant": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "xi_curv_expr", constant_term),
     "metric-flat-identity": (
         totspace_records, "flat", "quaternion-relations", suites,
         "natural_metric", scaled),
