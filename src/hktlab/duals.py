@@ -12,8 +12,12 @@ Derivatives are taken along real coordinate directions only, so conj
 (dconj) acts slotwise and remains a valid operation.
 
 Seeded coordinates come back as a Point: a list with a memo of what has
-been built at it (chart tables, connection products), so every consumer of
-one seeded point shares one build, and the memo is freed with the point.
+been built at it (chart tables, connection products, field values), so every
+consumer of one point shares one build, and the memo is freed with the point.
+seeded(pt, i), pt's child with slot i seeded, is one such build: every
+operator at pt shares it and what is built at it.  It takes its fresh level
+when made, after pt, so above every level in pt's coordinates.  A Point that
+a suite's sweeps share keeps this seeded subtree until the suite drops it.
 
 A coordinate may also be a numpy array over a sweep's samples, so one pass
 evaluates them all (vector forward mode).  Dual.__array_ufunc__ = None makes
@@ -176,3 +180,9 @@ def seed_unit(coords, i, level):
     out = Point(coords)
     out[i] = Dual(out[i], 1.0, level)
     return out
+
+
+def seeded(pt, i):
+    """pt's child with slot i seeded at a fresh level, made once per Point."""
+    return point_memo(pt, ("seeded", i),
+                      lambda p: seed_unit(p, i, fresh_level()))

@@ -10,7 +10,8 @@ exterior_d follows Cartan's rule
 
     d(f_I theta_I) = sum_i dx_i ^ d_i(f_I theta_I)
 
-with one forward-mode dual pass per coordinate direction i (duals.seed_unit).
+with one forward-mode dual pass per coordinate direction i, at the Point's
+child seeded in that direction (duals.seeded).
 d_i acts on the coefficients through the seed of direction i, and on the
 coframe as a derivation whose table d_i theta_a is the dot part of the frame
 table at the seeded point, converted by the inverse table at the point; dx_i
@@ -19,9 +20,13 @@ coframe has no derivative rows, so flat charts take the same path.  del and
 dbar split the seeded value into its bidegrees, apply that d to each part and
 keep the (p+1, q) or (p, q+1) piece, so del, dbar and del_J compose by nesting
 closures (and dual levels) without re-running the inner field per bidegree.
-Chart tables are memoised on each Point, so one evaluation at one point
-shares a single build of each table.  A Point may hold arrays over a sweep's
-samples (stack_points), and then one evaluation covers the whole sweep.
+
+Each Point memoises the chart tables, its seeded children, and per field
+the value (FormField.value) and the bidegree-split pass that del and dbar
+share; so operators at one Point share their seeded passes, and each inner
+field runs once per child.  Values are pure in the Point, so sharing changes
+no number; the memo lives as long as the Point.  A Point may hold arrays
+over a sweep's samples (stack_points): one evaluation covers the sweep.
 
 del_J is the twisted holomorphic differential: on functions del_J f equals the
 multiplicative J applied to dbar f, and on (p, 0)-forms
@@ -41,18 +46,22 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, to_frame, to_real
-from .duals import (Point, as_point, dot_part, fresh_level, point_memo,
-                    seed_unit, val_part)
+from .duals import Point, as_point, dot_part, point_memo, seeded, val_part
 from .exterior import _is_zero, apply_derivation, eadd, escale, wedge
 
 
 @dataclass
 class FormField:
     """A degree-`degree` form on `chart`.  eval_real maps a Point to the value
-    in frame labels; perfbench/spans.py rebinds the attribute by that name."""
+    in frame labels; perfbench/spans.py rebinds the attribute by that name,
+    once per field, so it stays the key of the field's value memo."""
     chart: Chart
     degree: int
     eval_real: Callable[[Point], dict]
+
+    def value(self, pt):
+        """The value at pt in frame labels, built once per Point."""
+        return point_memo(pt, self.eval_real, self.eval_real)
 
     def at(self, pt):
         """The value at pt in real-coordinate labels."""
@@ -84,10 +93,10 @@ def _cartan_d(field: FormField, pt: Point, split: Callable) -> dict:
     inv = point_memo(pt, ch.inverse_table, ch.inverse_table)
     acc: dict = {}
     for i in range(ch.dim):
-        lev = fresh_level()
-        sp = seed_unit(pt, i, lev)
+        sp = seeded(pt, i)
+        lev = sp[i].level
         coframe = None  # a -> d_i theta_a, built for the first k-form part
-        for key, part in split(field.eval_real(sp)).items():
+        for key, part in split(field.value(sp)).items():
             d_i = _dot(part, lev)
             if any(part):
                 if coframe is None:
@@ -115,7 +124,10 @@ def dolbeault(field: FormField, kind: str) -> FormField:
 
     def ev(pt):
         out: dict = {}
-        for (p, q), d_part in _cartan_d(field, pt, ctx.hodge).items():
+        # the split pass of one field at one Point, shared by del and dbar
+        split = point_memo(pt, ("hodge", field.eval_real),
+                           lambda at: _cartan_d(field, at, ctx.hodge))
+        for (p, q), d_part in split.items():
             out = eadd(out, ctx.component(d_part, p + dp, q + dq))
         return out
 
@@ -136,11 +148,10 @@ def del_j(field: FormField) -> FormField:
     p = field.degree
     sign = (-1) ** p
     conjugated = FormField(
-        ch, p, lambda pt: ch.ctx.cov_mult("J", field.eval_real(pt)))
+        ch, p, lambda pt: ch.ctx.cov_mult("J", field.value(pt)))
     db = dolbeault(conjugated, "dbar")
     return FormField(
-        ch, p + 1, lambda pt: escale(ch.ctx.cov_mult("J", db.eval_real(pt)),
-                                     sign))
+        ch, p + 1, lambda pt: escale(ch.ctx.cov_mult("J", db.value(pt)), sign))
 
 
 # ----- ladder between top-weight (p, q) fields and (p+q, 0) fields -----
@@ -159,7 +170,7 @@ def ladder_map(field: FormField, p: int, q: int) -> FormField:
     c = ladder_constant(p, q)
 
     def ev(pt):
-        el = field.eval_real(pt)
+        el = field.value(pt)
         for _ in range(q):
             el = ch.ctx.raising(el)
         return escale(el, 1.0 / c)
@@ -175,7 +186,7 @@ def d_plus(field: FormField, p: int, q: int, kind: str) -> FormField:
     ch = field.chart
 
     def ev(pt):
-        el = ch.ctx.component(df.eval_real(pt), tp, tq)
+        el = ch.ctx.component(df.value(pt), tp, tq)
         return ch.ctx.weight_project(el, p + q + 1)
 
     return FormField(ch, p + q + 1, ev)

@@ -152,18 +152,18 @@ def _draw(rng, count: int, *parts) -> list:
     return out
 
 
-def _stacked_records(specs, pts, columns) -> list:
+def _stacked_records(specs, stacked, columns) -> list:
     """Records of a sweep whose fields each evaluate once, at the stacked Point
-    of its samples: column j lists the Point -> element maps whose enorm, an
-    array over the samples or one value they share, gives spec j's values,
-    field after field.  A tuple of maps gives each sample a trailing axis of
-    their enorms."""
-    stacked = stack_points(pts)
+    `stacked` of its samples: column j lists the Point -> element maps whose
+    enorm, an array over the samples or one value they share, gives spec j's
+    values, field after field.  A tuple of maps gives each sample a trailing
+    axis of their enorms."""
+    shape = sample_shape(stacked)
 
     def values(f):
         if isinstance(f, tuple):
             return np.stack([values(g) for g in f], axis=-1)
-        return np.broadcast_to(enorm(f(stacked)), len(pts))
+        return np.broadcast_to(enorm(f(stacked)), shape)
 
     return sweep_records(specs, [np.concatenate([values(f) for f in fields])
                                  for fields in columns])
@@ -296,7 +296,7 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         count = max(100, cfg.samples)
         r_inv, r_beta, nb = (np.broadcast_to(v, count) for v in _split_norms(
             ctx, *_draw(rng, count, b11)))
-        detected = nb > 1e-8
+        detected = ~(nb <= 1e-8)  # a nan draw stays in, and fails
         # R is sqrt(2) times an isometry on the non-invariant part, so any
         # floor below that certifies detection with a wide gap; a sweep
         # with no non-invariant draw reduces to inf and fails
@@ -438,8 +438,12 @@ def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
 
 
 def bicomplex_records(cfg: ScenarioConfig) -> list:
-    return [r for sweep in _bicomplex_sweeps(cfg)
-            for r in _stacked_records(*sweep)]
+    sweeps = _bicomplex_sweeps(cfg)
+    # one stacked Point per sample list: the sweeps over it share its seeded
+    # children and the field values memoised on them
+    stacked = {id(pts): stack_points(pts) for _, pts, _ in sweeps}
+    return [r for specs, pts, columns in sweeps
+            for r in _stacked_records(specs, stacked[id(pts)], columns)]
 
 
 # ----- q-positivity layer -----
@@ -608,8 +612,8 @@ def _totspace_sweeps(ts, pts, tol: float) -> list:
     psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
     dpsi = del_hol(psi_f)
     djpsi = del_j(psi_f)
-    fr_db = once(del_hol(del_bar(psi_f)).frame_at)
-    fr_dj = once(del_hol(del_j(psi_f)).frame_at)
+    fr_db = del_hol(del_bar(psi_f)).value
+    fr_dj = del_hol(del_j(psi_f)).value
     two_over = escale(omega_ver_canonical(ts), 2.0)
     # the curvature correction, in real and in frame labels
     xi = once(lambda pt: xi_curv_expr(ts, pt))
@@ -714,8 +718,8 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
         [np.broadcast_to(enorm(esub(to_real(ch, to_frame(ch, el, stacked),
                                             stacked), el)), samples)])
 
-    out += [r for sweep in _totspace_sweeps(ts, pts, tolv)
-            for r in _stacked_records(*sweep)]
+    out += [r for specs, sub, columns in _totspace_sweeps(ts, pts, tolv)
+            for r in _stacked_records(specs, stack_points(sub), columns)]
 
     two_over = escale(omega_ver_canonical(ts), 2.0)
     out.append(record(Spec(
@@ -727,7 +731,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     dom = del_hol(FormField(ch, 2, lambda pt: omega_el))
     out += _stacked_records([Spec(
         "del-closed", "del of the candidate HKT form vanishes", tolv)],
-        pts, [[dom.at]])
+        stack_points(pts), [[dom.at]])
 
     # the candidate form has constant frame coefficients: one evaluation
     out.append(record(Spec(

@@ -198,6 +198,36 @@ def test_no_noninvariant_draw_fails_detection(monkeypatch):
     assert records["invariant-annihilated(n=1)"].passed
 
 
+def test_nan_draw_fails_both_split_records(monkeypatch):
+    # a nan in one coefficient of draw 7 of the first (1,1) block, the one
+    # at n=1: its three norms are nan, and both records of the draws keep
+    # that draw, read nan and fail, with all 100 draws counted
+    real = suites._draw
+    seen = []
+
+    def draw(rng, count, *parts):
+        out = real(rng, count, *parts)
+        if not seen:
+            el = dict(out[0])
+            mono = next(iter(el))
+            el[mono] = el[mono].copy()
+            el[mono][7] = complex(math.nan, 0.0)
+            out[0] = el
+        seen.append(count)
+        return out
+
+    monkeypatch.setattr(suites, "_draw", draw)
+    records = {r.identity: r
+               for r in algebra_records(ScenarioConfig(samples=1))}
+    for name in ("invariant-annihilated(n=1)", "noninvariant-detected(n=1)"):
+        r = records[name]
+        assert math.isnan(r.value) and not r.passed, name
+        assert r.points == 100, name
+    for name in ("invariant-annihilated(n=2)", "noninvariant-detected(n=2)"):
+        assert records[name].passed, name
+    assert seen == [100, 100]
+
+
 def test_unit_spectra_bound_is_the_casimir_tolerance():
     # the spectra are compared unrounded, so their gap is a few ulps
     # (about 1e-15), and a casimir tolerance below it fails the record

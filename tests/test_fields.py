@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hktlab import suites
 from hktlab.bundles import get_connection
 from hktlab.charts import flat_chart, to_frame, to_real
-from hktlab.duals import Point, dot_part, fresh_level, seed_unit
+from hktlab.duals import (Dual, Point, dot_part, fresh_level, sample_shape,
+                          seed_unit, seeded)
 from hktlab.exterior import eadd, enorm, escale, esub, wedge
 from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            dolbeault, exterior_d, ladder_constant, ladder_map,
                            nijenhuis_residual, random_form_field,
-                           random_polynomial, random_pq_field, sample_points)
+                           random_polynomial, random_pq_field, sample_points,
+                           scalar_field, stack_points)
 from hktlab.quaternions import hypercomplex_matrices
-from hktlab.total_space import total_space
+from hktlab.suites import ScenarioConfig
+from hktlab.total_space import psi, total_space
 from test_total_space import seeded_jet
 
 
@@ -331,3 +337,91 @@ def test_nijenhuis_detects_twisted_structure(rng):
     worst = max(nijenhuis_residual(*seeded_jet(twisted, pt))
                 for pt in sample_points(rng, 4, 10))
     assert worst > 0.05
+
+
+# ----- what operators at one Point share -----
+
+def test_seeded_child_is_made_once_per_point_and_direction():
+    pt = stack_points([[0.5, -1.0, 2.0], [3.0, 0.25, -0.75]])
+    first, second = seeded(pt, 0), seeded(pt, 1)
+    assert seeded(pt, 0) is first and seeded(pt, 1) is second
+    assert first is not second and first.memo is not pt.memo
+    assert [type(c) for c in first] == [Dual, np.ndarray, np.ndarray]
+    assert first[0].level != second[1].level
+    # a grandchild's level is above every level in its parent's coordinates
+    grand = seeded(first, 0)
+    assert isinstance(grand[0].val, Dual)
+    assert grand[0].level > grand[0].val.level == first[0].level
+    # a plain list keeps no memo: a fresh child at a fresh level each time
+    a, b = seeded([1.0, 2.0], 0), seeded([1.0, 2.0], 0)
+    assert a is not b and a[0].level != b[0].level
+
+
+def assert_bitwise_equal(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        g, w = np.asarray(got[key]), np.asarray(want[key])
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape,
+                                                   w.tobytes()), key
+
+
+@pytest.mark.parametrize("where", ["flat", "bpst"])
+def test_shared_values_do_not_depend_on_evaluation_order(rng, where):
+    # every operator is evaluated at one stacked Point after the others
+    # have filled its memo, in both orders, and must equal, bit for bit,
+    # the same operator alone at a fresh stacked Point of the same samples
+    if where == "flat":
+        ch = flat_chart(1)
+        f = random_polynomial(ch, rng, real=False)
+    else:
+        ts = total_space(get_connection("bpst"))
+        ch = ts.chart
+        f = scalar_field(ch, lambda pt: psi(ts, pt))
+    f10 = random_pq_field(ch, 1, 0, rng)
+    ops = [del_hol(del_j(f)), del_j(del_hol(f)), del_hol(del_bar(f)),
+           del_bar(del_bar(f)), exterior_d(exterior_d(f)), del_j(f),
+           del_bar(f), exterior_d(del_j(f)), del_j(del_j(f10)),
+           del_hol(f10)]
+    pts = sample_points(rng, ch.dim, 3)
+    forward, backward = stack_points(pts), stack_points(pts)
+    in_order = [op.frame_at(forward) for op in ops]
+    reversed_order = [op.frame_at(backward) for op in reversed(ops)][::-1]
+    assert max(np.max(enorm(el)) for el in in_order) > 1e-3
+    for op, one, other in zip(ops, in_order, reversed_order):
+        alone = op.frame_at(stack_points(pts))
+        assert_bitwise_equal(one, alone)
+        assert_bitwise_equal(other, alone)
+
+
+@pytest.mark.parametrize("n, runs", [(1, 16), (2, 64)])
+def test_bicomplex_scalar_runs_at_the_shared_stacked_point(monkeypatch, n,
+                                                           runs):
+    # the six sweeps over the samples share one stacked Point, and every
+    # field they evaluate is second order in each of their three random
+    # scalars f: a del_J reads its field only at the children its dbar
+    # pass seeds.  So f runs once at each of the Point's dim^2 seeded
+    # grandchildren, dim = 4n, and nowhere else: 16 at n=1 and 64 at n=2
+    # (was 128 and 512, when each operator seeded its own children).  The
+    # moment and ladder sweeps use no random scalar.
+    calls = []
+    real = suites.random_polynomial
+
+    def counted(*args, **kwargs):
+        field = real(*args, **kwargs)
+        k = len(calls)
+        calls.append([])
+
+        def ev(pt):
+            calls[k].append(pt)
+            return field.eval_real(pt)
+
+        return dataclasses.replace(field, eval_real=ev)
+
+    monkeypatch.setattr(suites, "random_polynomial", counted)
+    records = suites.bicomplex_records(ScenarioConfig(n=n, samples=5))
+    assert all(r.passed for r in records)
+    assert [len(pts) for pts in calls] == [runs] * 3
+    # each run at its own seeded Point of all 5 samples
+    for pts in calls:
+        assert len({id(pt) for pt in pts}) == runs
+        assert all(sample_shape(pt) == (5,) for pt in pts)

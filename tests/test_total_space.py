@@ -201,6 +201,25 @@ def test_deldbar_potential_evaluation_counts(rng):
     check_second_order_counts(rng, del_bar)
 
 
+@pytest.mark.parametrize("first, second", [(del_bar, del_j),
+                                           (del_j, del_bar)])
+def test_second_order_potentials_share_the_seeded_passes(rng, first, second):
+    # at one stacked Point, the first of del dbar Psi and del del_J Psi runs
+    # the potential once at each of the Point's 8 x 8 seeded grandchildren
+    # (duals.seeded) and builds the tables as a single evaluation does; the
+    # second reads the same children, grandchildren and tables, whose memos
+    # hold the potential's values, and runs nothing: 64 + 0 potential runs
+    # (64 + 64 when each operator seeded its own children)
+    calls = collections.Counter()
+    _, psi_f = counted_total_space(calls)
+    pt = stack_points(sample_points(rng, 8, 3))
+    del_hol(first(psi_f)).frame_at(pt)
+    assert calls == {"psi": 64, "coeff": 9, "frame": 8, "inverse": 9}
+    calls.clear()
+    del_hol(second(psi_f)).frame_at(pt)
+    assert calls == {}
+
+
 def test_point_memo_does_not_leak_between_points(ts, rng):
     psi_f = scalar_field(ts.chart, lambda pt: psi(ts, pt))
     ddj = del_hol(del_j(psi_f))
@@ -365,15 +384,17 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # per sweep of 20 samples (was 189):
+    # per sweep of 20 samples (was 189, then 70 and 69):
     # - frame-roundtrip 1: A for both tables at the stacked Point of all 20
     #   samples, which the metric and Nijenhuis sweeps share;
-    # - the structure equation 22, at the stacked Point of its 10 samples:
-    #   1 + 4 for the jet, 1 for the tables, and 8 seeded frame tables for
-    #   each of the 2 fields d Dv_a;
-    # - the potential family 22, at its stacked Point: the same 1 + 4 + 1,
-    #   and 8 seeds for each of del dbar Psi and del del_J Psi, which are
-    #   memoised on the Point for the records that share them;
+    # - the structure equation 14, at the stacked Point of its 10 samples:
+    #   1 + 4 for the jet, 1 for the tables, and 8 seeded frame tables, one
+    #   per direction's child of the Point (duals.seeded), which the 2
+    #   fields d Dv_a share (16 before the children were shared);
+    # - the potential family 14, at its stacked Point: the same 1 + 4 + 1,
+    #   and 8 seeded frame tables that del dbar Psi and del del_J Psi share
+    #   (16 before), each memoised on the Point for the records that share
+    #   them;
     # - the curvature term 11: 1 + 4 for the jet, 1 for the inverse table
     #   and 1 + 4 for the fiber-doubled twin's jet (10 for flat, whose
     #   curvature term is empty and needs no table);
@@ -395,7 +416,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 70, "flat": 69}
+    assert calls == {"bpst": 54, "flat": 53}
 
 
 def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):
