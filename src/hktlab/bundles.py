@@ -2,8 +2,11 @@
 
 A Connection holds coefficient functions A_mu(x), the complex fiber rank, and
 the fiber structure matrix M_fib of the antilinear quaternionic map.  coeff
-returns nested lists, so the dual numbers of total_space's tables flow
-through it; every plain value built here is a numpy array.  The jet of A at a
+returns the nonzero entries {(mu, a, b): A^mu_ab} of A, as exterior's
+elements hold their terms: an exact zero is left out where the catalog writes
+the connection, so no consumer tests for one.  The dual numbers of
+total_space's tables flow through the entries; every plain value built here
+is a numpy array, into which _derivative scatters them.  The jet of A at a
 point (A, and dA[lam, nu] = d_lam A_nu from one seeded coeff call per
 direction) gives the curvature as one (dim, dim, r, r) array
 
@@ -60,12 +63,12 @@ class Connection:
     rank: int
     base_n: int
     mfib: np.ndarray
-    coeff: Callable  # pt -> list of 4*base_n matrices (nested lists)
+    coeff: Callable  # pt -> {(mu, a, b): A^mu_ab}, nonzero entries only
     hyperholomorphic: bool
 
 
 def flat_coeff(pt):
-    return [[[0.0, 0.0], [0.0, 0.0]] for _ in range(4)]
+    return {}
 
 
 def instanton_coeff(pt):
@@ -80,21 +83,15 @@ def instanton_coeff(pt):
     p0, p1, p2, p3 = (x * s for x in q)
     # Im(conj(e_mu) q) is a signed permutation of q, here already scaled
     ims = ((p1, p2, p3), (-p0, p3, -p2), (-p3, -p0, p1), (p2, -p1, -p0))
-    return [right_mult_c2((0.0, *im)) for im in ims]
+    return {(mu, a, b): x for mu, im in enumerate(ims)
+            for a, row in enumerate(right_mult_c2((0.0, *im)))
+            for b, x in enumerate(row)}
 
 
 def _dual_pair_coeff(pt):
     """A + (-A^T) on F + F*, F the instanton bundle."""
     A = instanton_coeff(pt)
-    out = []
-    for Amu in A:
-        big = [[0.0] * 4 for _ in range(4)]
-        for i in range(2):
-            for j in range(2):
-                big[i][j] = Amu[i][j]
-                big[2 + i][2 + j] = -Amu[j][i]
-        out.append(big)
-    return out
+    return A | {(mu, 2 + b, 2 + a): -x for (mu, a, b), x in A.items()}
 
 
 def _dual_pair_mfib():
@@ -109,8 +106,7 @@ def _dual_pair_mfib():
 def _nonholo_coeff(pt):
     """sp(1)-valued but holomorphic only for I; rejected by both criteria."""
     x1 = pt[1]
-    D = [[1j * x1, 0.0], [0.0, -1j * x1]]
-    return [D] + [[[0.0, 0.0], [0.0, 0.0]] for _ in range(3)]
+    return {(0, 0, 0): 1j * x1, (0, 1, 1): -1j * x1}
 
 
 _CATALOG = {
@@ -140,28 +136,17 @@ def _derivative(conn: Connection, pt, dirs=()) -> np.ndarray:
     """d_{dirs[0]} d_{dirs[1]} ... A at an unseeded point, shape (..., dim, r,
     r) with the point's sample axis leading, from one coeff call with each
     direction seeded at its own level."""
-    samples = sample_shape(pt)
+    out = np.zeros(sample_shape(pt) + (4 * conn.base_n, conn.rank, conn.rank),
+                   dtype=complex)
     levels = []
     for i in dirs:
         levels.append(fresh_level())
         pt = seed_unit(pt, i, levels[-1])
-
-    def part(x):
+    # an entry is an array over the samples or a number they share
+    for (mu, a, b), x in conn.coeff(pt).items():
         for lev in reversed(levels):
             x = dot_part(x, lev)
-        return x
-
-    entries = [[[part(x) for x in row] for row in Anu]
-               for Anu in conn.coeff(pt)]
-    if not samples:
-        return np.array(entries, dtype=complex)
-    # an entry is an array over the samples or a number they share
-    out = np.empty(samples + (len(entries), conn.rank, conn.rank),
-                   dtype=complex)
-    for mu, Anu in enumerate(entries):
-        for a, row in enumerate(Anu):
-            for b, x in enumerate(row):
-                out[..., mu, a, b] = x
+        out[..., mu, a, b] = x
     return out
 
 

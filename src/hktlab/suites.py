@@ -35,7 +35,7 @@ from .bundles import (_max_per_sample, _point_coeff, bianchi_residual,
                       catalog_names, curvature_entry_forms, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
-from .duals import Point, point_memo, sample_shape
+from .duals import Point, sample_shape
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
@@ -578,20 +578,16 @@ def bundle_records(cfg: ScenarioConfig) -> list:
 
 # ----- total space -----
 
-def _totspace_sweeps(ts, pts, tol: float) -> list:
+def _totspace_sweeps(ts, pts, stacked, tol: float) -> list:
     """The structure-equation, potential and curvature-term sweeps of the
-    total space ts as (specs, samples, columns), in report order, for
+    total space ts as (specs, stacked Point, columns), in report order, for
     _stacked_records: the structure equation at the first
-    max(10, len(pts) // 10) samples, the potential at pts and the
-    zero-fiber copies of the first two, the curvature term at pts."""
+    max(10, len(pts) // 10) samples, the potential at pts and the zero-fiber
+    copies of the first two, and the curvature term at `stacked`, the
+    stacked Point of pts that the total space's other sweeps share."""
     ch, ctx = ts.chart, ts.ctx
     nb, mb = 4 * ts.n, 2 * ts.n
     zf = [pt[:nb] + [0.0] * (ts.dim - nb) for pt in pts[:2]]
-
-    def once(fn):
-        """fn, evaluated at most once per Point."""
-        key = object()
-        return lambda pt: point_memo(pt, key, fn)
 
     # d of the fiber coframe Dv_a, whose frame coefficients are constant
     d_fields = [exterior_d(FormField(ch, 1, lambda pt, a=a: {(mb + a,): 1.0}))
@@ -615,19 +611,19 @@ def _totspace_sweeps(ts, pts, tol: float) -> list:
     fr_db = del_hol(del_bar(psi_f)).value
     fr_dj = del_hol(del_j(psi_f)).value
     two_over = escale(omega_ver_canonical(ts), 2.0)
-    # the curvature correction, in real and in frame labels
-    xi = once(lambda pt: xi_curv_expr(ts, pt))
-    fr_xi = once(lambda pt: to_frame(ch, xi(pt), pt))
+    # the curvature correction in frame labels
+    fr_xi = FormField(ch, 2, lambda pt: to_frame(ch, xi_curv_expr(ts, pt),
+                                                 pt)).value
 
     def quadratic_gap(pt):
         pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
-        return esub(xi_curv_expr(ts, pt2), escale(xi(pt), 4.0))
+        return esub(xi_curv_expr(ts, pt2), escale(xi_curv_expr(ts, pt), 4.0))
 
     return [
         ([Spec("structure-equation",
                "d of the covariant fiber coframe is curvature times the "
                "fiber minus connection wedge coframe", tol)],
-         pts[:max(10, len(pts) // 10)],
+         stack_points(pts[:max(10, len(pts) // 10)]),
          [[tuple(partial(structure_gap, a=a) for a in range(ts.rank))]]),
         ([Spec("del-potential",
                "del of the fiber norm matches its closed form", tol),
@@ -641,7 +637,7 @@ def _totspace_sweeps(ts, pts, tol: float) -> list:
                "(2,0)-form", tol),
           Spec("r-transfer",
                "del del_J of the potential equals R of del dbar of it", tol)],
-         pts + zf,
+         stack_points(pts + zf),
          [[lambda pt: esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))],
           [lambda pt: esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))],
           [lambda pt: esub(fr_db(pt), eadd(omega_ver_expr(ts), fr_xi(pt)))],
@@ -653,7 +649,7 @@ def _totspace_sweeps(ts, pts, tol: float) -> list:
                "the curvature correction is its own invariant part", tol),
           Spec("curvature-term-quadratic",
                "the curvature correction is quadratic in the fiber", tol)],
-         pts,
+         stacked,
          [[lambda pt: ctx.raising(fr_xi(pt))],
           [lambda pt: esub(fr_xi(pt), ctx.invariant_part(fr_xi(pt)))],
           [quadratic_gap]])]
@@ -718,8 +714,9 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
         [np.broadcast_to(enorm(esub(to_real(ch, to_frame(ch, el, stacked),
                                             stacked), el)), samples)])
 
-    out += [r for specs, sub, columns in _totspace_sweeps(ts, pts, tolv)
-            for r in _stacked_records(specs, stack_points(sub), columns)]
+    out += [r for specs, pt, columns in _totspace_sweeps(ts, pts, stacked,
+                                                          tolv)
+            for r in _stacked_records(specs, pt, columns)]
 
     two_over = escale(omega_ver_canonical(ts), 2.0)
     out.append(record(Spec(
@@ -731,7 +728,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     dom = del_hol(FormField(ch, 2, lambda pt: omega_el))
     out += _stacked_records([Spec(
         "del-closed", "del of the candidate HKT form vanishes", tolv)],
-        stack_points(pts), [[dom.at]])
+        stacked, [[dom.at]])
 
     # the candidate form has constant frame coefficients: one evaluation
     out.append(record(Spec(

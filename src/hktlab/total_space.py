@@ -7,7 +7,10 @@ The frame consists of the flat base covectors together with
 
 which are (1, 0) for the lifted complex structure and vanish on horizontal
 lifts.  In this frame the structure matrix is block diagonal, so the whole
-pointwise su(2) machinery applies with M = diag(M_base, M_fib).
+pointwise su(2) machinery applies with M = diag(M_base, M_fib).  Both chart
+tables sum A^mu_ab v_b over the entries that Connection.coeff gives, which
+are nonzero by construction in the catalog (bundles), so no zero term enters
+a table and no table tests for one.
 
 The fiber-norm potential Psi = |v|^2 ties the calculus together:
 
@@ -38,8 +41,8 @@ import numpy as np
 from .bundles import Connection, _jet, _point_coeff, _point_curvature
 from .charts import Chart, flat_chart
 from .duals import dconj, point_memo
-from .exterior import (StructureContext, Element, _is_zero, eadd,
-                       element_from_antisym, escale, esub, standard_m)
+from .exterior import (StructureContext, Element, eadd, element_from_antisym,
+                       escale, esub, standard_m)
 from .quaternions import hypercomplex_matrices
 
 
@@ -86,32 +89,20 @@ def total_space(conn: Connection) -> TotalSpace:
                 for j in range(4 * n)}
 
     def shift(pt):
-        """[a][mu] -> sum_b A^mu_ab v_b, shared by both tables of a Point."""
+        """rows[a] = {(mu,): sum_b A^mu_ab v_b} over the entries of A, summed
+        in (mu, a, b) order, shared by both tables of a Point."""
         v = [pt[4 * n + 2 * a] + 1j * pt[4 * n + 2 * a + 1] for a in range(r)]
         A = conn.coeff(pt)
-        out = []
-        for a in range(r):
-            row = []
-            for mu in range(4 * n):
-                acc = 0.0
-                for b in range(r):
-                    # a plain zero of A stays out, so no array of zeros
-                    # times v enters the tables of a stacked Point
-                    c = A[mu][a][b]
-                    if not _is_zero(c):
-                        acc = acc + c * v[b]
-                row.append(acc)
-            out.append(row)
-        return out
+        rows = [{} for _ in range(r)]
+        for mu, a, b in sorted(A):
+            rows[a][(mu,)] = rows[a].get((mu,), 0.0) + A[mu, a, b] * v[b]
+        return rows
 
     def frame_table(pt):
         table = dict(frame_rows)
         av = point_memo(pt, shift, shift)
         for a in range(r):
-            row = {(4 * n + 2 * a,): 1.0, (4 * n + 2 * a + 1,): 1j}
-            for mu, acc in enumerate(av[a]):
-                if not _is_zero(acc):
-                    row = eadd(row, {(mu,): acc})
+            row = {(4 * n + 2 * a,): 1.0, (4 * n + 2 * a + 1,): 1j, **av[a]}
             table[mb + a] = row
             table[m + mb + a] = {k: dconj(c) for k, c in row.items()}
         return table
@@ -122,9 +113,7 @@ def total_space(conn: Connection) -> TotalSpace:
         for a in range(r):
             # dv_a = Dv_a - sum_{b,mu} A^mu_ab v_b dx_mu, dx_mu in frame labels
             dv: Element = {(mb + a,): 1.0}
-            for mu, acc in enumerate(av[a]):
-                if _is_zero(acc):
-                    continue
+            for (mu,), acc in av[a].items():
                 dv = eadd(dv, escale(table[mu], -acc))
             dvbar = ctx.conj(dv)
             table[4 * n + 2 * a] = escale(eadd(dv, dvbar), 0.5)
@@ -155,15 +144,12 @@ def del_psi_expr(ts: TotalSpace, pt) -> Element:
 def del_j_psi_expr(ts: TotalSpace, pt) -> Element:
     mb = 2 * ts.n
     v = ts.fiber_values(pt)
-    Mf_bar = np.asarray(ts.conn.mfib, dtype=complex).conj().tolist()
+    Mf_bar = np.asarray(ts.conn.mfib, dtype=complex).conj()
     out: Element = {}
-    for b in range(ts.rank):
-        acc = 0.0
-        for a in range(ts.rank):
-            if not _is_zero(Mf_bar[a][b]):
-                acc = acc - Mf_bar[a][b] * v[a]
-        if not _is_zero(acc):
-            out[(mb + b,)] = acc
+    # the nonzero entries of conj(M_fib), column b by column
+    for b, a in np.argwhere(Mf_bar.T).tolist():
+        key = (mb + b,)
+        out[key] = out.get(key, 0.0) - complex(Mf_bar[a, b]) * v[a]
     return out
 
 

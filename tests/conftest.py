@@ -26,3 +26,11 @@ def dre(x):
     if isinstance(x, Dual):
         return Dual(dre(x.val), dre(x.dot), x.level)
     return x.real
+
+
+def nested_coeff(conn, pt):
+    """conn.coeff(pt) as 4 * base_n r x r nested lists, a plain 0.0 where it
+    gives no entry: the form the nested-list reference oracles read."""
+    A, r = conn.coeff(pt), conn.rank
+    return [[[A.get((mu, a, b), 0.0) for b in range(r)] for a in range(r)]
+            for mu in range(4 * conn.base_n)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hktlab import bundles, suites
-from conftest import quat_conj, quat_im
+from conftest import nested_coeff, quat_conj, quat_im
 from hktlab.bundles import (bianchi_residual, catalog_names, curvature,
                             curvature_entry_forms, get_connection,
                             instanton_coeff, invariance_residual,
@@ -16,7 +16,7 @@ from hktlab.charts import flat_chart
 from hktlab.duals import (dot_part, fresh_level, numeric, sample_shape,
                           seed_unit, val_part)
 from hktlab.fields import sample_points, stack_points
-from hktlab.exterior import enorm
+from hktlab.exterior import _is_zero, enorm
 from hktlab.quaternions import quat_abs2, quat_mul, right_mult_c2
 from hktlab.report import Spec, record
 from hktlab.suites import ScenarioConfig, bundle_records
@@ -57,7 +57,7 @@ def test_flat_curvature_vanishes(rng):
 def test_instanton_coefficients_are_antihermitian(rng):
     conn = get_connection("bpst")
     for pt in sample_points(rng, 4, 5):
-        for Amu in conn.coeff(pt):
+        for Amu in nested_coeff(conn, pt):
             A = np.array(Amu, dtype=complex)
             assert np.max(np.abs(A + A.conj().T)) < 1e-14
 
@@ -148,8 +148,9 @@ def seeded_derivative(f, pt, lam):
 def reference_curvature(conn, pt):
     """F[mu][nu] as r x r nested lists, the commutator on nested Duals."""
     dim = 4 * conn.base_n
-    A = conn.coeff(pt)
-    dA = [seeded_derivative(conn.coeff, pt, mu) for mu in range(dim)]
+    A = nested_coeff(conn, pt)
+    dA = [seeded_derivative(lambda p: nested_coeff(conn, p), pt, mu)
+          for mu in range(dim)]
     return [[mat_add(mat_sub(dA[mu][nu], dA[nu][mu]), mat_comm(A[mu], A[nu]))
              for nu in range(dim)] for mu in range(dim)]
 
@@ -158,7 +159,7 @@ def reference_bianchi_residual(conn, pt):
     """Max entry of the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu], with
     d_lam F from seeding the whole reference curvature."""
     dim = 4 * conn.base_n
-    A = conn.coeff(pt)
+    A = nested_coeff(conn, pt)
     F = reference_curvature(conn, pt)
     dF = [seeded_derivative(lambda p: reference_curvature(conn, p), pt, lam)
           for lam in range(dim)]
@@ -256,19 +257,63 @@ def quaternion_product_instanton_coeff(pt):
     return out
 
 
+def as_array(nested):
+    return np.array(nested, dtype=complex)
+
+
+@pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
+def test_coeff_entries_hold_no_exact_zero_and_scatter_to_nested(rng, name):
+    # at a plain point, at the stacked Point of 3 samples and at a point
+    # seeded at two levels, coeff gives no plain zero entry, and _derivative
+    # scatters the entries (or their second dot parts) to the nested lists
+    conn = get_connection(name)
+    pts = sample_points(rng, 4, 3)
+    stacked = stack_points(pts)
+    li, lj = fresh_level(), fresh_level()
+    seeded = seed_unit(seed_unit(pts[0], 1, li), 2, lj)
+    for pt in (pts[0], stacked, seeded):
+        assert not any(_is_zero(x) for x in conn.coeff(pt).values()), pt
+    assert np.array_equal(bundles._derivative(conn, pts[0]),
+                          as_array(nested_coeff(conn, pts[0])))
+    A = bundles._derivative(conn, stacked)
+    assert A.shape == (3, 4) + (conn.rank,) * 2
+    for k, pt in enumerate(pts):
+        assert np.array_equal(A[k], as_array(nested_coeff(conn, pt)))
+    d2 = [[[numeric(dot_part(dot_part(x, lj), li)) for x in row]
+           for row in Amu] for Amu in nested_coeff(conn, seeded)]
+    assert np.array_equal(bundles._derivative(conn, pts[0], (1, 2)),
+                          as_array(d2))
+
+
+def test_direct_sum_entries_are_instanton_plus_negative_transpose(rng):
+    # A + (-A^T) of bpst's entries, and no entry off the two diagonal blocks
+    bpst, dsum = get_connection("bpst"), get_connection("direct-sum")
+    pts = sample_points(rng, 4, 3)
+    for pt in pts[:1] + [stack_points(pts)]:
+        assert all((a < 2) == (b < 2) for _, a, b in dsum.coeff(pt))
+        for big, small in zip(nested_coeff(dsum, pt), nested_coeff(bpst, pt)):
+            for a in range(2):
+                for b in range(2):
+                    assert np.array_equal(big[a][b], small[a][b])
+                    assert np.array_equal(big[2 + a][2 + b], -small[b][a])
+
+
 def test_instanton_coeff_matches_quaternion_products(rng):
+    bpst = get_connection("bpst")
+    assert bpst.coeff is instanton_coeff
+
     def entries(A):
         return [x for Amu in A for row in Amu for x in row]
 
     for pt in sample_points(rng, 4, 3):
-        for x, y in zip(entries(instanton_coeff(pt)),
+        for x, y in zip(entries(nested_coeff(bpst, pt)),
                         entries(quaternion_product_instanton_coeff(pt))):
             assert abs(complex(x) - complex(y)) < 1e-15
         for i in range(4):
             for j in range(4):
                 li, lj = fresh_level(), fresh_level()
                 sp = seed_unit(seed_unit(pt, i, li), j, lj)
-                for x, y in zip(entries(instanton_coeff(sp)),
+                for x, y in zip(entries(nested_coeff(bpst, sp)),
                                 entries(quaternion_product_instanton_coeff(sp))):
                     for part in (
                             lambda z: numeric(z),
@@ -343,8 +388,7 @@ def test_nan_coefficient_fails_bundle_criteria(monkeypatch):
 
     def coeff(pt):
         assert sample_shape(pt) == poison.shape
-        return [[[x * poison for x in row] for row in Amu]
-                for Amu in bpst.coeff(pt)]
+        return {key: x * poison for key, x in bpst.coeff(pt).items()}
 
     poisoned = dataclasses.replace(bpst, coeff=coeff)
     real = suites.get_connection

@@ -138,9 +138,13 @@ def test_totspace_sweeps_agree_with_each_sample(rng, bundle):
     ts = total_space(get_connection(bundle))
     ch = ts.chart
     pts = sample_points(rng, ts.dim, 3)
-    sweeps = suites._totspace_sweeps(ts, pts, 1e-8)
+    stacked = stack_points(pts)
+    sweeps = suites._totspace_sweeps(ts, pts, stacked, 1e-8)
     assert [len(specs) for specs, _, _ in sweeps] == [1, 5, 3]
-    for _, samples, columns in sweeps:
+    # the curvature term runs at the shared stacked Point of pts
+    assert sweeps[-1][1] is stacked
+    for _, pt, columns in sweeps:
+        samples = [list(map(float, c)) for c in zip(*pt)]
         for fields in columns:
             for f in fields:
                 for g in (f if isinstance(f, tuple) else (f,)):

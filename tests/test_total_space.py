@@ -7,7 +7,7 @@ import pytest
 from hktlab import bundles, duals, suites
 from hktlab.bundles import catalog_names, get_connection
 from hktlab.charts import Chart, to_frame, to_real
-from conftest import dre
+from conftest import dre, nested_coeff
 from hktlab.duals import Point, dconj, dot_part, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (FormField, del_bar, del_hol, del_j,
@@ -25,9 +25,10 @@ from hktlab.suites import ScenarioConfig, totspace_records
 
 # ----- reference: the lifted structures on nested dual numbers -----
 #
-# The structure column by column from conn.coeff, in plain Python arithmetic
-# that dual numbers flow through, and d_l of any such matrix field from one
-# seeded evaluation per direction.  It shares no code with the numpy jet of
+# The structure column by column from conn.coeff as nested lists
+# (conftest.nested_coeff), in plain Python arithmetic that dual numbers flow
+# through, and d_l of any such matrix field from one seeded evaluation per
+# direction.  It shares no code with the numpy jet of
 # total_space.structure_matrix_field.
 
 def reference_structure_field(ts, unit, correction=True):
@@ -43,7 +44,7 @@ def reference_structure_field(ts, unit, correction=True):
         return jw if unit == "J" else [1j * x for x in jw]
 
     def field(pt):
-        A = ts.conn.coeff(pt)
+        A = nested_coeff(ts.conn, pt)
         v = ts.fiber_values(pt)
         av = [[sum(A[mu][a][b] * v[b] for b in range(r))
                for mu in range(4 * n)] for a in range(r)]
@@ -384,9 +385,10 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # per sweep of 20 samples (was 189, then 70 and 69):
+    # per sweep of 20 samples (was 189, then 70 and 69, then 54 and 53):
     # - frame-roundtrip 1: A for both tables at the stacked Point of all 20
-    #   samples, which the metric and Nijenhuis sweeps share;
+    #   samples, which the curvature-term, del-closed, metric and Nijenhuis
+    #   sweeps share;
     # - the structure equation 14, at the stacked Point of its 10 samples:
     #   1 + 4 for the jet, 1 for the tables, and 8 seeded frame tables, one
     #   per direction's child of the Point (duals.seeded), which the 2
@@ -395,13 +397,15 @@ def test_totspace_coeff_calls(monkeypatch):
     #   and 8 seeded frame tables that del dbar Psi and del del_J Psi share
     #   (16 before), each memoised on the Point for the records that share
     #   them;
-    # - the curvature term 11: 1 + 4 for the jet, 1 for the inverse table
-    #   and 1 + 4 for the fiber-doubled twin's jet (10 for flat, whose
-    #   curvature term is empty and needs no table);
-    # - del-closed 9: 1 + 8 seeds;
-    # - the metric sweeps 5: 1 for A (the tables' own call does not share
-    #   its memo) and 4 for dA, once at the shared stacked Point;
+    # - the curvature term 10, at the shared stacked Point: 1 + 4 for the
+    #   jet and 1 + 4 for the fiber-doubled twin's jet (11 at a Point of its
+    #   own, which also built the tables);
+    # - del-closed 8: the 8 seeded frame tables of the shared Point (9 at a
+    #   Point of its own);
+    # - the metric sweeps 0: they read the shared Point's jet (5 when the
+    #   curvature term did not build it there);
     # - Nijenhuis 0: it reads the first samples of the same stacked jet.
+    # The tables' own coeff call does not share the jet's memo.
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -416,11 +420,11 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 54, "flat": 53}
+    assert calls == {"bpst": 47, "flat": 47}
 
 
 def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):
-    # the flat connection's A is all plain zeros, so no A_mu v term enters
+    # the flat connection's coeff gives no entry, so no A_mu v term enters
     # its tables, at a plain Point or at the stacked Point of 4 samples
     ts = total_space(get_connection("flat"))
     pts = sample_points(rng, ts.dim, 4)

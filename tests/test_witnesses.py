@@ -35,9 +35,17 @@ def negated_log_part(real):
     return faulty
 
 
+def times(value, k):
+    """value, a number, an element or nested lists of elements, times k."""
+    if isinstance(value, list):
+        return [times(x, k) for x in value]
+    return escale(value, k) if isinstance(value, dict) else k * value
+
+
 def negated(real):
-    """The probe pairing eta(x, J conj y) with the wrong sign."""
-    return lambda *args: -real(*args)
+    """real with the wrong sign: the probe pairing eta(x, J conj y), or the
+    curvature correction of del dbar of the fiber norm."""
+    return lambda *args: times(real(*args), -1)
 
 
 def scaled(real):
@@ -45,11 +53,10 @@ def scaled(real):
     on the flat bundle, though still invariant under I, J and K; the
     quaternionic conjugation squares to 1.0201 and no longer symmetrizes to
     a q-real form; the Gram matrix no longer matches the pairing; the
-    hyperhermitian projection is no longer idempotent."""
-    def faulty(*args):
-        value = real(*args)
-        return escale(value, 1.01) if isinstance(value, dict) else 1.01 * value
-    return faulty
+    hyperhermitian projection is no longer idempotent; the closed forms of
+    del and del_J of the fiber norm no longer match it, and the curvature
+    entry forms no longer match d of the covariant fiber coframe."""
+    return lambda *args: times(real(*args), 1.01)
 
 
 def dropped_m(real):
@@ -96,6 +103,18 @@ WITNESSES = {
     "positivity-agreement": (
         hopf_records, "bpst", "omega-qreal", hopf, "omega_tilde_expr",
         negated_log_part),
+    "structure-equation": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "curvature_entry_forms", scaled),
+    "deldbar-potential": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "xi_curv_expr", negated),
+    "del-potential": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "del_psi_expr", scaled),
+    "delj-potential": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "del_j_psi_expr", scaled),
     "r-omega-ver": (
         totspace_records, "bpst", "deldelj-potential", suites,
         "omega_ver_expr", scaled),
