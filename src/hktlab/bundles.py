@@ -6,22 +6,24 @@ returns the nonzero entries {(mu, a, b): A^mu_ab} of A, as exterior's
 elements hold their terms: an exact zero is left out where the catalog writes
 the connection, so no consumer tests for one.  The dual numbers of
 total_space's tables flow through the entries; every plain value built here
-is a numpy array, into which _derivative scatters them.  The jet of A at a
-point (A, and dA[lam, nu] = d_lam A_nu from one seeded coeff call per
-direction) gives the curvature as one (dim, dim, r, r) array
+is a numpy array, into which _derivative scatters them, from one coeff call
+per derivative order that seeds every direction at once, on an axis of the
+dot parts.  The jet of A at a point (A, and dA[lam, nu] = d_lam A_nu) gives
+the curvature as one (dim, dim, r, r) array
 
     F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
 At a stacked Point (fields.stack_points), whose coordinates are arrays over
 a sweep's S samples, each of these arrays gains a leading sample axis: A is
-(S, dim, r, r), dA and F are (S, dim, dim, r, r), and one coeff call per
-seed serves every sample.
+(S, dim, r, r), dA and F are (S, dim, dim, r, r), and one coeff call serves
+every sample.
 
 The Bianchi residual is the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu],
 with d_lam F_mu_nu = d_lam d_mu A_nu - d_lam d_nu A_mu + [d_lam A_mu, A_nu]
-+ [A_mu, d_lam A_nu] from two-level seeds of coeff, built by the same
-field-strength helper as F: by the Jacobi identity, a dF written out apart
-from F could not see a term missing from F.
++ [A_mu, d_lam A_nu] from one two-level coeff call per lam (lam seeded
+below every mu), built by the same field-strength helper as F: by the
+Jacobi identity, a dF written out apart from F could not see a term missing
+from F.
 
 Two pointwise criteria for compatibility with the whole 2-sphere of complex
 structures are implemented and compared against each other:
@@ -33,9 +35,11 @@ structures are implemented and compared against each other:
 The residuals read the jet and the curvature through the memo of a Point
 (duals.point_memo), so the criteria evaluated at one Point share one
 curvature, and accept the flat I/J/K charts prebuilt (structure_charts).
-Each residual is a maximum per sample: a float at a plain point, an array
-over the samples at a stacked one.  A nan stays in its own sample, so a nan
-curvature fails the records of that sample's sweep.
+They read the r x r curvature grid as one element, the fiber entry (a, b)
+on its coefficients' trailing axes.  Each residual is a maximum per sample:
+a float at a plain point, an array over the samples at a stacked one.  A
+nan stays in its own sample, so a nan curvature fails the records of that
+sample's sweep.
 
 The catalog ships the flat connection, the standard 1-instanton on H (fiber H,
 acting by right quaternion multiplication), its direct sum with the dual
@@ -52,7 +56,8 @@ from typing import Callable
 import numpy as np
 
 from .charts import flat_chart, to_frame
-from .duals import dot_part, fresh_level, point_memo, sample_shape, seed_unit
+from .duals import (Dual, Point, dot_part, fresh_level, point_memo,
+                    sample_shape, seed_unit)
 from .exterior import Element, element_from_antisym, enorm
 from .quaternions import fiber_j_matrix, quat_abs2, right_mult_c2
 
@@ -98,8 +103,7 @@ def _dual_pair_mfib():
     # J(u, phi) = (conj(phi), -conj(u)); commutes with A + (-A^T) since A is
     # skew-Hermitian
     M = np.zeros((4, 4), dtype=complex)
-    M[0:2, 2:4] = np.eye(2)
-    M[2:4, 0:2] = -np.eye(2)
+    M[0:2, 2:4], M[2:4, 0:2] = np.eye(2), -np.eye(2)
     return M
 
 
@@ -132,37 +136,35 @@ def get_connection(name: str) -> Connection:
     return _CATALOG[key]()
 
 
-def _derivative(conn: Connection, pt, dirs=()) -> np.ndarray:
-    """d_{dirs[0]} d_{dirs[1]} ... A at an unseeded point, shape (..., dim, r,
-    r) with the point's sample axis leading, from one coeff call with each
-    direction seeded at its own level."""
-    out = np.zeros(sample_shape(pt) + (4 * conn.base_n, conn.rank, conn.rank),
-                   dtype=complex)
-    levels = []
-    for i in dirs:
-        levels.append(fresh_level())
-        pt = seed_unit(pt, i, levels[-1])
-    # an entry is an array over the samples or a number they share
+def _derivative(conn: Connection, pt, order=0, lower=()) -> np.ndarray:
+    """d^order A at pt from one coeff call, shape (..., dim, ..., dim, dim, r,
+    r) with the sample axis first and one direction axis per order, lowest
+    level first: [..., lam, mu, nu] is d_lam d_mu A_nu.  Each fresh level
+    seeds x_i, i < dim, with dot part eye(dim)[i] on its own axis ahead of the
+    sample axis; dot parts at pt's own seed levels (lower) are taken last."""
+    dim, samples, pt = 4 * conn.base_n, sample_shape(pt), Point(pt)
+    levels, ns = [fresh_level() for _ in range(order)], len(samples)
+    for j, lev in enumerate(levels):
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * (order + ns - j - 1))
+        pt[:dim] = [Dual(x, e, lev) for x, e in zip(pt, eye)]
+    out = np.zeros(samples + (dim,) * (order + 1) + (conn.rank,) * 2, complex)
+    lanes = np.moveaxis(out, range(ns, ns + order), range(order))
     for (mu, a, b), x in conn.coeff(pt).items():
-        for lev in reversed(levels):
+        for lev in reversed([*lower, *levels]):
             x = dot_part(x, lev)
-        out[..., mu, a, b] = x
+        lanes[..., mu, a, b] = x
     return out
 
 
 def _point_coeff(conn: Connection, pt) -> np.ndarray:
-    """A as an array of shape (dim, r, r), built once per Point and
-    coefficient function: one coeff call, and no derivative."""
+    """A, shape (..., dim, r, r), built once per Point and coefficient."""
     return point_memo(pt, ("coeff", conn.coeff), lambda p: _derivative(conn, p))
 
 
 def _jet(conn: Connection, pt):
     """(A, dA), built once per Point and coefficient function."""
-    dim = 4 * conn.base_n
     return point_memo(pt, ("jet", conn.coeff), lambda p: (
-        _point_coeff(conn, p),
-        np.stack([_derivative(conn, p, (lam,)) for lam in range(dim)],
-                 axis=-4)))
+        _point_coeff(conn, p), _derivative(conn, p, 1)))
 
 
 # batched a @ b summed in index order like a plain Python sum (matmul may
@@ -203,55 +205,56 @@ def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
 
 
 def _max_per_sample(pt, values):
-    """Largest of values and 0.0 at each sample of pt, nan where one is nan:
-    a float at a plain point, an array over the samples at a stacked one."""
-    return functools.reduce(np.maximum, values, np.zeros(sample_shape(pt)))
+    """Largest of values and 0.0 at each sample of pt, nan where one is nan,
+    over any axes a value has behind the sample axes: a float at a plain
+    point, an array over the samples at a stacked one."""
+    ns = len(sample_shape(pt))
+    return functools.reduce(np.maximum, (
+        np.max(v, axis=tuple(range(ns, np.ndim(v)))) for v in values),
+        np.zeros(sample_shape(pt)))
+
+
+def _curvature_element(conn: Connection, pt) -> Element:
+    """The curvature grid as one 2-form, each coefficient an array with the
+    fiber entry (a, b) on its trailing axes."""
+    return element_from_antisym(np.moveaxis(_point_curvature(conn, pt),
+                                            (-4, -3), (-2, -1)))
 
 
 def invariance_residual(conn: Connection, pt, charts=None):
     """Max weight-2 component of the curvature over all fiber entries."""
     ch = (charts or structure_charts(conn.base_n))["I"]
-    grid = curvature_entry_forms(conn, pt)
-    return _max_per_sample(pt, (
-        enorm(ch.ctx.weight_project(to_frame(ch, el, pt), 2))
-        for row in grid for el in row))
+    fr = to_frame(ch, _curvature_element(conn, pt), pt)
+    return _max_per_sample(pt, [enorm(ch.ctx.weight_project(fr, 2))])
 
 
 def type11_residual(conn: Connection, pt, charts=None):
     """Max (2,0) + (0,2) component w.r.t. each of I, J, K."""
-    charts = charts or structure_charts(conn.base_n)
-    grid = curvature_entry_forms(conn, pt)
-
-    def parts():
-        for ch in charts.values():
-            for row in grid:
-                for el in row:
-                    fr = to_frame(ch, el, pt)
-                    yield enorm(ch.ctx.component(fr, 2, 0))
-                    yield enorm(ch.ctx.component(fr, 0, 2))
-
-    return _max_per_sample(pt, parts())
+    el = _curvature_element(conn, pt)
+    return _max_per_sample(pt, (
+        enorm(ch.ctx.component(fr, p, 2 - p))
+        for ch in (charts or structure_charts(conn.base_n)).values()
+        for fr in [to_frame(ch, el, pt)] for p in (2, 0)))
 
 
 def bianchi_residual(conn: Connection, pt):
     """Max entry of the cyclic sum over lam < mu < nu of
     d_lam F_mu_nu + [A_lam, F_mu_nu], per sample.
 
-    The covariant derivative is built one lam at a time and added to the
-    sums of the triples that a rotation starting at lam belongs to, so each
-    sum runs (lam, mu, nu), (mu, nu, lam), (nu, lam, mu), and only one lam's
-    arrays are held at once."""
+    The covariant derivative is built one lam at a time, from one coeff
+    call that seeds lam alone and, a level above it, every mu on an array
+    axis, and added to the sums of the triples that a rotation starting at
+    lam belongs to: each sum runs (lam, mu, nu), (mu, nu, lam), (nu, lam,
+    mu), and only one lam's arrays are held at once."""
     dim = 4 * conn.base_n
-    A, dA = _jet(conn, pt)
-    F = _point_curvature(conn, pt)
+    (A, dA), F = _jet(conn, pt), _point_curvature(conn, pt)
     triples = list(itertools.combinations(range(dim), 3))
     rotations = [(t, rot) for t, (l, m, n) in enumerate(triples)
                  for rot in ((l, m, n), (m, n, l), (n, l, m))]
-    cyc = np.zeros(A.shape[:-3] + (len(triples),) + A.shape[-2:],
-                   dtype=complex)
+    cyc = np.zeros(A.shape[:-3] + (len(triples),) + A.shape[-2:], complex)
     for lam in range(dim):
-        d2A = np.stack([_derivative(conn, pt, (lam, mu)) for mu in range(dim)],
-                       axis=-4)
+        lev = fresh_level()
+        d2A = _derivative(conn, seed_unit(pt, lam, lev), 1, [lev])
         dA_lam, A_lam = dA[..., lam, :, :, :], A[..., lam, None, None, :, :]
         dF = _field_strength(d2A, dA_lam, A) + _field_strength(0, A, dA_lam)
         cov = dF + (_mul(A_lam, F) - _mul(F, A_lam))

@@ -531,22 +531,20 @@ def bundle_records(cfg: ScenarioConfig) -> list:
     samples (all of them for a checked connection, the first n_agree for
     the others), where they share one curvature (duals.point_memo) and
     each residual is an array over the samples.  criteria-agreement reads
-    the residuals of the first samples, and each connection's I/J/K charts
-    are built once.
+    the residuals of the first samples.  Every catalog entry lives over H
+    (base_n 1), so the suite builds the I/J/K charts once for all of them.
     """
     tol = cfg.tol
-    rng = cfg.rng()
     requested = get_connection(cfg.bundle)
     conns = [get_connection(nm) for nm in catalog_names()]
     checked = ({conn.name for conn in conns if conn.hyperholomorphic}
                if requested.hyperholomorphic else {requested.name})
-    pts = sample_points(rng, 4, cfg.samples)
+    pts = sample_points(cfg.rng(), 4, cfg.samples)
     n_agree = min(len(pts), max(10, cfg.samples // 10))
     # per connection: its records if it is checked, and whether its two
     # criteria agree, with each other and its flag, on the first n_agree
-    out, disagree = [], []
+    out, disagree, charts = [], [], structure_charts(1)
     for conn in conns:
-        charts = structure_charts(conn.base_n)
         nm, full = conn.name, conn.name in checked
         pt = stack_points(pts if full else pts[:n_agree])
         inv, t11 = (invariance_residual(conn, pt, charts),
@@ -680,8 +678,7 @@ def _metric_gaps(ts, mats, pt) -> list:
 
     def worst(arrays):
         """Largest entry modulus of each sample's matrices over arrays."""
-        return _max_per_sample(pt, (np.max(np.abs(a), axis=(-2, -1))
-                                    for a in arrays))
+        return _max_per_sample(pt, map(np.abs, arrays))
 
     return [worst([g - np.eye(dim)]),
             worst(t(L[u]) @ g @ L[u] - g for u in L), worst(quat),

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,8 +282,48 @@ def test_coeff_entries_hold_no_exact_zero_and_scatter_to_nested(rng, name):
         assert np.array_equal(A[k], as_array(nested_coeff(conn, pt)))
     d2 = [[[numeric(dot_part(dot_part(x, lj), li)) for x in row]
            for row in Amu] for Amu in nested_coeff(conn, seeded)]
-    assert np.array_equal(bundles._derivative(conn, pts[0], (1, 2)),
+    assert np.array_equal(bundles._derivative(conn, pts[0], 2)[1, 2],
                           as_array(d2))
+
+
+def seeded_nest(conn, pt, dirs):
+    """d_{dirs[0]} d_{dirs[1]} ... A, shape (..., dim, r, r), from nested
+    coefficients at pt seeded by seed_unit in one direction per level, the
+    first direction at the lowest level."""
+    levels = [fresh_level() for _ in dirs]
+    for i, lev in zip(dirs, levels):
+        pt = seed_unit(pt, i, lev)
+
+    def part(x):
+        for lev in reversed(levels):
+            x = dot_part(x, lev)
+        return np.broadcast_to(x, sample_shape(pt))
+
+    nested = [[[part(x) for x in row] for row in Amu]
+              for Amu in nested_coeff(conn, pt)]
+    return np.moveaxis(as_array(nested), (0, 1, 2), (-3, -2, -1))
+
+
+@pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
+def test_derivative_matches_seeding_one_direction_per_level(rng, name):
+    # one coeff call per order, every direction on an axis, against one
+    # seed_unit nest per direction (lam below mu): at a plain point, a
+    # stacked Point of 3 samples and an 8-coordinate total-space Point,
+    # whose fiber coordinates are not seeded
+    conn = get_connection(name)
+    pts = sample_points(rng, 4, 3)
+    for pt in (pts[0], stack_points(pts), sample_points(rng, 8, 1)[0]):
+        dirs = range(4)
+        want = [seeded_nest(conn, pt, ()),
+                np.stack([seeded_nest(conn, pt, (lam,)) for lam in dirs],
+                         axis=-4),
+                np.stack([np.stack([seeded_nest(conn, pt, (lam, mu))
+                                    for mu in dirs], axis=-4)
+                          for lam in dirs], axis=-5)]
+        for k in range(3):
+            got = bundles._derivative(conn, pt, k)
+            assert got.shape == want[k].shape, (k, got.shape)
+            assert np.array_equal(got, want[k]), k
 
 
 def test_direct_sum_entries_are_instanton_plus_negative_transpose(rng):
@@ -323,7 +364,9 @@ def test_instanton_coeff_matches_quaternion_products(rng):
                         assert abs(complex(part(x)) - complex(part(y))) < 1e-15
 
 
-def test_bundle_records_build_flat_charts_once_per_connection(monkeypatch):
+def test_bundle_records_build_flat_charts_once_per_suite(monkeypatch):
+    # every catalog entry lives over H, so all share one set of I/J/K charts
+    assert {get_connection(nm).base_n for nm in catalog_names()} == {1}
     calls = collections.Counter()
 
     def counted(n, unit="I"):
@@ -332,7 +375,24 @@ def test_bundle_records_build_flat_charts_once_per_connection(monkeypatch):
 
     monkeypatch.setattr(bundles, "flat_chart", counted)
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {unit: len(catalog_names()) for unit in "IJK"}
+    assert calls == {"I": 1, "J": 1, "K": 1}
+
+
+def test_bundle_records_convert_the_curvature_once_per_chart(monkeypatch):
+    # the r x r curvature grid is one element: per connection one to_frame
+    # for invariance (I) and one per chart for type11 (I, J, K), 16 in all
+    # (112 with one element per fiber entry: 16 per rank-2 connection, 64
+    # for direct-sum)
+    calls = collections.Counter()
+    real = bundles.to_frame
+
+    def counted(ch, el, pt):
+        calls[ch.name] += 1
+        return real(ch, el, pt)
+
+    monkeypatch.setattr(bundles, "to_frame", counted)
+    bundle_records(ScenarioConfig(samples=10))
+    assert calls == {"flat-H1-I": 8, "flat-H1-J": 4, "flat-H1-K": 4}
 
 
 def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
@@ -355,10 +415,12 @@ def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
 
 
 def test_bundle_records_coeff_calls_per_sample(monkeypatch):
-    # a checked connection: 1 + 4 calls for the jet (A and dA) and 16
-    # two-level seeds for Bianchi, once at the stacked Point of its 10
-    # samples (210 when each sample was its own Point); nonholo-demo only
-    # needs the jet of its curvature, at its 10 agreement samples (was 50)
+    # a checked connection, once at the stacked Point of its 10 samples: 1
+    # call for A, 1 for dA with every direction on an axis, and 1 per lam
+    # for Bianchi's second derivatives, every mu on an axis (21 with one
+    # call per seed, 210 when each sample was its own Point); nonholo-demo
+    # only needs the jet of its curvature, at its 10 agreement samples (5
+    # with one call per seed, 50 per sample)
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -373,8 +435,24 @@ def test_bundle_records_coeff_calls_per_sample(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted)
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {"flat": 21, "bpst": 21, "direct-sum": 21,
-                     "nonholo-demo": 5}
+    assert calls == {"flat": 6, "bpst": 6, "direct-sum": 6,
+                     "nonholo-demo": 2}
+
+
+def test_bianchi_memory_per_lam():
+    # only one lam's second derivatives are live at once: 5.1 MB at 200
+    # samples on direct-sum (over 7 MB when one call builds every lam's
+    # second derivatives first)
+    conn = get_connection("direct-sum")
+    pt = stack_points(sample_points(np.random.default_rng(0), 4, 200))
+    bundles._point_curvature(conn, pt)
+    tracemalloc.start()
+    try:
+        bianchi_residual(conn, pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, peak
 
 
 def test_nan_coefficient_fails_bundle_criteria(monkeypatch):

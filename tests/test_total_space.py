@@ -385,24 +385,26 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
 
 
 def test_totspace_coeff_calls(monkeypatch):
-    # per sweep of 20 samples (was 189, then 70 and 69, then 54 and 53):
+    # per sweep of 20 samples (was 189, then 70 and 69, then 54 and 53,
+    # then 47 with one call per seeded direction of each jet):
     # - frame-roundtrip 1: A for both tables at the stacked Point of all 20
     #   samples, which the curvature-term, del-closed, metric and Nijenhuis
     #   sweeps share;
-    # - the structure equation 14, at the stacked Point of its 10 samples:
-    #   1 + 4 for the jet, 1 for the tables, and 8 seeded frame tables, one
-    #   per direction's child of the Point (duals.seeded), which the 2
-    #   fields d Dv_a share (16 before the children were shared);
-    # - the potential family 14, at its stacked Point: the same 1 + 4 + 1,
+    # - the structure equation 11, at the stacked Point of its 10 samples:
+    #   1 + 1 for the jet (A, and dA with every direction on an axis), 1 for
+    #   the tables, and 8 seeded frame tables, one per direction's child of
+    #   the Point (duals.seeded), which the 2 fields d Dv_a share (16 before
+    #   the children were shared);
+    # - the potential family 11, at its stacked Point: the same 1 + 1 + 1,
     #   and 8 seeded frame tables that del dbar Psi and del del_J Psi share
     #   (16 before), each memoised on the Point for the records that share
     #   them;
-    # - the curvature term 10, at the shared stacked Point: 1 + 4 for the
-    #   jet and 1 + 4 for the fiber-doubled twin's jet (11 at a Point of its
+    # - the curvature term 4, at the shared stacked Point: 1 + 1 for the
+    #   jet and 1 + 1 for the fiber-doubled twin's jet (5 at a Point of its
     #   own, which also built the tables);
     # - del-closed 8: the 8 seeded frame tables of the shared Point (9 at a
     #   Point of its own);
-    # - the metric sweeps 0: they read the shared Point's jet (5 when the
+    # - the metric sweeps 0: they read the shared Point's jet (2 when the
     #   curvature term did not build it there);
     # - Nijenhuis 0: it reads the first samples of the same stacked jet.
     # The tables' own coeff call does not share the jet's memo.
@@ -420,7 +422,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 47, "flat": 47}
+    assert calls == {"bpst": 35, "flat": 35}
 
 
 def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):

@@ -11,10 +11,10 @@ import math
 
 import pytest
 
-from hktlab import hopf, suites
+from hktlab import bundles, hopf, suites
 from hktlab.exterior import eadd, element_from_antisym, escale, esub
-from hktlab.suites import (ScenarioConfig, algebra_records, hopf_records,
-                           qpos_records, totspace_records)
+from hktlab.suites import (ScenarioConfig, algebra_records, bundle_records,
+                           hopf_records, qpos_records, totspace_records)
 from hktlab.total_space import omega_hor_expr, psi
 
 
@@ -54,8 +54,9 @@ def scaled(real):
     quaternionic conjugation squares to 1.0201 and no longer symmetrizes to
     a q-real form; the Gram matrix no longer matches the pairing; the
     hyperhermitian projection is no longer idempotent; the closed forms of
-    del and del_J of the fiber norm no longer match it, and the curvature
-    entry forms no longer match d of the covariant fiber coframe."""
+    del and del_J of the fiber norm no longer match it; the curvature entry
+    forms no longer match d of the covariant fiber coframe, and the
+    curvature that Bianchi reads no longer matches its derivatives."""
     return lambda *args: times(real(*args), 1.01)
 
 
@@ -103,6 +104,9 @@ WITNESSES = {
     "positivity-agreement": (
         hopf_records, "bpst", "omega-qreal", hopf, "omega_tilde_expr",
         negated_log_part),
+    "bianchi(bpst)": (
+        bundle_records, "bpst", "curvature-invariance(bpst)", bundles,
+        "_point_curvature", scaled),
     "structure-equation": (
         totspace_records, "bpst", "deldelj-potential", suites,
         "curvature_entry_forms", scaled),
