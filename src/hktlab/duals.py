@@ -14,13 +14,15 @@ Derivatives are taken along real coordinate directions only, so conj
 Seeded coordinates come back as a Point: a list with a memo of what has
 been built at it (chart tables, connection products, field values), so every
 consumer of one point shares one build, and the memo is freed with the point.
-seeded(pt, i), pt's child with slot i seeded, is one such build: every
-operator at pt shares it and what is built at it.  It takes its fresh level
-when made, after pt, so above every level in pt's coordinates.  A Point that
-a suite's sweeps share keeps this seeded subtree until the suite drops it.
+seeded(pt), pt's one seeded child, is one such build: slot i carries the dot
+part eye(dim)[i] on a lane axis left of pt's own lane and sample axes.  It
+takes its fresh level when made, after pt, so above every level in pt's
+coordinates.  A Point that a suite's sweeps share keeps its child and
+grandchild until the suite drops it.
 
-A coordinate may also be a numpy array over a sweep's samples, so one pass
-evaluates them all (vector forward mode).  Dual.__array_ufunc__ = None makes
+A coordinate may also be a numpy array over a sweep's samples, and a seeded
+one carries every direction on its lanes, so one pass evaluates them all
+(vector forward mode).  Dual.__array_ufunc__ = None makes
 `ndarray op Dual` defer to Dual (NumPy NEP 13), not build a slow object array.
 """
 
@@ -182,7 +184,19 @@ def seed_unit(coords, i, level):
     return out
 
 
-def seeded(pt, i):
-    """pt's child with slot i seeded at a fresh level, made once per Point."""
-    return point_memo(pt, ("seeded", i),
-                      lambda p: seed_unit(p, i, fresh_level()))
+def _ndim(x) -> int:
+    """Axes of x's widest part: its lane and sample axes."""
+    if isinstance(x, Dual):
+        return max(_ndim(x.val), _ndim(x.dot))
+    return np.ndim(x)
+
+
+def seeded(pt):
+    """pt's child at a fresh level, slot i with dot part eye(dim)[i] on a
+    lane axis left of pt's own lane and sample axes; made once per Point."""
+    def build(pt):
+        dim, lev = len(pt), fresh_level()
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * max(map(_ndim, pt)))
+        return Point([Dual(x, e, lev) for x, e in zip(pt, eye)])
+
+    return point_memo(pt, "seeded", build)

@@ -10,23 +10,27 @@ exterior_d follows Cartan's rule
 
     d(f_I theta_I) = sum_i dx_i ^ d_i(f_I theta_I)
 
-with one forward-mode dual pass per coordinate direction i, at the Point's
-child seeded in that direction (duals.seeded).
-d_i acts on the coefficients through the seed of direction i, and on the
-coframe as a derivation whose table d_i theta_a is the dot part of the frame
-table at the seeded point, converted by the inverse table at the point; dx_i
-is row i of that inverse table.  Only 1-forms are converted, and a constant
-coframe has no derivative rows, so flat charts take the same path.  del and
-dbar split the seeded value into its bidegrees, apply that d to each part and
-keep the (p+1, q) or (p, q+1) piece, so del, dbar and del_J compose by nesting
-closures (and dual levels) without re-running the inner field per bidegree.
+in one dual pass at the Point's seeded child (duals.seeded), whose
+coordinate i carries eye(dim)[i] on a lane axis: every value there holds d_i
+in lane i.  d acts on the coefficients through the seed, and on the coframe
+as a derivation whose table d theta_a is the dot part of the frame table at
+the child, converted by the inverse table at the Point.  sum_i dx_i e_i (lane
+i of its theta_l coefficient is inv[i][l]) is wedged with that d, and each
+coefficient summed over the lanes in lane order, dropping the leading size-1
+axes the lanes leave, never a sample axis, and an exact plain-number zero.
+Only 1-forms are converted, and a constant coframe has no derivative rows, so
+flat charts take the same path.  del and dbar split the seeded value into its
+bidegrees, apply that d to each part and keep the (p+1, q) or (p, q+1) piece,
+so del, dbar and del_J compose by nesting closures (and dual levels, each
+lane axis left of the one below) without re-running the inner field per
+bidegree.
 
-Each Point memoises the chart tables, its seeded children, and per field
-the value (FormField.value) and the bidegree-split pass that del and dbar
-share; so operators at one Point share their seeded passes, and each inner
-field runs once per child.  Values are pure in the Point, so sharing changes
-no number; the memo lives as long as the Point.  A Point may hold arrays
-over a sweep's samples (stack_points): one evaluation covers the sweep.
+Each Point memoises the chart tables, its seeded child, and per field the
+value (FormField.value) and the bidegree-split pass that del and dbar share,
+so a second-order operator runs its field once, at the grandchild.  Values
+are pure in the Point, so sharing changes no number.  The memo lives as long
+as the Point; the lane-wide coframe and sum_i dx_i e_i are built per call.
+A stacked Point (stack_points) covers a sweep's samples in one evaluation.
 
 del_J is the twisted holomorphic differential: on functions del_J f equals the
 multiplicative J applied to dbar f, and on (p, 0)-forms
@@ -39,6 +43,7 @@ del^2 = del_J^2 = del del_J + del_J del = 0 verified by the suites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -46,7 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, to_frame, to_real
-from .duals import Point, as_point, dot_part, point_memo, seeded, val_part
+from .duals import (Dual, Point, as_point, dot_part, point_memo, sample_shape,
+                    seeded, val_part)
 from .exterior import _is_zero, apply_derivation, eadd, escale, wedge
 
 
@@ -78,34 +84,44 @@ def scalar_field(chart: Chart, fn: Callable) -> FormField:
 
 def _dot(el: dict, lev: int) -> dict:
     """Derivative of el's coefficients along the seed of level lev."""
-    out = {}
-    for mono, c in el.items():
-        dc = dot_part(c, lev)
-        if not _is_zero(dc):
-            out[mono] = dc
-    return out
+    return {mono: dc for mono, c in el.items()
+            if not _is_zero(dc := dot_part(c, lev))}
+
+
+def _lane_sum(c, ns: int):
+    """c summed over its leading lane axis in lane order (numpy sums a lone
+    run of numbers pairwise, so that run takes accumulate), then stripped of
+    leading size-1 axes while it has more than ns, the sample axes."""
+    if isinstance(c, Dual):
+        return Dual(_lane_sum(c.val, ns), _lane_sum(c.dot, ns), c.level)
+    s = np.add.reduce(c) if c.size > len(c) else np.add.accumulate(c)[-1]
+    while s.ndim > ns and s.shape[0] == 1:
+        s = s[0]
+    return s
 
 
 def _cartan_d(field: FormField, pt: Point, split: Callable) -> dict:
     """{key: d of that part at pt} for the parts {key: part} that `split`
-    cuts from the field's value, in one seeded pass per direction."""
+    cuts from the field's value, in one pass at pt's seeded child."""
     ch = field.chart
     inv = point_memo(pt, ch.inverse_table, ch.inverse_table)
+    sp = seeded(pt)
+    lev, ns = sp[0].level, len(sample_shape(pt))
+    dx = functools.reduce(eadd, (escale(inv[i], sp[i].dot)
+                                 for i in range(ch.dim)))
+    coframe = None  # a -> d theta_a on every lane, built for a k-form part
     acc: dict = {}
-    for i in range(ch.dim):
-        sp = seeded(pt, i)
-        lev = sp[i].level
-        coframe = None  # a -> d_i theta_a, built for the first k-form part
-        for key, part in split(field.value(sp)).items():
-            d_i = _dot(part, lev)
-            if any(part):
-                if coframe is None:
-                    frame = point_memo(sp, ch.frame_table, ch.frame_table)
-                    coframe = {a: apply_derivation(inv, _dot(row, lev))
-                               for a, row in frame.items()}
-                values = {mono: val_part(c, lev) for mono, c in part.items()}
-                d_i = eadd(d_i, apply_derivation(coframe, values))
-            acc[key] = eadd(acc.get(key, {}), wedge(inv[i], d_i))
+    for key, part in split(field.value(sp)).items():
+        d = _dot(part, lev)
+        if any(part):
+            if coframe is None:
+                frame = point_memo(sp, ch.frame_table, ch.frame_table)
+                coframe = {a: apply_derivation(inv, _dot(row, lev))
+                           for a, row in frame.items()}
+            values = {mono: val_part(c, lev) for mono, c in part.items()}
+            d = eadd(d, apply_derivation(coframe, values))
+        lanes = {mono: _lane_sum(c, ns) for mono, c in wedge(dx, d).items()}
+        acc[key] = {mono: c for mono, c in lanes.items() if not _is_zero(c)}
     return acc
 
 

@@ -35,7 +35,7 @@ from .bundles import (_max_per_sample, _point_coeff, bianchi_residual,
                       catalog_names, curvature_entry_forms, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
-from .duals import Point, sample_shape
+from .duals import Point, point_memo, sample_shape
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
@@ -440,7 +440,7 @@ def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
 def bicomplex_records(cfg: ScenarioConfig) -> list:
     sweeps = _bicomplex_sweeps(cfg)
     # one stacked Point per sample list: the sweeps over it share its seeded
-    # children and the field values memoised on them
+    # child and grandchild and the field values memoised on them
     stacked = {id(pts): stack_points(pts) for _, pts, _ in sweeps}
     return [r for specs, pts, columns in sweeps
             for r in _stacked_records(specs, stacked[id(pts)], columns)]
@@ -594,12 +594,12 @@ def _totspace_sweeps(ts, pts, stacked, tol: float) -> list:
     def structure_gap(pt, a):
         v = ts.fiber_values(pt)
         A = _point_coeff(ts.conn, pt)
-        grid = curvature_entry_forms(ts.conn, pt)
+        # the r x r grid, built once per Point for the r fiber indices
+        grid = point_memo(pt, "grid", partial(curvature_entry_forms, ts.conn))
         rhs: dict = {}
         for b in range(ts.rank):
             rhs = eadd(rhs, escale(grid[a][b], v[b]))
-            aform = {(mu,): A[..., mu, a, b] for mu in range(nb)
-                     if np.any(A[..., mu, a, b])}
+            aform = {(mu,): A[..., mu, a, b] for mu in range(nb)}
             rhs = esub(rhs, wedge(aform, to_real(ch, {(mb + b,): 1.0}, pt)))
         return esub(d_fields[a].at(pt), rhs)
 

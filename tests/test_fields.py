@@ -7,8 +7,9 @@ from hktlab import suites
 from hktlab.bundles import get_connection
 from hktlab.charts import flat_chart, to_frame, to_real
 from hktlab.duals import (Dual, Point, dot_part, fresh_level, sample_shape,
-                          seed_unit, seeded)
-from hktlab.exterior import eadd, enorm, escale, esub, wedge
+                          seed_unit, seeded, val_part)
+from hktlab.exterior import (_is_zero, apply_derivation, eadd, enorm, escale,
+                             esub, wedge)
 from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
                            dolbeault, exterior_d, ladder_constant, ladder_map,
                            nijenhuis_residual, random_form_field,
@@ -341,20 +342,127 @@ def test_nijenhuis_detects_twisted_structure(rng):
 
 # ----- what operators at one Point share -----
 
-def test_seeded_child_is_made_once_per_point_and_direction():
+def test_seeded_child_is_made_once_per_point():
     pt = stack_points([[0.5, -1.0, 2.0], [3.0, 0.25, -0.75]])
-    first, second = seeded(pt, 0), seeded(pt, 1)
-    assert seeded(pt, 0) is first and seeded(pt, 1) is second
-    assert first is not second and first.memo is not pt.memo
-    assert [type(c) for c in first] == [Dual, np.ndarray, np.ndarray]
-    assert first[0].level != second[1].level
-    # a grandchild's level is above every level in its parent's coordinates
-    grand = seeded(first, 0)
-    assert isinstance(grand[0].val, Dual)
-    assert grand[0].level > grand[0].val.level == first[0].level
+    child = seeded(pt)
+    assert seeded(pt) is child and child.memo is not pt.memo
+    assert all(type(c) is Dual for c in child)
+    # one level for every slot; slot i carries eye(3)[i] on a lane axis
+    # left of the sample axis
+    assert len({c.level for c in child}) == 1
+    for i, c in enumerate(child):
+        assert c.val is pt[i]
+        assert c.dot.shape == (3, 1)
+        assert np.array_equal(c.dot[:, 0], np.eye(3)[i])
+    # a grandchild's level is above every level in its parent's coordinates,
+    # and its lane axis sits left of its parent's
+    grand = seeded(child)
+    assert seeded(child) is grand
+    assert all(g.val is c for g, c in zip(grand, child))
+    assert grand[0].level > child[0].level
+    assert grand[2].dot.shape == (3, 1, 1)
+    assert np.array_equal(grand[2].dot[:, 0, 0], np.eye(3)[2])
+    # so d_k d_j of x_0 x_2 sits at [k, j] ahead of the sample axis
+    hess = (grand[0] * grand[2]).dot.dot
+    want = np.zeros((3, 3, 1))
+    want[0, 2] = want[2, 0] = 1.0
+    assert hess.shape == (3, 3, 1) and np.array_equal(hess, want)
     # a plain list keeps no memo: a fresh child at a fresh level each time
-    a, b = seeded([1.0, 2.0], 0), seeded([1.0, 2.0], 0)
+    a, b = seeded([1.0, 2.0]), seeded([1.0, 2.0])
     assert a is not b and a[0].level != b[0].level
+    assert a[1].dot.shape == (2,)
+
+
+# ----- reference: the frame-label Cartan rule one direction at a time -----
+#
+# What fields._cartan_d computes, without its lane axis or memo: the field
+# runs at seed_unit(pt, i) for each direction i, d_i acts on its value and on
+# the coframe there, and dx_i ^ d_i is summed over i, direction after
+# direction, as the rule ran before every direction shared one child.
+
+def per_direction_d(ch, ev, split):
+    """pt -> {key: d of that part}, for the parts that split cuts from the
+    frame-label value ev(pt)."""
+    def at_level(el, lev):
+        return {mono: dc for mono, c in el.items()
+                if not _is_zero(dc := dot_part(c, lev))}
+
+    def out(pt):
+        inv = ch.inverse_table(pt)
+        acc = {}
+        for i in range(ch.dim):
+            lev = fresh_level()
+            sp = seed_unit(pt, i, lev)
+            coframe = {a: apply_derivation(inv, at_level(row, lev))
+                       for a, row in ch.frame_table(sp).items()}
+            for key, part in split(ev(sp)).items():
+                values = {mono: val_part(c, lev) for mono, c in part.items()}
+                d_i = eadd(at_level(part, lev),
+                           apply_derivation(coframe, values))
+                acc[key] = eadd(acc.get(key, {}), wedge(inv[i], d_i))
+        return acc
+    return out
+
+
+def per_direction_ops(ch):
+    """d, del/dbar and del_J on frame-label evaluators, per direction."""
+    ctx = ch.ctx
+
+    def d(ev):
+        whole = per_direction_d(ch, ev, lambda el: {None: el})
+        return lambda pt: whole(pt)[None]
+
+    def dolbeault(ev, kind):
+        dp, dq = (1, 0) if kind == "del" else (0, 1)
+        parts = per_direction_d(ch, ev, ctx.hodge)
+
+        def out(pt):
+            acc = {}
+            for (p, q), part in parts(pt).items():
+                acc = eadd(acc, ctx.component(part, p + dp, q + dq))
+            return acc
+        return out
+
+    def dj(ev, p):
+        db = dolbeault(lambda pt: ctx.cov_mult("J", ev(pt)), "dbar")
+        return lambda pt: escale(ctx.cov_mult("J", db(pt)), (-1) ** p)
+
+    return d, dolbeault, dj
+
+
+@pytest.mark.parametrize("case", ["del-del_J-psi", "del-dbar-psi", "d-d-f"])
+def test_lane_pass_matches_per_direction_reference(rng, case):
+    # the lane pass against the per-direction rule, to a few ulps, at a
+    # plain point, a stacked Point of 3 samples and a stacked Point of 1;
+    # the lane sums keep every sample axis and leave no other: a number at
+    # the plain point, an array over the one sample at the 1-sample Point
+    if case == "d-d-f":
+        ch = flat_chart(1)
+        f = random_polynomial(ch, rng, degree=3, real=False)
+        d, _, _ = per_direction_ops(ch)
+        op, ref = exterior_d(exterior_d(f)), d(d(f.eval_real))
+    else:
+        ts = total_space(get_connection("bpst"))
+        ch = ts.chart
+        f = scalar_field(ch, lambda pt: psi(ts, pt))
+        _, dolbeault, dj = per_direction_ops(ch)
+        inner, ref_inner = ((del_j(f), dj(f.eval_real, 0))
+                            if case == "del-del_J-psi" else
+                            (del_bar(f), dolbeault(f.eval_real, "dbar")))
+        op, ref = del_hol(inner), dolbeault(ref_inner, "del")
+    pts = sample_points(rng, ch.dim, 3)
+    for make, shapes in ((lambda: Point(pts[0]), {()}),
+                         (lambda: stack_points(pts), {(3,), (1,)}),
+                         (lambda: stack_points(pts[:1]), {(1,)})):
+        got, want = op.frame_at(make()), ref(make())
+        assert {np.shape(c) for c in got.values()} <= shapes
+        assert not any(isinstance(c, Dual) for c in got.values())
+        scale = max(1.0, np.max(enorm(want)))
+        for mono in got.keys() | want.keys():
+            gap = np.abs(got.get(mono, 0.0) - want.get(mono, 0.0))
+            assert np.all(gap <= 4 * np.finfo(float).eps * scale), mono
+    if case != "d-d-f":
+        assert np.max(enorm(got)) > 0.5
 
 
 def assert_bitwise_equal(got, want):
@@ -393,16 +501,17 @@ def test_shared_values_do_not_depend_on_evaluation_order(rng, where):
         assert_bitwise_equal(other, alone)
 
 
-@pytest.mark.parametrize("n, runs", [(1, 16), (2, 64)])
-def test_bicomplex_scalar_runs_at_the_shared_stacked_point(monkeypatch, n,
-                                                           runs):
+@pytest.mark.parametrize("n", [1, 2])
+def test_bicomplex_scalar_runs_at_the_shared_stacked_point(monkeypatch, n):
     # the six sweeps over the samples share one stacked Point, and every
     # field they evaluate is second order in each of their three random
-    # scalars f: a del_J reads its field only at the children its dbar
-    # pass seeds.  So f runs once at each of the Point's dim^2 seeded
-    # grandchildren, dim = 4n, and nowhere else: 16 at n=1 and 64 at n=2
-    # (was 128 and 512, when each operator seeded its own children).  The
-    # moment and ladder sweeps use no random scalar.
+    # scalars f: a del_J reads its field only at the child its dbar pass
+    # seeds.  So f runs once, at the Point's one seeded grandchild
+    # (duals.seeded), whose coordinates carry every direction of both levels
+    # on lane axes, and nowhere else: was 16 at n=1 and 64 at n=2, one run
+    # per grandchild of a direction pair, and 128 and 512 when each operator
+    # seeded its own children.  The moment and ladder sweeps use no random
+    # scalar.
     calls = []
     real = suites.random_polynomial
 
@@ -420,8 +529,8 @@ def test_bicomplex_scalar_runs_at_the_shared_stacked_point(monkeypatch, n,
     monkeypatch.setattr(suites, "random_polynomial", counted)
     records = suites.bicomplex_records(ScenarioConfig(n=n, samples=5))
     assert all(r.passed for r in records)
-    assert [len(pts) for pts in calls] == [runs] * 3
-    # each run at its own seeded Point of all 5 samples
+    assert [len(pts) for pts in calls] == [1] * 3
+    # each run at the grandchild of the stacked Point of all 5 samples
     for pts in calls:
-        assert len({id(pt) for pt in pts}) == runs
+        assert isinstance(pts[0][0].val, Dual)
         assert all(sample_shape(pt) == (5,) for pt in pts)

@@ -180,18 +180,19 @@ def test_one_form_conversions_build_each_table_once_per_point(rng):
 
 
 def check_second_order_counts(rng, inner):
-    # one seeded pass per direction and level: 8 x 8 potential runs; the 64
-    # innermost values are scalars, which need no table; the inverse table
-    # (dx_i in frame labels) is built at each of the 1 + 8 points above them,
-    # the frame table only at the 8 seeds, whose values are 1-forms whose
-    # coframe moves, and coeff once per point for both
+    # one seeded pass per level, every direction on a lane axis: 1 potential
+    # run, at the Point's grandchild (was 8 x 8, one per direction pair); its
+    # value is a scalar, which needs no table; the inverse table (dx_i in
+    # frame labels) is built at the Point and its child, the frame table
+    # only at the child, whose value is a 1-form whose coframe moves, and
+    # coeff once per point for both (was psi 64, coeff 9, frame 8, inverse 9)
     calls = collections.Counter()
     _, psi_f = counted_total_space(calls)
     op = del_hol(inner(psi_f))
     for pt in sample_points(rng, 8, 2):
         calls.clear()
         op.frame_at(pt)
-        assert calls == {"psi": 64, "coeff": 9, "frame": 8, "inverse": 9}
+        assert calls == {"psi": 1, "coeff": 2, "frame": 1, "inverse": 2}
 
 
 def test_deldelj_potential_evaluation_counts(rng):
@@ -206,16 +207,17 @@ def test_deldbar_potential_evaluation_counts(rng):
                                            (del_j, del_bar)])
 def test_second_order_potentials_share_the_seeded_passes(rng, first, second):
     # at one stacked Point, the first of del dbar Psi and del del_J Psi runs
-    # the potential once at each of the Point's 8 x 8 seeded grandchildren
-    # (duals.seeded) and builds the tables as a single evaluation does; the
-    # second reads the same children, grandchildren and tables, whose memos
-    # hold the potential's values, and runs nothing: 64 + 0 potential runs
-    # (64 + 64 when each operator seeded its own children)
+    # the potential once at the Point's seeded grandchild (duals.seeded) and
+    # builds the tables as a single evaluation does; the second reads the
+    # same child, grandchild and tables, whose memos hold the potential's
+    # values, and runs nothing: 1 + 0 potential runs (64 + 0 with one
+    # grandchild per direction pair, 64 + 64 when each operator seeded its
+    # own children)
     calls = collections.Counter()
     _, psi_f = counted_total_space(calls)
     pt = stack_points(sample_points(rng, 8, 3))
     del_hol(first(psi_f)).frame_at(pt)
-    assert calls == {"psi": 64, "coeff": 9, "frame": 8, "inverse": 9}
+    assert calls == {"psi": 1, "coeff": 2, "frame": 1, "inverse": 2}
     calls.clear()
     del_hol(second(psi_f)).frame_at(pt)
     assert calls == {}
@@ -384,25 +386,43 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
     assert shapes["bpst"] == shapes["flat"] == [(10,), (22,), (20,), (20,)]
 
 
+def test_structure_equation_builds_the_entry_grid_once(monkeypatch):
+    # the structure-equation sweep reads row a of the r x r grid of
+    # curvature entry forms for each fiber index a, from one grid built at
+    # its stacked Point (was one grid per fiber index: 4 on direct-sum and
+    # 2 on the flat control)
+    builds = collections.Counter()
+    real = suites.curvature_entry_forms
+
+    def counted(conn, pt):
+        builds[conn.name] += 1
+        return real(conn, pt)
+
+    monkeypatch.setattr(suites, "curvature_entry_forms", counted)
+    records = totspace_records(ScenarioConfig(bundle="direct-sum", samples=4))
+    assert all(r.passed for r in records)
+    assert builds == {"direct-sum": 1, "flat": 1}
+
+
 def test_totspace_coeff_calls(monkeypatch):
     # per sweep of 20 samples (was 189, then 70 and 69, then 54 and 53,
-    # then 47 with one call per seeded direction of each jet):
+    # then 47 with one call per seeded direction of each jet, then 35 with
+    # one seeded child per direction of a Point):
     # - frame-roundtrip 1: A for both tables at the stacked Point of all 20
     #   samples, which the curvature-term, del-closed, metric and Nijenhuis
     #   sweeps share;
-    # - the structure equation 11, at the stacked Point of its 10 samples:
+    # - the structure equation 4, at the stacked Point of its 10 samples:
     #   1 + 1 for the jet (A, and dA with every direction on an axis), 1 for
-    #   the tables, and 8 seeded frame tables, one per direction's child of
-    #   the Point (duals.seeded), which the 2 fields d Dv_a share (16 before
-    #   the children were shared);
-    # - the potential family 11, at its stacked Point: the same 1 + 1 + 1,
-    #   and 8 seeded frame tables that del dbar Psi and del del_J Psi share
-    #   (16 before), each memoised on the Point for the records that share
-    #   them;
+    #   the tables, and 1 for the frame table at the Point's one seeded
+    #   child (duals.seeded), which the 2 fields d Dv_a share (was 8, one
+    #   per direction's child);
+    # - the potential family 4, at its stacked Point: the same 1 + 1 + 1,
+    #   and the child's frame table, which del dbar Psi and del del_J Psi
+    #   share, memoised on the Point for the records that share it;
     # - the curvature term 4, at the shared stacked Point: 1 + 1 for the
     #   jet and 1 + 1 for the fiber-doubled twin's jet (5 at a Point of its
     #   own, which also built the tables);
-    # - del-closed 8: the 8 seeded frame tables of the shared Point (9 at a
+    # - del-closed 1: the frame table at the shared Point's child (2 at a
     #   Point of its own);
     # - the metric sweeps 0: they read the shared Point's jet (2 when the
     #   curvature term did not build it there);
@@ -422,7 +442,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 35, "flat": 35}
+    assert calls == {"bpst": 14, "flat": 14}
 
 
 def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):
