@@ -28,14 +28,18 @@ R and Rb are derivations; H = (p - q) id; [H, R] = 2R, [H, Rb] = -2Rb,
 weight-w isotypic part, which is how weight projections are computed (exactly,
 via Lagrange interpolation - no eigensolver in the hot path).
 
-Each StructureContext caches, per degree k and on first use, the generators
-R, Rb, H, L_I, L_J, L_K as dense matrices on blocks: the connected pieces of
-basis(k) under their joint sparsity pattern (su2_blocks).  Every generator,
+StructureContext.su2_blocks(k) builds the generators R, Rb, H, L_I, L_J,
+L_K and the Casimir C of degree k as dense matrices on blocks: the connected
+pieces of basis(k) under their joint sparsity pattern.  Every generator,
 hence the Casimir and every weight projector, vanishes outside the blocks,
 so block matrices carry the full operators exactly.  The blocks of one size
 form one (B, s, s) stack (28 stacks for 729 blocks at n=3, at most 64x64),
-so weight_project sums cached projector columns and the algebra suite runs
-one batched matmul or eigvals per stack, never a 924x924 matrix.
+H one (B, s) stack of its diagonals, so the algebra suite runs one batched
+matmul or eigvals per stack, never a 924x924 matrix.  Nothing is cached
+across calls: a caller holds one degree's blocks while it reads them, and a
+weight's projector is built from C only when asked for.  weight_project
+keeps, per context, the projector columns of each (degree, weight) it has
+read, built from that degree's blocks.
 
 The blocks are built from the 1-form tables with array operations over all
 monomials of the degree at once, not through the sparse rules.  One
@@ -47,11 +51,12 @@ a derivation with 1-form matrix A is (-1)^(their number) A[l, S[p]].  H is
 the diagonal p - q.  The blocks are the components of the entries' rows and
 columns, found by min-label propagation: each monomial takes the smallest
 label among its neighbours until none changes, so a block is labelled by
-its smallest member.  Each generator is scattered into one buffer, size-major
-(blocks by size, then by smallest member, monomials in basis order), so a
-size group is one reshaped view.  cov_blocks expands cov_I, cov_J and cov_K
+its smallest member.  The generators share the entries' places, found
+once; each is scattered in turn into one buffer, size-major (blocks by size,
+then by smallest member, monomials in basis order), so a size group is one
+reshaped view.  cov_blocks expands cov_I, cov_J and cov_K on given blocks
 the same way, multiplicatively: one image term per position, the product's
-labels sorted with the sign of their inversions; it builds them per call.
+labels sorted with the sign of their inversions.
 The tests hold every block matrix to operator_matrix of the sparse rule.
 """
 
@@ -187,13 +192,26 @@ def standard_m(m: int) -> np.ndarray:
 class Su2Block(NamedTuple):
     """The B connected pieces of size s of basis(k) under the su(2)
     generators, stacked.  monos lists the members' monomial lists (by
-    smallest monomial, each in basis order); ops maps "R", "Rb", "H", "L_I",
-    "L_J", "L_K" and the Casimir "C", and projectors each weight of the
-    degree (Lagrange projectors), to (B, s, s) stacks of dense matrices.
+    smallest monomial, each in basis order); ops maps "R", "Rb", "L_I",
+    "L_J", "L_K" and the Casimir "C" to (B, s, s) stacks of dense matrices,
+    and "H" to the (B, s) stack of its diagonals; weights lists the
+    degree's weights.
     """
     monos: list
     ops: dict
-    projectors: dict
+    weights: list
+
+    def projector(self, w: int) -> np.ndarray:
+        """The (B, s, s) Lagrange projector onto weight w: the product over
+        the other weights w2 of (C - w2(w2+2)) / (w(w+2) - w2(w2+2)), built
+        on each call."""
+        C, lam = self.ops["C"], w * (w + 2)
+        P = np.tile(np.eye(C.shape[-1], dtype=complex), (len(C), 1, 1))
+        for w2 in self.weights:
+            if w2 != w:
+                lam2 = w2 * (w2 + 2)
+                P = (C @ P - lam2 * P) * (1.0 / (lam - lam2))
+        return P
 
 
 # _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing
@@ -266,30 +284,42 @@ def _products(labels, rank, A, has):
     return rank[_BIT[chosen].sum(axis=1)], col, coef
 
 
-def _block_matrices(sizes, entries) -> dict:
-    """Scatter each operator's entries, given as (rows, cols, values) over
-    block-major positions of blocks in nondecreasing size, into one buffer
-    per operator and hand out one (B, s, s) stack view per size group;
-    values at a repeated position add.  Raises ValueError if an entry
-    leaves its block with a coefficient above 1e-13; smaller ones are
-    dropped."""
+def _group_views(buf, shapes) -> list:
+    """buf cut into consecutive views of the given shapes, one per size
+    group: (B, s, s) for matrices held block-major, (B, s) for diagonals."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape)
+            for shape, part in zip(shapes, np.split(buf, ends))]
+
+
+def _block_matrices(sizes, rows, cols, values) -> dict:
+    """Scatter operators that share their entries' rows and columns, over
+    block-major positions of blocks in nondecreasing size: values yields
+    each operator's (name, entry values), and each is scattered in turn
+    into a buffer of its own, handed out as one (B, s, s) stack view per
+    size group; values at a repeated position add.  Raises ValueError if
+    an entry leaves its block with a coefficient above 1e-13; smaller ones
+    are dropped."""
     sizes = np.asarray(sizes)
     start = np.cumsum(sizes) - sizes
     offset = np.cumsum(sizes * sizes) - sizes * sizes
     block = np.repeat(np.arange(len(sizes)), sizes)
+    b = block[cols]
+    inside = block[rows] == b
+    b = b[inside]
+    place = (offset[b] + (rows[inside] - start[b]) * sizes[b]
+             + cols[inside] - start[b])
+    # (B, s) per size group; np.unique's sort kernels would add their code
+    # pages to the peak RSS of workloads that build only a few blocks
     first = np.flatnonzero(np.diff(sizes, prepend=0))  # each size's first
+    groups = list(zip(np.diff(first, append=len(sizes)), sizes[first]))
     out = {}
-    for name, (rows, cols, vals) in entries.items():
-        b = block[cols]
-        inside = block[rows] == b
+    for name, vals in values:
         if not inside.all() and np.any(np.abs(vals[~inside]) > 1e-13):
             raise ValueError("image leaves its su(2) block")
-        b = b[inside]
         buf = np.zeros(int(sizes @ sizes), dtype=complex)
-        np.add.at(buf, offset[b] + (rows[inside] - start[b]) * sizes[b]
-                  + cols[inside] - start[b], vals[inside])
-        out[name] = [part.reshape(-1, s, s) for s, part in
-                     zip(sizes[first], np.split(buf, offset[first[1:]]))]
+        np.add.at(buf, place, vals[inside])
+        out[name] = _group_views(buf, [(n, s, s) for n, s in groups])
     return out
 
 
@@ -320,29 +350,24 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     first = np.flatnonzero(np.diff(comp[order], prepend=-1))
     sizes = np.diff(first, append=len(order))
 
-    entries = {name: (at[row], at[col], A[new, old] * sign)
-               for name, (A, _) in tables.items()}
-    pq = 2 * (labels < ctx.m).sum(axis=1) - k
-    entries["H"] = (at, at, pq.astype(complex))
-    mats = _block_matrices(sizes, entries)
-
-    lams = {w: w * (w + 2) for w in ctx.weight_list(k)}
-    blocks = []
-    for g, H in enumerate(mats["H"]):
-        ops = {name: stacks[g] for name, stacks in mats.items()}
-        R, Rb, size = ops["R"], ops["Rb"], H.shape[-1]
-        C = ops["C"] = H @ H + 2 * (R @ Rb + Rb @ R)
-        projectors = {}
-        for w, lam in lams.items():
-            P = np.tile(np.eye(size, dtype=complex), (len(C), 1, 1))
-            for w2, lam2 in lams.items():
-                if w2 != w:
-                    P = (C @ P - lam2 * P) * (1.0 / (lam - lam2))
-            projectors[w] = P
-        blocks.append(Su2Block([[basis[i] for i in order[s0:s0 + size]]
-                                for s0 in first[sizes == size]], ops,
-                               projectors))
-    return blocks
+    ops = _block_matrices(sizes, at[row], at[col],
+                          ((name, A[new, old] * sign)
+                           for name, (A, _) in tables.items()))
+    groups = [R.shape[:2] for R in ops["R"]]  # (B, s)
+    pq = 2 * (labels[order] < ctx.m).sum(axis=1) - k
+    ops["H"] = _group_views(pq.astype(complex), groups)
+    ops["C"] = []
+    for h, R, Rb in zip(ops["H"], ops["R"], ops["Rb"]):
+        # H H + 2 (R Rb + Rb R), with H H added on the diagonal only
+        C, i = 2 * (R @ Rb + Rb @ R), np.arange(h.shape[-1])
+        C[:, i, i] += h * h
+        ops["C"].append(C)
+    weights = ctx.weight_list(k)
+    return [Su2Block([[basis[i] for i in order[s0:s0 + size]]
+                      for s0 in first[sizes == size]],
+                     {name: stacks[g] for name, stacks in ops.items()},
+                     weights)
+            for g, (_, size) in enumerate(groups)]
 
 
 @dataclass
@@ -350,10 +375,8 @@ class StructureContext:
     m: int
     mmat: np.ndarray
     tables: dict = field(default_factory=dict, repr=False)
-    # per-instance caches, filled on first use: degree -> blocks, and
-    # (degree, weight) -> {monomial: projector column as (label, coeff) pairs}
-    _blocks: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # per-instance cache, filled on first use: (degree, weight) ->
+    # {monomial: projector column as (label, coeff) pairs}
     _columns: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -435,19 +458,21 @@ class StructureContext:
     def cov_mult(self, which: str, el: Element) -> Element:
         return apply_multiplicative(self.tables["cov_" + which], el)
 
-    def cov_blocks(self, k: int) -> dict:
+    def cov_blocks(self, blocks: list[Su2Block]) -> dict:
         """cov_I, cov_J and cov_K ("I", "J", "K") as one stack per size group
-        of su2_blocks(k), expanded multiplicatively from their 1-form
-        tables; built on each call, never cached.  Raises ValueError if an
-        image leaves its block."""
+        of one degree's su2_blocks, expanded multiplicatively from their
+        1-form tables one at a time; built on each call, never cached.
+        Raises ValueError if an image leaves its block."""
         n = 2 * self.m
-        members = [mem for blk in self.su2_blocks(k) for mem in blk.monos]
+        members = [mem for blk in blocks for mem in blk.monos]
         labels, rank = _monomials([mono for mem in members for mono in mem], n)
-        return _block_matrices(
-            [len(mem) for mem in members],
-            {u: _products(labels, rank,
-                          *_table_arrays(self.tables["cov_" + u], n))
-             for u in "IJK"})
+        out = {}
+        for u in "IJK":
+            rows, cols, vals = _products(
+                labels, rank, *_table_arrays(self.tables["cov_" + u], n))
+            out |= _block_matrices([len(mem) for mem in members], rows, cols,
+                                   [(u, vals)])
+        return out
 
     def casimir(self, el: Element) -> Element:
         h2 = self.h_op(self.h_op(el))
@@ -464,12 +489,9 @@ class StructureContext:
         return list(range(wmax, -1 if wmax % 2 == 0 else 0, -2))
 
     def su2_blocks(self, k: int) -> list[Su2Block]:
-        """The su(2) generators, Casimir and weight projectors on basis(k),
-        as dense matrices on the blocks they leave invariant; built once per
-        context and degree."""
-        if k not in self._blocks:
-            self._blocks[k] = _su2_blocks(self, k)
-        return self._blocks[k]
+        """The su(2) generators and Casimir on basis(k), as dense matrices on
+        the blocks they leave invariant; built on each call, never cached."""
+        return _su2_blocks(self, k)
 
     def _projector_columns(self, k: int, w: int) -> dict:
         key = (k, w)
@@ -477,7 +499,7 @@ class StructureContext:
             cols = dict.fromkeys(self.basis(k), ())
             if w in self.weight_list(k):
                 for blk in self.su2_blocks(k):  # P: plain complex entries
-                    for mem, P in zip(blk.monos, blk.projectors[w].tolist()):
+                    for mem, P in zip(blk.monos, blk.projector(w).tolist()):
                         for j, mono in enumerate(mem):
                             cols[mono] = tuple((row, P[i][j])
                                                for i, row in enumerate(mem)
@@ -486,8 +508,9 @@ class StructureContext:
         return self._columns[key]
 
     def weight_project(self, el: Element, w: int) -> Element:
-        """Weight-w isotypic part: sum of c_j times column j of the cached
-        Lagrange projector; coefficients may be numbers or Duals."""
+        """Weight-w isotypic part: sum of c_j times column j of the Lagrange
+        projector, whose columns are cached per (degree, weight);
+        coefficients may be numbers or Duals."""
         out: Element = {}
         for labels, c in el.items():
             for key, p in self._projector_columns(len(labels), w)[labels]:

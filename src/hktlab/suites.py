@@ -81,8 +81,9 @@ class Tolerances:
 # sqrt(hopf.MIN_PSI) = 1e-4; beyond it the zero section or overflow is reached
 HOPF_Q_RANGE = (1e-3, 1e2)
 
-# the algebra suite's su(2) block cache holds 36^n entries per operator, about
-# 180 bytes each with the projectors: 299 MB at n=4, about 11 GB at n=5
+# the algebra suite holds one degree's su(2) blocks at a time; the largest,
+# degree 2n, holds 6.6 MB per square operator at n=4 and 212 MB at n=5, and
+# six of them, built before any check runs, take about 1.3 GB there
 ALGEBRA_MAX_N = 4
 
 
@@ -120,8 +121,8 @@ class ScenarioConfig:
                              "connection lives over H^1")
         if self.n > ALGEBRA_MAX_N and suite in ("algebra", "all"):
             raise ValueError(f"n must be at most {ALGEBRA_MAX_N} for {suite}: "
-                             "its su(2) block cache grows 36-fold with each "
-                             "step of n, to about 11 GB at n=5")
+                             "the su(2) blocks of its largest degree take "
+                             "about 1.3 GB at n=5 (40 MB at n=4)")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -171,14 +172,87 @@ def _stacked_records(specs, stacked, columns) -> list:
 
 # ----- algebra -----
 
-def _top_trace(stacks, w) -> float:
-    """Trace of the weight-w projector over the block stacks of one degree:
-    the blocks' traces summed one at a time in the order of their smallest
-    member, whatever stack holds them, so that the last bit does not depend
-    on how the blocks group by size."""
-    traces = sorted((mem[0], t) for blk in stacks for mem, t in zip(
-        blk.monos, np.trace(blk.projectors[w], 0, 1, 2).real))
+def _top_trace(stacks) -> float:
+    """Trace of a projector over the block stacks of one degree, given as
+    (monos, (B, s, s) projector stack) pairs: the blocks' traces summed one
+    at a time in the order of their smallest member, whatever stack holds
+    them, so that the last bit does not depend on how the blocks group by
+    size."""
+    traces = sorted((mem[0], t) for monos, P in stacks for mem, t in zip(
+        monos, np.trace(P, 0, 1, 2).real))
     return sum(t for _, t in traces)
+
+
+def _degree_values(ctx, k: int) -> dict:
+    """The values of every per-degree block check on degree k, keyed by
+    record name: the degree's blocks and cov_blocks are built here and
+    dropped on return, so one degree's stacks are alive at a time.  Each
+    record's values keep their order within the degree."""
+    m = ctx.m
+    blocks = ctx.su2_blocks(k)
+    ws = ctx.weight_list(k)
+    out = {name: [] for name in (
+        "sl2-brackets", "su2-brackets", "unit-weight", "unit-spectra",
+        "casimir-spectrum", "weight-projectors", "positive-dimension",
+        "ladder-normalization", "cov-squares")}
+    tops = []
+    for blk in blocks:
+        R, Rb, h = blk.ops["R"], blk.ops["Rb"], blk.ops["H"]
+        hr, hc = h[..., :, None], h[..., None, :]  # hr * X = H X, X * hc = X H
+        out["sl2-brackets"] += [np.abs(r).max() for r in (
+            hr * R - R * hc - 2.0 * R, hr * Rb - Rb * hc + 2.0 * Rb,
+            R @ Rb - Rb @ R - h[..., None] * np.eye(h.shape[-1]))]
+        for x, y, z in (("I", "J", "K"), ("J", "K", "I"), ("K", "I", "J")):
+            lx, ly = blk.ops["L_" + x], blk.ops["L_" + y]
+            out["su2-brackets"].append(
+                np.abs(lx @ ly - ly @ lx + 2.0 * blk.ops["L_" + z]).max())
+        # per monomial, its L_I column's distance from i(p-q) e_mono
+        labels = np.array(blk.monos, dtype=int)  # (B, s, k)
+        pq = 1j * (2 * (labels < m).sum(axis=-1) - k)
+        gap = blk.ops["L_I"] - pq[:, None, :] * np.eye(pq.shape[1])
+        out["unit-weight"].append(np.max(np.abs(gap), axis=1).ravel())
+
+        ps = [blk.projector(w) for w in ws]
+        out["weight-projectors"].append(np.abs(sum(ps) - np.eye(
+            ps[0].shape[-1])).max())
+        for i, pw in enumerate(ps):
+            out["weight-projectors"].append(np.abs(pw @ pw - pw).max())
+            out["weight-projectors"] += [np.abs(pw2 @ pw).max()
+                                         for pw2 in ps[i + 1:]]
+        if k <= m:  # the top weight is k
+            tops.append((blk.monos, ps[0]))
+        if 1 <= k <= m:
+            # per (k,0) monomial and q, the column of R^q Rbar^q - c Id
+            top = labels.max(axis=-1) < m
+            prod = eye = np.eye(top.shape[1])
+            for q in range(1, k + 1):
+                prod = R @ prod @ Rb
+                gap = prod - ladder_constant(k - q, q) * eye
+                out["ladder-normalization"].append(
+                    np.max(np.abs(gap), axis=1)[top])
+    if k <= m:
+        out["positive-dimension"].append(
+            abs(_top_trace(tops) - positive_dimension(m, k)))
+
+    def spectrum(name):
+        return np.concatenate([_eigenvalues(blk.ops[name], False).ravel()
+                               for blk in blocks])
+
+    si = np.sort(spectrum("L_I").imag)
+    for u in ("L_J", "L_K"):
+        ev = spectrum(u)
+        out["unit-spectra"] += [np.abs(ev.real).max(),
+                                np.abs(np.sort(ev.imag) - si).max()]
+    targets = np.array([w * (w + 2) for w in ws])
+    lam = spectrum("C")
+    out["casimir-spectrum"].append(
+        np.min(np.abs(lam[:, None] - targets[None, :]), axis=1))
+
+    for mats in ctx.cov_blocks(blocks).values():
+        out["cov-squares"] += [
+            np.abs(c @ c - (-1.0) ** k * np.eye(c.shape[-1])).max()
+            for c in mats]
+    return out
 
 
 def _split_norms(ctx, el) -> tuple:
@@ -197,94 +271,38 @@ def algebra_records(cfg: ScenarioConfig) -> list:
         ctx = flat_chart(n).ctx
         m = ctx.m
         tag = f"(n={n})"
-        blocks = [ctx.su2_blocks(k) for k in range(2 * m + 1)]
-        every = [blk for per_degree in blocks for blk in per_degree]
+        values = {}
+        for k in range(2 * m + 1):
+            for name, vals in _degree_values(ctx, k).items():
+                values.setdefault(name, []).extend(vals)
         npts = 4 ** m  # the monomials of every degree
-
-        def brackets(blk):
-            R, Rb, H = blk.ops["R"], blk.ops["Rb"], blk.ops["H"]
-            yield H @ R - R @ H - 2.0 * R
-            yield H @ Rb - Rb @ H + 2.0 * Rb
-            yield R @ Rb - Rb @ R - H
 
         out.append(record(Spec(
             f"sl2-brackets{tag}",
             "[H,R]=2R, [H,Rbar]=-2Rbar, [R,Rbar]=H on every degree", tol.sl2),
-            npts, [np.abs(r).max() for blk in every for r in brackets(blk)]))
-
-        def cyclic(blk):
-            for x, y, z in (("I", "J", "K"), ("J", "K", "I"),
-                            ("K", "I", "J")):
-                lx, ly = blk.ops["L_" + x], blk.ops["L_" + y]
-                yield lx @ ly - ly @ lx + 2.0 * blk.ops["L_" + z]
-
+            npts, values["sl2-brackets"]))
         out.append(record(Spec(
             f"su2-brackets{tag}", "[L_I,L_J]=-2L_K and cyclic permutations",
-            tol.sl2),
-            3 * npts, [np.abs(r).max() for blk in every for r in cyclic(blk)]))
-
-        def unit_weight_gaps(blk):
-            """Per monomial, its L_I column's distance from i(p-q) e_mono."""
-            pq = np.array([[1j * (p - q) for p, q in map(ctx.bidegree_of, mem)]
-                           for mem in blk.monos])
-            gap = blk.ops["L_I"] - pq[:, None, :] * np.eye(pq.shape[1])
-            return np.max(np.abs(gap), axis=1).ravel()
-
+            tol.sl2), 3 * npts, values["su2-brackets"]))
         out += sweep_records([Spec(
             f"unit-weight{tag}", "L_I acts as i(p-q) on (p,q)-forms",
-            tol.sl2)], [np.concatenate([unit_weight_gaps(blk)
-                                        for blk in every])])
-
-        def spectrum(per_degree, name):
-            return np.concatenate([_eigenvalues(blk.ops[name], False).ravel()
-                                   for blk in per_degree])
-
-        def spectrum_gaps():
-            for per_degree in blocks:
-                si = np.sort(spectrum(per_degree, "L_I").imag)
-                for u in ("L_J", "L_K"):
-                    ev = spectrum(per_degree, u)
-                    yield ev.real
-                    yield np.sort(ev.imag) - si
-
+            tol.sl2)], [np.concatenate(values["unit-weight"])])
         out.append(record(Spec(
             f"unit-spectra{tag}",
             "L_J and L_K have the same spectrum as L_I on each degree",
-            tol.casimir), npts, [np.abs(g).max() for g in spectrum_gaps()]))
-
-        def casimir_gaps():
-            for k, per_degree in enumerate(blocks):
-                targets = np.array([w * (w + 2) for w in ctx.weight_list(k)])
-                lam = spectrum(per_degree, "C")
-                yield np.min(np.abs(lam[:, None] - targets[None, :]), axis=1)
-
+            tol.casimir), npts, values["unit-spectra"]))
         out.append(record(Spec(
             f"casimir-spectrum{tag}",
             "Casimir eigenvalues sit on w(w+2) for admissible weights",
-            tol.casimir), npts, np.concatenate(list(casimir_gaps()))))
-
-        def projector_residuals():
-            for k, per_degree in enumerate(blocks):
-                ws = ctx.weight_list(k)
-                for blk in per_degree:
-                    ps = [blk.projectors[w] for w in ws]
-                    yield sum(ps) - np.eye(ps[0].shape[-1])
-                    for i, pw in enumerate(ps):
-                        yield pw @ pw - pw
-                        for pw2 in ps[i + 1:]:
-                            yield pw2 @ pw
-
+            tol.casimir), npts, np.concatenate(values["casimir-spectrum"])))
         out.append(record(Spec(
             f"weight-projectors{tag}",
             "weight projectors are idempotent, orthogonal, and sum to 1",
-            tol.sl2), npts, [np.abs(r).max() for r in projector_residuals()]))
-
+            tol.sl2), npts, values["weight-projectors"]))
         out += sweep_records([Spec(
             f"positive-dimension{tag}",
             "top-weight subspace of degree p has dimension (p+1) C(m,p)",
-            tol.sl2)], [[abs(_top_trace(blocks[p], p)
-                             - positive_dimension(m, p))
-                         for p in range(m + 1)]])
+            tol.sl2)], [values["positive-dimension"]])
 
         out.append(record(Spec(
             f"r-omega{tag}",
@@ -317,22 +335,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             "kernel of R on (1,1)-forms is exactly the invariant subspace",
             tol.sl2), len(b11), abs(dimker - dim_inv)))
 
-        def ladder_gaps():
-            # per (k,0) monomial and q, the column of R^q Rbar^q - c Id
-            for k in range(1, m + 1):
-                for blk in blocks[k]:
-                    top = np.array([[max(mono) < m for mono in mem]
-                                    for mem in blk.monos])
-                    prod = eye = np.eye(top.shape[1])
-                    for q in range(1, k + 1):
-                        prod = blk.ops["R"] @ prod @ blk.ops["Rb"]
-                        gap = prod - ladder_constant(k - q, q) * eye
-                        yield np.max(np.abs(gap), axis=1)[top]
-
         out += sweep_records([Spec(
             f"ladder-normalization{tag}",
             "R^q Rbar^q multiplies (k,0)-forms by the ladder constant",
-            tol.sl2)], [np.concatenate(list(ladder_gaps()))])
+            tol.sl2)], [np.concatenate(values["ladder-normalization"])])
 
         M = ctx.mmat
         out.append(record(Spec(
@@ -341,18 +347,10 @@ def algebra_records(cfg: ScenarioConfig) -> list:
             tol.linear), 1, np.abs([M @ M.conj().T - np.eye(m),
                                     M @ np.conj(M) + np.eye(m), M + M.T])))
 
-        def cov_squares():
-            # one degree at a time: kept for every degree, they cost
-            # several MB of peak memory at n=3
-            for k in range(2 * m + 1):
-                for mats in ctx.cov_blocks(k).values():
-                    for c in mats:
-                        yield c @ c - (-1.0) ** k * np.eye(c.shape[-1])
-
         out.append(record(Spec(
             f"cov-squares{tag}",
             "each multiplicative unit action squares to (-1)^degree",
-            tol.sl2), 3 * npts, [np.abs(r).max() for r in cov_squares()]))
+            tol.sl2), 3 * npts, values["cov-squares"]))
     return out
 
 

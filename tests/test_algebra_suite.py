@@ -1,12 +1,13 @@
 """The algebra suite at n=3, and its reduction of non-finite residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
-from hktlab import suites
+from hktlab import exterior, suites
 from hktlab.charts import flat_chart
-from hktlab.exterior import Su2Block, enorm, esub, positive_dimension
+from hktlab.exterior import enorm, esub, positive_dimension
 from hktlab.fields import ladder_constant
 from hktlab.hermitian import _eigenvalues
 from hktlab.report import Spec, record
@@ -44,13 +45,27 @@ def test_algebra_n3_passes_with_unchanged_records():
         assert (r.points, r.threshold) == N3_RECORDS[r.identity[:-5]]
 
 
-def test_nan_in_a_cached_block_fails_sl2(monkeypatch):
-    def poisoned(n, unit="I"):
-        chart = flat_chart(n, unit)
-        chart.ctx.su2_blocks(2)[0].ops["R"][0, 0, 0] = math.nan
-        return chart
+def _poison_degree_2(monkeypatch, name):
+    """Wraps exterior._su2_blocks so that every build of degree 2 comes with
+    a nan in the first entry of operator name's first stack, written after
+    the Casimir is formed; returns the list of poisoned stacks."""
+    stacks = []
+    build = exterior._su2_blocks
 
-    monkeypatch.setattr(suites, "flat_chart", poisoned)
+    def poisoned(ctx, k):
+        blocks = build(ctx, k)
+        if k == 2:
+            stack = blocks[0].ops[name]
+            stack[0, 0, 0] = math.nan
+            stacks.append(stack)
+        return blocks
+
+    monkeypatch.setattr(exterior, "_su2_blocks", poisoned)
+    return stacks
+
+
+def test_nan_in_a_block_fails_sl2(monkeypatch):
+    _poison_degree_2(monkeypatch, "R")
     records = {r.identity: r
                for r in algebra_records(ScenarioConfig(samples=1))}
     for n in (1, 2):
@@ -62,16 +77,7 @@ def test_nan_in_a_cached_block_fails_sl2(monkeypatch):
 def test_nan_in_one_member_fails_unit_spectra(monkeypatch):
     # degree 2 at n=1 opens with a group of two 1x1 members; the poisoned
     # member's eigenvalues are nan, its neighbour's are still computed
-    stacks = []
-
-    def poisoned(n, unit="I"):
-        chart = flat_chart(n, unit)
-        stack = chart.ctx.su2_blocks(2)[0].ops["L_J"]
-        stack[0, 0, 0] = math.nan
-        stacks.append(stack)
-        return chart
-
-    monkeypatch.setattr(suites, "flat_chart", poisoned)
+    stacks = _poison_degree_2(monkeypatch, "L_J")
     records = {r.identity: r
                for r in algebra_records(ScenarioConfig(samples=1))}
     for n in (1, 2):
@@ -83,18 +89,50 @@ def test_nan_in_one_member_fails_unit_spectra(monkeypatch):
     assert np.array_equal(ev[1:], np.linalg.eigvals(stacks[0][1:]))
 
 
+def test_algebra_memory_one_degree_at_a_time():
+    # one degree's blocks, and a block's projectors, are alive at a time:
+    # 4.0 MB traced at n=3 (10.4 MB when every degree's blocks and
+    # projectors were cached on the context)
+    tracemalloc.start()
+    try:
+        algebra_records(ScenarioConfig(n=3, samples=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6, peak
+
+
+def test_algebra_builds_each_degree_once_per_n(monkeypatch):
+    # the degree loop builds each degree once, in order; the (1,1) checks'
+    # invariant_part then builds degree 2 once more, for the weight-0
+    # projector columns that weight_project caches on the context
+    built = []
+    build = exterior._su2_blocks
+
+    def counted(ctx, k):
+        built.append((ctx.m // 2, k))
+        return build(ctx, k)
+
+    monkeypatch.setattr(exterior, "_su2_blocks", counted)
+    algebra_records(ScenarioConfig(n=3, samples=1))
+    assert built == [(n, k) for n in (1, 2, 3)
+                     for k in [*range(4 * n + 1), 2]]
+
+
 def _member_blocks(ctx, k):
     """Degree k's blocks one member at a time, as 2-D slices of the stacks
-    (ops, with cov_I/J/K as "I", "J", "K", and projectors), in the order of
-    their smallest member."""
-    covs = ctx.cov_blocks(k)
+    (ops, with H as its diagonal matrix and cov_I/J/K as "I", "J", "K", and
+    projectors), in the order of their smallest member."""
+    blocks = ctx.su2_blocks(k)
+    covs = ctx.cov_blocks(blocks)
     out = []
-    for g, blk in enumerate(ctx.su2_blocks(k)):
+    for g, blk in enumerate(blocks):
+        projectors = {w: blk.projector(w) for w in blk.weights}
         for i, mem in enumerate(blk.monos):
             ops = {name: a[i] for name, a in blk.ops.items()}
+            ops["H"] = np.diag(ops["H"])
             ops.update({u: covs[u][g][i] for u in covs})
-            out.append((mem, ops, {w: p[i]
-                                   for w, p in blk.projectors.items()}))
+            out.append((mem, ops, {w: p[i] for w, p in projectors.items()}))
     return sorted(out, key=lambda t: t[0])
 
 
@@ -246,8 +284,8 @@ def test_top_trace_sums_in_member_order_across_stacks():
     # rounding to even; summed per stack, or in the order [small, large],
     # it is 2^-52 + 1, one ulp above
     tiny = 2.0 ** -53
-    small = Su2Block([[(1,)], [(2,)]], {}, {1: np.full((2, 1, 1), tiny)})
-    large = Su2Block([[(0,), (3,)]], {}, {1: np.diag([1.0, 0.0])[None]})
+    small = ([[(1,)], [(2,)]], np.full((2, 1, 1), tiny))
+    large = ([[(0,), (3,)]], np.diag([1.0, 0.0])[None])
     assert (tiny + tiny) + 1.0 == 1.0 + 2.0 ** -52 != 1.0
     for stacks in ([small, large], [large, small]):
-        assert suites._top_trace(stacks, 1) == 1.0
+        assert suites._top_trace(stacks) == 1.0

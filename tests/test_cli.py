@@ -19,7 +19,7 @@ FAST = ["--samples", "6", "--probes", "4"]
 def charts_up_to_algebra_max_n():
     """suites.flat_chart refuses an n the algebra suite refuses, so a
     refusal that goes missing fails the test instead of building the su(2)
-    blocks of n=5, which need about 11 GB."""
+    blocks of n=5, whose largest degree needs about 1.3 GB."""
     real = suites.flat_chart
 
     def bounded(n, *args, **kwargs):
@@ -101,7 +101,7 @@ USAGE_ERRORS = [
     ["hopf", "--n", "2"] + FAST,
     # qpos checks H^1 and H^2 whatever n is
     ["qpos", "--n", "3", "--samples", "2"],
-    # the su(2) block cache of the algebra suite would take about 11 GB
+    # the algebra suite's largest su(2) degree would take about 1.3 GB
     ["algebra", "--n", "5", "--samples", "1"],
     ["all", "--n", "5", "--samples", "1"],
 ]

@@ -310,11 +310,15 @@ def _members(blocks, stacks):
 
 
 def _assembled(ctx, k, name):
-    """The blocks' matrices of one operator placed in a basis(k) matrix."""
+    """The blocks' matrices of one operator placed in a basis(k) matrix;
+    H, held as its diagonals, as its diagonal matrices."""
     index = {mono: i for i, mono in enumerate(ctx.basis(k))}
     out = np.zeros((len(index), len(index)), dtype=complex)
     blocks = ctx.su2_blocks(k)
-    for mem, mat in _members(blocks, [blk.ops[name] for blk in blocks]):
+    stacks = [blk.ops[name] for blk in blocks]
+    if name == "H":
+        stacks = [h[..., None] * np.eye(h.shape[-1]) for h in stacks]
+    for mem, mat in _members(blocks, stacks):
         ix = [index[mono] for mono in mem]
         out[np.ix_(ix, ix)] = mat
     return out
@@ -335,9 +339,14 @@ def test_blocks_group_by_size(m):
             # members by smallest monomial, each in basis order
             assert blk.monos == sorted(blk.monos)
             assert all(mem == sorted(mem) for mem in blk.monos)
-            assert all(a.shape == shape for a in [*blk.ops.values(),
-                                                  *blk.projectors.values()])
-        for stacks in ctx.cov_blocks(k).values():
+            assert blk.weights == ctx.weight_list(k)
+            assert sorted(blk.ops) == ["C", "H", "L_I", "L_J", "L_K", "R",
+                                       "Rb"]
+            assert blk.ops["H"].shape == shape[:2]  # its diagonals
+            assert all(a.shape == shape for name, a in blk.ops.items()
+                       if name != "H")
+            assert all(blk.projector(w).shape == shape for w in blk.weights)
+        for stacks in ctx.cov_blocks(blocks).values():
             assert [a.shape[:2] for a in stacks] == [
                 (len(blk.monos), blk.ops["H"].shape[-1]) for blk in blocks]
 
@@ -364,7 +373,7 @@ def test_blocks_carry_every_generator_exactly(m, degrees):
             else:
                 assert np.array_equal(full, _assembled(ctx, k, name))
         # the multiplicative units, built per degree from the 1-form tables
-        covs = ctx.cov_blocks(k)
+        covs = ctx.cov_blocks(blocks)
         for u in "IJK":
             for mem, mat in _members(blocks, covs[u]):
                 oracle = ctx.operator_matrix(partial(ctx.cov_mult, u),
@@ -389,9 +398,10 @@ def test_blocks_of_a_dense_structure_match_the_sparse_operators(rng):
             gap = ctx.operator_matrix(op, basis, basis) \
                 - _assembled(ctx, k, name)
             assert np.max(np.abs(gap), initial=0.0) < 1e-12, (k, name)
-        covs = ctx.cov_blocks(k)
+        blocks = ctx.su2_blocks(k)
+        covs = ctx.cov_blocks(blocks)
         for u in "IJK":
-            for mem, mat in _members(ctx.su2_blocks(k), covs[u]):
+            for mem, mat in _members(blocks, covs[u]):
                 oracle = ctx.operator_matrix(partial(ctx.cov_mult, u),
                                              mem, mem)
                 assert np.max(np.abs(mat - oracle), initial=0.0) < 1e-12
@@ -401,17 +411,17 @@ def test_cov_image_leaving_its_block_raises():
     ctx = _ctx(2)
     # the degree-1 blocks, {theta_0, conj theta_1} and {theta_1, conj
     # theta_0}, form one group of size 2
-    assert [blk.monos for blk in ctx.su2_blocks(1)] == [[[(0,), (3,)],
-                                                         [(1,), (2,)]]]
+    blocks = ctx.su2_blocks(1)
+    assert [blk.monos for blk in blocks] == [[[(0,), (3,)], [(1,), (2,)]]]
     cov_i = ctx.tables["cov_I"]
     cov_i[0] = {(0,): -1j, (1,): 1e-14}  # dropped, as operator_matrix does
-    mats = ctx.cov_blocks(1)["I"]
+    mats = ctx.cov_blocks(blocks)["I"]
     assert np.array_equal(mats[0][0], np.diag([-1j, 1j]))
     cov_i[0] = {(0,): -1j, (1,): 1e-3}
     with pytest.raises(ValueError, match="leaves its su\\(2\\) block"):
-        ctx.cov_blocks(1)
+        ctx.cov_blocks(blocks)
     with pytest.raises(ValueError):  # and in a product of two labels
-        ctx.cov_blocks(2)
+        ctx.cov_blocks(ctx.su2_blocks(2))
 
 
 def _spectrum(values):
@@ -494,7 +504,10 @@ def test_weight_project_matches_sparse_lagrange(m, rng):
                 assert _coeff_gap(got, _lagrange_project(ctx, el, w)) < 1e-12
 
 
-def test_blocks_built_once_per_context(monkeypatch):
+def test_blocks_built_on_each_call_columns_once_per_context(monkeypatch):
+    # su2_blocks builds on every call; weight_project builds degree k once
+    # per context for each weight w it reads, and not at all when w is not
+    # a weight of degree k (weight 0 is one only at even k here)
     built = []
     build = exterior._su2_blocks
     monkeypatch.setattr(exterior, "_su2_blocks",
@@ -504,6 +517,8 @@ def test_blocks_built_once_per_context(monkeypatch):
         for k in range(9):
             ctx.su2_blocks(k)
             ctx.weight_project({ctx.basis(k)[0]: 1.0}, 0)
-    assert built == list(range(9))
+    first = [0, 0, 1, 2, 2, 3, 4, 4, 5, 6, 6, 7, 8, 8]
+    assert built == first + list(range(9))
+    ctx.weight_project({(0, 4): 1.0}, 2)
     _ctx(4).weight_project({(0, 4): 1.0}, 0)
-    assert built == list(range(9)) + [2]
+    assert built == first + list(range(9)) + [2, 2]
