@@ -21,9 +21,10 @@ every sample.
 The Bianchi residual is the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu],
 with d_lam F_mu_nu = d_lam d_mu A_nu - d_lam d_nu A_mu + [d_lam A_mu, A_nu]
 + [A_mu, d_lam A_nu] from one two-level coeff call per lam (lam seeded
-below every mu), built by the same field-strength helper as F: by the
-Jacobi identity, a dF written out apart from F could not see a term missing
-from F.
+below every mu).  The one field-strength helper builds F on the whole
+(mu, nu) grid and dF only at the pairs that the rotations starting at lam
+read (three at dim 4), given as index arrays: by the Jacobi identity, a dF written out apart
+from F could not see a term missing from F.
 
 Two pointwise criteria for compatibility with the whole 2-sphere of complex
 structures are implemented and compared against each other:
@@ -59,7 +60,7 @@ from .charts import flat_chart, to_frame
 from .duals import (Dual, Point, dot_part, fresh_level, point_memo,
                     sample_shape, seed_unit)
 from .exterior import Element, element_from_antisym, enorm
-from .quaternions import fiber_j_matrix, quat_abs2, right_mult_c2
+from .quaternions import fiber_j_matrix, quat_abs2
 
 
 @dataclass
@@ -81,16 +82,24 @@ def instanton_coeff(pt):
 
     Right-multiplication matrices reverse quaternion brackets, so this sign
     (the conjugate of the usual Im(conj(q) dq) potential) is the one whose
-    matrix curvature has anti-self-dual 2-form coefficients.
+    matrix curvature has anti-self-dual 2-form coefficients.  On H = C^2,
+    b = v0 + v1 j, right multiplication by a1 i + a2 j + a3 k is
+    [[i a1, -a2 + i a3], [a2 + i a3, -i a1]], and Im(conj(e_mu) q) is a
+    signed permutation of q, here already scaled: (p1, p2, p3),
+    (-p0, p3, -p2), (-p3, -p0, p1) and (p2, -p1, -p0).
     """
     q = pt[:4]
     s = 1.0 / (1.0 + quat_abs2(q))
-    p0, p1, p2, p3 = (x * s for x in q)
-    # Im(conj(e_mu) q) is a signed permutation of q, here already scaled
-    ims = ((p1, p2, p3), (-p0, p3, -p2), (-p3, -p0, p1), (p2, -p1, -p0))
-    return {(mu, a, b): x for mu, im in enumerate(ims)
-            for a, row in enumerate(right_mult_c2((0.0, *im)))
-            for b, x in enumerate(row)}
+    p = [x * s for x in q]
+    ip = [1j * x for x in p]
+    return {(0, 0, 0): 0.0 + ip[1], (0, 0, 1): -p[2] + ip[3],
+            (0, 1, 0): p[2] + ip[3], (0, 1, 1): 0.0 - ip[1],
+            (1, 0, 0): 0.0 - ip[0], (1, 0, 1): -p[3] - ip[2],
+            (1, 1, 0): p[3] - ip[2], (1, 1, 1): 0.0 + ip[0],
+            (2, 0, 0): 0.0 - ip[3], (2, 0, 1): p[0] + ip[1],
+            (2, 1, 0): -p[0] + ip[1], (2, 1, 1): 0.0 + ip[3],
+            (3, 0, 0): 0.0 + ip[2], (3, 0, 1): p[1] - ip[0],
+            (3, 1, 0): -p[1] - ip[0], (3, 1, 1): 0.0 - ip[2]}
 
 
 def _dual_pair_coeff(pt):
@@ -172,18 +181,19 @@ def _jet(conn: Connection, pt):
 _mul = functools.partial(np.einsum, "...ij,...jk->...ik")
 
 
-def _field_strength(D, X, Y) -> np.ndarray:
-    """D[mu, nu] - D[nu, mu] + X_mu Y_nu - Y_nu X_mu on the trailing axes
-    (mu, nu, row, col), broadcast over leading ones; D may be 0."""
-    Xm, Yn = X[..., :, None, :, :], Y[..., None, :, :, :]
-    anti = D - np.swapaxes(D, -4, -3) if np.ndim(D) else D
+def _field_strength(D, X, Y, mu, nu) -> np.ndarray:
+    """D[mu, nu] - D[nu, mu] + X_mu Y_nu - Y_nu X_mu at the index pairs
+    (mu, nu), on pair axes ahead of the trailing (row, col) axes and
+    broadcast over leading ones; D may be 0."""
+    Xm, Yn = X[..., mu, :, :], Y[..., nu, :, :]
+    anti = D[..., mu, nu, :, :] - D[..., nu, mu, :, :] if np.ndim(D) else D
     return anti + (_mul(Xm, Yn) - _mul(Yn, Xm))
 
 
 def curvature(conn: Connection, pt) -> np.ndarray:
     """F[..., mu, nu] as an array of shape (..., dim, dim, r, r)."""
     A, dA = _jet(conn, pt)
-    return _field_strength(dA, A, A)
+    return _field_strength(dA, A, A, *np.indices((4 * conn.base_n,) * 2))
 
 
 def _point_curvature(conn: Connection, pt) -> np.ndarray:
@@ -243,9 +253,10 @@ def bianchi_residual(conn: Connection, pt):
 
     The covariant derivative is built one lam at a time, from one coeff
     call that seeds lam alone and, a level above it, every mu on an array
-    axis, and added to the sums of the triples that a rotation starting at
-    lam belongs to: each sum runs (lam, mu, nu), (mu, nu, lam), (nu, lam,
-    mu), and only one lam's arrays are held at once."""
+    axis, and only at the (mu, nu) pairs of the rotations starting at lam:
+    each triple's sum runs (lam, mu, nu), (mu, nu, lam), (nu, lam, mu), so
+    every lam adds to the sums of the triples it belongs to, and only one
+    lam's arrays are held at once.  dF comes from the helper that builds F."""
     dim = 4 * conn.base_n
     (A, dA), F = _jet(conn, pt), _point_curvature(conn, pt)
     triples = list(itertools.combinations(range(dim), 3))
@@ -255,9 +266,10 @@ def bianchi_residual(conn: Connection, pt):
     for lam in range(dim):
         lev = fresh_level()
         d2A = _derivative(conn, seed_unit(pt, lam, lev), 1, [lev])
-        dA_lam, A_lam = dA[..., lam, :, :, :], A[..., lam, None, None, :, :]
-        dF = _field_strength(d2A, dA_lam, A) + _field_strength(0, A, dA_lam)
-        cov = dF + (_mul(A_lam, F) - _mul(F, A_lam))
+        dA_lam, A_lam = dA[..., lam, :, :, :], A[..., lam, None, :, :]
         t, mu, nu = zip(*[(t, b, c) for t, (a, b, c) in rotations if a == lam])
-        cyc[..., t, :, :] += cov[..., mu, nu, :, :]
+        F_mn = F[..., mu, nu, :, :]
+        cyc[..., t, :, :] += (_field_strength(d2A, dA_lam, A, mu, nu)
+                              + _field_strength(0, A, dA_lam, mu, nu)
+                              + (_mul(A_lam, F_mn) - _mul(F_mn, A_lam)))
     return np.max(np.abs(cyc), axis=(-3, -2, -1))

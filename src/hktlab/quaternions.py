@@ -55,21 +55,6 @@ def hypercomplex_matrices(n: int) -> dict[str, np.ndarray]:
     return out
 
 
-def right_mult_c2(q):
-    """b -> b * q on H = C^2, written in coordinates b = v0 + v1 j.
-
-    The complex structure is left multiplication by i, under which right
-    multiplications are the C-linear quaternionic-structure-preserving
-    endomorphisms.  Returns a 2x2 row-major nested list so dual-number
-    components pass through.
-    """
-    q0, q1, q2, q3 = q
-    return [
-        [q0 + 1j * q1, -q2 + 1j * q3],
-        [q2 + 1j * q3, q0 - 1j * q1],
-    ]
-
-
 def fiber_j_matrix() -> np.ndarray:
     """Matrix M of the antilinear map v -> M conj(v) given by left j on H."""
     return np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)

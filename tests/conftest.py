@@ -21,6 +21,17 @@ def quat_im(a):
     return (0 * a0, a1, a2, a3)
 
 
+def right_mult_c2(q):
+    """b -> b * q on H = C^2, written in coordinates b = v0 + v1 j, as a 2x2
+    row-major nested list, so dual-number components pass through: the
+    oracle for bundles.instanton_coeff's entries."""
+    q0, q1, q2, q3 = q
+    return [
+        [q0 + 1j * q1, -q2 + 1j * q3],
+        [q2 + 1j * q3, q0 - 1j * q1],
+    ]
+
+
 def dre(x):
     """Real part of a dual, slotwise."""
     if isinstance(x, Dual):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hktlab import bundles, suites
-from conftest import nested_coeff, quat_conj, quat_im
+from conftest import nested_coeff, quat_conj, quat_im, right_mult_c2
 from hktlab.bundles import (bianchi_residual, catalog_names, curvature,
                             curvature_entry_forms, get_connection,
                             instanton_coeff, invariance_residual,
@@ -18,7 +19,7 @@ from hktlab.duals import (dot_part, fresh_level, numeric, sample_shape,
                           seed_unit, val_part)
 from hktlab.fields import sample_points, stack_points
 from hktlab.exterior import _is_zero, enorm
-from hktlab.quaternions import quat_abs2, quat_mul, right_mult_c2
+from hktlab.quaternions import quat_abs2, quat_mul
 from hktlab.report import Spec, record
 from hktlab.suites import ScenarioConfig, bundle_records
 
@@ -187,12 +188,38 @@ def test_curvature_and_bianchi_match_nested_reference(rng, name):
 
 _FIELD_STRENGTH = bundles._field_strength
 FIELD_STRENGTH_MUTANTS = {
-    "commutator-dropped": lambda D, X, Y: _FIELD_STRENGTH(D, 0 * X, Y),
-    "derivative-sign-flipped": lambda D, X, Y: _FIELD_STRENGTH(-D, X, Y),
+    "commutator-dropped":
+        lambda D, X, Y, mu, nu: _FIELD_STRENGTH(D, 0 * X, Y, mu, nu),
+    "derivative-sign-flipped":
+        lambda D, X, Y, mu, nu: _FIELD_STRENGTH(-D, X, Y, mu, nu),
     # X_mu Y_nu without - Y_nu X_mu: half of the commutator
-    "only-x-y": lambda D, X, Y: (_FIELD_STRENGTH(D, 0 * X, Y)
-                                 + X[..., :, None, :, :] @ Y[..., None, :, :, :]),
+    "only-x-y": lambda D, X, Y, mu, nu: (
+        _FIELD_STRENGTH(D, 0 * X, Y, mu, nu)
+        + X[..., mu, :, :] @ Y[..., nu, :, :]),
+    # [X_nu, Y_mu] in place of [X_mu, Y_nu]: the commutator reads the pairs
+    # swapped while the derivative term reads them right
+    "commutator-pairs-swapped": lambda D, X, Y, mu, nu: (
+        _FIELD_STRENGTH(D, 0 * X, Y, mu, nu)
+        + _FIELD_STRENGTH(0, X, Y, nu, mu)),
 }
+
+
+def broadcast_curvature(A, dA):
+    """F over the whole (mu, nu) grid, A_mu broadcast against A_nu, summed
+    by the einsum bundles._mul uses: the bit-for-bit reference for the
+    pair-indexed field strength."""
+    mul = functools.partial(np.einsum, "...ij,...jk->...ik")
+    Am, An = A[..., :, None, :, :], A[..., None, :, :, :]
+    return dA - np.swapaxes(dA, -4, -3) + (mul(Am, An) - mul(An, Am))
+
+
+@pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
+def test_curvature_equals_broadcast_grid_bit_for_bit(rng, name):
+    conn = get_connection(name)
+    pts = sample_points(rng, 4, 5)
+    for pt in (pts[0], stack_points(pts)):
+        A, dA = bundles._derivative(conn, pt), bundles._derivative(conn, pt, 1)
+        assert np.array_equal(curvature(conn, pt), broadcast_curvature(A, dA))
 
 
 @pytest.mark.parametrize("mutant", sorted(FIELD_STRENGTH_MUTANTS))
@@ -364,6 +391,43 @@ def test_instanton_coeff_matches_quaternion_products(rng):
                         assert abs(complex(part(x)) - complex(part(y))) < 1e-15
 
 
+def right_mult_instanton_coeff(pt):
+    """instanton_coeff's entries as right_mult_c2 of each Im(conj(e_mu) q),
+    a signed permutation of the scaled q: the bit-for-bit oracle."""
+    q = pt[:4]
+    s = 1.0 / (1.0 + quat_abs2(q))
+    p0, p1, p2, p3 = (x * s for x in q)
+    ims = ((p1, p2, p3), (-p0, p3, -p2), (-p3, -p0, p1), (p2, -p1, -p0))
+    return {(mu, a, b): x for mu, im in enumerate(ims)
+            for a, row in enumerate(right_mult_c2((0.0, *im)))
+            for b, x in enumerate(row)}
+
+
+def test_instanton_coeff_equals_right_mult_formula_bit_for_bit(rng):
+    # signed zeros included: the values at a plain and a stacked Point, and
+    # every value and dot part at Points seeded at one and two levels (the
+    # second level in the same direction or another)
+    pts = sample_points(rng, 4, 3)
+    li, lj = fresh_level(), fresh_level()
+    one = [lambda z: val_part(z, li), lambda z: dot_part(z, li)]
+    two = [lambda z, f=f, g=g: f(g(z, lj), li)
+           for f in (val_part, dot_part) for g in (val_part, dot_part)]
+    cases = []
+    for pt in (pts[0], stack_points(pts)):
+        cases.append((pt, [numeric]))
+        for i, j in ((0, 0), (1, 3)):
+            cases.append((seed_unit(pt, i, li), one))
+            cases.append((seed_unit(seed_unit(pt, i, li), j, lj), two))
+    for pt, parts in cases:
+        got, want = instanton_coeff(pt), right_mult_instanton_coeff(pt)
+        assert list(got) == list(want)
+        for key, x in got.items():
+            for part in parts:
+                assert (np.asarray(numeric(part(x)), complex).tobytes()
+                        == np.asarray(numeric(part(want[key])),
+                                      complex).tobytes()), (key, pt)
+
+
 def test_bundle_records_build_flat_charts_once_per_suite(monkeypatch):
     # every catalog entry lives over H, so all share one set of I/J/K charts
     assert {get_connection(nm).base_n for nm in catalog_names()} == {1}
@@ -440,9 +504,10 @@ def test_bundle_records_coeff_calls_per_sample(monkeypatch):
 
 
 def test_bianchi_memory_per_lam():
-    # only one lam's second derivatives are live at once: 5.1 MB at 200
-    # samples on direct-sum (over 7 MB when one call builds every lam's
-    # second derivatives first)
+    # only one lam's second derivatives are live at once, and only the 3
+    # (mu, nu) pairs a lam reads are built: 3.1 MB at 200 samples on
+    # direct-sum (5.1 MB with all 16 pairs per lam, over 7 MB when one call
+    # builds every lam's second derivatives first)
     conn = get_connection("direct-sum")
     pt = stack_points(sample_points(np.random.default_rng(0), 4, 200))
     bundles._point_curvature(conn, pt)
@@ -452,7 +517,7 @@ def test_bianchi_memory_per_lam():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6e6, peak
+    assert peak <= 4e6, peak
 
 
 def test_nan_coefficient_fails_bundle_criteria(monkeypatch):

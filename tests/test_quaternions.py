@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import quat_conj, quat_im
+from conftest import quat_conj, quat_im, right_mult_c2
 from hktlab.quaternions import (UNITS, fiber_j_matrix, hypercomplex_matrices,
-                                left_mult_matrix, quat_abs2, quat_mul,
-                                right_mult_c2)
+                                left_mult_matrix, quat_abs2, quat_mul)
 
 
 def right_mult_matrix(q) -> np.ndarray:
