@@ -35,8 +35,9 @@ structures are implemented and compared against each other:
 
 The residuals read the jet and the curvature through the memo of a Point
 (duals.point_memo), so the criteria evaluated at one Point share one
-curvature, and accept the flat I/J/K charts prebuilt (structure_charts).
-They read the r x r curvature grid as one element, the fiber entry (a, b)
+curvature, and take the flat I/J/K charts prebuilt (structure_charts).
+The criteria, and the total space's structure equation, read the r x r
+curvature grid as one element (_curvature_element), the fiber entry (a, b)
 on its coefficients' trailing axes.  Each residual is a maximum per sample:
 a float at a plain point, an array over the samples at a stacked one.  A
 nan stays in its own sample, so a nan curvature fails the records of that
@@ -59,8 +60,8 @@ import numpy as np
 from .charts import flat_chart, to_frame
 from .duals import (Dual, Point, dot_part, fresh_level, point_memo,
                     sample_shape, seed_unit)
-from .exterior import Element, element_from_antisym, enorm
-from .quaternions import fiber_j_matrix, quat_abs2
+from .exterior import Element, element_from_antisym, enorm, standard_m
+from .quaternions import quat_abs2
 
 
 @dataclass
@@ -123,11 +124,11 @@ def _nonholo_coeff(pt):
 
 
 _CATALOG = {
-    "flat": lambda: Connection("flat", 2, 1, fiber_j_matrix(), flat_coeff, True),
-    "bpst": lambda: Connection("bpst", 2, 1, fiber_j_matrix(), instanton_coeff, True),
+    "flat": lambda: Connection("flat", 2, 1, standard_m(2), flat_coeff, True),
+    "bpst": lambda: Connection("bpst", 2, 1, standard_m(2), instanton_coeff, True),
     "direct-sum": lambda: Connection("direct-sum", 4, 1, _dual_pair_mfib(),
                                      _dual_pair_coeff, True),
-    "nonholo-demo": lambda: Connection("nonholo-demo", 2, 1, fiber_j_matrix(),
+    "nonholo-demo": lambda: Connection("nonholo-demo", 2, 1, standard_m(2),
                                        _nonholo_coeff, False),
 }
 
@@ -207,13 +208,6 @@ def structure_charts(n: int) -> dict:
     return {unit: flat_chart(n, unit) for unit in ("I", "J", "K")}
 
 
-def curvature_entry_forms(conn: Connection, pt) -> list[list[Element]]:
-    """Curvature as an r x r grid of real-label 2-form elements."""
-    F = _point_curvature(conn, pt)
-    return [[element_from_antisym(F[..., a, b]) for b in range(conn.rank)]
-            for a in range(conn.rank)]
-
-
 def _max_per_sample(pt, values):
     """Largest of values and 0.0 at each sample of pt, nan where one is nan,
     over any axes a value has behind the sample axes: a float at a plain
@@ -231,19 +225,19 @@ def _curvature_element(conn: Connection, pt) -> Element:
                                             (-4, -3), (-2, -1)))
 
 
-def invariance_residual(conn: Connection, pt, charts=None):
+def invariance_residual(conn: Connection, pt, charts):
     """Max weight-2 component of the curvature over all fiber entries."""
-    ch = (charts or structure_charts(conn.base_n))["I"]
+    ch = charts["I"]
     fr = to_frame(ch, _curvature_element(conn, pt), pt)
     return _max_per_sample(pt, [enorm(ch.ctx.weight_project(fr, 2))])
 
 
-def type11_residual(conn: Connection, pt, charts=None):
+def type11_residual(conn: Connection, pt, charts):
     """Max (2,0) + (0,2) component w.r.t. each of I, J, K."""
     el = _curvature_element(conn, pt)
     return _max_per_sample(pt, (
         enorm(ch.ctx.component(fr, p, 2 - p))
-        for ch in (charts or structure_charts(conn.base_n)).values()
+        for ch in charts.values()
         for fr in [to_frame(ch, el, pt)] for p in (2, 0)))
 
 

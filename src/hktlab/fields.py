@@ -222,11 +222,11 @@ def _poly_closure(spec):
     return fn
 
 
-def random_polynomial(chart: Chart, rng, degree: int = 3, terms: int = 6,
-                      real: bool = True) -> FormField:
+def random_polynomial(chart: Chart, rng, real: bool = True) -> FormField:
+    """Sum of six monomials of degree 1 to 3 with normal coefficients."""
     spec = []
-    for _ in range(terms):
-        k = int(rng.integers(1, degree + 1))
+    for _ in range(6):
+        k = int(rng.integers(1, 4))
         idx = tuple(int(rng.integers(0, chart.dim)) for _ in range(k))
         c = float(rng.standard_normal())
         if not real:
@@ -235,16 +235,15 @@ def random_polynomial(chart: Chart, rng, degree: int = 3, terms: int = 6,
     return scalar_field(chart, _poly_closure(spec))
 
 
-def _random_element(chart: Chart, monos: list, rng, terms: int,
-                    coeff_degree: int) -> Callable:
-    """pt -> sum of `terms` monomials drawn from monos, each with a random
-    complex polynomial coefficient of degree at most coeff_degree."""
+def _random_element(chart: Chart, monos: list, rng) -> Callable:
+    """pt -> sum of four monomials drawn from monos, each with a random
+    complex polynomial coefficient of degree at most 2."""
     picks = []
-    for _ in range(terms):
+    for _ in range(4):
         mono = monos[int(rng.integers(0, len(monos)))]
         spec = [(complex(rng.standard_normal(), rng.standard_normal()),
                  tuple(int(rng.integers(0, chart.dim))
-                       for _ in range(int(rng.integers(0, coeff_degree + 1)))))
+                       for _ in range(int(rng.integers(0, 3)))))
                 for _ in range(2)]
         picks.append((mono, _poly_closure(spec)))
 
@@ -257,28 +256,28 @@ def _random_element(chart: Chart, monos: list, rng, terms: int,
     return el
 
 
-def random_form_field(chart: Chart, degree: int, rng, terms: int = 4,
-                      coeff_degree: int = 2) -> FormField:
+def random_form_field(chart: Chart, degree: int, rng) -> FormField:
     """Random field given on real-label monomials."""
     el = _random_element(chart,
                          list(itertools.combinations(range(chart.dim), degree)),
-                         rng, terms, coeff_degree)
+                         rng)
     return FormField(chart, degree, lambda pt: to_frame(chart, el(pt), pt))
 
 
-def random_pq_field(chart: Chart, p: int, q: int, rng, terms: int = 4,
-                    coeff_degree: int = 2, top_weight: bool = False) -> FormField:
+def random_pq_field(chart: Chart, p: int, q: int, rng,
+                    top_weight: bool = False) -> FormField:
     """Random (p, q) field in frame labels, optionally weight-projected."""
     ctx = chart.ctx
-    el = _random_element(chart, ctx.basis_pq(p, q), rng, terms, coeff_degree)
+    el = _random_element(chart, ctx.basis_pq(p, q), rng)
     if top_weight:
         return FormField(chart, p + q,
                          lambda pt: ctx.weight_project(el(pt), p + q))
     return FormField(chart, p + q, el)
 
 
-def sample_points(rng, dim: int, count: int, scale: float = 1.0) -> list:
-    return [(scale * rng.standard_normal(dim)).tolist() for _ in range(count)]
+def sample_points(rng, dim: int, count: int) -> list:
+    """`count` standard normal points of R^dim, one block of draws."""
+    return rng.standard_normal((count, dim)).tolist()
 
 
 def stack_points(pts) -> Point:

@@ -90,15 +90,14 @@ def rho_pullback(h: HopfData, el: Element, scale=None) -> Element:
     return out
 
 
-def fundamental_domain_points(h: HopfData, rng, count: int,
-                              base_scale: float = 1.0) -> list:
-    """Base uniform in a box, log fiber radius uniform over one period; as
+def fundamental_domain_points(h: HopfData, rng, count: int) -> list:
+    """Base uniform in [-1, 1]^4n, log fiber radius uniform over one period; as
     Points, so every evaluation at a sample shares its chart tables."""
     ts = h.ts
     lo, hi = sorted((0.0, -np.log(abs(h.q))))
     pts = []
     while len(pts) < count:
-        base = rng.uniform(-base_scale, base_scale, 4 * ts.n).tolist()
+        base = rng.uniform(-1.0, 1.0, 4 * ts.n).tolist()
         direction = rng.standard_normal(2 * ts.rank)
         direction = direction / np.linalg.norm(direction)
         radius = float(np.exp(rng.uniform(lo, hi)))
@@ -106,15 +105,6 @@ def fundamental_domain_points(h: HopfData, rng, count: int,
         if psi(ts, pt) >= MIN_PSI:
             pts.append(pt)
     return pts
-
-
-def vertical_probe(h: HopfData, rng) -> np.ndarray:
-    """Random vertical (1, 0) tangent vector in frame components."""
-    ts = h.ts
-    mb, m = 2 * ts.n, ts.ctx.m
-    x = np.zeros(m, dtype=complex)
-    x[mb:] = rng.standard_normal(ts.rank) + 1j * rng.standard_normal(ts.rank)
-    return x
 
 
 def radial_probe(h: HopfData, pt) -> np.ndarray:

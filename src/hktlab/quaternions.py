@@ -53,8 +53,3 @@ def hypercomplex_matrices(n: int) -> dict[str, np.ndarray]:
         for t in range(0, 4 * n, 4):
             out[name][t:t + 4, t:t + 4] = blk
     return out
-
-
-def fiber_j_matrix() -> np.ndarray:
-    """Matrix M of the antilinear map v -> M conj(v) given by left j on H."""
-    return np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)

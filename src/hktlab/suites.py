@@ -15,8 +15,14 @@ criteria-agreement and the totspace records of constant forms) state their
 count.  A suite's records share one cfg.rng() stream.  Each sweep makes
 all its draws first, in the order that fixes every value of the report,
 then evaluates them once: the bicomplex, bundle, totspace and hopf fields
-at the stacked Point of all their samples (fields.stack_points), a qpos
-record or the algebra (1,1) check on its block of draws (_draw).  The
+at the stacked Point of all their samples (fields.stack_points).  Every
+per-sample normal draw of a sweep is one block, read in the order of a
+per-sample loop: the sample points (fields.sample_points), and through
+_draw a qpos record's forms and matrices, the algebra (1,1) forms, the
+totspace frame-roundtrip elements and the hopf probes and base and fiber
+vectors.  Two draws stay per sample, as _draw draws normals only: the
+hopf dilation scales (a uniform times a random sign) and
+hopf.fundamental_domain_points (rejection sampling).  The
 algebra block checks broadcast over exterior.py's stacks of same-size
 su(2) blocks.
 """
@@ -27,15 +33,14 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .bundles import (_max_per_sample, _point_coeff, bianchi_residual,
-                      catalog_names, curvature_entry_forms, get_connection,
+from .bundles import (_curvature_element, _max_per_sample, _point_coeff,
+                      bianchi_residual, catalog_names, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
-from .duals import Point, point_memo, sample_shape
+from .duals import Point, sample_shape
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
@@ -48,7 +53,7 @@ from .hermitian import (_adjoint, _eigenvalues, gram, hermitian_pair,
                         quaternionic_conj)
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
-                   rho_pullback, vertical_probe)
+                   rho_pullback)
 from .report import Spec, VerificationReport, record, sweep_records
 from .total_space import (del_j_psi_expr, del_psi_expr, horizontal_lift,
                           natural_metric, omega_hor_expr, omega_ver_canonical,
@@ -157,17 +162,11 @@ def _stacked_records(specs, stacked, columns) -> list:
     """Records of a sweep whose fields each evaluate once, at the stacked Point
     `stacked` of its samples: column j lists the Point -> element maps whose
     enorm, an array over the samples or one value they share, gives spec j's
-    values, field after field.  A tuple of maps gives each sample a trailing
-    axis of their enorms."""
+    values, field after field."""
     shape = sample_shape(stacked)
-
-    def values(f):
-        if isinstance(f, tuple):
-            return np.stack([values(g) for g in f], axis=-1)
-        return np.broadcast_to(enorm(f(stacked)), shape)
-
-    return sweep_records(specs, [np.concatenate([values(f) for f in fields])
-                                 for fields in columns])
+    return sweep_records(specs, [
+        np.concatenate([np.broadcast_to(enorm(f(stacked)), shape)
+                        for f in fields]) for fields in columns])
 
 
 # ----- algebra -----
@@ -589,17 +588,23 @@ def _totspace_sweeps(ts, pts, stacked, tol: float) -> list:
     d_fields = [exterior_d(FormField(ch, 1, lambda pt, a=a: {(mb + a,): 1.0}))
                 for a in range(ts.rank)]
 
-    def structure_gap(pt, a):
+    def structure_gap(pt):
+        """The gaps of every fiber index a as one element keyed (a, mono)."""
         v = ts.fiber_values(pt)
         A = _point_coeff(ts.conn, pt)
-        # the r x r grid, built once per Point for the r fiber indices
-        grid = point_memo(pt, "grid", partial(curvature_entry_forms, ts.conn))
-        rhs: dict = {}
-        for b in range(ts.rank):
-            rhs = eadd(rhs, escale(grid[a][b], v[b]))
-            aform = {(mu,): A[..., mu, a, b] for mu in range(nb)}
-            rhs = esub(rhs, wedge(aform, to_real(ch, {(mb + b,): 1.0}, pt)))
-        return esub(d_fields[a].at(pt), rhs)
+        F = _curvature_element(ts.conn, pt)
+        coframe = [to_real(ch, {(mb + b,): 1.0}, pt) for b in range(ts.rank)]
+        gap: dict = {}
+        for a in range(ts.rank):
+            rhs: dict = {}
+            for b in range(ts.rank):
+                rhs = eadd(rhs, {mono: c[..., a, b] * v[b]
+                                 for mono, c in F.items()})
+                aform = {(mu,): A[..., mu, a, b] for mu in range(nb)}
+                rhs = esub(rhs, wedge(aform, coframe[b]))
+            gap |= {(a, mono): c for mono, c
+                    in esub(d_fields[a].at(pt), rhs).items()}
+        return gap
 
     psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
     dpsi = del_hol(psi_f)
@@ -620,7 +625,7 @@ def _totspace_sweeps(ts, pts, stacked, tol: float) -> list:
                "d of the covariant fiber coframe is curvature times the "
                "fiber minus connection wedge coframe", tol)],
          stack_points(pts[:max(10, len(pts) // 10)]),
-         [[tuple(partial(structure_gap, a=a) for a in range(ts.rank))]]),
+         [[structure_gap]]),
         ([Spec("del-potential",
                "del of the fiber norm matches its closed form", tol),
           Spec("delj-potential",
@@ -699,10 +704,7 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
     # built once
     stacked = stack_points(pts)
 
-    # every sample's element is drawn before the one evaluation, in order
-    drawn = np.array([[complex(rng.standard_normal(), rng.standard_normal())
-                       for _ in range(dim)] for _ in pts])
-    el = {(i,): c for i, c in enumerate(drawn.T)}
+    el, = _draw(rng, samples, [(i,) for i in range(dim)])
     out += sweep_records([Spec(
         "frame-roundtrip",
         "real to frame coefficients and back is the identity", tolv)],
@@ -850,14 +852,12 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     # per sample: cfg.probes - 1 vertical probes and, on a fiber of rank
     # above 2, one more to make orthogonal to the fiber value and its
     # conjugate partner; the radial probe comes last among the probes
-    drawn, extra = [], []
-    for _ in pts:
-        drawn.append([vertical_probe(h, rng) for _ in range(cfg.probes - 1)])
-        if ts.rank > 2:
-            extra.append(vertical_probe(h, rng))
-    probes = np.concatenate(
-        (np.array(drawn, dtype=complex).reshape(count, cfg.probes - 1, m),
-         radial_probe(h, stacked)[:, None]), axis=1)
+    k = cfg.probes - 1 + (ts.rank > 2)
+    drawn = np.zeros((count, k, m), dtype=complex)
+    for j, x in enumerate(_draw(rng, count, *[(ts.rank,)] * k)):
+        drawn[:, j, mb:] = x
+    probes = np.concatenate((drawn[:, :cfg.probes - 1],
+                             radial_probe(h, stacked)[:, None]), axis=1)
     # (S, probes): each probe's value, its lower bound n(x)/Psi and its
     # (lower, upper) ratio to that bound
     pairs = np.stack([np.real(hermitian_pair(ctx, fr, x, x))
@@ -880,8 +880,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
             "vertical probe", tol.secondderiv)],
             [np.abs(lower)])
     else:
-        u = np.array(extra)
-        v = probes[:, -1]
+        u, v = drawn[:, -1], probes[:, -1]
         partner = np.zeros_like(v)
         partner[:, mb:] = -(np.conj(v[:, mb:]) @ ctx.mmat[mb:, mb:])
         for r in (v, partner):
@@ -897,9 +896,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
              / bound])
 
     xb, xv = np.zeros((2, count, m), dtype=complex)
-    for k in range(count):
-        xb[k, :mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
-        xv[k] = vertical_probe(h, rng)
+    xb[:, :mb], xv[:, mb:] = _draw(rng, count, (mb,), (ts.rank,))
     sc = np.linalg.norm(xb, axis=-1) * np.linalg.norm(xv, axis=-1)
     out += sweep_records([Spec(
         "horizontal-vertical-orthogonal",

@@ -45,3 +45,14 @@ def nested_coeff(conn, pt):
     A, r = conn.coeff(pt), conn.rank
     return [[[A.get((mu, a, b), 0.0) for b in range(r)] for a in range(r)]
             for mu in range(4 * conn.base_n)]
+
+
+def vertical_probe(ts, rng):
+    """A random vertical (1, 0) tangent vector of the total space ts in frame
+    components, its fiber slots' real normals drawn before their imaginary
+    ones: the per-sample loop whose stream the hopf suite's probe draws
+    must read in the same order."""
+    mb = 2 * ts.n
+    x = np.zeros(ts.ctx.m, dtype=complex)
+    x[mb:] = rng.standard_normal(ts.rank) + 1j * rng.standard_normal(ts.rank)
+    return x

@@ -10,10 +10,10 @@ import pytest
 
 from hktlab import bundles, suites
 from conftest import nested_coeff, quat_conj, quat_im, right_mult_c2
-from hktlab.bundles import (bianchi_residual, catalog_names, curvature,
-                            curvature_entry_forms, get_connection,
+from hktlab.bundles import (_curvature_element, bianchi_residual,
+                            catalog_names, curvature, get_connection,
                             instanton_coeff, invariance_residual,
-                            type11_residual)
+                            structure_charts, type11_residual)
 from hktlab.charts import flat_chart
 from hktlab.duals import (dot_part, fresh_level, numeric, sample_shape,
                           seed_unit, val_part)
@@ -28,9 +28,8 @@ STAR_PAIRS = [((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2))]
 
 
 def curvature_scale(conn, pt) -> float:
-    grid = curvature_entry_forms(conn, pt)
     return record(Spec("scale", "", 0.0), 1,
-                  [enorm(el) for row in grid for el in row]).value
+                  enorm(_curvature_element(conn, pt))).value
 
 
 def entry(F, a, b):
@@ -105,11 +104,13 @@ def test_entry_forms_match_curvature(rng):
     conn = get_connection("bpst")
     pt = list(rng.standard_normal(4))
     F = curvature(conn, pt)
-    grid = curvature_entry_forms(conn, pt)
-    for a in range(2):
-        for b in range(2):
-            for (mu, nu), c in grid[a][b].items():
-                assert c == pytest.approx(complex(F[mu][nu][a][b]))
+    el = _curvature_element(conn, pt)
+    assert len(el) == 6
+    for (mu, nu), c in el.items():
+        assert c.shape == (2, 2)
+        for a in range(2):
+            for b in range(2):
+                assert c[a, b] == pytest.approx(complex(F[mu][nu][a][b]))
 
 
 @pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
@@ -238,9 +239,10 @@ def test_bianchi_catches_field_strength_mutants(rng, monkeypatch, mutant):
 def test_invariance_and_type_criteria_pass(rng, name):
     conn = get_connection(name)
     assert conn.hyperholomorphic
+    charts = structure_charts(1)
     for pt in sample_points(rng, 4, 5):
-        assert invariance_residual(conn, pt) < 1e-12
-        assert type11_residual(conn, pt) < 1e-12
+        assert invariance_residual(conn, pt, charts) < 1e-12
+        assert type11_residual(conn, pt, charts) < 1e-12
 
 
 def test_nonholo_demo_fails_both_criteria(rng):
@@ -248,20 +250,21 @@ def test_nonholo_demo_fails_both_criteria(rng):
     assert not conn.hyperholomorphic
     worst_inv = 0.0
     worst_type = 0.0
+    charts = structure_charts(1)
     for pt in sample_points(rng, 4, 10):
-        worst_inv = max(worst_inv, invariance_residual(conn, pt))
-        worst_type = max(worst_type, type11_residual(conn, pt))
+        worst_inv = max(worst_inv, invariance_residual(conn, pt, charts))
+        worst_type = max(worst_type, type11_residual(conn, pt, charts))
     assert worst_inv > 0.1
     assert worst_type > 0.1
 
 
 def test_criteria_agree_across_catalog(rng):
     # curvature of type (1,1) for I, J, K exactly when its weight-2 part dies
-    pts = sample_points(rng, 4, 5)
+    pts, charts = sample_points(rng, 4, 5), structure_charts(1)
     for name in catalog_names():
         conn = get_connection(name)
-        inv = max(invariance_residual(conn, pt) for pt in pts)
-        typ = max(type11_residual(conn, pt) for pt in pts)
+        inv = max(invariance_residual(conn, pt, charts) for pt in pts)
+        typ = max(type11_residual(conn, pt, charts) for pt in pts)
         assert (inv < 1e-9) == (typ < 1e-9) == conn.hyperholomorphic
 
 
@@ -545,7 +548,10 @@ def test_nan_coefficient_fails_bundle_criteria(monkeypatch):
         assert r.points == cfg.samples, stem
         assert records[f"{stem}(flat)"].passed
     pt = stack_points(sample_points(cfg.rng(), 4, cfg.samples))
-    for residual in (invariance_residual, type11_residual, bianchi_residual):
+    charts = structure_charts(1)
+    for residual in (functools.partial(invariance_residual, charts=charts),
+                     functools.partial(type11_residual, charts=charts),
+                     bianchi_residual):
         values = residual(poisoned, pt)
         assert list(np.isnan(values)) == [k == 5 for k in range(12)]
         assert np.max(values[~np.isnan(values)]) < 1e-9

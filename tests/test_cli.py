@@ -134,6 +134,21 @@ def test_hopf_q_range_ends_pass(capsys):
         assert "result: PASS" in capsys.readouterr().out, q
 
 
+@pytest.mark.parametrize("bundle, drawn", [("bpst", 0), ("direct-sum", 1)])
+def test_hopf_one_probe_runs_to_a_verdict(capsys, bundle, drawn):
+    # --probes 1 leaves the radial probe alone on the Cauchy records, and
+    # per sample `drawn` random probes: none on bpst, the extra one that
+    # cauchy-orthogonal-probe reads on the rank-4 fiber
+    code = main(["hopf", "--bundle", bundle, "--probes", "1", "--samples",
+                 "7", "--format", "json"])
+    records = {r["identity"]: r for r in
+               json.loads(capsys.readouterr().out)["records"]}
+    assert code == 0
+    assert records["cauchy-lower"]["points"] == 7
+    assert ("cauchy-orthogonal-probe" in records) == (drawn == 1)
+    assert all(r["passed"] for r in records.values())
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["qpos", "--format", "json", "--out", str(target)] + FAST)

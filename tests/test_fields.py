@@ -105,7 +105,7 @@ def fd_exterior_d(field, pt, h=1e-5):
 def test_exterior_d_matches_finite_differences(rng, degree):
     ch = flat_chart(1)
     if degree == 0:
-        field = random_polynomial(ch, rng, degree=3, real=False)
+        field = random_polynomial(ch, rng, real=False)
     else:
         field = random_form_field(ch, degree, rng)
     for pt in sample_points(rng, 4, 3):
@@ -121,7 +121,7 @@ def bpst_chart():
 
 
 def bpst_fields(chart, rng):
-    return [random_polynomial(chart, rng, degree=3, real=False),
+    return [random_polynomial(chart, rng, real=False),
             random_form_field(chart, 1, rng),
             random_pq_field(chart, 1, 0, rng)]
 
@@ -157,7 +157,7 @@ def reference_cases(ch, rng):
     """(operator field, real-label reference) pairs on chart ch: d, del and
     dbar of a scalar, a real-label 1-form and a frame (1, 0)-form; del_J of
     the scalar and the (1, 0)-form; del del_J and del dbar of the scalar."""
-    f = random_polynomial(ch, rng, degree=3, real=False)
+    f = random_polynomial(ch, rng, real=False)
     one = random_form_field(ch, 1, rng)
     f10 = random_pq_field(ch, 1, 0, rng)
     cases = []
@@ -307,7 +307,7 @@ def test_top_weight_fields_are_weight_fixed(rng):
 
 
 def test_sample_points_shape(rng):
-    pts = sample_points(rng, 8, 5, scale=2.0)
+    pts = [[2.0 * x for x in p] for p in sample_points(rng, 8, 5)]
     assert len(pts) == 5
     assert all(len(p) == 8 for p in pts)
 
@@ -438,7 +438,7 @@ def test_lane_pass_matches_per_direction_reference(rng, case):
     # the plain point, an array over the one sample at the 1-sample Point
     if case == "d-d-f":
         ch = flat_chart(1)
-        f = random_polynomial(ch, rng, degree=3, real=False)
+        f = random_polynomial(ch, rng, real=False)
         d, _, _ = per_direction_ops(ch)
         op, ref = exterior_d(exterior_d(f)), d(d(f.eval_real))
     else:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import vertical_probe
 from hktlab import suites
 from hktlab.bundles import get_connection
 from hktlab.duals import Dual, sample_shape
@@ -13,7 +14,7 @@ from hktlab.hermitian import gram, hermitian_pair, qpos_margin, qreal_residual
 from hktlab.hopf import (MIN_PSI, fiber_norm2, fundamental_domain_points,
                          hopf_data, log_psi_field, omega_tilde_expr,
                          omega_tilde_field, radial_probe, rho_apply,
-                         rho_pullback, vertical_probe)
+                         rho_pullback)
 from hktlab.suites import ScenarioConfig, hopf_records
 from hktlab.total_space import omega_hor_expr, psi, total_space
 
@@ -118,7 +119,7 @@ def test_vertical_cauchy_bounds(hopf, rng):
     for pt in fundamental_domain_points(hopf, rng, 5):
         p = float(psi(hopf.ts, pt))
         fr = omega_tilde_expr(hopf, pt)
-        probes = [vertical_probe(hopf, rng) for _ in range(8)]
+        probes = [vertical_probe(hopf.ts, rng) for _ in range(8)]
         probes.append(radial_probe(hopf, pt))
         for x in probes:
             pair = float(complex(hermitian_pair(ctx, fr, x, x)).real)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import quat_conj, quat_im, right_mult_c2
-from hktlab.quaternions import (UNITS, fiber_j_matrix, hypercomplex_matrices,
-                                left_mult_matrix, quat_abs2, quat_mul)
+from hktlab.quaternions import (UNITS, hypercomplex_matrices, left_mult_matrix,
+                                quat_abs2, quat_mul)
 
 
 def right_mult_matrix(q) -> np.ndarray:
@@ -89,9 +89,3 @@ def test_right_mult_c2_is_complex_form(rng):
     Rc = right_mult_c2(q)
     w = (Rc[0][0] * v[0] + Rc[0][1] * v[1], Rc[1][0] * v[0] + Rc[1][1] * v[1])
     assert np.allclose(w, w_expect)
-
-
-def test_fiber_j_matrix():
-    M = fiber_j_matrix()
-    assert np.allclose(M, [[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(M @ np.conj(M), -np.eye(2))

@@ -11,6 +11,7 @@ held the same way to their code run at each draw alone.
 import numpy as np
 import pytest
 
+from conftest import vertical_probe
 from hktlab import suites
 from hktlab.bundles import (_jet, bianchi_residual, catalog_names, curvature,
                             get_connection, invariance_residual,
@@ -147,8 +148,7 @@ def test_totspace_sweeps_agree_with_each_sample(rng, bundle):
         samples = [list(map(float, c)) for c in zip(*pt)]
         for fields in columns:
             for f in fields:
-                for g in (f if isinstance(f, tuple) else (f,)):
-                    assert_agrees(g, samples)
+                assert_agrees(f, samples)
     # fields that do not vanish: the right side of the del dbar identity,
     # with the curvature correction in frame labels, and the vertical form
     # in real labels, both through the point-dependent tables
@@ -246,6 +246,87 @@ def test_draw_reads_the_stream_as_a_per_sample_loop():
             want = (rng.standard_normal(got.shape)
                     + 1j * rng.standard_normal(got.shape))
             assert np.array_equal(got, want)
+
+
+def recorded(monkeypatch, name) -> list:
+    """suites.<name> wrapped to keep each call's (arguments, result)."""
+    calls, real = [], getattr(suites, name)
+
+    def wrapped(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(suites, name, wrapped)
+    return calls
+
+
+def test_sample_points_read_the_stream_as_a_per_sample_loop():
+    rng = np.random.default_rng(7)
+    want = [rng.standard_normal(8).tolist() for _ in range(5)]
+    assert np.array_equal(sample_points(np.random.default_rng(7), 8, 5), want)
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
+def test_frame_roundtrip_draws_read_the_stream_as_a_per_sample_loop(
+        monkeypatch, bundle):
+    # each totspace sweep (the bundle's, then the flat control's) draws its
+    # points and then one complex pair per coordinate and sample
+    calls = recorded(monkeypatch, "_draw")
+    cfg = ScenarioConfig(bundle=bundle, samples=3)
+    suites.totspace_records(cfg)
+    rng = cfg.rng()
+    for (_, (el,)), name, count in zip(calls, [bundle, "flat"], [3, 20],
+                                       strict=True):
+        dim = total_space(get_connection(name)).dim
+        for _ in range(count):
+            rng.standard_normal(dim)
+        want = np.array([[complex(rng.standard_normal(), rng.standard_normal())
+                          for _ in range(dim)] for _ in range(count)])
+        assert list(el) == [(i,) for i in range(dim)]
+        assert np.array_equal(np.array(list(el.values())).T, want)
+
+
+@pytest.mark.parametrize("bundle, probes", [
+    ("bpst", 3), ("direct-sum", 3), ("bpst", 1), ("direct-sum", 1)])
+def test_hopf_draws_read_the_stream_as_a_per_sample_loop(
+        monkeypatch, bundle, probes):
+    # per sample, after the domain points and the dilations: probes - 1
+    # vertical probes and, on the rank-4 fiber, the extra one; then per
+    # sample a base vector and one more vertical probe.  The pairings show
+    # where the suite puts each draw.
+    draws = recorded(monkeypatch, "_draw")
+    pairs = recorded(monkeypatch, "hermitian_pair")
+    cfg = ScenarioConfig(bundle=bundle, samples=4, probes=probes)
+    suites.hopf_records(cfg)
+    h = hopf_data(total_space(get_connection(bundle)), cfg.q)
+    ts, rng = h.ts, cfg.rng()
+    mb, m, extra = 2 * ts.n, ts.ctx.m, ts.rank > 2
+    pts = fundamental_domain_points(h, rng, cfg.samples)
+    for _ in pts:
+        rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+    k = probes - 1 + extra
+    want = np.array([[vertical_probe(ts, rng) for _ in range(k)]
+                     for _ in pts]).reshape(len(pts), k, m)
+    xb, xv = np.zeros((2, len(pts), m), dtype=complex)
+    for s in range(len(pts)):
+        xb[s, :mb] = rng.standard_normal(mb) + 1j * rng.standard_normal(mb)
+        xv[s] = vertical_probe(ts, rng)
+
+    (_, drawn), _ = draws
+    assert len(drawn) == k
+    for j, x in enumerate(drawn):
+        assert np.array_equal(x, want[:, j, mb:])
+    args = [a[2:] for a, _ in pairs]
+    assert len(args) == probes + extra + 1
+    for j in range(probes - 1):
+        assert np.array_equal(args[j][0], want[:, j])
+    if extra:
+        # the extra probe less its parts along the fiber value and its
+        # conjugate partner: what it lost is orthogonal to what is left
+        u, w = args[probes][0], want[:, -1]
+        assert np.all(np.abs(np.sum(np.conj(u) * (w - u), axis=-1))
+                      <= 1e-12 * np.sum(np.abs(w) ** 2, axis=-1))
+    assert np.array_equal(args[-1][0], xb) and np.array_equal(args[-1][1], xv)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -386,19 +386,20 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
     assert shapes["bpst"] == shapes["flat"] == [(10,), (22,), (20,), (20,)]
 
 
-def test_structure_equation_builds_the_entry_grid_once(monkeypatch):
-    # the structure-equation sweep reads row a of the r x r grid of
-    # curvature entry forms for each fiber index a, from one grid built at
-    # its stacked Point (was one grid per fiber index: 4 on direct-sum and
-    # 2 on the flat control)
+def test_structure_equation_builds_the_curvature_element_once(monkeypatch):
+    # the structure-equation sweep reads entry (a, b) of the one curvature
+    # element for every pair of fiber indices, from one element built at its
+    # stacked Point (was one r x r grid of entry forms per Point, and before
+    # that one grid per fiber index: 4 on direct-sum and 2 on the flat
+    # control)
     builds = collections.Counter()
-    real = suites.curvature_entry_forms
+    real = suites._curvature_element
 
     def counted(conn, pt):
         builds[conn.name] += 1
         return real(conn, pt)
 
-    monkeypatch.setattr(suites, "curvature_entry_forms", counted)
+    monkeypatch.setattr(suites, "_curvature_element", counted)
     records = totspace_records(ScenarioConfig(bundle="direct-sum", samples=4))
     assert all(r.passed for r in records)
     assert builds == {"direct-sum": 1, "flat": 1}

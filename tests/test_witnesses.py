@@ -54,8 +54,8 @@ def scaled(real):
     quaternionic conjugation squares to 1.0201 and no longer symmetrizes to
     a q-real form; the Gram matrix no longer matches the pairing; the
     hyperhermitian projection is no longer idempotent; the closed forms of
-    del and del_J of the fiber norm no longer match it; the curvature entry
-    forms no longer match d of the covariant fiber coframe, and the
+    del and del_J of the fiber norm no longer match it; the curvature
+    element no longer matches d of the covariant fiber coframe, and the
     curvature that Bianchi reads no longer matches its derivatives."""
     return lambda *args: times(real(*args), 1.01)
 
@@ -109,7 +109,7 @@ WITNESSES = {
         "_point_curvature", scaled),
     "structure-equation": (
         totspace_records, "bpst", "deldelj-potential", suites,
-        "curvature_entry_forms", scaled),
+        "_curvature_element", scaled),
     "deldbar-potential": (
         totspace_records, "bpst", "deldelj-potential", suites,
         "xi_curv_expr", negated),
