@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import quat_conj, quat_im, right_mult_c2
+from hktlab.exterior import standard_m
 from hktlab.quaternions import (UNITS, hypercomplex_matrices, left_mult_matrix,
                                 quat_abs2, quat_mul)
 
@@ -89,3 +90,15 @@ def test_right_mult_c2_is_complex_form(rng):
     Rc = right_mult_c2(q)
     w = (Rc[0][0] * v[0] + Rc[0][1] * v[1], Rc[1][0] * v[0] + Rc[1][1] * v[1])
     assert np.allclose(w, w_expect)
+
+
+def test_fiber_j_matrix(rng):
+    # the rank-2 fiber structure standard_m(2) is left j on H = C^2 in the
+    # coordinates b = v0 + v1 j, written as v -> M conj(v)
+    M = standard_m(2)
+    assert np.allclose(M, [[0.0, -1.0], [1.0, 0.0]])
+    assert np.allclose(M @ np.conj(M), -np.eye(2))
+    b = tuple(rng.standard_normal(4))
+    jb = quat_mul(UNITS["j"], b)
+    v = np.array([complex(b[0], b[1]), complex(b[2], b[3])])
+    assert np.allclose(M @ np.conj(v), [complex(jb[0], jb[1]), complex(jb[2], jb[3])])
