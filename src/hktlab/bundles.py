@@ -37,11 +37,11 @@ The residuals read the jet and the curvature through the memo of a Point
 (duals.point_memo), so the criteria evaluated at one Point share one
 curvature, and take the flat I/J/K charts prebuilt (structure_charts).
 The criteria, and the total space's structure equation, read the r x r
-curvature grid as one element (_curvature_element), the fiber entry (a, b)
-on its coefficients' trailing axes.  Each residual is a maximum per sample:
-a float at a plain point, an array over the samples at a stacked one.  A
-nan stays in its own sample, so a nan curvature fails the records of that
-sample's sweep.
+curvature grid as one element (_curvature_element, memoised beside it),
+the fiber entry (a, b) on its coefficients' trailing axes.  Each residual
+is a maximum per sample: a float at a plain point, an array over the
+samples at a stacked one.  A nan stays in its own sample, so a nan
+curvature fails the records of that sample's sweep.
 
 The catalog ships the flat connection, the standard 1-instanton on H (fiber H,
 acting by right quaternion multiplication), its direct sum with the dual
@@ -194,7 +194,7 @@ def _field_strength(D, X, Y, mu, nu) -> np.ndarray:
 def curvature(conn: Connection, pt) -> np.ndarray:
     """F[..., mu, nu] as an array of shape (..., dim, dim, r, r)."""
     A, dA = _jet(conn, pt)
-    return _field_strength(dA, A, A, *np.indices((4 * conn.base_n,) * 2))
+    return _field_strength(dA, A, A, *np.ix_(*[range(4 * conn.base_n)] * 2))
 
 
 def _point_curvature(conn: Connection, pt) -> np.ndarray:
@@ -220,9 +220,11 @@ def _max_per_sample(pt, values):
 
 def _curvature_element(conn: Connection, pt) -> Element:
     """The curvature grid as one 2-form, each coefficient an array with the
-    fiber entry (a, b) on its trailing axes."""
-    return element_from_antisym(np.moveaxis(_point_curvature(conn, pt),
-                                            (-4, -3), (-2, -1)))
+    fiber entry (a, b) on its trailing axes; built once per Point and
+    coefficient function."""
+    return point_memo(pt, ("element", conn.coeff), lambda p: (
+        element_from_antisym(np.moveaxis(_point_curvature(conn, p),
+                                         (-4, -3), (-2, -1)))))
 
 
 def invariance_residual(conn: Connection, pt, charts):

@@ -63,6 +63,7 @@ The tests hold every block matrix to operator_matrix of the sparse rule.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -90,6 +91,13 @@ def sort_sign(labels):
         if j >= 0 and lst[j] == x:
             return None, 0
     return tuple(lst), sign
+
+
+@functools.cache
+def _product(ka, kb):
+    """sort_sign(ka + kb), once per pair of label tuples per process (a few
+    hundred pairs per suite); sort_sign stays plain for perfbench/spans.py."""
+    return sort_sign(ka + kb)
 
 
 def _is_zero(c) -> bool:
@@ -128,7 +136,7 @@ def wedge(a: Element, b: Element) -> Element:
     out: Element = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key, sgn = sort_sign(ka + kb)
+            key, sgn = _product(ka, kb)
             if key is None:
                 continue
             _accumulate(out, key, ca * cb * sgn)
@@ -158,11 +166,13 @@ def apply_derivation(table, el: Element) -> Element:
             img = table.get(lab)
             if not img:
                 continue
+            rest = labels[:p] + labels[p + 1:]
             for (new_lab,), c2 in img.items():
-                key, sgn = sort_sign(labels[:p] + (new_lab,) + labels[p + 1:])
+                # new_lab moved from place p to the front: p transpositions
+                key, sgn = _product((new_lab,), rest)
                 if key is None:
                     continue
-                _accumulate(out, key, c * c2 * sgn)
+                _accumulate(out, key, c * c2 * (-sgn if p % 2 else sgn))
     return out
 
 
@@ -561,11 +571,9 @@ def element_from_antisym(A) -> Element:
     shape (..., m, m) gives each coefficient as its array over the leading
     (sample) axes, dropped only where it is zero at every sample."""
     if A.ndim > 2:
-        half = np.moveaxis(0.5 * (A - np.swapaxes(A, -1, -2)), (-2, -1),
-                           (0, 1)).copy()
-        return {(a, b): half[a, b]
-                for a, b in itertools.combinations(range(len(half)), 2)
-                if half[a, b].any()}
+        half = {(a, b): 0.5 * (A[..., a, b] - A[..., b, a])
+                for a, b in itertools.combinations(range(A.shape[-1]), 2)}
+        return {key: c for key, c in half.items() if c.any()}
     coeffs = {(a, b): complex(0.5 * (A[a, b] - A[b, a]))
               for a, b in itertools.combinations(range(len(A)), 2)}
     return {key: c for key, c in coeffs.items() if c != 0}

@@ -25,11 +25,12 @@ so del, dbar and del_J compose by nesting closures (and dual levels, each
 lane axis left of the one below) without re-running the inner field per
 bidegree.
 
-Each Point memoises the chart tables, its seeded child, and per field the
-value (FormField.value) and the bidegree-split pass that del and dbar share,
-so a second-order operator runs its field once, at the grandchild.  Values
-are pure in the Point, so sharing changes no number.  The memo lives as long
-as the Point; the lane-wide coframe and sum_i dx_i e_i are built per call.
+Each Point memoises the chart tables, its seeded child, sum_i dx_i e_i per
+chart, and per field the value (FormField.value), the pass that every d of
+it shares and the bidegree-split pass that del and dbar share, so a
+second-order operator runs its field once, at the grandchild.  Values are
+pure in the Point, so sharing changes no number.  The memo lives as long as
+the Point; the lane-wide coframe is built per call.
 A stacked Point (stack_points) covers a sweep's samples in one evaluation.
 
 del_J is the twisted holomorphic differential: on functions del_J f equals the
@@ -107,8 +108,8 @@ def _cartan_d(field: FormField, pt: Point, split: Callable) -> dict:
     inv = point_memo(pt, ch.inverse_table, ch.inverse_table)
     sp = seeded(pt)
     lev, ns = sp[0].level, len(sample_shape(pt))
-    dx = functools.reduce(eadd, (escale(inv[i], sp[i].dot)
-                                 for i in range(ch.dim)))
+    dx = point_memo(pt, ("dx", ch.inverse_table), lambda at: functools.reduce(
+        eadd, (escale(inv[i], sp[i].dot) for i in range(ch.dim))))
     coframe = None  # a -> d theta_a on every lane, built for a k-form part
     acc: dict = {}
     for key, part in split(field.value(sp)).items():
@@ -127,7 +128,9 @@ def _cartan_d(field: FormField, pt: Point, split: Callable) -> dict:
 
 def exterior_d(field: FormField) -> FormField:
     def ev(pt):
-        return _cartan_d(field, pt, lambda el: {None: el})[None]
+        # the pass of one field at one Point, shared by every d of it
+        return point_memo(pt, ("d", field.eval_real), lambda at: _cartan_d(
+            field, at, lambda el: {None: el})[None])
 
     return FormField(field.chart, field.degree + 1, ev)
 

@@ -573,13 +573,15 @@ def bundle_records(cfg: ScenarioConfig) -> list:
 
 # ----- total space -----
 
-def _totspace_sweeps(ts, pts, stacked, tol: float) -> list:
-    """The structure-equation, potential and curvature-term sweeps of the
-    total space ts as (specs, stacked Point, columns), in report order, for
-    _stacked_records: the structure equation at the first
+def _totspace_sweeps(ts, pts, stacked, tol: float):
+    """Yields the structure-equation, potential and curvature-term sweeps of
+    the total space ts as (specs, stacked Point, columns), in report order,
+    for _stacked_records: the structure equation at the first
     max(10, len(pts) // 10) samples, the potential at pts and the zero-fiber
     copies of the first two, and the curvature term at `stacked`, the
-    stacked Point of pts that the total space's other sweeps share."""
+    stacked Point of pts that the total space's other sweeps share.  A
+    sweep's own Point is stacked when it is reached, so its memo (the
+    seeded children's lane-wide dx among it) is dropped before the next."""
     ch, ctx = ts.chart, ts.ctx
     nb, mb = 4 * ts.n, 2 * ts.n
     zf = [pt[:nb] + [0.0] * (ts.dim - nb) for pt in pts[:2]]
@@ -620,40 +622,39 @@ def _totspace_sweeps(ts, pts, stacked, tol: float) -> list:
         pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
         return esub(xi_curv_expr(ts, pt2), escale(xi_curv_expr(ts, pt), 4.0))
 
-    return [
-        ([Spec("structure-equation",
-               "d of the covariant fiber coframe is curvature times the "
-               "fiber minus connection wedge coframe", tol)],
-         stack_points(pts[:max(10, len(pts) // 10)]),
-         [[structure_gap]]),
-        ([Spec("del-potential",
-               "del of the fiber norm matches its closed form", tol),
-          Spec("delj-potential",
-               "del_J of the fiber norm matches its closed form", tol),
-          Spec("deldbar-potential",
-               "del dbar of the fiber norm is the vertical (1,1)-form plus "
-               "the curvature correction", tol),
-          Spec("deldelj-potential",
-               "del del_J of the fiber norm is the vertical canonical "
-               "(2,0)-form", tol),
-          Spec("r-transfer",
-               "del del_J of the potential equals R of del dbar of it", tol)],
-         stack_points(pts + zf),
-         [[lambda pt: esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))],
-          [lambda pt: esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))],
-          [lambda pt: esub(fr_db(pt), eadd(omega_ver_expr(ts), fr_xi(pt)))],
-          [lambda pt: esub(fr_dj(pt), two_over)],
-          [lambda pt: esub(fr_dj(pt), ctx.raising(fr_db(pt)))]]),
-        ([Spec("curvature-term-weightless",
-               "the curvature correction is killed by R", tol),
-          Spec("curvature-term-invariant",
-               "the curvature correction is its own invariant part", tol),
-          Spec("curvature-term-quadratic",
-               "the curvature correction is quadratic in the fiber", tol)],
-         stacked,
-         [[lambda pt: ctx.raising(fr_xi(pt))],
-          [lambda pt: esub(fr_xi(pt), ctx.invariant_part(fr_xi(pt)))],
-          [quadratic_gap]])]
+    yield ([Spec("structure-equation",
+                 "d of the covariant fiber coframe is curvature times the "
+                 "fiber minus connection wedge coframe", tol)],
+           stack_points(pts[:max(10, len(pts) // 10)]), [[structure_gap]])
+    yield (
+        [Spec("del-potential",
+              "del of the fiber norm matches its closed form", tol),
+         Spec("delj-potential",
+              "del_J of the fiber norm matches its closed form", tol),
+         Spec("deldbar-potential",
+              "del dbar of the fiber norm is the vertical (1,1)-form plus "
+              "the curvature correction", tol),
+         Spec("deldelj-potential",
+              "del del_J of the fiber norm is the vertical canonical "
+              "(2,0)-form", tol),
+         Spec("r-transfer",
+              "del del_J of the potential equals R of del dbar of it", tol)],
+        stack_points(pts + zf),
+        [[lambda pt: esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))],
+         [lambda pt: esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))],
+         [lambda pt: esub(fr_db(pt), eadd(omega_ver_expr(ts), fr_xi(pt)))],
+         [lambda pt: esub(fr_dj(pt), two_over)],
+         [lambda pt: esub(fr_dj(pt), ctx.raising(fr_db(pt)))]])
+    yield ([Spec("curvature-term-weightless",
+                 "the curvature correction is killed by R", tol),
+            Spec("curvature-term-invariant",
+                 "the curvature correction is its own invariant part", tol),
+            Spec("curvature-term-quadratic",
+                 "the curvature correction is quadratic in the fiber", tol)],
+           stacked,
+           [[lambda pt: ctx.raising(fr_xi(pt))],
+            [lambda pt: esub(fr_xi(pt), ctx.invariant_part(fr_xi(pt)))],
+            [quadratic_gap]])
 
 
 def _metric_gaps(ts, mats, pt) -> list:

@@ -481,6 +481,32 @@ def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
     assert shapes == {(10,)}
 
 
+def test_bundle_criteria_build_the_curvature_element_once(monkeypatch):
+    # invariance_residual and type11_residual read the curvature element
+    # memoised on each connection's stacked Point: 2 reads and 1 build per
+    # connection (was 2 builds, one per criterion)
+    reads, builds, reading = (collections.Counter(), collections.Counter(),
+                              [])
+    real_read, real_build = (bundles._curvature_element,
+                             bundles.element_from_antisym)
+
+    def read(conn, pt):
+        reads[conn.name] += 1
+        reading.append(conn.name)
+        return real_read(conn, pt)
+
+    def build(A):
+        builds[reading[-1]] += 1
+        return real_build(A)
+
+    monkeypatch.setattr(bundles, "_curvature_element", read)
+    monkeypatch.setattr(bundles, "element_from_antisym", build)
+    records = bundle_records(ScenarioConfig(samples=10))
+    assert all(r.passed for r in records)
+    assert reads == {nm: 2 for nm in catalog_names()}
+    assert builds == {nm: 1 for nm in catalog_names()}
+
+
 def test_bundle_records_coeff_calls_per_sample(monkeypatch):
     # a checked connection, once at the stacked Point of its 10 samples: 1
     # call for A, 1 for dA with every direction on an axis, and 1 per lam

@@ -52,6 +52,36 @@ def test_sort_sign_matches_brute_parity(labels):
         assert sign == _parity_brute(labels)
 
 
+# every label tuple over range(6) of degree at most 3, repeats and any order
+LABEL_TUPLES = [t for k in range(4) for t in itertools.product(range(6),
+                                                               repeat=k)]
+
+
+def test_label_products_match_sort_sign():
+    # wedge's cached products against sort_sign of the joined tuple, for
+    # every pair; the cache is cleared after, so no other test reads it
+    try:
+        for ka, kb in itertools.product(LABEL_TUPLES, repeat=2):
+            assert exterior._product(ka, kb) == sort_sign(ka + kb), (ka, kb)
+    finally:
+        exterior._product.cache_clear()
+
+
+def test_apply_derivation_signs_match_sort_sign():
+    # apply_derivation puts the new label first and flips the sign for an
+    # odd place p; at every (labels, p, new) with distinct labels (so only
+    # place p is mapped) that must be the sign sort_sign gives the new label
+    # in place p
+    for labels in LABEL_TUPLES:
+        if len(set(labels)) < len(labels):
+            continue
+        for p, new in itertools.product(range(len(labels)), range(6)):
+            key, sgn = sort_sign(labels[:p] + (new,) + labels[p + 1:])
+            want = {} if key is None else {key: float(sgn)}
+            got = apply_derivation({labels[p]: {(new,): 1.0}}, {labels: 1.0})
+            assert got == want, (labels, p, new)
+
+
 coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                            allow_infinity=False)
 

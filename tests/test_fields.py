@@ -1,9 +1,10 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hktlab import suites
+from hktlab import fields, suites
 from hktlab.bundles import get_connection
 from hktlab.charts import flat_chart, to_frame, to_real
 from hktlab.duals import (Dual, Point, dot_part, fresh_level, sample_shape,
@@ -534,3 +535,101 @@ def test_bicomplex_scalar_runs_at_the_shared_stacked_point(monkeypatch, n):
     for pts in calls:
         assert isinstance(pts[0][0].val, Dual)
         assert all(sample_shape(pt) == (5,) for pt in pts)
+
+
+# ----- what a Cartan pass reads from the Point's memo -----
+
+def dx_memo(pt):
+    """{chart's inverse table: the lane-wide sum_i dx_i e_i} on pt."""
+    return {key[1]: el for key, el in pt.memo.items()
+            if isinstance(key, tuple) and key[0] == "dx"}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dx_is_built_once_per_point_and_chart(monkeypatch, n):
+    # every Cartan pass at a Point reads the lane-wide sum_i dx_i e_i of its
+    # chart from the Point's memo: in a bicomplex run the 81 passes build it
+    # 5 times (was once per pass), once at each stacked Point a pass runs at
+    # and at its seeded child: the shared Point of all samples (33 passes
+    # there, 22 at its child), the moment Point (1 and 1) and the ladder
+    # Point (24, none at its child)
+    builds, passes, held = collections.Counter(), collections.Counter(), []
+    real_memo, real_pass = fields.point_memo, fields._cartan_d
+
+    def memo(pt, key, build):
+        if not (isinstance(key, tuple) and key[0] == "dx"):
+            return real_memo(pt, key, build)
+
+        def counted(at):
+            builds[id(at), key] += 1
+            held.append(at)
+            return build(at)
+
+        return real_memo(pt, key, counted)
+
+    def counted_pass(field, pt, split):
+        passes[id(pt)] += 1
+        held.append(pt)
+        return real_pass(field, pt, split)
+
+    monkeypatch.setattr(fields, "point_memo", memo)
+    monkeypatch.setattr(fields, "_cartan_d", counted_pass)
+    records = suites.bicomplex_records(ScenarioConfig(n=n, samples=5))
+    assert all(r.passed for r in records)
+    assert set(builds.values()) == {1}
+    assert sum(passes.values()) == 81 and len(builds) == 5
+    # every pass ran at a stacked Point or its child, each with its dx
+    tops = [pt for pt in held if isinstance(pt[0], np.ndarray)]
+    per_top = {(passes[id(pt)], passes[id(seeded(pt))],
+                len(dx_memo(pt)), len(dx_memo(seeded(pt)))) for pt in tops}
+    assert per_top == {(33, 22, 1, 1), (1, 1, 1, 1), (24, 0, 1, 0)}
+
+
+def test_two_charts_at_one_point_each_read_their_own_dx(rng):
+    # the flat I and J charts at one stacked Point: d of the same function
+    # on each reads its own chart's dx (keyed by the chart), so both give
+    # its gradient in real labels, and each is bit for bit its d alone at a
+    # fresh Point of the same samples
+    charts = [flat_chart(1, unit) for unit in ("I", "J")]
+    poly = random_polynomial(charts[0], rng, real=False)
+    fs = [scalar_field(ch, lambda pt: poly.eval_real(pt)[()]) for ch in charts]
+    pts = sample_points(rng, 4, 3)
+    pt = stack_points(pts)
+    got = [exterior_d(f).frame_at(pt) for f in fs]
+    dx = dx_memo(pt)
+    assert set(dx) == {ch.inverse_table for ch in charts}
+    dxI, dxJ = (dx[ch.inverse_table] for ch in charts)
+    assert dxI.keys() == dxJ.keys()
+    assert any(not np.array_equal(dxI[k], dxJ[k]) for k in dxI)
+    want = ref_d(charts[0], poly.at)(stack_points(pts))
+    scale = np.max(enorm(want))
+    assert scale > 1e-3
+    for ch, f, el in zip(charts, fs, got):
+        assert_bitwise_equal(el, exterior_d(f).frame_at(stack_points(pts)))
+        gap = enorm(esub(to_real(ch, el, pt), want))
+        assert np.all(gap <= 8 * np.finfo(float).eps * scale)
+
+
+def test_d_plus_prime_and_second_run_eta_once_at_a_point(monkeypatch, rng):
+    # d_plus "prime" and "second" of one eta read eta's d through the Point's
+    # memo: one Cartan pass of eta at the Point (was one per d_plus), and
+    # each value is bit for bit its d_plus alone at a fresh Point
+    ch = flat_chart(2)
+    eta = random_pq_field(ch, 1, 1, rng, top_weight=True)
+    pts = sample_points(rng, ch.dim, 3)
+    alone = {kind: d_plus(eta, 1, 1, kind).frame_at(stack_points(pts))
+             for kind in ("prime", "second")}
+    runs = []
+    real = fields._cartan_d
+
+    def counted(field, at, split):
+        runs.append((field, at))
+        return real(field, at, split)
+
+    monkeypatch.setattr(fields, "_cartan_d", counted)
+    pt = stack_points(pts)
+    for kind in ("prime", "second"):
+        got = d_plus(eta, 1, 1, kind).frame_at(pt)
+        assert np.max(enorm(got)) > 1e-3
+        assert_bitwise_equal(got, alone[kind])
+    assert len(runs) == 1 and runs[0][0] is eta and runs[0][1] is pt

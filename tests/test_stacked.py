@@ -140,7 +140,7 @@ def test_totspace_sweeps_agree_with_each_sample(rng, bundle):
     ch = ts.chart
     pts = sample_points(rng, ts.dim, 3)
     stacked = stack_points(pts)
-    sweeps = suites._totspace_sweeps(ts, pts, stacked, 1e-8)
+    sweeps = list(suites._totspace_sweeps(ts, pts, stacked, 1e-8))
     assert [len(specs) for specs, _, _ in sweeps] == [1, 5, 3]
     # the curvature term runs at the shared stacked Point of pts
     assert sweeps[-1][1] is stacked
