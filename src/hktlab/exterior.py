@@ -37,9 +37,9 @@ form one (B, s, s) stack (28 stacks for 729 blocks at n=3, at most 64x64),
 H one (B, s) stack of its diagonals, so the algebra suite runs one batched
 matmul or eigvals per stack, never a 924x924 matrix.  Nothing is cached
 across calls: a caller holds one degree's blocks while it reads them, and a
-weight's projector is built from C only when asked for.  weight_project
-keeps, per context, the projector columns of each (degree, weight) it has
-read, built from that degree's blocks.
+weight's projector is built from C only when asked for, its first factor
+from C itself.  weight_project keeps, per context, the projector columns of
+each (degree, weight) it has read, built from that degree's blocks.
 
 The blocks are built from the 1-form tables with array operations over all
 monomials of the degree at once, not through the sparse rules.  One
@@ -54,9 +54,11 @@ label among its neighbours until none changes, so a block is labelled by
 its smallest member.  The generators share the entries' places, found
 once; each is scattered in turn into one buffer, size-major (blocks by size,
 then by smallest member, monomials in basis order), so a size group is one
-reshaped view.  cov_blocks expands cov_I, cov_J and cov_K on given blocks
-the same way, multiplicatively: one image term per position, the product's
-labels sorted with the sign of their inversions.
+reshaped view, and keeps its (B, s, k) label array.  cov_blocks ranks those
+labels and expands cov_I, cov_J and cov_K on them multiplicatively, each
+from its own 1-form table but one pass per entry pattern the tables share
+(cov_I alone, cov_J with cov_K): one image term per position, the
+product's labels sorted with the sign of their inversions.
 The tests hold every block matrix to operator_matrix of the sparse rule.
 """
 
@@ -202,26 +204,26 @@ def standard_m(m: int) -> np.ndarray:
 class Su2Block(NamedTuple):
     """The B connected pieces of size s of basis(k) under the su(2)
     generators, stacked.  monos lists the members' monomial lists (by
-    smallest monomial, each in basis order); ops maps "R", "Rb", "L_I",
-    "L_J", "L_K" and the Casimir "C" to (B, s, s) stacks of dense matrices,
-    and "H" to the (B, s) stack of its diagonals; weights lists the
-    degree's weights.
+    smallest monomial, each in basis order), and labels holds them as one
+    (B, s, k) int array; ops maps "R", "Rb", "L_I", "L_J", "L_K" and the
+    Casimir "C" to (B, s, s) stacks of dense matrices, and "H" to the
+    (B, s) stack of its diagonals; weights lists the degree's weights.
     """
     monos: list
+    labels: np.ndarray
     ops: dict
     weights: list
 
     def projector(self, w: int) -> np.ndarray:
         """The (B, s, s) Lagrange projector onto weight w: the product over
-        the other weights w2 of (C - w2(w2+2)) / (w(w+2) - w2(w2+2)), built
-        on each call."""
+        the other weights w2 of (C - w2(w2+2)) / (w(w+2) - w2(w2+2)), the
+        first factor formed from C itself, built on each call."""
         C, lam = self.ops["C"], w * (w + 2)
-        P = np.tile(np.eye(C.shape[-1], dtype=complex), (len(C), 1, 1))
-        for w2 in self.weights:
-            if w2 != w:
-                lam2 = w2 * (w2 + 2)
-                P = (C @ P - lam2 * P) * (1.0 / (lam - lam2))
-        return P
+        eye, P = np.eye(C.shape[-1], dtype=complex), None
+        for lam2 in [w2 * (w2 + 2) for w2 in self.weights if w2 != w]:
+            P = (C - lam2 * eye if P is None else C @ P - lam2 * P) \
+                * (1.0 / (lam - lam2))
+        return np.tile(eye, (len(C), 1, 1)) if P is None else P
 
 
 # _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing
@@ -229,13 +231,12 @@ class Su2Block(NamedTuple):
 _BIT = np.array([1 << l for l in range(62)])
 
 
-def _monomials(monos, n: int):
-    """Degree-k monomials as an (N, k) label array, and the rank lookup
-    that sends a label bitmask to the monomial's row (-1 for none)."""
-    labels = np.array(monos, dtype=np.int64).reshape(len(monos), -1)
+def _rank(labels, n: int) -> np.ndarray:
+    """The lookup that sends a label bitmask to the row of the (N, k) label
+    array labels holding that monomial (-1 for none)."""
     rank = np.full(1 << n, -1)
-    rank[_BIT[labels].sum(axis=1)] = np.arange(len(monos))
-    return labels, rank
+    rank[_BIT[labels].sum(axis=1)] = np.arange(len(labels))
+    return rank
 
 
 def _table_arrays(table, n: int):
@@ -275,31 +276,33 @@ def _replacements(labels, rank, has):
     return [np.concatenate(a) for a in zip(*parts)]
 
 
-def _products(labels, rank, A, has):
-    """Every term of the multiplicative images of the monomials, taking at
-    each position p one term of the 1-form image of S[p]: the product's
-    labels are sorted with the sign of their inversions, and a product with
-    a repeated label is dropped.  Returns the rows, columns and values."""
+def _products(labels, A, has):
+    """Every term of the multiplicative images of the monomials under a
+    (T, n, n) stack A of 1-form matrices with the one entry pattern has, at
+    each position p one term of the image of S[p]: the product's labels are
+    sorted with the sign of their inversions, one with a repeated label is
+    dropped.  Returns the rows, the columns and one row of values per A."""
     col = np.arange(len(labels))
     chosen = np.zeros((len(labels), 0), dtype=np.int64)
-    coef = np.ones(len(labels))
+    coef = np.ones((len(A), len(labels)))
     for p in range(labels.shape[1]):
         old = labels[col, p]
         term, new = np.nonzero(has[:, old].T)
         keep = (chosen[term] != new[:, None]).all(axis=1)
         term, new = term[keep], new[keep]
         inversions = (chosen[term] > new[:, None]).sum(axis=1)
-        coef = coef[term] * A[new, old[term]] * (1 - 2 * (inversions % 2))
+        coef = (coef[:, term] * A[:, new, old[term]]
+                * (1 - 2 * (inversions % 2)))
         col, chosen = col[term], np.column_stack([chosen[term], new])
-    return rank[_BIT[chosen].sum(axis=1)], col, coef
+    return _rank(labels, len(has))[_BIT[chosen].sum(axis=1)], col, coef
 
 
 def _group_views(buf, shapes) -> list:
     """buf cut into consecutive views of the given shapes, one per size
-    group: (B, s, s) for matrices held block-major, (B, s) for diagonals."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [part.reshape(shape)
-            for shape, part in zip(shapes, np.split(buf, ends))]
+    group: (B, s, s) matrices, (B, s) diagonals or (B, s, k) labels."""
+    ends = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return [buf[end - math.prod(shape):end].reshape(shape)
+            for shape, end in zip(shapes, ends)]
 
 
 def _block_matrices(sizes, rows, cols, values) -> dict:
@@ -338,7 +341,8 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     table, grouped into min-label components, stacked per block size."""
     n = 2 * ctx.m
     basis = ctx.basis(k)
-    labels, rank = _monomials(basis, n)
+    labels = np.array(basis, dtype=np.int64).reshape(len(basis), k)
+    rank = _rank(labels, n)
     tables = {name: _table_arrays(ctx.tables[name], n)
               for name in ("R", "Rb", "L_I", "L_J", "L_K")}
     row, col, old, new, sign = _replacements(
@@ -364,7 +368,8 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
                           ((name, A[new, old] * sign)
                            for name, (A, _) in tables.items()))
     groups = [R.shape[:2] for R in ops["R"]]  # (B, s)
-    pq = 2 * (labels[order] < ctx.m).sum(axis=1) - k
+    labels = labels[order]
+    pq = 2 * (labels < ctx.m).sum(axis=1) - k
     ops["H"] = _group_views(pq.astype(complex), groups)
     ops["C"] = []
     for h, R, Rb in zip(ops["H"], ops["R"], ops["Rb"]):
@@ -373,11 +378,11 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
         C[:, i, i] += h * h
         ops["C"].append(C)
     weights = ctx.weight_list(k)
-    return [Su2Block([[basis[i] for i in order[s0:s0 + size]]
-                      for s0 in first[sizes == size]],
-                     {name: stacks[g] for name, stacks in ops.items()},
-                     weights)
-            for g, (_, size) in enumerate(groups)]
+    cuts = _group_views(labels.ravel(), [(b, s, k) for b, s in groups])
+    ordered = [basis[i] for i in order.tolist()]
+    return [Su2Block([ordered[s0:s0 + s] for s0 in first[sizes == s].tolist()],
+                     cut, {name: a[g] for name, a in ops.items()}, weights)
+            for g, (cut, (_, s)) in enumerate(zip(cuts, groups))]
 
 
 @dataclass
@@ -470,18 +475,21 @@ class StructureContext:
 
     def cov_blocks(self, blocks: list[Su2Block]) -> dict:
         """cov_I, cov_J and cov_K ("I", "J", "K") as one stack per size group
-        of one degree's su2_blocks, expanded multiplicatively from their
-        1-form tables one at a time; built on each call, never cached.
+        of one degree's su2_blocks, each from its own 1-form table, expanded
+        in one pass per entry pattern (cov_I; cov_J with cov_K) on each call.
         Raises ValueError if an image leaves its block."""
         n = 2 * self.m
-        members = [mem for blk in blocks for mem in blk.monos]
-        labels, rank = _monomials([mono for mem in members for mono in mem], n)
-        out = {}
-        for u in "IJK":
-            rows, cols, vals = _products(
-                labels, rank, *_table_arrays(self.tables["cov_" + u], n))
-            out |= _block_matrices([len(mem) for mem in members], rows, cols,
-                                   [(u, vals)])
+        sizes = [len(mem) for blk in blocks for mem in blk.monos]
+        labels = np.concatenate([blk.labels.ravel() for blk in blocks]
+                                ).reshape(sum(sizes), -1)
+        tables = {u: _table_arrays(self.tables["cov_" + u], n) for u in "IJK"}
+        shared, out = {}, {}  # shared: the units by their entry pattern
+        for u, (_, has) in tables.items():
+            shared.setdefault(has.tobytes(), []).append(u)
+        for units in shared.values():
+            A = np.array([tables[u][0] for u in units])
+            rows, cols, vals = _products(labels, A, tables[units[0]][1])
+            out |= _block_matrices(sizes, rows, cols, zip(units, vals))
         return out
 
     def casimir(self, el: Element) -> Element:
@@ -503,12 +511,12 @@ class StructureContext:
         the blocks they leave invariant; built on each call, never cached."""
         return _su2_blocks(self, k)
 
-    def _projector_columns(self, k: int, w: int) -> dict:
+    def _projector_columns(self, k: int, w: int, blocks=None) -> dict:
         key = (k, w)
         if key not in self._columns:
             cols = dict.fromkeys(self.basis(k), ())
             if w in self.weight_list(k):
-                for blk in self.su2_blocks(k):  # P: plain complex entries
+                for blk in blocks or self.su2_blocks(k):  # P: complex entries
                     for mem, P in zip(blk.monos, blk.projector(w).tolist()):
                         for j, mono in enumerate(mem):
                             cols[mono] = tuple((row, P[i][j])

@@ -206,8 +206,7 @@ def _degree_values(ctx, k: int) -> dict:
             out["su2-brackets"].append(
                 np.abs(lx @ ly - ly @ lx + 2.0 * blk.ops["L_" + z]).max())
         # per monomial, its L_I column's distance from i(p-q) e_mono
-        labels = np.array(blk.monos, dtype=int)  # (B, s, k)
-        pq = 1j * (2 * (labels < m).sum(axis=-1) - k)
+        pq = 1j * (2 * (blk.labels < m).sum(axis=-1) - k)
         gap = blk.ops["L_I"] - pq[:, None, :] * np.eye(pq.shape[1])
         out["unit-weight"].append(np.max(np.abs(gap), axis=1).ravel())
 
@@ -222,22 +221,24 @@ def _degree_values(ctx, k: int) -> dict:
             tops.append((blk.monos, ps[0]))
         if 1 <= k <= m:
             # per (k,0) monomial and q, the column of R^q Rbar^q - c Id
-            top = labels.max(axis=-1) < m
+            top = blk.labels.max(axis=-1) < m
             prod = eye = np.eye(top.shape[1])
             for q in range(1, k + 1):
                 prod = R @ prod @ Rb
                 gap = prod - ladder_constant(k - q, q) * eye
                 out["ladder-normalization"].append(
                     np.max(np.abs(gap), axis=1)[top])
+    if k == 2:  # the (1,1) checks' invariant_part reads these columns
+        ctx._projector_columns(k, 0, blocks)
     if k <= m:
         out["positive-dimension"].append(
             abs(_top_trace(tops) - positive_dimension(m, k)))
 
-    def spectrum(name):
-        return np.concatenate([_eigenvalues(blk.ops[name], False).ravel()
-                               for blk in blocks])
+    def spectrum(name, of=lambda a: _eigenvalues(a, False)):
+        return np.concatenate([of(blk.ops[name]).ravel() for blk in blocks])
 
-    si = np.sort(spectrum("L_I").imag)
+    # L_I is built diagonal, and unit-weight reads every column of it
+    si = np.sort(spectrum("L_I", lambda a: np.diagonal(a, 0, 1, 2)).imag)
     for u in ("L_J", "L_K"):
         ev = spectrum(u)
         out["unit-spectra"] += [np.abs(ev.real).max(),
@@ -438,7 +439,8 @@ def bicomplex_records(cfg: ScenarioConfig) -> list:
     sweeps = _bicomplex_sweeps(cfg)
     # one stacked Point per sample list: the sweeps over it share its seeded
     # child and grandchild and the field values memoised on them
-    stacked = {id(pts): stack_points(pts) for _, pts, _ in sweeps}
+    lists = {id(pts): pts for _, pts, _ in sweeps}
+    stacked = {key: stack_points(pts) for key, pts in lists.items()}
     return [r for specs, pts, columns in sweeps
             for r in _stacked_records(specs, stacked[id(pts)], columns)]
 

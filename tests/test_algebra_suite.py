@@ -103,9 +103,10 @@ def test_algebra_memory_one_degree_at_a_time():
 
 
 def test_algebra_builds_each_degree_once_per_n(monkeypatch):
-    # the degree loop builds each degree once, in order; the (1,1) checks'
-    # invariant_part then builds degree 2 once more, for the weight-0
-    # projector columns that weight_project caches on the context
+    # the degree loop builds each degree once, in order, and fills the
+    # weight-0 projector columns of degree 2, which the (1,1) checks'
+    # invariant_part reads, from its degree-2 blocks (was one more build
+    # of degree 2 per n)
     built = []
     build = exterior._su2_blocks
 
@@ -115,8 +116,7 @@ def test_algebra_builds_each_degree_once_per_n(monkeypatch):
 
     monkeypatch.setattr(exterior, "_su2_blocks", counted)
     algebra_records(ScenarioConfig(n=3, samples=1))
-    assert built == [(n, k) for n in (1, 2, 3)
-                     for k in [*range(4 * n + 1), 2]]
+    assert built == [(n, k) for n in (1, 2, 3) for k in range(4 * n + 1)]
 
 
 def _member_blocks(ctx, k):

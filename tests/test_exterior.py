@@ -369,6 +369,9 @@ def test_blocks_group_by_size(m):
             # members by smallest monomial, each in basis order
             assert blk.monos == sorted(blk.monos)
             assert all(mem == sorted(mem) for mem in blk.monos)
+            assert blk.labels.dtype == np.int64
+            assert np.array_equal(blk.labels, np.array(
+                blk.monos, dtype=np.int64).reshape(shape[:2] + (k,)))
             assert blk.weights == ctx.weight_list(k)
             assert sorted(blk.ops) == ["C", "H", "L_I", "L_J", "L_K", "R",
                                        "Rb"]
@@ -452,6 +455,84 @@ def test_cov_image_leaving_its_block_raises():
         ctx.cov_blocks(blocks)
     with pytest.raises(ValueError):  # and in a product of two labels
         ctx.cov_blocks(ctx.su2_blocks(2))
+
+
+@pytest.mark.parametrize("structure", ["m=4", "m=6", "dense m=4"])
+def test_stacked_products_equal_each_table_alone(structure, rng):
+    # cov_J and cov_K share one entry pattern (cov_K = cov_I cov_J with
+    # cov_I diagonal), so one expansion serves both: each row of values is
+    # bit for bit that table's expansion alone
+    ctx = (_random_structure(4, rng) if structure.startswith("dense")
+           else _ctx(int(structure[2:])))
+    (J, has), (K, has_k) = [exterior._table_arrays(ctx.tables[name], 2 * ctx.m)
+                            for name in ("cov_J", "cov_K")]
+    assert np.array_equal(has, has_k)
+    A = np.array([J, K])
+    for k in range(2 * ctx.m + 1):
+        basis = ctx.basis(k)
+        labels = np.array(basis, dtype=np.int64).reshape(len(basis), k)
+        rows, cols, vals = exterior._products(labels, A, has)
+        assert vals.shape == (2, len(rows))
+        for t in range(2):
+            one = exterior._products(labels, A[t:t + 1], has)
+            assert np.array_equal(rows, one[0])
+            assert np.array_equal(cols, one[1])
+            assert vals[t].tobytes() == one[2][0].tobytes(), (k, t)
+
+
+def test_cov_blocks_expand_once_per_pattern(monkeypatch):
+    # cov_I alone, then cov_J with cov_K: two expansions per degree
+    calls = []
+    real = exterior._products
+
+    def counted(labels, A, has):
+        calls.append(len(A))
+        return real(labels, A, has)
+
+    monkeypatch.setattr(exterior, "_products", counted)
+    ctx = _ctx(4)
+    for k in range(9):
+        calls.clear()
+        assert list(ctx.cov_blocks(ctx.su2_blocks(k))) == ["I", "J", "K"]
+        assert calls == [1, 2], k
+
+
+def _identity_start_projector(blk, w):
+    """The Lagrange product started from a tiled identity, with C @ P at
+    every factor: the oracle for Su2Block.projector."""
+    C, lam = blk.ops["C"], w * (w + 2)
+    P = np.tile(np.eye(C.shape[-1], dtype=complex), (len(C), 1, 1))
+    for w2 in blk.weights:
+        if w2 != w:
+            lam2 = w2 * (w2 + 2)
+            P = (C @ P - lam2 * P) * (1.0 / (lam - lam2))
+    return P
+
+
+@pytest.mark.parametrize("structure", ["m=2", "m=4", "dense m=4"])
+def test_projector_equals_identity_start_product(structure, rng):
+    ctx = (_random_structure(4, rng) if structure.startswith("dense")
+           else _ctx(int(structure[2:])))
+    for k in range(2 * ctx.m + 1):
+        for blk in ctx.su2_blocks(k):
+            for w in blk.weights:
+                P, want = blk.projector(w), _identity_start_projector(blk, w)
+                assert P.dtype == want.dtype and P.shape == want.shape
+                assert P.tobytes() == want.tobytes(), (k, w)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_l_i_spectrum_is_its_diagonal(m):
+    # L_I is built diagonal, so unit-spectra reads its spectrum there
+    ctx = _ctx(m)
+    for k in range(2 * m + 1):
+        for blk in ctx.su2_blocks(k):
+            L = blk.ops["L_I"]
+            diag = np.diagonal(L, 0, 1, 2)
+            assert np.array_equal(L, diag[..., None] * np.eye(L.shape[-1]))
+            ev = np.linalg.eigvals(L).ravel()
+            assert np.array_equal(np.sort_complex(ev),
+                                  np.sort_complex(diag.ravel())), k
 
 
 def _spectrum(values):
@@ -552,3 +633,9 @@ def test_blocks_built_on_each_call_columns_once_per_context(monkeypatch):
     ctx.weight_project({(0, 4): 1.0}, 2)
     _ctx(4).weight_project({(0, 4): 1.0}, 0)
     assert built == first + list(range(9)) + [2, 2]
+    # columns filled from blocks already built read no further build
+    given = _ctx(4)
+    given._projector_columns(2, 0, given.su2_blocks(2))
+    assert given.weight_project({(0, 4): 1.0}, 0) \
+        == _ctx(4).weight_project({(0, 4): 1.0}, 0)
+    assert built == first + list(range(9)) + [2, 2, 2, 2]

@@ -79,6 +79,20 @@ def test_bicomplex_sweeps_agree_with_each_sample(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_bicomplex_stacks_each_sample_list_once(monkeypatch, n):
+    # nine sweeps over three sample lists: the samples (six sweeps), their
+    # first three (moment-potential) and the ladder samples (two sweeps)
+    stacked = []
+    real = suites.stack_points
+    monkeypatch.setattr(suites, "stack_points",
+                        lambda pts: stacked.append(pts) or real(pts))
+    records = suites.bicomplex_records(ScenarioConfig(n=n, samples=5))
+    assert all(r.passed for r in records)
+    assert [len(pts) for pts in stacked] == [5, 3, 3]
+    assert len({id(pts) for pts in stacked}) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_operators_agree_with_each_sample(rng, n):
     # the sweeps' fields are residuals near zero; their operands are not
     ch = flat_chart(n)
