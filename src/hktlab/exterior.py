@@ -35,7 +35,7 @@ hence the Casimir and every weight projector, vanishes outside the blocks,
 so block matrices carry the full operators exactly.  The blocks of one size
 form one (B, s, s) stack (28 stacks for 729 blocks at n=3, at most 64x64),
 H one (B, s) stack of its diagonals, so the algebra suite runs one batched
-matmul or eigvals per stack, never a 924x924 matrix.  Nothing is cached
+matmul or eigvalsh per stack, never a 924x924 matrix.  Nothing is cached
 across calls: a caller holds one degree's blocks while it reads them, and a
 weight's projector is built from C only when asked for, its first factor
 from C itself.  weight_project keeps, per context, the projector columns of

@@ -35,12 +35,12 @@ def _adjoint(G: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(G, -1, -2))
 
 
-def _eigenvalues(H: np.ndarray, hermitian: bool = True) -> np.ndarray:
-    """Eigenvalues of each matrix of H, ascending for Hermitian H; nan for a
-    matrix with a non-finite entry, which LAPACK would refuse for the stack."""
+def _eigenvalues(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of H, from its lower
+    triangle; nan for one with a non-finite entry, which LAPACK refuses."""
     ok = np.all(np.isfinite(H), axis=(-2, -1))
-    out = np.full(H.shape[:-1], np.nan, dtype=float if hermitian else complex)
-    out[ok] = (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(H[ok])
+    out = np.full(H.shape[:-1], np.nan)
+    out[ok] = np.linalg.eigvalsh(H[ok])
     return out
 
 

@@ -234,19 +234,21 @@ def _degree_values(ctx, k: int) -> dict:
         out["positive-dimension"].append(
             abs(_top_trace(tops) - positive_dimension(m, k)))
 
-    def spectrum(name, of=lambda a: _eigenvalues(a, False)):
+    def spectrum(name, of=_eigenvalues):
         return np.concatenate([of(blk.ops[name]).ravel() for blk in blocks])
+
+    def gap(name, sign):  # eigvalsh reads one triangle; bound the other
+        return spectrum(name, lambda a: np.abs(
+            a + sign * _adjoint(a)).max(axis=(1, 2))).max()
 
     # L_I is built diagonal, and unit-weight reads every column of it
     si = np.sort(spectrum("L_I", lambda a: np.diagonal(a, 0, 1, 2)).imag)
-    for u in ("L_J", "L_K"):
-        ev = spectrum(u)
-        out["unit-spectra"] += [np.abs(ev.real).max(),
-                                np.abs(np.sort(ev.imag) - si).max()]
-    targets = np.array([w * (w + 2) for w in ws])
-    lam = spectrum("C")
-    out["casimir-spectrum"].append(
-        np.min(np.abs(lam[:, None] - targets[None, :]), axis=1))
+    for u in ("L_J", "L_K"):  # skew-Hermitian: spectrum i eigvalsh(-i L)
+        ev = spectrum(u, lambda a: _eigenvalues(-1j * a))
+        out["unit-spectra"] += [gap(u, 1), np.abs(np.sort(ev) - si).max()]
+    lam, w = spectrum("C"), np.array(ws)
+    out["casimir-spectrum"] += [
+        np.min(np.abs(lam[:, None] - w * (w + 2)), axis=1), [gap("C", -1)]]
 
     for mats in ctx.cov_blocks(blocks).values():
         out["cov-squares"] += [

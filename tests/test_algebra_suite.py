@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from hktlab import exterior, suites
 from hktlab.charts import flat_chart
@@ -16,7 +17,8 @@ from hktlab.suites import ScenarioConfig, Tolerances, algebra_records
 # points and threshold of every n=3 record, as the sparse per-monomial
 # suite reported them before the su(2) operators were cached as blocks;
 # unit-spectra has since been bounded by the eigenvalue tolerance tol.casimir
-# in place of a hard-coded 1e-5
+# in place of a hard-coded 1e-5, and both spectrum records, now read with
+# eigvalsh and their (skew-)Hermitian gaps, keep their points and bounds
 N3_RECORDS = {
     "sl2-brackets": (4096, 1e-12),
     "su2-brackets": (12288, 1e-12),
@@ -45,19 +47,21 @@ def test_algebra_n3_passes_with_unchanged_records():
         assert (r.points, r.threshold) == N3_RECORDS[r.identity[:-5]]
 
 
-def _poison_degree_2(monkeypatch, name):
-    """Wraps exterior._su2_blocks so that every build of degree 2 comes with
-    a nan in the first entry of operator name's first stack, written after
-    the Casimir is formed; returns the list of poisoned stacks."""
+def _poison(monkeypatch, name, degree=2, at=(0, 0, 0), value=math.nan):
+    """Wraps exterior._su2_blocks so that every build of degree comes with
+    value (a nan by default) added to entry at of operator name's first
+    stack, after the Casimir is formed; returns the list of (clean copy,
+    poisoned stack) pairs."""
     stacks = []
     build = exterior._su2_blocks
 
     def poisoned(ctx, k):
         blocks = build(ctx, k)
-        if k == 2:
+        if k == degree:
             stack = blocks[0].ops[name]
-            stack[0, 0, 0] = math.nan
-            stacks.append(stack)
+            clean = stack.copy()
+            stack[at] += value
+            stacks.append((clean, stack))
         return blocks
 
     monkeypatch.setattr(exterior, "_su2_blocks", poisoned)
@@ -65,7 +69,7 @@ def _poison_degree_2(monkeypatch, name):
 
 
 def test_nan_in_a_block_fails_sl2(monkeypatch):
-    _poison_degree_2(monkeypatch, "R")
+    _poison(monkeypatch, "R")
     records = {r.identity: r
                for r in algebra_records(ScenarioConfig(samples=1))}
     for n in (1, 2):
@@ -77,16 +81,42 @@ def test_nan_in_a_block_fails_sl2(monkeypatch):
 def test_nan_in_one_member_fails_unit_spectra(monkeypatch):
     # degree 2 at n=1 opens with a group of two 1x1 members; the poisoned
     # member's eigenvalues are nan, its neighbour's are still computed
-    stacks = _poison_degree_2(monkeypatch, "L_J")
+    stacks = _poison(monkeypatch, "L_J")
     records = {r.identity: r
                for r in algebra_records(ScenarioConfig(samples=1))}
     for n in (1, 2):
         r = records[f"unit-spectra(n={n})"]
         assert math.isnan(r.value) and not r.passed
         assert records[f"casimir-spectrum(n={n})"].passed
-    ev = _eigenvalues(stacks[0], False)
-    assert ev.shape == (2, 1) and math.isnan(ev[0, 0].real)
-    assert np.array_equal(ev[1:], np.linalg.eigvals(stacks[0][1:]))
+    stack = stacks[0][1]
+    ev = _eigenvalues(-1j * stack)
+    assert ev.shape == (2, 1) and math.isnan(ev[0, 0])
+    assert np.array_equal(ev[1:], np.linalg.eigvalsh(-1j * stack[1:]))
+
+
+@pytest.mark.parametrize("value", [1e-6, math.nan])
+@pytest.mark.parametrize("name, identity, other", [
+    ("L_J", "unit-spectra", "casimir-spectrum"),
+    ("C", "casimir-spectrum", "unit-spectra")])
+def test_upper_triangle_fault_fails_its_spectrum(monkeypatch, name, identity,
+                                                 other, value):
+    # the first member of degree 1 is 2x2; a fault in its strict upper
+    # triangle leaves the spectrum eigvalsh reads from the lower one as it
+    # was, so only the (skew-)Hermitian gap can see it
+    stacks = _poison(monkeypatch, name, 1, (0, 0, 1), value)
+    records = {r.identity: r
+               for r in algebra_records(ScenarioConfig(samples=1))}
+    scale = -1j if name == "L_J" else 1.0
+    for n, (clean, stack) in zip((1, 2), stacks):
+        assert stack.shape[-1] == 2
+        r = records[f"{identity}(n={n})"]
+        assert not r.passed and records[f"{other}(n={n})"].passed
+        if math.isnan(value):
+            assert math.isnan(r.value)
+        else:
+            assert np.array_equal(np.linalg.eigvalsh(scale * stack),
+                                  np.linalg.eigvalsh(scale * clean))
+            assert r.value == pytest.approx(value, rel=1e-9)
 
 
 def test_algebra_memory_one_degree_at_a_time():
@@ -149,23 +179,26 @@ def _per_block_values(ctx):
     blocks = [_member_blocks(ctx, k) for k in range(2 * m + 1)]
     every = [b for per_degree in blocks for b in per_degree]
 
-    def spectrum(per_degree, name):
-        return np.concatenate([np.linalg.eigvals(ops[name])
+    def spectrum(per_degree, name, scale=1.0):
+        return np.concatenate([np.linalg.eigvalsh(scale * ops[name])
                                for _, ops, _ in per_degree])
 
     def unit_spectra():
         for per_degree in blocks:
-            si = np.sort(spectrum(per_degree, "L_I").imag)
+            si = np.sort(np.concatenate(
+                [np.diag(ops["L_I"]) for _, ops, _ in per_degree]).imag)
             for u in ("L_J", "L_K"):
-                ev = spectrum(per_degree, u)
-                yield ev.real
-                yield np.sort(ev.imag) - si
+                for _, ops, _ in per_degree:
+                    yield ops[u] + ops[u].conj().T
+                yield np.sort(spectrum(per_degree, u, -1j)) - si
 
     def casimir():
         for k, per_degree in enumerate(blocks):
             targets = np.array([w * (w + 2) for w in ctx.weight_list(k)])
             lam = spectrum(per_degree, "C")
             yield np.min(np.abs(lam[:, None] - targets[None, :]), axis=1)
+            for _, ops, _ in per_degree:
+                yield ops["C"] - ops["C"].conj().T
 
     def projectors():
         for k, per_degree in enumerate(blocks):
@@ -220,6 +253,24 @@ def test_stacked_block_checks_match_per_block_loop():
     expected = _per_block_values(flat_chart(2).ctx)
     for name, value in expected.items():
         assert records[f"{name}(n=2)"] == value, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_spectra_match_eigvals(n):
+    # the eigendecomposition oracle: every block's spectrum of L_J and L_K
+    # (i eigvalsh(-i L)) and of C (eigvalsh(C)) is the general eigvals',
+    # and the (skew-)Hermitian gaps each degree adds to the records are 0
+    ctx = flat_chart(n).ctx
+    for k in range(2 * ctx.m + 1):
+        for blk in ctx.su2_blocks(k):
+            for name, scale in (("L_J", -1j), ("L_K", -1j), ("C", 1.0)):
+                ev = scale * np.linalg.eigvals(blk.ops[name])
+                assert np.abs(ev.imag).max() <= 1e-12, (k, name)
+                assert np.abs(np.sort(ev.real, axis=-1) - _eigenvalues(
+                    scale * blk.ops[name])).max() <= 1e-12, (k, name)
+        values = suites._degree_values(ctx, k)
+        assert values["unit-spectra"][0::2] == [0.0, 0.0], k
+        assert values["casimir-spectrum"][-1] == [0.0], k
 
 
 def test_no_noninvariant_draw_fails_detection(monkeypatch):
