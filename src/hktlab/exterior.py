@@ -35,11 +35,16 @@ hence the Casimir and every weight projector, vanishes outside the blocks,
 so block matrices carry the full operators exactly.  The blocks of one size
 form one (B, s, s) stack (28 stacks for 729 blocks at n=3, at most 64x64),
 H one (B, s) stack of its diagonals, so the algebra suite runs one batched
-matmul or eigvalsh per stack, never a 924x924 matrix.  Nothing is cached
-across calls: a caller holds one degree's blocks while it reads them, and a
-weight's projector is built from C only when asked for, its first factor
-from C itself.  weight_project keeps, per context, the projector columns of
-each (degree, weight) it has read, built from that degree's blocks.
+matmul or eigvalsh per stack, never a 924x924 matrix.  A stack takes its
+1-form table's dtype by numpy's promotion: a table is real when every
+imaginary part is exactly 0, and H is always real.  On the standard
+structure R, Rb, L_J, H, C and every projector are real and L_I, L_K and
+the cov units complex; a dense complex M keeps the rest complex through the
+same code.  Nothing is cached across calls: a caller holds one degree's
+blocks while it reads them, and a weight's projector is built from C only
+when asked for, its first factor from C itself.  weight_project keeps, per
+context, the projector columns of each (degree, weight) it has read, built
+from that degree's blocks.
 
 The blocks are built from the 1-form tables with array operations over all
 monomials of the degree at once, not through the sparse rules.  One
@@ -57,8 +62,10 @@ then by smallest member, monomials in basis order), so a size group is one
 reshaped view, and keeps its (B, s, k) label array.  cov_blocks ranks those
 labels and expands cov_I, cov_J and cov_K on them multiplicatively, each
 from its own 1-form table but one pass per entry pattern the tables share
-(cov_I alone, cov_J with cov_K): one image term per position, the
-product's labels sorted with the sign of their inversions.
+(cov_I alone, cov_J with cov_K): one image term per position, each
+term's labels so far held as one int64 bitmask, so a repeated label is a
+set bit, the sign counts the set bits above the new label, and the final
+mask is the rank lookup's index.
 The tests hold every block matrix to operator_matrix of the sparse rule.
 """
 
@@ -206,8 +213,9 @@ class Su2Block(NamedTuple):
     generators, stacked.  monos lists the members' monomial lists (by
     smallest monomial, each in basis order), and labels holds them as one
     (B, s, k) int array; ops maps "R", "Rb", "L_I", "L_J", "L_K" and the
-    Casimir "C" to (B, s, s) stacks of dense matrices, and "H" to the
-    (B, s) stack of its diagonals; weights lists the degree's weights.
+    Casimir "C" to (B, s, s) stacks of dense matrices in their tables'
+    dtype, and "H" to the (B, s) stack of its real diagonals; weights lists
+    the degree's weights.
     """
     monos: list
     labels: np.ndarray
@@ -219,15 +227,15 @@ class Su2Block(NamedTuple):
         the other weights w2 of (C - w2(w2+2)) / (w(w+2) - w2(w2+2)), the
         first factor formed from C itself, built on each call."""
         C, lam = self.ops["C"], w * (w + 2)
-        eye, P = np.eye(C.shape[-1], dtype=complex), None
+        eye, P = np.eye(C.shape[-1], dtype=C.dtype), None
         for lam2 in [w2 * (w2 + 2) for w2 in self.weights if w2 != w]:
             P = (C - lam2 * eye if P is None else C @ P - lam2 * P) \
                 * (1.0 / (lam - lam2))
         return np.tile(eye, (len(C), 1, 1)) if P is None else P
 
 
-# _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing
-# and sums, which load fewer numpy kernels than shifts (peak RSS counts them)
+# _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing,
+# never by shifts, which load more numpy kernels (peak RSS counts them)
 _BIT = np.array([1 << l for l in range(62)])
 
 
@@ -241,23 +249,24 @@ def _rank(labels, n: int) -> np.ndarray:
 
 def _table_arrays(table, n: int):
     """A 1-form table as the matrix A[l, s], the coefficient of label l in
-    the image of label s, and the pattern of the table's entries."""
+    the image of label s, and the pattern of the table's entries.  A is
+    float64 when every imaginary part is exactly 0, complex128 otherwise."""
     A = np.zeros((n, n), dtype=complex)
     has = np.zeros((n, n), dtype=bool)
     for s, img in table.items():
         for (l,), c in img.items():
             A[l, s] = c
             has[l, s] = True
-    return A, has
+    return (A if A.imag.any() else A.real), has
 
 
 def _replacements(labels, rank, has):
     """Every e_S -> e_T of a derivation whose 1-form images have the entry
     pattern has: T is S with its label S[p] replaced by a label l, where l
     is S[p] itself or a label S lacks.  Returns the rows, columns, replaced
-    labels S[p], new labels l and signs (-1)^(labels of S strictly between
-    S[p] and l), one entry per (S, p, l); the generator's value there is
-    sign * A[l, S[p]]."""
+    labels S[p], new labels l and real signs (-1)^(labels of S strictly
+    between S[p] and l), one entry per (S, p, l); the generator's value
+    there is sign * A[l, S[p]], in A's dtype."""
     n = len(has)
     masks = _BIT[labels].sum(axis=1)
     free = np.ones((len(labels), n), dtype=bool)
@@ -271,8 +280,7 @@ def _replacements(labels, rank, has):
         lo, hi = np.minimum(old, new)[:, None], np.maximum(old, new)[:, None]
         between = ((labels[col] > lo) & (labels[col] < hi)).sum(axis=1)
         row = rank[masks[col] - _BIT[old] + _BIT[new]]
-        parts.append((row, col, old, new,
-                      (1 - 2 * (between % 2)).astype(complex)))
+        parts.append((row, col, old, new, 1.0 - 2 * (between % 2)))
     return [np.concatenate(a) for a in zip(*parts)]
 
 
@@ -281,20 +289,24 @@ def _products(labels, A, has):
     (T, n, n) stack A of 1-form matrices with the one entry pattern has, at
     each position p one term of the image of S[p]: the product's labels are
     sorted with the sign of their inversions, one with a repeated label is
-    dropped.  Returns the rows, the columns and one row of values per A."""
+    dropped.  Returns the rows, the columns and one row of values per A, in
+    A's dtype."""
     col = np.arange(len(labels))
-    chosen = np.zeros((len(labels), 0), dtype=np.int64)
-    coef = np.ones((len(A), len(labels)))
+    chosen = np.zeros(len(labels), dtype=np.int64)  # each term's label bitmask
+    coef = np.ones((len(A), len(labels)), dtype=A.dtype)
     for p in range(labels.shape[1]):
         old = labels[col, p]
         term, new = np.nonzero(has[:, old].T)
-        keep = (chosen[term] != new[:, None]).all(axis=1)
-        term, new = term[keep], new[keep]
-        inversions = (chosen[term] > new[:, None]).sum(axis=1)
+        bit = _BIT[new]
+        keep = (chosen[term] & bit) == 0
+        term, new, bit = term[keep], new[keep], bit[keep]
+        mask = chosen[term]
+        # the chosen labels above new: -2 * bit has every bit above new's set
+        inversions = np.bitwise_count(mask & (-2 * bit)).astype(np.int64)
         coef = (coef[:, term] * A[:, new, old[term]]
                 * (1 - 2 * (inversions % 2)))
-        col, chosen = col[term], np.column_stack([chosen[term], new])
-    return _rank(labels, len(has))[_BIT[chosen].sum(axis=1)], col, coef
+        col, chosen = col[term], mask | bit
+    return _rank(labels, len(has))[chosen], col, coef
 
 
 def _group_views(buf, shapes) -> list:
@@ -330,7 +342,7 @@ def _block_matrices(sizes, rows, cols, values) -> dict:
     for name, vals in values:
         if not inside.all() and np.any(np.abs(vals[~inside]) > 1e-13):
             raise ValueError("image leaves its su(2) block")
-        buf = np.zeros(int(sizes @ sizes), dtype=complex)
+        buf = np.zeros(int(sizes @ sizes), dtype=vals.dtype)
         np.add.at(buf, place, vals[inside])
         out[name] = _group_views(buf, [(n, s, s) for n, s in groups])
     return out
@@ -370,7 +382,7 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     groups = [R.shape[:2] for R in ops["R"]]  # (B, s)
     labels = labels[order]
     pq = 2 * (labels < ctx.m).sum(axis=1) - k
-    ops["H"] = _group_views(pq.astype(complex), groups)
+    ops["H"] = _group_views(pq.astype(float), groups)
     ops["C"] = []
     for h, R, Rb in zip(ops["H"], ops["R"], ops["Rb"]):
         # H H + 2 (R Rb + Rb R), with H H added on the diagonal only
@@ -516,7 +528,7 @@ class StructureContext:
         if key not in self._columns:
             cols = dict.fromkeys(self.basis(k), ())
             if w in self.weight_list(k):
-                for blk in blocks or self.su2_blocks(k):  # P: complex entries
+                for blk in blocks or self.su2_blocks(k):  # P: C's dtype
                     for mem, P in zip(blk.monos, blk.projector(w).tolist()):
                         for j, mono in enumerate(mem):
                             cols[mono] = tuple((row, P[i][j])

@@ -37,8 +37,13 @@ def _adjoint(G: np.ndarray) -> np.ndarray:
 
 def _eigenvalues(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix of H, from its lower
-    triangle; nan for one with a non-finite entry, which LAPACK refuses."""
+    triangle, by the real symmetric solver when every imaginary part is
+    exactly 0; nan for one with a non-finite entry, which LAPACK refuses."""
+    if np.iscomplexobj(H) and not H.imag.any():
+        H = H.real
     ok = np.all(np.isfinite(H), axis=(-2, -1))
+    if ok.all():
+        return np.linalg.eigvalsh(H)
     out = np.full(H.shape[:-1], np.nan)
     out[ok] = np.linalg.eigvalsh(H[ok])
     return out

@@ -18,6 +18,7 @@ from hktlab.duals import Dual, fresh_level
 from hktlab.exterior import (StructureContext, apply_derivation, eadd, enorm,
                              escale, esub, eval2, positive_dimension,
                              sort_sign, standard_m, wedge)
+from hktlab.hermitian import _eigenvalues
 
 
 def _ctx(m=2):
@@ -501,7 +502,7 @@ def _identity_start_projector(blk, w):
     """The Lagrange product started from a tiled identity, with C @ P at
     every factor: the oracle for Su2Block.projector."""
     C, lam = blk.ops["C"], w * (w + 2)
-    P = np.tile(np.eye(C.shape[-1], dtype=complex), (len(C), 1, 1))
+    P = np.tile(np.eye(C.shape[-1], dtype=C.dtype), (len(C), 1, 1))
     for w2 in blk.weights:
         if w2 != w:
             lam2 = w2 * (w2 + 2)
@@ -519,6 +520,57 @@ def test_projector_equals_identity_start_product(structure, rng):
                 P, want = blk.projector(w), _identity_start_projector(blk, w)
                 assert P.dtype == want.dtype and P.shape == want.shape
                 assert P.tobytes() == want.tobytes(), (k, w)
+
+
+F8, C16 = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_flat_stacks_take_their_tables_dtype(m):
+    # the standard structure's R, Rb and L_J tables are real and H and C
+    # integer, so their stacks and every projector are real; L_I, L_K and
+    # the cov units have imaginary entries
+    ctx = _ctx(m)
+    for k in range(2 * m + 1):
+        blocks = ctx.su2_blocks(k)
+        for blk in blocks:
+            assert {name: a.dtype for name, a in blk.ops.items()} == {
+                "R": F8, "Rb": F8, "L_J": F8, "H": F8, "C": F8,
+                "L_I": C16, "L_K": C16}, k
+            assert all(blk.projector(w).dtype == F8 for w in blk.weights)
+        assert all(a.dtype == C16 for stacks in ctx.cov_blocks(blocks).values()
+                   for a in stacks), k
+
+
+def test_dense_structure_stacks_stay_complex(rng):
+    # the same code on a dense complex M: every stack but H's real
+    # diagonals is complex
+    ctx = _random_structure(4, rng)
+    for k in range(9):
+        blocks = ctx.su2_blocks(k)
+        for blk in blocks:
+            assert blk.ops["H"].dtype == F8
+            assert all(a.dtype == C16 for name, a in blk.ops.items()
+                       if name != "H"), k
+            assert all(blk.projector(w).dtype == C16 for w in blk.weights)
+        assert all(a.dtype == C16 for stacks in ctx.cov_blocks(blocks).values()
+                   for a in stacks), k
+
+
+def test_eigenvalues_take_the_real_solver_when_imaginary_parts_are_zero():
+    ctx = _ctx(4)
+    for k in range(9):
+        for blk in ctx.su2_blocks(k):
+            # -i L_K and C held as complex with every imaginary part 0
+            assert not (-1j * blk.ops["L_K"]).imag.any()
+            for real in ((-1j * blk.ops["L_K"]).real, blk.ops["C"]):
+                ev = _eigenvalues(real.astype(complex))
+                assert ev.tobytes() == np.linalg.eigvalsh(real).tobytes(), k
+            # -i L_J is purely imaginary: the complex solver
+            herm = -1j * blk.ops["L_J"]
+            assert herm.imag.any() or not blk.ops["L_J"].any()
+            assert (_eigenvalues(herm).tobytes()
+                    == np.linalg.eigvalsh(herm).tobytes()), k
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
