@@ -44,25 +44,34 @@ same code.  Nothing is cached across calls: a caller holds one degree's
 blocks while it reads them, and a weight's projector is built from C only
 when asked for, its first factor from C itself.  weight_project keeps, per
 context, the projector columns of each (degree, weight) it has read, built
-from that degree's blocks.
+from that degree's blocks; it never builds cov.  A context converts its
+1-form tables to arrays once, at their first use, and keeps them: a table
+changed after that is not seen.
 
 The blocks are built from the 1-form tables with array operations over all
-monomials of the degree at once, not through the sparse rules.  One
-replacement table serves the five derivations: it lists every e_S -> e_T
-where T is S with its label S[p] replaced by l (l = S[p], or a label S
-lacks), its row found by ranking T's label bitmask.  Moving l to its sorted
-place passes the labels of S strictly between S[p] and l, so the entry of
-a derivation with 1-form matrix A is (-1)^(their number) A[l, S[p]].  H is
-the diagonal p - q.  The blocks are the components of the entries' rows and
-columns, found by min-label propagation: each monomial takes the smallest
-label among its neighbours until none changes, so a block is labelled by
-its smallest member.  The generators share the entries' places, found
-once; each is scattered in turn into one buffer, size-major (blocks by size,
-then by smallest member, monomials in basis order), so a size group is one
-reshaped view, and keeps its (B, s, k) label array.  cov_blocks ranks those
-labels and expands cov_I, cov_J and cov_K on them multiplicatively, each
-from its own 1-form table but one pass per entry pattern the tables share
-(cov_I alone, cov_J with cov_K): one image term per position, each
+monomials of the degree at once, not through the sparse rules.  The
+converted tables carry their image list, each label's image labels in
+order, so an expansion repeats its items over their labels' images and
+never builds an (items, labels) mask.  One replacement table serves the
+five derivations: it lists every e_S -> e_T where T is S with its label
+S[p] replaced by l (l = S[p], or a label S lacks), its row found by
+ranking T's label bitmask.  Moving l to its sorted place passes the labels
+of S strictly between S[p] and l: the set bits of S's bitmask without S[p]
+in the span of bits from the smaller of the two up to the larger, so the
+entry of a derivation with 1-form matrix A is (-1)^(their number)
+A[l, S[p]].  H is the diagonal p - q.  The blocks are the components of
+the entries' rows and columns, found by min-label propagation: each
+monomial takes the smallest label among its neighbours until none
+changes, so a block is labelled by its smallest member.  The degree is
+ranked once and laid out once, size-major (blocks by size, then by
+smallest member, monomials in basis order), so a size group is one
+reshaped view of a buffer; the generators share the entries' places,
+found once, and each is scattered in turn into a buffer of its own.  Every
+block of the degree holds that layout, whose rank then sends a label
+bitmask to its row in that order, and a view of its labels.
+cov_blocks expands cov_I, cov_J and cov_K on the layout multiplicatively,
+each from its own 1-form table but one pass per entry pattern the tables
+share (cov_I alone, cov_J with cov_K): one image term per position, each
 term's labels so far held as one int64 bitmask, so a repeated label is a
 set bit, the sign counts the set bits above the new label, and the final
 mask is the rank lookup's index.
@@ -208,19 +217,35 @@ def standard_m(m: int) -> np.ndarray:
     return out
 
 
+class _Layout(NamedTuple):
+    """One degree's rows in stack order: blocks by size, then by smallest
+    member, each block's monomials in basis order.  block holds each row's
+    block, and an entry at (row, col) of one block takes the place
+    row_place[row] + col_place[col] in the stacked buffer; groups lists
+    the (B, s) of each size group, labels holds the rows' labels as one
+    (N, k) array and rank sends a label bitmask to its row (_rank)."""
+    block: np.ndarray
+    row_place: np.ndarray
+    col_place: np.ndarray
+    groups: list
+    labels: np.ndarray
+    rank: np.ndarray
+
+
 class Su2Block(NamedTuple):
     """The B connected pieces of size s of basis(k) under the su(2)
-    generators, stacked.  monos lists the members' monomial lists (by
-    smallest monomial, each in basis order), and labels holds them as one
-    (B, s, k) int array; ops maps "R", "Rb", "L_I", "L_J", "L_K" and the
-    Casimir "C" to (B, s, s) stacks of dense matrices in their tables'
-    dtype, and "H" to the (B, s) stack of its real diagonals; weights lists
-    the degree's weights.
+    generators, stacked.  labels holds the members' monomials as one
+    (B, s, k) int array (members by smallest monomial, each in basis
+    order), a view into layout.labels; ops maps "R", "Rb", "L_I", "L_J",
+    "L_K" and the Casimir "C" to (B, s, s) stacks of dense matrices in their
+    tables' dtype, and "H" to the (B, s) stack of its real diagonals;
+    weights lists the degree's weights, and layout is the one _Layout that
+    every block of the degree shares, from which cov_blocks builds.
     """
-    monos: list
     labels: np.ndarray
     ops: dict
     weights: list
+    layout: _Layout
 
     def projector(self, w: int) -> np.ndarray:
         """The (B, s, s) Lagrange projector onto weight w: the product over
@@ -234,16 +259,31 @@ class Su2Block(NamedTuple):
         return np.tile(eye, (len(C), 1, 1)) if P is None else P
 
 
+class _Tables(NamedTuple):
+    """1-form tables as their matrices A[l, s] (_table_arrays), each in its
+    own dtype, with has, the union of their entry patterns, as an image
+    list: source label s has the image labels
+    image[first[s]:first[s] + count[s]], the l with has[l, s], increasing."""
+    mats: list
+    has: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    image: np.ndarray
+
+
+# the tables of the derivations whose entries one replacement table serves
+_DERIVATIONS = ("R", "Rb", "L_I", "L_J", "L_K")
+
 # _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing,
 # never by shifts, which load more numpy kernels (peak RSS counts them)
 _BIT = np.array([1 << l for l in range(62)])
 
 
-def _rank(labels, n: int) -> np.ndarray:
-    """The lookup that sends a label bitmask to the row of the (N, k) label
-    array labels holding that monomial (-1 for none)."""
+def _rank(masks, n: int) -> np.ndarray:
+    """The lookup that sends a label bitmask to the index of that monomial
+    in masks, the monomials' label bitmasks (-1 for none)."""
     rank = np.full(1 << n, -1)
-    rank[_BIT[labels].sum(axis=1)] = np.arange(len(labels))
+    rank[masks] = np.arange(len(masks))
     return rank
 
 
@@ -260,43 +300,54 @@ def _table_arrays(table, n: int):
     return (A if A.imag.any() else A.real), has
 
 
-def _replacements(labels, rank, has):
+def _expand(tables: _Tables, old):
+    """For each item's label in old, one (item, image label) pair per image
+    label of it in tables: items in order, each item's images increasing,
+    as np.nonzero(tables.has[:, old].T) gives them."""
+    count = tables.count[old]
+    skip = np.repeat(tables.first[old] - np.cumsum(count) + count, count)
+    return (np.repeat(np.arange(len(old)), count),
+            tables.image[np.arange(len(skip)) + skip])
+
+
+def _replacements(labels, masks, rank, tables: _Tables):
     """Every e_S -> e_T of a derivation whose 1-form images have the entry
-    pattern has: T is S with its label S[p] replaced by a label l, where l
-    is S[p] itself or a label S lacks.  Returns the rows, columns, replaced
-    labels S[p], new labels l and real signs (-1)^(labels of S strictly
-    between S[p] and l), one entry per (S, p, l); the generator's value
-    there is sign * A[l, S[p]], in A's dtype."""
-    n = len(has)
-    masks = _BIT[labels].sum(axis=1)
-    free = np.ones((len(labels), n), dtype=bool)
-    free[np.arange(len(labels))[:, None], labels] = False
+    pattern tables.has: T is S with its label S[p] replaced by a label l,
+    where l is S[p] itself or a label S lacks.  masks holds the monomials'
+    label bitmasks and rank their _rank.  Returns the rows, columns,
+    replaced labels S[p], new labels l and real signs (-1)^(labels of S
+    strictly between S[p] and l), one entry per (S, p, l); the generator's
+    value there is sign * A[l, S[p]], in A's dtype."""
     parts = [(np.zeros(0, dtype=np.int64),) * 5]
     for p in range(labels.shape[1]):
-        old = labels[:, p]
-        col, new = np.nonzero(has[:, old].T
-                              & (free | (np.arange(n) == old[:, None])))
-        old = old[col]
-        lo, hi = np.minimum(old, new)[:, None], np.maximum(old, new)[:, None]
-        between = ((labels[col] > lo) & (labels[col] < hi)).sum(axis=1)
-        row = rank[masks[col] - _BIT[old] + _BIT[new]]
-        parts.append((row, col, old, new, 1.0 - 2 * (between % 2)))
+        col, new = _expand(tables, labels[:, p])
+        rest = masks[col] - _BIT[labels[col, p]]  # S without S[p]
+        keep = (rest & _BIT[new]) == 0
+        col, new, rest = col[keep], new[keep], rest[keep]
+        old, bit = labels[col, p], _BIT[new]
+        # span: the bits from min(S[p], l) up to max(S[p], l), which rest
+        # holds neither of, so rest & span are the labels between them
+        # (no np.abs: its integer kernel's code pages count in peak RSS)
+        span = np.maximum(bit, _BIT[old]) - np.minimum(bit, _BIT[old])
+        sign = 1.0 - 2 * (np.bitwise_count(rest & span) % 2)
+        parts.append((rank[rest | bit], col, old, new, sign))
     return [np.concatenate(a) for a in zip(*parts)]
 
 
-def _products(labels, A, has):
-    """Every term of the multiplicative images of the monomials under a
-    (T, n, n) stack A of 1-form matrices with the one entry pattern has, at
-    each position p one term of the image of S[p]: the product's labels are
-    sorted with the sign of their inversions, one with a repeated label is
-    dropped.  Returns the rows, the columns and one row of values per A, in
-    A's dtype."""
+def _products(labels, rank, A, tables: _Tables):
+    """Every term of the multiplicative images of the monomials labels
+    under a (T, n, n) stack A of 1-form matrices with the one entry pattern
+    of tables, at each position p one term of the image of S[p]: the
+    product's labels are sorted with the sign of their inversions, one with
+    a repeated label is dropped.  Returns the rows (rank of the product's
+    label bitmask), the columns and one row of values per A, in A's
+    dtype."""
     col = np.arange(len(labels))
     chosen = np.zeros(len(labels), dtype=np.int64)  # each term's label bitmask
     coef = np.ones((len(A), len(labels)), dtype=A.dtype)
     for p in range(labels.shape[1]):
         old = labels[col, p]
-        term, new = np.nonzero(has[:, old].T)
+        term, new = _expand(tables, old)
         bit = _BIT[new]
         keep = (chosen[term] & bit) == 0
         term, new, bit = term[keep], new[keep], bit[keep]
@@ -306,7 +357,7 @@ def _products(labels, A, has):
         coef = (coef[:, term] * A[:, new, old[term]]
                 * (1 - 2 * (inversions % 2)))
         col, chosen = col[term], mask | bit
-    return _rank(labels, len(has))[chosen], col, coef
+    return rank[chosen], col, coef
 
 
 def _group_views(buf, shapes) -> list:
@@ -317,48 +368,53 @@ def _group_views(buf, shapes) -> list:
             for shape, end in zip(shapes, ends)]
 
 
-def _block_matrices(sizes, rows, cols, values) -> dict:
-    """Scatter operators that share their entries' rows and columns, over
-    block-major positions of blocks in nondecreasing size: values yields
-    each operator's (name, entry values), and each is scattered in turn
-    into a buffer of its own, handed out as one (B, s, s) stack view per
-    size group; values at a repeated position add.  Raises ValueError if
-    an entry leaves its block with a coefficient above 1e-13; smaller ones
-    are dropped."""
-    sizes = np.asarray(sizes)
-    start = np.cumsum(sizes) - sizes
-    offset = np.cumsum(sizes * sizes) - sizes * sizes
+def _block_layout(start, labels, rank) -> _Layout:
+    """The _Layout of blocks that start at the given rows of labels, in
+    stack order."""
+    sizes = np.diff(start, append=len(labels))
     block = np.repeat(np.arange(len(sizes)), sizes)
-    b = block[cols]
-    inside = block[rows] == b
-    b = b[inside]
-    place = (offset[b] + (rows[inside] - start[b]) * sizes[b]
-             + cols[inside] - start[b])
+    col_place = np.arange(len(labels)) - start[block]  # place in its block
+    row_place = ((np.cumsum(sizes * sizes) - sizes * sizes)[block]
+                 + col_place * sizes[block])
     # (B, s) per size group; np.unique's sort kernels would add their code
     # pages to the peak RSS of workloads that build only a few blocks
     first = np.flatnonzero(np.diff(sizes, prepend=0))  # each size's first
-    groups = list(zip(np.diff(first, append=len(sizes)), sizes[first]))
+    groups = list(zip(np.diff(first, append=len(sizes)).tolist(),
+                      sizes[first].tolist()))
+    return _Layout(block, row_place, col_place, groups, labels, rank)
+
+
+def _block_matrices(layout: _Layout, rows, cols, values) -> dict:
+    """Scatter operators that share their entries' rows and columns into
+    the blocks of layout: values yields each operator's (name, entry
+    values), and each is scattered in turn into a buffer of its own, handed
+    out as one (B, s, s) stack view per size group; values at a repeated
+    position add.  Raises ValueError if an entry leaves its block with a
+    coefficient above 1e-13; smaller ones are dropped."""
+    inside = layout.block[rows] == layout.block[cols]
+    place = layout.row_place[rows[inside]] + layout.col_place[cols[inside]]
+    shapes = [(n, s, s) for n, s in layout.groups]
     out = {}
     for name, vals in values:
         if not inside.all() and np.any(np.abs(vals[~inside]) > 1e-13):
             raise ValueError("image leaves its su(2) block")
-        buf = np.zeros(int(sizes @ sizes), dtype=vals.dtype)
+        buf = np.zeros(sum(map(math.prod, shapes)), dtype=vals.dtype)
         np.add.at(buf, place, vals[inside])
-        out[name] = _group_views(buf, [(n, s, s) for n, s in groups])
+        out[name] = _group_views(buf, shapes)
     return out
 
 
 def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     """Blocks of basis(k): the generators' entries from one replacement
-    table, grouped into min-label components, stacked per block size."""
+    table, grouped into min-label components, stacked per block size on
+    one layout, the degree's one ranking turned to its rows."""
     n = 2 * ctx.m
     basis = ctx.basis(k)
     labels = np.array(basis, dtype=np.int64).reshape(len(basis), k)
-    rank = _rank(labels, n)
-    tables = {name: _table_arrays(ctx.tables[name], n)
-              for name in ("R", "Rb", "L_I", "L_J", "L_K")}
-    row, col, old, new, sign = _replacements(
-        labels, rank, np.any([has for _, has in tables.values()], axis=0))
+    masks = _BIT[labels].sum(axis=1)
+    rank = _rank(masks, n)
+    tables = ctx._tables(_DERIVATIONS)
+    row, col, old, new, sign = _replacements(labels, masks, rank, tables)
 
     comp = np.arange(len(basis))  # each monomial's smallest connected one
     while True:
@@ -373,16 +429,15 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     # blocks by size, then by smallest member; monomials in basis order
     order = np.lexsort((comp, np.bincount(comp)[comp]))
     at = np.argsort(order, kind="stable")  # each monomial's place in it
-    first = np.flatnonzero(np.diff(comp[order], prepend=-1))
-    sizes = np.diff(first, append=len(order))
+    rank[masks] = at  # from here on, a bitmask's row in stack order
+    layout = _block_layout(np.flatnonzero(np.diff(comp[order], prepend=-1)),
+                           labels[order], rank)
 
-    ops = _block_matrices(sizes, at[row], at[col],
+    ops = _block_matrices(layout, at[row], at[col],
                           ((name, A[new, old] * sign)
-                           for name, (A, _) in tables.items()))
-    groups = [R.shape[:2] for R in ops["R"]]  # (B, s)
-    labels = labels[order]
-    pq = 2 * (labels < ctx.m).sum(axis=1) - k
-    ops["H"] = _group_views(pq.astype(float), groups)
+                           for name, A in zip(_DERIVATIONS, tables.mats)))
+    pq = 2 * (layout.labels < ctx.m).sum(axis=1) - k
+    ops["H"] = _group_views(pq.astype(float), layout.groups)
     ops["C"] = []
     for h, R, Rb in zip(ops["H"], ops["R"], ops["Rb"]):
         # H H + 2 (R Rb + Rb R), with H H added on the diagonal only
@@ -390,11 +445,11 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
         C[:, i, i] += h * h
         ops["C"].append(C)
     weights = ctx.weight_list(k)
-    cuts = _group_views(labels.ravel(), [(b, s, k) for b, s in groups])
-    ordered = [basis[i] for i in order.tolist()]
-    return [Su2Block([ordered[s0:s0 + s] for s0 in first[sizes == s].tolist()],
-                     cut, {name: a[g] for name, a in ops.items()}, weights)
-            for g, (cut, (_, s)) in enumerate(zip(cuts, groups))]
+    cuts = _group_views(layout.labels.ravel(),
+                        [(b, s, k) for b, s in layout.groups])
+    return [Su2Block(cut, {name: a[g] for name, a in ops.items()}, weights,
+                     layout)
+            for g, cut in enumerate(cuts)]
 
 
 @dataclass
@@ -402,10 +457,13 @@ class StructureContext:
     m: int
     mmat: np.ndarray
     tables: dict = field(default_factory=dict, repr=False)
-    # per-instance cache, filled on first use: (degree, weight) ->
-    # {monomial: projector column as (label, coeff) pairs}
+    # per-instance caches, filled on first use: (degree, weight) ->
+    # {monomial: projector column as (label, coeff) pairs}, and table names
+    # -> _Tables
     _columns: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _arrays: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.mmat, dtype=complex)
@@ -488,21 +546,35 @@ class StructureContext:
     def cov_blocks(self, blocks: list[Su2Block]) -> dict:
         """cov_I, cov_J and cov_K ("I", "J", "K") as one stack per size group
         of one degree's su2_blocks, each from its own 1-form table, expanded
-        in one pass per entry pattern (cov_I; cov_J with cov_K) on each call.
-        Raises ValueError if an image leaves its block."""
-        n = 2 * self.m
-        sizes = [len(mem) for blk in blocks for mem in blk.monos]
-        labels = np.concatenate([blk.labels.ravel() for blk in blocks]
-                                ).reshape(sum(sizes), -1)
-        tables = {u: _table_arrays(self.tables["cov_" + u], n) for u in "IJK"}
+        on the blocks' shared layout in one pass per entry pattern (cov_I;
+        cov_J with cov_K) on each call.  Raises ValueError if an image
+        leaves its block."""
+        layout = blocks[0].layout
+        units = {u: self._tables(("cov_" + u,)) for u in "IJK"}
         shared, out = {}, {}  # shared: the units by their entry pattern
-        for u, (_, has) in tables.items():
-            shared.setdefault(has.tobytes(), []).append(u)
-        for units in shared.values():
-            A = np.array([tables[u][0] for u in units])
-            rows, cols, vals = _products(labels, A, tables[units[0]][1])
-            out |= _block_matrices(sizes, rows, cols, zip(units, vals))
+        for u, tables in units.items():
+            shared.setdefault(tables.has.tobytes(), []).append(u)
+        for us in shared.values():
+            A = np.array([units[u].mats[0] for u in us])
+            rows, cols, vals = _products(layout.labels, layout.rank, A,
+                                         units[us[0]])
+            out |= _block_matrices(layout, rows, cols, zip(us, vals))
         return out
+
+    def _tables(self, names: tuple) -> _Tables:
+        """The 1-form tables names as one _Tables, built at the first call
+        per names and kept for the context's life, so a table changed after
+        that is not seen."""
+        if names not in self._arrays:
+            pairs = [_table_arrays(self.tables[name], 2 * self.m)
+                     for name in names]
+            has = np.any([has for _, has in pairs], axis=0)
+            source, image = np.nonzero(has.T)
+            count = np.bincount(source, minlength=len(has))
+            self._arrays[names] = _Tables([A for A, _ in pairs], has,
+                                          np.cumsum(count) - count, count,
+                                          image)
+        return self._arrays[names]
 
     def casimir(self, el: Element) -> Element:
         h2 = self.h_op(self.h_op(el))
@@ -529,7 +601,9 @@ class StructureContext:
             cols = dict.fromkeys(self.basis(k), ())
             if w in self.weight_list(k):
                 for blk in blocks or self.su2_blocks(k):  # P: C's dtype
-                    for mem, P in zip(blk.monos, blk.projector(w).tolist()):
+                    for mem, P in zip(blk.labels.tolist(),
+                                      blk.projector(w).tolist()):
+                        mem = list(map(tuple, mem))
                         for j, mono in enumerate(mem):
                             cols[mono] = tuple((row, P[i][j])
                                                for i, row in enumerate(mem)

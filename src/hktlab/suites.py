@@ -171,22 +171,20 @@ def _stacked_records(specs, stacked, columns) -> list:
 
 # ----- algebra -----
 
-def _top_trace(stacks) -> float:
-    """Trace of a projector over the block stacks of one degree, given as
-    (monos, (B, s, s) projector stack) pairs: the blocks' traces summed one
-    at a time in the order of their smallest member, whatever stack holds
-    them, so that the last bit does not depend on how the blocks group by
-    size."""
-    traces = sorted((mem[0], t) for monos, P in stacks for mem, t in zip(
-        monos, np.trace(P, 0, 1, 2).real))
-    return sum(t for _, t in traces)
+def _top_trace(pairs) -> float:
+    """Trace of a projector over the blocks of one degree, given as (first
+    member's labels, block trace) pairs: summed one at a time in the order
+    of the blocks' smallest member, whatever stack holds them, so that the
+    last bit does not depend on how the blocks group by size."""
+    return sum(t for _, t in sorted(pairs))
 
 
 def _degree_values(ctx, k: int) -> dict:
     """The values of every per-degree block check on degree k, keyed by
     record name: the degree's blocks and cov_blocks are built here and
-    dropped on return, so one degree's stacks are alive at a time.  Each
-    record's values keep their order within the degree."""
+    dropped on return, so one degree's stacks are alive at a time, and a
+    size group's projectors only while its checks read them.  Each record's
+    values keep their order within the degree."""
     m = ctx.m
     blocks = ctx.su2_blocks(k)
     ws = ctx.weight_list(k)
@@ -194,7 +192,7 @@ def _degree_values(ctx, k: int) -> dict:
         "sl2-brackets", "su2-brackets", "unit-weight", "unit-spectra",
         "casimir-spectrum", "weight-projectors", "positive-dimension",
         "ladder-normalization", "cov-squares")}
-    tops = []
+    tops = []  # (first member, trace of the top-weight projector) per block
     for blk in blocks:
         R, Rb, h = blk.ops["R"], blk.ops["Rb"], blk.ops["H"]
         hr, hc = h[..., :, None], h[..., None, :]  # hr * X = H X, X * hc = X H
@@ -218,16 +216,25 @@ def _degree_values(ctx, k: int) -> dict:
             out["weight-projectors"] += [np.abs(pw2 @ pw).max()
                                          for pw2 in ps[i + 1:]]
         if k <= m:  # the top weight is k
-            tops.append((blk.monos, ps[0]))
-        if 1 <= k <= m:
-            # per (k,0) monomial and q, the column of R^q Rbar^q - c Id
-            top = blk.labels.max(axis=-1) < m
-            prod = eye = np.eye(top.shape[1])
+            tops += zip(blk.labels[:, 0].tolist(),
+                        np.trace(ps[0], 0, 1, 2).real)
+        del ps, pw
+        b, j = np.nonzero((blk.labels < m).all(axis=-1))  # (k,0) members
+        if len(b):
+            # per (k,0) monomial and q = 1..k, the column of R^q Rbar^q -
+            # c Id: R applied q times to Rbar^q e_mono, each block's unit
+            # columns side by side (slot: the column's place among them)
+            slot = np.arange(len(b)) - np.searchsorted(b, b)
+            low = np.zeros(R.shape[:2] + (slot.max() + 1,))
+            low[b, j, slot] = 1.0
+            eye = np.arange(R.shape[-1]) == j[:, None]
             for q in range(1, k + 1):
-                prod = R @ prod @ Rb
-                gap = prod - ladder_constant(k - q, q) * eye
+                low = prod = Rb @ low  # Rbar^q e_mono
+                for _ in range(q):
+                    prod = R @ prod
+                gap = prod[b, :, slot] - ladder_constant(k - q, q) * eye
                 out["ladder-normalization"].append(
-                    np.max(np.abs(gap), axis=1)[top])
+                    np.max(np.abs(gap), axis=1))
     if k == 2:  # the (1,1) checks' invariant_part reads these columns
         ctx._projector_columns(k, 0, blocks)
     if k <= m:

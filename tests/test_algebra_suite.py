@@ -149,6 +149,28 @@ def test_algebra_builds_each_degree_once_per_n(monkeypatch):
     assert built == [(n, k) for n in (1, 2, 3) for k in range(4 * n + 1)]
 
 
+def test_algebra_ranks_lays_out_and_converts_tables_once(monkeypatch):
+    # per degree one ranking and one block layout, which su2_blocks builds
+    # and cov_blocks reads; per context each of its 8 1-form tables (R, Rb,
+    # L_I, L_J, L_K, cov_I, cov_J, cov_K) converted to arrays once
+    calls = {"_rank": 0, "_block_layout": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(exterior, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(exterior, name, counted)
+    converted = []  # held, so no two tables share an id
+    real = exterior._table_arrays
+    monkeypatch.setattr(exterior, "_table_arrays", lambda table, n: (
+        converted.append(table) or real(table, n)))
+    algebra_records(ScenarioConfig(n=3, samples=1))
+    degrees = sum(4 * n + 1 for n in (1, 2, 3))
+    assert calls == {"_rank": degrees, "_block_layout": degrees}
+    assert len(converted) == 3 * 8
+    assert len({id(table) for table in converted}) == 3 * 8
+
+
 def _member_blocks(ctx, k):
     """Degree k's blocks one member at a time, as 2-D slices of the stacks
     (ops, with H as its diagonal matrix and cov_I/J/K as "I", "J", "K", and
@@ -158,7 +180,8 @@ def _member_blocks(ctx, k):
     out = []
     for g, blk in enumerate(blocks):
         projectors = {w: blk.projector(w) for w in blk.weights}
-        for i, mem in enumerate(blk.monos):
+        for i, mem in enumerate(blk.labels.tolist()):
+            mem = list(map(tuple, mem))
             ops = {name: a[i] for name, a in blk.ops.items()}
             ops["H"] = np.diag(ops["H"])
             ops.update({u: covs[u][g][i] for u in covs})
@@ -329,14 +352,14 @@ def test_unit_spectra_bound_is_the_casimir_tolerance():
 
 
 def test_top_trace_sums_in_member_order_across_stacks():
-    # members (1,) and (2,) are two blocks of one stack, each of trace
-    # 2^-53; member (0,) leads a block of another stack, of trace 1.  In
-    # member order the sum is (1 + 2^-53) + 2^-53 = 1, each addition
-    # rounding to even; summed per stack, or in the order [small, large],
-    # it is 2^-52 + 1, one ulp above
+    # blocks led by [1] and [2] come from one stack, each of trace 2^-53;
+    # the block led by [0] comes from another stack, of trace 1.  In member
+    # order the sum is (1 + 2^-53) + 2^-53 = 1, each addition rounding to
+    # even; summed per stack, or in the order [small, large], it is
+    # 2^-52 + 1, one ulp above
     tiny = 2.0 ** -53
-    small = ([[(1,)], [(2,)]], np.full((2, 1, 1), tiny))
-    large = ([[(0,), (3,)]], np.diag([1.0, 0.0])[None])
+    small = [([1], tiny), ([2], tiny)]
+    large = [([0], 1.0)]
     assert (tiny + tiny) + 1.0 == 1.0 + 2.0 ** -52 != 1.0
-    for stacks in ([small, large], [large, small]):
-        assert suites._top_trace(stacks) == 1.0
+    for pairs in (small + large, large + small):
+        assert suites._top_trace(pairs) == 1.0

@@ -333,11 +333,17 @@ def _generators(ctx):
             "C": ctx.casimir}
 
 
+def _monos(blk):
+    """A block stack's members as lists of basis tuples, read off its
+    labels."""
+    return [list(map(tuple, mem)) for mem in blk.labels.tolist()]
+
+
 def _members(blocks, stacks):
     """Each block member's monomials with its matrix, from one stack per
     size group in the groups' order."""
     for blk, stack in zip(blocks, stacks, strict=True):
-        yield from zip(blk.monos, stack, strict=True)
+        yield from zip(_monos(blk), stack, strict=True)
 
 
 def _assembled(ctx, k, name):
@@ -360,19 +366,30 @@ def test_blocks_group_by_size(m):
     ctx = _ctx(m)
     for k in range(2 * m + 1):
         blocks = ctx.su2_blocks(k)
-        monos = [mono for blk in blocks for mem in blk.monos for mono in mem]
+        monos = [mono for blk in blocks for mem in _monos(blk) for mono in mem]
         assert sorted(monos) == ctx.basis(k) and len(set(monos)) == len(monos)
         sizes = [blk.ops["H"].shape[-1] for blk in blocks]
         assert sizes == sorted(set(sizes)), k  # one group per size
+        # one layout per degree: its rows are the stacks' members in order,
+        # each block's labels a view of them, and rank finds each row
+        layout = blocks[0].layout
+        assert all(blk.layout is layout for blk in blocks)
+        rows = layout.labels
+        assert np.array_equal(rows, np.array(monos, dtype=np.int64).reshape(
+            len(monos), k))
+        masks = exterior._BIT[rows].sum(axis=1)
+        assert np.array_equal(layout.rank[masks], np.arange(len(rows)))
+        assert np.count_nonzero(layout.rank >= 0) == len(rows)
         for blk, size in zip(blocks, sizes):
-            shape = (len(blk.monos), size, size)
-            assert {len(mem) for mem in blk.monos} == {size}
+            shape = (len(blk.labels), size, size)
+            mems = _monos(blk)
+            assert {len(mem) for mem in mems} == {size}
             # members by smallest monomial, each in basis order
-            assert blk.monos == sorted(blk.monos)
-            assert all(mem == sorted(mem) for mem in blk.monos)
+            assert mems == sorted(mems)
+            assert all(mem == sorted(mem) for mem in mems)
             assert blk.labels.dtype == np.int64
-            assert np.array_equal(blk.labels, np.array(
-                blk.monos, dtype=np.int64).reshape(shape[:2] + (k,)))
+            assert blk.labels.shape == shape[:2] + (k,)
+            assert np.shares_memory(blk.labels, rows) or not k
             assert blk.weights == ctx.weight_list(k)
             assert sorted(blk.ops) == ["C", "H", "L_I", "L_J", "L_K", "R",
                                        "Rb"]
@@ -382,7 +399,7 @@ def test_blocks_group_by_size(m):
             assert all(blk.projector(w).shape == shape for w in blk.weights)
         for stacks in ctx.cov_blocks(blocks).values():
             assert [a.shape[:2] for a in stacks] == [
-                (len(blk.monos), blk.ops["H"].shape[-1]) for blk in blocks]
+                blk.ops["H"].shape for blk in blocks]
 
 
 @pytest.mark.parametrize("m,degrees", [(4, range(9)), (6, [6])])
@@ -391,11 +408,11 @@ def test_blocks_carry_every_generator_exactly(m, degrees):
     for k in degrees:
         basis = ctx.basis(k)
         blocks = ctx.su2_blocks(k)
-        assert sorted(mono for blk in blocks for mem in blk.monos
+        assert sorted(mono for blk in blocks for mem in _monos(blk)
                       for mono in mem) == basis
         inside = np.zeros((len(basis), len(basis)), dtype=bool)
         index = {mono: i for i, mono in enumerate(basis)}
-        for mem in (mem for blk in blocks for mem in blk.monos):
+        for mem in (mem for blk in blocks for mem in _monos(blk)):
             ix = [index[mono] for mono in mem]
             inside[np.ix_(ix, ix)] = True
         for name, op in _generators(ctx).items():
@@ -441,21 +458,37 @@ def test_blocks_of_a_dense_structure_match_the_sparse_operators(rng):
                 assert np.max(np.abs(mat - oracle), initial=0.0) < 1e-12
 
 
-def test_cov_image_leaving_its_block_raises():
+def _cov_i_fault(c):
+    """A fresh m=2 context whose cov_I sends theta_0 to -i theta_0 + c
+    theta_1, changed before any operator reads the table."""
     ctx = _ctx(2)
+    ctx.tables["cov_I"][0] = {(0,): -1j, (1,): c}
+    return ctx
+
+
+def test_cov_image_leaving_its_block_raises():
+    ctx = _cov_i_fault(1e-14)  # dropped, as operator_matrix does
     # the degree-1 blocks, {theta_0, conj theta_1} and {theta_1, conj
     # theta_0}, form one group of size 2
     blocks = ctx.su2_blocks(1)
-    assert [blk.monos for blk in blocks] == [[[(0,), (3,)], [(1,), (2,)]]]
-    cov_i = ctx.tables["cov_I"]
-    cov_i[0] = {(0,): -1j, (1,): 1e-14}  # dropped, as operator_matrix does
+    assert [_monos(blk) for blk in blocks] == [[[(0,), (3,)], [(1,), (2,)]]]
     mats = ctx.cov_blocks(blocks)["I"]
     assert np.array_equal(mats[0][0], np.diag([-1j, 1j]))
-    cov_i[0] = {(0,): -1j, (1,): 1e-3}
+    ctx = _cov_i_fault(1e-3)
     with pytest.raises(ValueError, match="leaves its su\\(2\\) block"):
-        ctx.cov_blocks(blocks)
+        ctx.cov_blocks(ctx.su2_blocks(1))
     with pytest.raises(ValueError):  # and in a product of two labels
         ctx.cov_blocks(ctx.su2_blocks(2))
+
+
+def test_tables_are_read_once_per_context():
+    # a context converts its tables at their first use and keeps them, so
+    # a table changed after that is not seen (a fresh context sees it, as
+    # the test above shows)
+    ctx = _ctx(2)
+    clean = ctx.cov_blocks(ctx.su2_blocks(1))["I"][0]
+    ctx.tables["cov_I"][0] = {(0,): -1j, (1,): 1e-3}
+    assert np.array_equal(ctx.cov_blocks(ctx.su2_blocks(1))["I"][0], clean)
 
 
 @pytest.mark.parametrize("structure", ["m=4", "m=6", "dense m=4"])
@@ -465,17 +498,17 @@ def test_stacked_products_equal_each_table_alone(structure, rng):
     # bit for bit that table's expansion alone
     ctx = (_random_structure(4, rng) if structure.startswith("dense")
            else _ctx(int(structure[2:])))
-    (J, has), (K, has_k) = [exterior._table_arrays(ctx.tables[name], 2 * ctx.m)
-                            for name in ("cov_J", "cov_K")]
-    assert np.array_equal(has, has_k)
-    A = np.array([J, K])
+    J, K = [ctx._tables((name,)) for name in ("cov_J", "cov_K")]
+    assert np.array_equal(J.has, K.has)
+    A = np.array(J.mats + K.mats)
     for k in range(2 * ctx.m + 1):
         basis = ctx.basis(k)
         labels = np.array(basis, dtype=np.int64).reshape(len(basis), k)
-        rows, cols, vals = exterior._products(labels, A, has)
+        rank = exterior._rank(exterior._BIT[labels].sum(axis=1), 2 * ctx.m)
+        rows, cols, vals = exterior._products(labels, rank, A, J)
         assert vals.shape == (2, len(rows))
         for t in range(2):
-            one = exterior._products(labels, A[t:t + 1], has)
+            one = exterior._products(labels, rank, A[t:t + 1], J)
             assert np.array_equal(rows, one[0])
             assert np.array_equal(cols, one[1])
             assert vals[t].tobytes() == one[2][0].tobytes(), (k, t)
@@ -486,9 +519,9 @@ def test_cov_blocks_expand_once_per_pattern(monkeypatch):
     calls = []
     real = exterior._products
 
-    def counted(labels, A, has):
+    def counted(labels, rank, A, tables):
         calls.append(len(A))
-        return real(labels, A, has)
+        return real(labels, rank, A, tables)
 
     monkeypatch.setattr(exterior, "_products", counted)
     ctx = _ctx(4)
@@ -496,6 +529,48 @@ def test_cov_blocks_expand_once_per_pattern(monkeypatch):
         calls.clear()
         assert list(ctx.cov_blocks(ctx.su2_blocks(k))) == ["I", "J", "K"]
         assert calls == [1, 2], k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_replacements_match_sort_sign(n):
+    # the brute-force parity oracle: each entry e_S -> e_T, T being S with
+    # S[p] replaced by l, has sort_sign's row and sign for that tuple, and
+    # the entries are every (S, p, l) of the derivations' joint pattern
+    # with l = S[p] or l not in S, position by position, in basis order
+    ctx = _ctx(2 * n)
+    tables = ctx._tables(exterior._DERIVATIONS)
+    for k in range(2 * ctx.m + 1):
+        basis = ctx.basis(k)
+        index = {mono: i for i, mono in enumerate(basis)}
+        labels = np.array(basis, dtype=np.int64).reshape(len(basis), k)
+        masks = exterior._BIT[labels].sum(axis=1)
+        entries = exterior._replacements(labels, masks,
+                                         exterior._rank(masks, 2 * ctx.m),
+                                         tables)
+        got = []
+        for row, col, old, new, sign in zip(*(a.tolist() for a in entries)):
+            S = basis[col]
+            p = S.index(old)
+            T, want = sort_sign(S[:p] + (new,) + S[p + 1:])
+            assert (row, sign) == (index[T], want), (k, S, p, new)
+            got.append((p, col, new))
+        assert got == [(p, col, l) for p in range(k)
+                       for col, S in enumerate(basis)
+                       for l in range(2 * ctx.m)
+                       if tables.has[l, S[p]] and (l == S[p] or l not in S)]
+
+
+def test_weight_project_builds_no_cov(monkeypatch):
+    # the field operators reach the blocks only through weight_project,
+    # which reads the projectors and never expands cov
+    def no_cov(*args):
+        raise AssertionError("weight_project expanded cov")
+
+    monkeypatch.setattr(exterior, "_products", no_cov)
+    ctx = _ctx(4)
+    for k in range(9):
+        for w in ctx.weight_list(k):
+            ctx.weight_project({ctx.basis(k)[0]: 1.0}, w)
 
 
 def _identity_start_projector(blk, w):
