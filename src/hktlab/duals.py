@@ -17,8 +17,8 @@ consumer of one point shares one build, and the memo is freed with the point.
 seeded(pt), pt's one seeded child, is one such build: slot i carries the dot
 part eye(dim)[i] on a lane axis left of pt's own lane and sample axes.  It
 takes its fresh level when made, after pt, so above every level in pt's
-coordinates.  A Point that a suite's sweeps share keeps its child and
-grandchild until the suite drops it.
+coordinates.  A Point that several sweeps share keeps its child and
+grandchild until the last of them has run (suites._run_sweeps).
 
 A coordinate may also be a numpy array over a sweep's samples, and a seeded
 one carries every direction on its lanes, so one pass evaluates them all

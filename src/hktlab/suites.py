@@ -13,9 +13,12 @@ records of whole operator blocks or of one value (the algebra block checks,
 r-omega, r-kernel-invariant, antilinear-structure, canonical-form,
 criteria-agreement and the totspace records of constant forms) state their
 count.  A suite's records share one cfg.rng() stream.  Each sweep makes
-all its draws first, in the order that fixes every value of the report,
-then evaluates them once: the bicomplex, bundle, totspace and hopf fields
-at the stacked Point of all their samples (fields.stack_points).  Every
+its draws before it evaluates, in the order that fixes every value of the
+report, then evaluates them once: the bicomplex, bundle, totspace and hopf
+fields at the stacked Point of all their samples (fields.stack_points).
+The bicomplex, totspace and hopf suites make every draw first and list
+their sweeps for one runner, _run_sweeps, which stacks a sample list when
+its first sweep is reached and drops the Point after its last.  Every
 per-sample normal draw of a sweep is one block, read in the order of a
 per-sample loop: the sample points (fields.sample_points), and through
 _draw a qpos record's forms and matrices, the algebra (1,1) forms, the
@@ -40,7 +43,7 @@ from .bundles import (_curvature_element, _max_per_sample, _point_coeff,
                       bianchi_residual, catalog_names, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
-from .duals import Point, sample_shape
+from .duals import Point, point_memo, sample_shape
 from .exterior import (eadd, enorm, escale, esub, positive_dimension, wedge)
 from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
@@ -158,15 +161,27 @@ def _draw(rng, count: int, *parts) -> list:
     return out
 
 
-def _stacked_records(specs, stacked, columns) -> list:
-    """Records of a sweep whose fields each evaluate once, at the stacked Point
-    `stacked` of its samples: column j lists the Point -> element maps whose
-    enorm, an array over the samples or one value they share, gives spec j's
-    values, field after field."""
-    shape = sample_shape(stacked)
-    return sweep_records(specs, [
-        np.concatenate([np.broadcast_to(enorm(f(stacked)), shape)
-                        for f in fields]) for fields in columns])
+def _run_sweeps(sweeps) -> list:
+    """The records of sweeps listed in report order as (specs, samples,
+    columns): column j lists the Point -> value maps whose rows, field after
+    field, are spec j's values, an element giving its enorm at every sample
+    and an array its rows as they are.  A sample list is stacked
+    (stack_points) when its first sweep is reached and its Point dropped
+    after its last, so the sweeps over one list share one memo and no
+    Point outlives its sweeps; samples None evaluates the fields once, at
+    None, as one point."""
+    out, points = [], []  # (samples, Point) of the lists with sweeps to come
+    for i, (specs, pts, columns) in enumerate(sweeps):
+        if all(s is not pts for s, _ in points):
+            points.append((pts, None if pts is None else stack_points(pts)))
+        pt = next(p for s, p in points if s is pts)
+        shape = (1,) if pt is None else sample_shape(pt)
+        out += sweep_records(specs, [np.concatenate([
+            np.broadcast_to(enorm(v), shape) if isinstance(v, dict) else v
+            for v in (f(pt) for f in fields)]) for fields in columns])
+        if all(s is not pts for _, s, _ in sweeps[i + 1:]):
+            points = [(s, p) for s, p in points if s is not pts]
+    return out
 
 
 # ----- algebra -----
@@ -445,13 +460,7 @@ def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
 
 
 def bicomplex_records(cfg: ScenarioConfig) -> list:
-    sweeps = _bicomplex_sweeps(cfg)
-    # one stacked Point per sample list: the sweeps over it share its seeded
-    # child and grandchild and the field values memoised on them
-    lists = {id(pts): pts for _, pts, _ in sweeps}
-    stacked = {key: stack_points(pts) for key, pts in lists.items()}
-    return [r for specs, pts, columns in sweeps
-            for r in _stacked_records(specs, stacked[id(pts)], columns)]
+    return _run_sweeps(_bicomplex_sweeps(cfg))
 
 
 # ----- q-positivity layer -----
@@ -584,18 +593,57 @@ def bundle_records(cfg: ScenarioConfig) -> list:
 
 # ----- total space -----
 
-def _totspace_sweeps(ts, pts, stacked, tol: float):
-    """Yields the structure-equation, potential and curvature-term sweeps of
-    the total space ts as (specs, stacked Point, columns), in report order,
-    for _stacked_records: the structure equation at the first
-    max(10, len(pts) // 10) samples, the potential at pts and the zero-fiber
-    copies of the first two, and the curvature term at `stacked`, the
-    stacked Point of pts that the total space's other sweeps share.  A
-    sweep's own Point is stacked when it is reached, so its memo (the
-    seeded children's lane-wide dx among it) is dropped before the next."""
-    ch, ctx = ts.chart, ts.ctx
+def _metric_gaps(ts, mats, pt) -> list:
+    """At each sample of pt: the natural metric's gap to the euclidean one,
+    then the metric-invariance, quaternion-relations, metric-splitting and
+    potential-gradient-norm values; mats are the lifted structure fields."""
+    nb, dim = 4 * ts.n, ts.dim
+    g = natural_metric(ts, pt)
+    L = {u: mats[u](pt)[0] for u in mats}
+    quat = [L[u] @ L[u] + np.eye(dim) for u in L]
+    quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
+    # columns: the horizontal lifts of the base coordinate vectors
+    H = np.stack([horizontal_lift(ts, pt, row) for row in np.eye(nb)], -1)
+    V = np.eye(dim)[:, nb:]
+    w = np.zeros(sample_shape(pt) + (dim,))
+    dpsi = exterior_d(scalar_field(ts.chart, lambda p: psi(ts, p)))
+    for mono, c in dpsi.at(pt).items():
+        w[..., mono[0]] = np.real(c)
+    val = np.einsum("...i,...i->...", w,
+                    np.linalg.solve(g, w[..., None])[..., 0])
+    p = psi(ts, pt)
+
+    def t(X):
+        return np.swapaxes(X, -1, -2)
+
+    def worst(arrays):
+        """Largest entry modulus of each sample's matrices over arrays."""
+        return _max_per_sample(pt, map(np.abs, arrays))
+
+    return [worst([g - np.eye(dim)]),
+            worst(t(L[u]) @ g @ L[u] - g for u in L), worst(quat),
+            worst([t(H) @ g @ H - np.eye(nb), t(H) @ g @ V,
+                   V.T @ g @ V - np.eye(dim - nb)]),
+            abs(val - 4.0 * p) / (1.0 + 4.0 * p)]
+
+
+def _totspace_sweeps(cfg: ScenarioConfig, bundle_name: str, samples: int,
+                     rng) -> list:
+    """The sweeps of the total space of bundle_name over `samples` points
+    drawn from rng, in report order, for _run_sweeps: the structure
+    equation at the first max(10, samples // 10) points, the potential at
+    the points and the zero-fiber copies of the first two, the records of
+    the constant candidate form once, and every other sweep at the
+    points."""
+    tol = cfg.tol
+    flat = bundle_name == "flat"
+    tolv = tol.flat_control if flat else tol.secondderiv
+    ts = total_space(get_connection(bundle_name))
+    ch, ctx, dim = ts.chart, ts.ctx, ts.dim
     nb, mb = 4 * ts.n, 2 * ts.n
-    zf = [pt[:nb] + [0.0] * (ts.dim - nb) for pt in pts[:2]]
+    pts = sample_points(rng, dim, samples)
+    el, = _draw(rng, samples, [(i,) for i in range(dim)])
+    zf = [pt[:nb] + [0.0] * (dim - nb) for pt in pts[:2]]
 
     # d of the fiber coframe Dv_a, whose frame coefficients are constant
     d_fields = [exterior_d(FormField(ch, 1, lambda pt, a=a: {(mb + a,): 1.0}))
@@ -633,130 +681,14 @@ def _totspace_sweeps(ts, pts, stacked, tol: float):
         pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
         return esub(xi_curv_expr(ts, pt2), escale(xi_curv_expr(ts, pt), 4.0))
 
-    yield ([Spec("structure-equation",
-                 "d of the covariant fiber coframe is curvature times the "
-                 "fiber minus connection wedge coframe", tol)],
-           stack_points(pts[:max(10, len(pts) // 10)]), [[structure_gap]])
-    yield (
-        [Spec("del-potential",
-              "del of the fiber norm matches its closed form", tol),
-         Spec("delj-potential",
-              "del_J of the fiber norm matches its closed form", tol),
-         Spec("deldbar-potential",
-              "del dbar of the fiber norm is the vertical (1,1)-form plus "
-              "the curvature correction", tol),
-         Spec("deldelj-potential",
-              "del del_J of the fiber norm is the vertical canonical "
-              "(2,0)-form", tol),
-         Spec("r-transfer",
-              "del del_J of the potential equals R of del dbar of it", tol)],
-        stack_points(pts + zf),
-        [[lambda pt: esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))],
-         [lambda pt: esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))],
-         [lambda pt: esub(fr_db(pt), eadd(omega_ver_expr(ts), fr_xi(pt)))],
-         [lambda pt: esub(fr_dj(pt), two_over)],
-         [lambda pt: esub(fr_dj(pt), ctx.raising(fr_db(pt)))]])
-    yield ([Spec("curvature-term-weightless",
-                 "the curvature correction is killed by R", tol),
-            Spec("curvature-term-invariant",
-                 "the curvature correction is its own invariant part", tol),
-            Spec("curvature-term-quadratic",
-                 "the curvature correction is quadratic in the fiber", tol)],
-           stacked,
-           [[lambda pt: ctx.raising(fr_xi(pt))],
-            [lambda pt: esub(fr_xi(pt), ctx.invariant_part(fr_xi(pt)))],
-            [quadratic_gap]])
-
-
-def _metric_gaps(ts, mats, pt) -> list:
-    """At each sample of pt: the natural metric's gap to the euclidean one,
-    then the metric-invariance, quaternion-relations, metric-splitting and
-    potential-gradient-norm values; mats are the lifted structure fields."""
-    nb, dim = 4 * ts.n, ts.dim
-    g = natural_metric(ts, pt)
-    L = {u: mats[u](pt)[0] for u in mats}
-    quat = [L[u] @ L[u] + np.eye(dim) for u in L]
-    quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
-    # columns: the horizontal lifts of the base coordinate vectors
-    H = np.stack([horizontal_lift(ts, pt, row) for row in np.eye(nb)], -1)
-    V = np.eye(dim)[:, nb:]
-    w = np.zeros(sample_shape(pt) + (dim,))
-    dpsi = exterior_d(scalar_field(ts.chart, lambda p: psi(ts, p)))
-    for mono, c in dpsi.at(pt).items():
-        w[..., mono[0]] = np.real(c)
-    val = np.einsum("...i,...i->...", w,
-                    np.linalg.solve(g, w[..., None])[..., 0])
-    p = psi(ts, pt)
-
-    def t(X):
-        return np.swapaxes(X, -1, -2)
-
-    def worst(arrays):
-        """Largest entry modulus of each sample's matrices over arrays."""
-        return _max_per_sample(pt, map(np.abs, arrays))
-
-    return [worst([g - np.eye(dim)]),
-            worst(t(L[u]) @ g @ L[u] - g for u in L), worst(quat),
-            worst([t(H) @ g @ H - np.eye(nb), t(H) @ g @ V,
-                   V.T @ g @ V - np.eye(dim - nb)]),
-            abs(val - 4.0 * p) / (1.0 + 4.0 * p)]
-
-
-def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
-                      rng) -> list:
-    tol = cfg.tol
-    flat = bundle_name == "flat"
-    tolv = tol.flat_control if flat else tol.secondderiv
-    nij_tol = tol.flat_control if flat else tol.nijenhuis
-    out = []
-    ts = total_space(get_connection(bundle_name))
-    ch, ctx, dim = ts.chart, ts.ctx, ts.dim
-    pts = sample_points(rng, dim, samples)
-    # the sweeps below share one stacked Point, so its tables and jet are
-    # built once
-    stacked = stack_points(pts)
-
-    el, = _draw(rng, samples, [(i,) for i in range(dim)])
-    out += sweep_records([Spec(
-        "frame-roundtrip",
-        "real to frame coefficients and back is the identity", tolv)],
-        [np.broadcast_to(enorm(esub(to_real(ch, to_frame(ch, el, stacked),
-                                            stacked), el)), samples)])
-
-    out += [r for specs, pt, columns in _totspace_sweeps(ts, pts, stacked,
-                                                          tolv)
-            for r in _stacked_records(specs, pt, columns)]
-
-    two_over = escale(omega_ver_canonical(ts), 2.0)
-    out.append(record(Spec(
-        "r-omega-ver",
-        "R of the vertical (1,1)-form is the vertical (2,0)-form", tolv),
-        1, enorm(esub(ctx.raising(omega_ver_expr(ts)), two_over))))
-
     omega_el = eadd(omega_hor_expr(ts), two_over)
     dom = del_hol(FormField(ch, 2, lambda pt: omega_el))
-    out += _stacked_records([Spec(
-        "del-closed", "del of the candidate HKT form vanishes", tolv)],
-        stacked, [[dom.at]])
-
-    # the candidate form has constant frame coefficients: one evaluation
-    out.append(record(Spec(
-        "omega-qreal", "the candidate HKT form is q-real", tolv),
-        1, qreal_residual(ctx, omega_el)))
-    out.append(record(Spec(
-        "omega-qpositive",
-        "the candidate HKT form has a strictly positive Gram floor",
-        tol.positivity_floor, "margin"), 1, qpos_margin(ctx, omega_el)))
-
     mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
-    flat_gap, *gaps = [np.broadcast_to(c, samples)
-                       for c in _metric_gaps(ts, mats, stacked)]
-    if flat:
-        out += sweep_records([Spec(
-            "metric-flat-identity",
-            "the natural metric of the flat bundle is the euclidean one",
-            tolv)], [flat_gap])
-    out += sweep_records([
+
+    def metric(pt):
+        return point_memo(pt, metric, lambda p: _metric_gaps(ts, mats, p))
+
+    metric_specs = [
         Spec("metric-invariance",
              "the natural metric is invariant under all three structures",
              tolv),
@@ -768,24 +700,83 @@ def _totspace_records(cfg: ScenarioConfig, bundle_name: str, samples: int,
              tolv),
         Spec("potential-gradient-norm",
              "the metric norm of d of the potential is twice its square root",
-             tolv)], gaps)
+             tolv)]
+    if flat:
+        metric_specs.insert(0, Spec(
+            "metric-flat-identity",
+            "the natural metric of the flat bundle is the euclidean one",
+            tolv))
 
-    # the first max(50, samples // 2) samples of the stacked structures
-    k = max(50, samples // 2)
-    out += sweep_records([Spec(
-        "nijenhuis",
-        "all three lifted structures have vanishing Nijenhuis tensor",
-        nij_tol)], [np.stack([nijenhuis_residual(L[:k], dL[:k])
-                              for L, dL in (mats[u](stacked) for u in mats)],
-                             axis=-1)])
-    return out
+    def nijenhuis(pt):
+        """Each structure's residual at the first max(50, samples // 2)
+        samples."""
+        k = max(50, samples // 2)
+        return np.stack([nijenhuis_residual(L[:k], dL[:k])
+                         for L, dL in (mats[u](pt) for u in mats)], axis=-1)
+
+    return [
+        ([Spec("frame-roundtrip",
+               "real to frame coefficients and back is the identity", tolv)],
+         pts, [[lambda pt: esub(to_real(ch, to_frame(ch, el, pt), pt), el)]]),
+        ([Spec("structure-equation",
+               "d of the covariant fiber coframe is curvature times the "
+               "fiber minus connection wedge coframe", tolv)],
+         pts[:max(10, samples // 10)], [[structure_gap]]),
+        ([Spec("del-potential",
+               "del of the fiber norm matches its closed form", tolv),
+          Spec("delj-potential",
+               "del_J of the fiber norm matches its closed form", tolv),
+          Spec("deldbar-potential",
+               "del dbar of the fiber norm is the vertical (1,1)-form plus "
+               "the curvature correction", tolv),
+          Spec("deldelj-potential",
+               "del del_J of the fiber norm is the vertical canonical "
+               "(2,0)-form", tolv),
+          Spec("r-transfer",
+               "del del_J of the potential equals R of del dbar of it", tolv)],
+         pts + zf,
+         [[lambda pt: esub(dpsi.frame_at(pt), del_psi_expr(ts, pt))],
+          [lambda pt: esub(djpsi.frame_at(pt), del_j_psi_expr(ts, pt))],
+          [lambda pt: esub(fr_db(pt), eadd(omega_ver_expr(ts), fr_xi(pt)))],
+          [lambda pt: esub(fr_dj(pt), two_over)],
+          [lambda pt: esub(fr_dj(pt), ctx.raising(fr_db(pt)))]]),
+        ([Spec("curvature-term-weightless",
+               "the curvature correction is killed by R", tolv),
+          Spec("curvature-term-invariant",
+               "the curvature correction is its own invariant part", tolv),
+          Spec("curvature-term-quadratic",
+               "the curvature correction is quadratic in the fiber", tolv)],
+         pts,
+         [[lambda pt: ctx.raising(fr_xi(pt))],
+          [lambda pt: esub(fr_xi(pt), ctx.invariant_part(fr_xi(pt)))],
+          [quadratic_gap]]),
+        ([Spec("r-omega-ver",
+               "R of the vertical (1,1)-form is the vertical (2,0)-form",
+               tolv)],
+         None, [[lambda _: esub(ctx.raising(omega_ver_expr(ts)), two_over)]]),
+        ([Spec("del-closed", "del of the candidate HKT form vanishes", tolv)],
+         pts, [[dom.at]]),
+        # the candidate form has constant frame coefficients: one evaluation
+        ([Spec("omega-qreal", "the candidate HKT form is q-real", tolv),
+          Spec("omega-qpositive",
+               "the candidate HKT form has a strictly positive Gram floor",
+               tol.positivity_floor, "margin")],
+         None, [[lambda _: [qreal_residual(ctx, omega_el)]],
+                [lambda _: [qpos_margin(ctx, omega_el)]]]),
+        (metric_specs, pts, [[lambda pt, j=j: metric(pt)[j]]
+                             for j in range(5 - len(metric_specs), 5)]),
+        ([Spec("nijenhuis",
+               "all three lifted structures have vanishing Nijenhuis tensor",
+               tol.flat_control if flat else tol.nijenhuis)],
+         pts, [[nijenhuis]])]
 
 
 def totspace_records(cfg: ScenarioConfig) -> list:
     rng = cfg.rng()
-    out = _totspace_records(cfg, cfg.bundle, cfg.samples, rng)
+    out = _run_sweeps(_totspace_sweeps(cfg, cfg.bundle, cfg.samples, rng))
     if cfg.bundle != "flat":
-        ctrl = _totspace_records(cfg, "flat", max(20, cfg.samples // 5), rng)
+        ctrl = _run_sweeps(_totspace_sweeps(cfg, "flat",
+                                            max(20, cfg.samples // 5), rng))
         out += [dataclasses.replace(r, identity="flat-control:" + r.identity)
                 for r in ctrl]
     return out
@@ -793,74 +784,49 @@ def totspace_records(cfg: ScenarioConfig) -> list:
 
 # ----- quotient -----
 
-def _hopf_form(h, pt, lam):
-    """(frame value, Gram margin, fields) of the quotient form at pt, where
-    the fields are those of the hopf form sweep's records, in report order:
-    an element whose enorm is the record's value, or the value itself.  lam
-    is the arbitrary fiber scaling: an array over the samples of a stacked
-    Point, or a float at a plain one."""
+def _hopf_form(h, lam):
+    """(form, margin, fields) as Point -> value maps: the quotient form's
+    frame value and its Gram margin, each built once per Point
+    (duals.point_memo), and the fields of the hopf form sweep's records in
+    report order.  lam is the arbitrary fiber scaling: an array over the
+    samples of a stacked Point, or a float at a plain one."""
     ts, ctx = h.ts, h.ts.ctx
     otf = omega_tilde_field(h)
-    fr = otf.frame_at(pt)
-    G = gram(ctx, fr)
-    mg = qpos_margin(ctx, fr)
-    scale = np.maximum(1.0, np.linalg.norm(G, 2, axis=(-2, -1)))
+    form = otf.value
     ddj_log = del_hol(del_j(log_psi_field(h)))
-    return fr, mg, [
-        abs(np.log(psi(ts, rho_apply(h, pt))) - np.log(psi(ts, pt))
-            - 2.0 * np.log(abs(h.q))),
-        esub(fr, eadd(omega_hor_expr(ts), ddj_log.frame_at(pt))),
-        esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt))), fr),
-        esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt, lam)), lam), fr),
-        del_hol(otf).at(pt), qreal_residual(ctx, fr),
-        hyperhermitian_residual(ctx, G), mg / scale]
+
+    def margin(pt):
+        return point_memo(pt, margin, lambda p: qpos_margin(ctx, form(p)))
+
+    return form, margin, [
+        lambda pt: abs(np.log(psi(ts, rho_apply(h, pt))) - np.log(psi(ts, pt))
+                       - 2.0 * np.log(abs(h.q))),
+        lambda pt: esub(form(pt), eadd(omega_hor_expr(ts),
+                                       ddj_log.frame_at(pt))),
+        lambda pt: esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt))),
+                        form(pt)),
+        lambda pt: esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt, lam)),
+                                     lam), form(pt)),
+        del_hol(otf).at, lambda pt: qreal_residual(ctx, form(pt)),
+        lambda pt: hyperhermitian_residual(ctx, gram(ctx, form(pt))),
+        lambda pt: margin(pt) / np.maximum(1.0, np.linalg.norm(
+            gram(ctx, form(pt)), 2, axis=(-2, -1)))]
 
 
 def hopf_records(cfg: ScenarioConfig) -> list:
-    """Each sweep draws what it needs for all its samples first, in the
-    order the samples come, then evaluates once at the stacked Point of its
-    samples; a probe is an (S, m) array, one row per sample."""
+    """Every draw is made first, in the order the samples come, then each
+    sweep evaluates once at the stacked Point of its samples; a probe is an
+    (S, m) array, one row per sample."""
     tol = cfg.tol
     rng = cfg.rng()
-    out = []
-    conn = get_connection(cfg.bundle)
-    ts = total_space(conn)
+    ts = total_space(get_connection(cfg.bundle))
     h = hopf_data(ts, cfg.q)
     ctx, mb, m = ts.ctx, 2 * ts.n, ts.ctx.m
     pts = fundamental_domain_points(h, rng, cfg.samples)
     count = len(pts)
-    stacked = stack_points(pts)
-    p = psi(ts, stacked)
-
     # the dilation draws, two numbers per sample
     lams = np.array([rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
                      for _ in pts])
-    fr, margins, fields = _hopf_form(h, stacked, lams)
-    out += sweep_records([
-        Spec("potential-homogeneity",
-             "log of the fiber norm shifts by 2 log|q| under the dilation",
-             tol.secondderiv),
-        Spec("log-potential-identity",
-             "the quotient form is the horizontal form plus del del_J of the "
-             "log potential", tol.secondderiv),
-        Spec("dilation-invariance",
-             "the quotient form pulls back to itself under the dilation",
-             tol.secondderiv),
-        Spec("dilation-homogeneity",
-             "invariance holds for arbitrary nonzero real fiber scalings",
-             tol.secondderiv),
-        Spec("del-closed", "del of the quotient form vanishes",
-             tol.secondderiv),
-        Spec("omega-qreal", "the quotient form is q-real", tol.secondderiv),
-        Spec("omega-hyperhermitian",
-             "the Gram matrix of the quotient form is J-compatible",
-             tol.secondderiv),
-        Spec("positivity-margin",
-             "the quotient form has a strictly positive scale-relative Gram "
-             "floor", tol.positivity_floor, "margin")],
-        [np.broadcast_to(enorm(f) if isinstance(f, dict) else f, count)
-         for f in fields])
-
     # per sample: cfg.probes - 1 vertical probes and, on a fiber of rank
     # above 2, one more to make orthogonal to the fiber value and its
     # conjugate partner; the radial probe comes last among the probes
@@ -868,71 +834,102 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     drawn = np.zeros((count, k, m), dtype=complex)
     for j, x in enumerate(_draw(rng, count, *[(ts.rank,)] * k)):
         drawn[:, j, mb:] = x
-    probes = np.concatenate((drawn[:, :cfg.probes - 1],
-                             radial_probe(h, stacked)[:, None]), axis=1)
-    # (S, probes): each probe's value, its lower bound n(x)/Psi and its
-    # (lower, upper) ratio to that bound
-    pairs = np.stack([np.real(hermitian_pair(ctx, fr, x, x))
-                      for x in np.moveaxis(probes, 1, 0)], axis=1)
-    bound = fiber_norm2(h, probes) / p[:, None]
-    lower = ((pairs - bound) / bound).ravel()
-    out += sweep_records([
-        Spec("cauchy-lower",
-             "vertical values are at least the fiber norm over the potential",
-             -tol.positivity_floor, "margin"),
-        Spec("cauchy-upper",
-             "vertical values are at most twice the fiber norm over the "
-             "potential", -tol.positivity_floor, "margin")],
-        [lower, ((2.0 * bound - pairs) / bound).ravel()])
-    if ts.rank == 2:
-        # the gap |pair - nx/p| / (nx/p) is the modulus of the lower ratio
-        out += sweep_records([Spec(
-            "cauchy-tight-rank2",
-            "on a rank-2 fiber the lower bound is an equality for every "
-            "vertical probe", tol.secondderiv)],
-            [np.abs(lower)])
-    else:
-        u, v = drawn[:, -1], probes[:, -1]
+    xb, xv = np.zeros((2, count, m), dtype=complex)
+    xb[:, :mb], xv[:, mb:] = _draw(rng, count, (mb,), (ts.rank,))
+    # the first 10 samples, each dilated towards the zero section
+    dilated = [rho_apply(h, pt, eps) for pt in pts[:10]
+               for eps in (1.0, 0.3, 0.1, 0.03)]
+    form, margin, fields = _hopf_form(h, lams)
+
+    def probed(pt):
+        """(S, probes) arrays, built once per Point: each probe's value, then
+        its (lower, upper) ratio to its lower bound n(x)/Psi."""
+        def build(pt):
+            probes = np.concatenate((drawn[:, :cfg.probes - 1],
+                                     radial_probe(h, pt)[:, None]), axis=1)
+            pairs = np.stack([np.real(hermitian_pair(ctx, form(pt), x, x))
+                              for x in np.moveaxis(probes, 1, 0)], axis=1)
+            bound = fiber_norm2(h, probes) / psi(ts, pt)[:, None]
+            return pairs, (pairs - bound) / bound, (2 * bound - pairs) / bound
+
+        return point_memo(pt, probed, build)
+
+    def orthogonal_gap(pt):
+        u, v = drawn[:, -1], radial_probe(h, pt)
         partner = np.zeros_like(v)
         partner[:, mb:] = -(np.conj(v[:, mb:]) @ ctx.mmat[mb:, mb:])
         for r in (v, partner):
             coef = (np.sum(np.conj(r) * u, axis=-1)
                     / np.sum(np.conj(r) * r, axis=-1))
             u = u - coef[:, None] * r
-        bound = fiber_norm2(h, u) / p
-        out += sweep_records([Spec(
-            "cauchy-orthogonal-probe",
-            "probes orthogonal to the fiber value and its conjugate "
-            "partner attain the upper bound", tol.secondderiv)],
-            [np.abs(np.real(hermitian_pair(ctx, fr, u, u)) - 2.0 * bound)
-             / bound])
+        bound = fiber_norm2(h, u) / psi(ts, pt)
+        return (np.abs(np.real(hermitian_pair(ctx, form(pt), u, u))
+                       - 2.0 * bound) / bound)
 
-    xb, xv = np.zeros((2, count, m), dtype=complex)
-    xb[:, :mb], xv[:, mb:] = _draw(rng, count, (mb,), (ts.rank,))
+    def blowup_gap(pt):
+        Gv = gram(ctx, form(pt))[:, mb:, mb:]
+        low = _eigenvalues((Gv + _adjoint(Gv)) / 2)[:, 0]
+        return np.abs(low * psi(ts, pt) - 1.0)
+
+    def agreement(pt):  # one row per sample: its margin and probe values
+        return np.concatenate((margin(pt)[:, None], probed(pt)[0]),
+                              axis=1) <= 0.0
+
+    if ts.rank == 2:
+        # the gap |pair - nx/p| / (nx/p) is the modulus of the lower ratio
+        tight = ([Spec("cauchy-tight-rank2",
+                       "on a rank-2 fiber the lower bound is an equality for "
+                       "every vertical probe", tol.secondderiv)],
+                 pts, [[lambda pt: np.abs(probed(pt)[1]).ravel()]])
+    else:
+        tight = ([Spec("cauchy-orthogonal-probe",
+                       "probes orthogonal to the fiber value and its "
+                       "conjugate partner attain the upper bound",
+                       tol.secondderiv)], pts, [[orthogonal_gap]])
     sc = np.linalg.norm(xb, axis=-1) * np.linalg.norm(xv, axis=-1)
-    out += sweep_records([Spec(
-        "horizontal-vertical-orthogonal",
-        "base directions pair to zero with fiber directions",
-        tol.secondderiv)],
-        [np.abs(hermitian_pair(ctx, fr, xb, xv)) / sc])
-
-    # the first 10 samples, each dilated towards the zero section
-    dilated = stack_points([rho_apply(h, pt, eps) for pt in pts[:10]
-                            for eps in (1.0, 0.3, 0.1, 0.03)])
-    Gv = gram(ctx, omega_tilde_field(h).frame_at(dilated))[:, mb:, mb:]
-    low = _eigenvalues((Gv + np.conj(np.swapaxes(Gv, -1, -2))) / 2)[:, 0]
-    out += sweep_records([Spec(
-        "vertical-blowup-rate",
-        "the smallest vertical Gram eigenvalue scales as one over the "
-        "potential", tol.secondderiv)],
-        [np.abs(low * psi(ts, dilated) - 1.0)])
-
-    # one row per sample: its matrix margin and its probe values
-    out += sweep_records([Spec(
-        "positivity-agreement",
-        "matrix margin and probe values certify positivity together", 0.5)],
-        [np.concatenate((margins[:, None], pairs), axis=1) <= 0.0])
-    return out
+    return _run_sweeps([
+        ([Spec("potential-homogeneity",
+               "log of the fiber norm shifts by 2 log|q| under the dilation",
+               tol.secondderiv),
+          Spec("log-potential-identity",
+               "the quotient form is the horizontal form plus del del_J of "
+               "the log potential", tol.secondderiv),
+          Spec("dilation-invariance",
+               "the quotient form pulls back to itself under the dilation",
+               tol.secondderiv),
+          Spec("dilation-homogeneity",
+               "invariance holds for arbitrary nonzero real fiber scalings",
+               tol.secondderiv),
+          Spec("del-closed", "del of the quotient form vanishes",
+               tol.secondderiv),
+          Spec("omega-qreal", "the quotient form is q-real", tol.secondderiv),
+          Spec("omega-hyperhermitian",
+               "the Gram matrix of the quotient form is J-compatible",
+               tol.secondderiv),
+          Spec("positivity-margin",
+               "the quotient form has a strictly positive scale-relative "
+               "Gram floor", tol.positivity_floor, "margin")],
+         pts, [[f] for f in fields]),
+        ([Spec("cauchy-lower",
+               "vertical values are at least the fiber norm over the "
+               "potential", -tol.positivity_floor, "margin"),
+          Spec("cauchy-upper",
+               "vertical values are at most twice the fiber norm over the "
+               "potential", -tol.positivity_floor, "margin")],
+         pts, [[lambda pt: probed(pt)[1].ravel()],
+               [lambda pt: probed(pt)[2].ravel()]]),
+        tight,
+        ([Spec("horizontal-vertical-orthogonal",
+               "base directions pair to zero with fiber directions",
+               tol.secondderiv)],
+         pts, [[lambda pt: np.abs(hermitian_pair(ctx, form(pt), xb, xv))
+                / sc]]),
+        ([Spec("vertical-blowup-rate",
+               "the smallest vertical Gram eigenvalue scales as one over the "
+               "potential", tol.secondderiv)], dilated, [[blowup_gap]]),
+        ([Spec("positivity-agreement",
+               "matrix margin and probe values certify positivity together",
+               0.5)], pts, [[agreement]])])
 
 
 # ----- dispatch -----

@@ -8,6 +8,8 @@ largest one (at least 1).  The qpos records and the algebra (1,1) draws are
 held the same way to their code run at each draw alone.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,18 +80,58 @@ def test_bicomplex_sweeps_agree_with_each_sample(n):
                 assert_agrees(f, pts)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_bicomplex_stacks_each_sample_list_once(monkeypatch, n):
-    # nine sweeps over three sample lists: the samples (six sweeps), their
-    # first three (moment-potential) and the ladder samples (two sweeps)
+@pytest.mark.parametrize("records, cfg, lengths", [
+    (suites.bicomplex_records, ScenarioConfig(n=1, samples=5), [5, 3, 3]),
+    (suites.bicomplex_records, ScenarioConfig(n=2, samples=5), [5, 3, 3]),
+    (suites.totspace_records, ScenarioConfig(samples=5),
+     [5, 5, 7, 20, 10, 22]),
+    (suites.hopf_records, ScenarioConfig(samples=5), [5, 20])],
+    ids=["1", "2", "totspace", "hopf"])
+def test_bicomplex_stacks_each_sample_list_once(monkeypatch, records, cfg,
+                                                lengths):
+    # the length of every sample list a suite stacks, in order, each once:
+    # - bicomplex, nine sweeps over three lists: the samples (six sweeps),
+    #   their first three (moment-potential) and the ladder samples (two);
+    # - totspace, per bundle: the samples (the frame-roundtrip,
+    #   curvature-term, del-closed, metric and Nijenhuis sweeps), the
+    #   structure equation's first max(10, samples // 10) and the
+    #   potential's samples with two zero-fiber copies; bpst at 5 samples,
+    #   then its flat control at 20;
+    # - hopf: the samples (five sweeps) and 4 dilations of each of them
     stacked = []
-    real = suites.stack_points
     monkeypatch.setattr(suites, "stack_points",
-                        lambda pts: stacked.append(pts) or real(pts))
-    records = suites.bicomplex_records(ScenarioConfig(n=n, samples=5))
-    assert all(r.passed for r in records)
-    assert [len(pts) for pts in stacked] == [5, 3, 3]
-    assert len({id(pts) for pts in stacked}) == 3
+                        lambda pts: stacked.append(pts) or stack_points(pts))
+    assert all(r.passed for r in records(cfg))
+    assert [len(pts) for pts in stacked] == lengths
+    assert len({id(pts) for pts in stacked}) == len(lengths)
+
+
+def test_a_point_is_dropped_after_its_last_sweep(monkeypatch, rng):
+    # the potential sweep's Point is gone when the curvature-term sweep runs,
+    # and the samples' Point, which the curvature term shares with the
+    # first sweep, is alive then
+    sweeps = suites._totspace_sweeps(ScenarioConfig(), "bpst", 4, rng)
+    made = []
+
+    class Tracked(Point):  # a Point with a weakref slot
+        pass
+
+    def stack(pts):
+        pt = Tracked(stack_points(pts))
+        made.append(weakref.ref(pt))
+        return pt
+
+    seen = []
+    specs, pts, (first, *rest) = sweeps[3]
+    assert specs[0].identity == "curvature-term-weightless"
+    sweeps[3] = (specs, pts, [[lambda pt: seen.append(
+        [ref() is not None for ref in made]) or first[0](pt)], *rest])
+    monkeypatch.setattr(suites, "stack_points", stack)
+    assert all(r.passed for r in suites._run_sweeps(sweeps))
+    # alive: the samples' Point; gone: the structure equation's and the
+    # potential's
+    assert seen == [[True, False, False]]
+    assert all(ref() is None for ref in made)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -152,17 +194,31 @@ def test_bundle_criteria_agree_with_each_sample(rng, bundle):
 def test_totspace_sweeps_agree_with_each_sample(rng, bundle):
     ts = total_space(get_connection(bundle))
     ch = ts.chart
-    pts = sample_points(rng, ts.dim, 3)
-    stacked = stack_points(pts)
-    sweeps = list(suites._totspace_sweeps(ts, pts, stacked, 1e-8))
-    assert [len(specs) for specs, _, _ in sweeps] == [1, 5, 3]
-    # the curvature term runs at the shared stacked Point of pts
-    assert sweeps[-1][1] is stacked
-    for _, pt, columns in sweeps:
-        samples = [list(map(float, c)) for c in zip(*pt)]
-        for fields in columns:
-            for f in fields:
-                assert_agrees(f, samples)
+    sweeps = suites._totspace_sweeps(ScenarioConfig(), bundle, 3, rng)
+    metric = 4 + (bundle == "flat")  # with metric-flat-identity on flat
+    assert [len(specs) for specs, _, _ in sweeps] == [
+        1, 1, 5, 3, 1, 1, 2, metric, 1]
+    # the curvature-term, del-closed, metric and Nijenhuis sweeps read the
+    # frame roundtrip's samples; the constant form's records have none
+    pts = sweeps[0][1]
+    assert [i for i, (_, s, _) in enumerate(sweeps) if s is pts] == [
+        0, 3, 5, 7, 8]
+    assert [i for i, (_, s, _) in enumerate(sweeps) if s is None] == [4, 6]
+    for specs, samples, columns in sweeps:
+        if samples is None:
+            continue
+        for f in (f for fields in columns for f in fields):
+            got = f(stack_points(samples))
+            per_sample = [f(Point(pt)) for pt in samples]
+            if specs[0].identity == "frame-roundtrip":
+                # the draws are arrays over the samples: sample k's is draw k
+                per_sample = [{key: c[k] for key, c in el.items()}
+                              for k, el in enumerate(per_sample)]
+            if np.ndim(got) == 2:  # Nijenhuis: one value per structure
+                assert_arrays_agree(got, per_sample)
+            else:
+                for k, want in enumerate(per_sample):
+                    assert_sample_agrees(got, k, len(samples), want)
     # fields that do not vanish: the right side of the del dbar identity,
     # with the curvature correction in frame labels, and the vertical form
     # in real labels, both through the point-dependent tables
@@ -193,13 +249,18 @@ def test_hopf_form_sweep_agrees_with_each_sample(rng, bundle):
     h = hopf_data(total_space(get_connection(bundle)), 2.0)
     pts = fundamental_domain_points(h, rng, 3)
     lams = rng.uniform(0.3, 3.0, 3) * np.array([1.0, -1.0, 1.0])
-    fr, mg, fields = suites._hopf_form(h, stack_points(pts), lams)
-    assert len(fields) == 8 and mg.shape == (3,)
+    form, margin, fields = suites._hopf_form(h, lams)
+    stacked = stack_points(pts)
+    got = [f(stacked) for f in [form, margin, *fields]]
+    assert len(fields) == 8 and got[1].shape == (3,)
+    # the form and its margin, which later sweeps read, are memoised
+    assert form(stacked) is got[0] and margin(stacked) is got[1]
     for k, pt in enumerate(pts):
-        fr_k, mg_k, fields_k = suites._hopf_form(h, Point(pt), float(lams[k]))
-        assert enorm(fr_k) > 1e-3 and mg_k > 1e-3
-        for got, want in zip([fr, mg, *fields], [fr_k, mg_k, *fields_k]):
-            assert_sample_agrees(got, k, 3, want)
+        form_k, margin_k, fields_k = suites._hopf_form(h, float(lams[k]))
+        want = [f(Point(pt)) for f in [form_k, margin_k, *fields_k]]
+        assert enorm(want[0]) > 1e-3 and want[1] > 1e-3
+        for g, w in zip(got, want, strict=True):
+            assert_sample_agrees(g, k, 3, w)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
