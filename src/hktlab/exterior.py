@@ -36,7 +36,7 @@ so block matrices carry the full operators exactly.  The blocks of one size
 form one (B, s, s) stack (28 stacks for 729 blocks at n=3, at most 64x64),
 H one (B, s) stack of its diagonals, so the algebra suite runs one batched
 matmul or eigvalsh per stack, never a 924x924 matrix.  A stack takes its
-1-form table's dtype by numpy's promotion: a table is real when every
+1-form matrix's dtype by numpy's promotion: a matrix is real when every
 imaginary part is exactly 0, and H is always real.  On the standard
 structure R, Rb, L_J, H, C and every projector are real and L_I, L_K and
 the cov units complex; a dense complex M keeps the rest complex through the
@@ -44,36 +44,37 @@ same code.  Nothing is cached across calls: a caller holds one degree's
 blocks while it reads them, and a weight's projector is built from C only
 when asked for, its first factor from C itself.  weight_project keeps, per
 context, the projector columns of each (degree, weight) it has read, built
-from that degree's blocks; it never builds cov.  A context converts its
-1-form tables to arrays once, at their first use, and keeps them: a table
-changed after that is not seen.
+from that degree's blocks; it never builds cov.  A context builds the
+eight generators' 1-form matrices from M once (_one_form_matrices) and
+reads the sparse tables of apply_derivation and apply_multiplicative off
+them, so both rules read one definition.
 
-The blocks are built from the 1-form tables with array operations over all
-monomials of the degree at once, not through the sparse rules.  The
-converted tables carry their image list, each label's image labels in
-order, so an expansion repeats its items over their labels' images and
+The blocks are built from the 1-form matrices with array operations over
+all monomials of the degree at once, not through the sparse rules.  The
+matrices' entry pattern is held as an image list, each label's image labels
+in order, so an expansion repeats its items over their labels' images and
 never builds an (items, labels) mask.  One replacement table serves the
 five derivations: it lists every e_S -> e_T where T is S with its label
-S[p] replaced by l (l = S[p], or a label S lacks), its row found by
-ranking T's label bitmask.  Moving l to its sorted place passes the labels
-of S strictly between S[p] and l: the set bits of S's bitmask without S[p]
-in the span of bits from the smaller of the two up to the larger, so the
-entry of a derivation with 1-form matrix A is (-1)^(their number)
-A[l, S[p]].  H is the diagonal p - q.  The blocks are the components of
-the entries' rows and columns, found by min-label propagation: each
-monomial takes the smallest label among its neighbours until none
-changes, so a block is labelled by its smallest member.  The degree is
-ranked once and laid out once, size-major (blocks by size, then by
-smallest member, monomials in basis order), so a size group is one
-reshaped view of a buffer; the generators share the entries' places,
-found once, and each is scattered in turn into a buffer of its own.  Every
-block of the degree holds that layout, whose rank then sends a label
-bitmask to its row in that order, and a view of its labels.
+S[p] replaced by l (l = S[p], or a label S lacks), its row found by ranking
+T's label bitmask.  Moving l to its sorted place passes the labels of S
+strictly between S[p] and l: the set bits of S's bitmask without S[p] in
+the span of bits from the smaller of the two up to the larger, so the entry
+of a derivation with 1-form matrix A is (-1)^(their number) A[l, S[p]].  H
+is the diagonal p - q.  The blocks are the components of the entries' rows
+and columns, found by min-label propagation: each monomial takes the
+smallest label among its neighbours until none changes, so a block is
+labelled by its smallest member.  The degree is ranked once and laid out
+once, size-major (blocks by size, then by smallest member, monomials in
+basis order), so a size group is one reshaped view of a buffer; the
+generators share the entries' places, found once, and each is scattered in
+turn into a buffer of its own.  Every block of the degree holds that
+layout, whose rank then sends a label bitmask to its row in that order, and
+a view of its labels.
 cov_blocks expands cov_I, cov_J and cov_K on the layout multiplicatively,
-each from its own 1-form table but one pass per entry pattern the tables
-share (cov_I alone, cov_J with cov_K): one image term per position, each
-term's labels so far held as one int64 bitmask, so a repeated label is a
-set bit, the sign counts the set bits above the new label, and the final
+each from its own 1-form matrix but in two passes, cov_I alone and cov_J
+with cov_K, whose entry pattern is cov_J's: one image term per position,
+each term's labels so far held as one int64 bitmask, so a repeated label is
+a set bit, the sign counts the set bits above the new label, and the final
 mask is the rank lookup's index.
 The tests hold every block matrix to operator_matrix of the sparse rule.
 """
@@ -217,6 +218,28 @@ def standard_m(m: int) -> np.ndarray:
     return out
 
 
+# the su(2) generators, in the order of _one_form_matrices' stack
+_GENERATORS = ("cov_I", "cov_J", "cov_K", "L_I", "L_J", "L_K", "R", "Rb")
+
+
+def _one_form_matrices(M: np.ndarray) -> np.ndarray:
+    """The _GENERATORS' complex 1-form matrices A[l, s], the coefficient of
+    label l in the image of label s, as one (8, 2m, 2m) stack made from the
+    structure matrix M: cov_I is diagonal, cov_J holds -M^T and -M^H in its
+    off-diagonal blocks, cov_K = cov_I cov_J scales cov_J's rows, L_X =
+    -cov_X, and R and Rb are cov_J's two column halves, Rb's negated."""
+    m = len(M)
+    A = np.zeros((8, 2 * m, 2 * m), dtype=complex)
+    cov_i, cov_j, cov_k, _, _, _, R, Rb = A  # views into the stack
+    i = np.repeat([-1j, 1j], m)
+    np.fill_diagonal(cov_i, i)
+    cov_j[m:, :m], cov_j[:m, m:] = -M.T, -M.conj().T
+    np.multiply(i[:, None], cov_j, out=cov_k)
+    A[3:6] = -A[:3]
+    R[:, m:], Rb[:, :m] = cov_j[:, m:], -cov_j[:, :m]
+    return A
+
+
 class _Layout(NamedTuple):
     """One degree's rows in stack order: blocks by size, then by smallest
     member, each block's monomials in basis order.  block holds each row's
@@ -260,10 +283,10 @@ class Su2Block(NamedTuple):
 
 
 class _Tables(NamedTuple):
-    """1-form tables as their matrices A[l, s] (_table_arrays), each in its
-    own dtype, with has, the union of their entry patterns, as an image
-    list: source label s has the image labels
-    image[first[s]:first[s] + count[s]], the l with has[l, s], increasing."""
+    """1-form matrices A[l, s] of a context, each in its own dtype, with
+    has, the union of their entry patterns, as an image list: source label
+    s has the image labels image[first[s]:first[s] + count[s]], the l with
+    has[l, s], increasing."""
     mats: list
     has: np.ndarray
     first: np.ndarray
@@ -271,7 +294,7 @@ class _Tables(NamedTuple):
     image: np.ndarray
 
 
-# the tables of the derivations whose entries one replacement table serves
+# the derivations whose entries one replacement table serves
 _DERIVATIONS = ("R", "Rb", "L_I", "L_J", "L_K")
 
 # _BIT[l] is label l's bit in a label bitmask; bitmasks are built by indexing,
@@ -285,19 +308,6 @@ def _rank(masks, n: int) -> np.ndarray:
     rank = np.full(1 << n, -1)
     rank[masks] = np.arange(len(masks))
     return rank
-
-
-def _table_arrays(table, n: int):
-    """A 1-form table as the matrix A[l, s], the coefficient of label l in
-    the image of label s, and the pattern of the table's entries.  A is
-    float64 when every imaginary part is exactly 0, complex128 otherwise."""
-    A = np.zeros((n, n), dtype=complex)
-    has = np.zeros((n, n), dtype=bool)
-    for s, img in table.items():
-        for (l,), c in img.items():
-            A[l, s] = c
-            has[l, s] = True
-    return (A if A.imag.any() else A.real), has
 
 
 def _expand(tables: _Tables, old):
@@ -408,15 +418,16 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
     """Blocks of basis(k): the generators' entries from one replacement
     table, grouped into min-label components, stacked per block size on
     one layout, the degree's one ranking turned to its rows."""
-    n = 2 * ctx.m
-    basis = ctx.basis(k)
-    labels = np.array(basis, dtype=np.int64).reshape(len(basis), k)
+    n, size = 2 * ctx.m, math.comb(2 * ctx.m, k)
+    labels = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), k)), np.int64, size * k)
+    labels = labels.reshape(size, k)  # basis(k) in order, k = 0 too
     masks = _BIT[labels].sum(axis=1)
     rank = _rank(masks, n)
     tables = ctx._tables(_DERIVATIONS)
     row, col, old, new, sign = _replacements(labels, masks, rank, tables)
 
-    comp = np.arange(len(basis))  # each monomial's smallest connected one
+    comp = np.arange(size)  # each monomial's smallest connected one
     while True:
         low = np.minimum(comp[row], comp[col])
         nxt = comp.copy()
@@ -456,10 +467,12 @@ def _su2_blocks(ctx: "StructureContext", k: int) -> list[Su2Block]:
 class StructureContext:
     m: int
     mmat: np.ndarray
-    tables: dict = field(default_factory=dict, repr=False)
-    # per-instance caches, filled on first use: (degree, weight) ->
-    # {monomial: projector column as (label, coeff) pairs}, and table names
-    # -> _Tables
+    # set in __post_init__: the generators' 1-form matrices, each in its
+    # own dtype, and the sparse tables read off them; per-instance caches,
+    # filled on first use: (degree, weight) -> {monomial: projector column
+    # as (label, coeff) pairs}, and matrix names -> _Tables
+    matrices: dict = field(init=False, repr=False, compare=False)
+    tables: dict = field(init=False, repr=False, compare=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _arrays: dict = field(default_factory=dict, init=False, repr=False,
@@ -474,28 +487,16 @@ class StructureContext:
         if not np.allclose(M @ M.conj(), -np.eye(self.m), atol=1e-12):
             raise ValueError("structure matrix must satisfy M conj(M) = -Id")
         self.mmat = M
-        m = self.m
-        Mc = M.tolist()  # plain complex entries, so no numpy scalar meets a Dual
-        cov_i, cov_j, rais, lowr = {}, {}, {}, {}
-        for a in range(m):
-            nz = [b for b in range(m) if Mc[a][b] != 0]
-            cov_i[a] = {(a,): -1j}
-            cov_i[m + a] = {(m + a,): 1j}
-            cov_j[a] = {(m + b,): -Mc[a][b] for b in nz}
-            cov_j[m + a] = {(b,): -Mc[a][b].conjugate() for b in nz}
-            rais[m + a] = dict(cov_j[m + a])
-            rais[a] = {}
-            lowr[a] = {(m + b,): Mc[a][b] for b in nz}
-            lowr[m + a] = {}
-        # on 1-forms the derivation extension is plain composition
-        cov_k = {lab: apply_derivation(cov_i, img)
-                 for lab, img in cov_j.items()}
-        neg = lambda t: {lab: escale(img, -1) for lab, img in t.items()}
-        self.tables = {
-            "cov_I": cov_i, "cov_J": cov_j, "cov_K": cov_k,
-            "L_I": neg(cov_i), "L_J": neg(cov_j), "L_K": neg(cov_k),
-            "R": rais, "Rb": lowr,
-        }
+        A = _one_form_matrices(M)
+        self.matrices = {name: a if imag else a.real for name, a, imag in
+                         zip(_GENERATORS, A, A.imag.any(axis=(1, 2)).tolist())}
+        # each table {s: {(l,): A[l, s]}} read off its matrix's nonzero
+        # entries, images in increasing l, with plain int labels and plain
+        # complex coefficients, so no numpy scalar meets a Dual
+        self.tables = {name: {} for name in _GENERATORS}
+        nz = np.nonzero(A)
+        for g, l, s, c in zip(*(i.tolist() for i in nz), A[nz].tolist()):
+            self.tables[_GENERATORS[g]].setdefault(s, {})[(l,)] = c
 
     # ----- basic structure maps -----
 
@@ -545,35 +546,27 @@ class StructureContext:
 
     def cov_blocks(self, blocks: list[Su2Block]) -> dict:
         """cov_I, cov_J and cov_K ("I", "J", "K") as one stack per size group
-        of one degree's su2_blocks, each from its own 1-form table, expanded
-        on the blocks' shared layout in one pass per entry pattern (cov_I;
-        cov_J with cov_K) on each call.  Raises ValueError if an image
-        leaves its block."""
-        layout = blocks[0].layout
-        units = {u: self._tables(("cov_" + u,)) for u in "IJK"}
-        shared, out = {}, {}  # shared: the units by their entry pattern
-        for u, tables in units.items():
-            shared.setdefault(tables.has.tobytes(), []).append(u)
-        for us in shared.values():
-            A = np.array([units[u].mats[0] for u in us])
-            rows, cols, vals = _products(layout.labels, layout.rank, A,
-                                         units[us[0]])
-            out |= _block_matrices(layout, rows, cols, zip(us, vals))
+        of one degree's su2_blocks, expanded on the blocks' shared layout on
+        each call: cov_I alone, then cov_J with cov_K, whose entry pattern
+        is cov_J's.  Raises ValueError if an image leaves its block."""
+        layout, out = blocks[0].layout, {}
+        for units in ("I", "JK"):
+            tables = self._tables(tuple("cov_" + u for u in units))
+            rows, cols, vals = _products(layout.labels, layout.rank,
+                                         np.array(tables.mats), tables)
+            out |= _block_matrices(layout, rows, cols, zip(units, vals))
         return out
 
     def _tables(self, names: tuple) -> _Tables:
-        """The 1-form tables names as one _Tables, built at the first call
-        per names and kept for the context's life, so a table changed after
-        that is not seen."""
+        """The 1-form matrices names as one _Tables, built at the first call
+        per names and kept for the context's life."""
         if names not in self._arrays:
-            pairs = [_table_arrays(self.tables[name], 2 * self.m)
-                     for name in names]
-            has = np.any([has for _, has in pairs], axis=0)
+            mats = [self.matrices[name] for name in names]
+            has = np.any([A != 0 for A in mats], axis=0)
             source, image = np.nonzero(has.T)
             count = np.bincount(source, minlength=len(has))
-            self._arrays[names] = _Tables([A for A, _ in pairs], has,
-                                          np.cumsum(count) - count, count,
-                                          image)
+            self._arrays[names] = _Tables(mats, has, np.cumsum(count) - count,
+                                          count, image)
         return self._arrays[names]
 
     def casimir(self, el: Element) -> Element:

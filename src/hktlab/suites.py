@@ -785,11 +785,12 @@ def totspace_records(cfg: ScenarioConfig) -> list:
 # ----- quotient -----
 
 def _hopf_form(h, lam):
-    """(form, margin, fields) as Point -> value maps: the quotient form's
-    frame value and its Gram margin, each built once per Point
-    (duals.point_memo), and the fields of the hopf form sweep's records in
-    report order.  lam is the arbitrary fiber scaling: an array over the
-    samples of a stacked Point, or a float at a plain one."""
+    """(form, margin, form_gram, fields) as Point -> value maps: the
+    quotient form's frame value, its Gram margin and its Gram matrix, each
+    built once per Point (duals.point_memo), and the fields of the hopf form
+    sweep's records in report order.  lam is the arbitrary fiber scaling:
+    an array over the samples of a stacked Point, or a float at a plain
+    one."""
     ts, ctx = h.ts, h.ts.ctx
     otf = omega_tilde_field(h)
     form = otf.value
@@ -798,7 +799,10 @@ def _hopf_form(h, lam):
     def margin(pt):
         return point_memo(pt, margin, lambda p: qpos_margin(ctx, form(p)))
 
-    return form, margin, [
+    def form_gram(pt):
+        return point_memo(pt, form_gram, lambda p: gram(ctx, form(p)))
+
+    return form, margin, form_gram, [
         lambda pt: abs(np.log(psi(ts, rho_apply(h, pt))) - np.log(psi(ts, pt))
                        - 2.0 * np.log(abs(h.q))),
         lambda pt: esub(form(pt), eadd(omega_hor_expr(ts),
@@ -808,9 +812,9 @@ def _hopf_form(h, lam):
         lambda pt: esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt, lam)),
                                      lam), form(pt)),
         del_hol(otf).at, lambda pt: qreal_residual(ctx, form(pt)),
-        lambda pt: hyperhermitian_residual(ctx, gram(ctx, form(pt))),
+        lambda pt: hyperhermitian_residual(ctx, form_gram(pt)),
         lambda pt: margin(pt) / np.maximum(1.0, np.linalg.norm(
-            gram(ctx, form(pt)), 2, axis=(-2, -1)))]
+            form_gram(pt), 2, axis=(-2, -1)))]
 
 
 def hopf_records(cfg: ScenarioConfig) -> list:
@@ -839,7 +843,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
     # the first 10 samples, each dilated towards the zero section
     dilated = [rho_apply(h, pt, eps) for pt in pts[:10]
                for eps in (1.0, 0.3, 0.1, 0.03)]
-    form, margin, fields = _hopf_form(h, lams)
+    form, margin, form_gram, fields = _hopf_form(h, lams)
 
     def probed(pt):
         """(S, probes) arrays, built once per Point: each probe's value, then
@@ -867,7 +871,7 @@ def hopf_records(cfg: ScenarioConfig) -> list:
                        - 2.0 * bound) / bound)
 
     def blowup_gap(pt):
-        Gv = gram(ctx, form(pt))[:, mb:, mb:]
+        Gv = form_gram(pt)[:, mb:, mb:]
         low = _eigenvalues((Gv + _adjoint(Gv)) / 2)[:, 0]
         return np.abs(low * psi(ts, pt) - 1.0)
 

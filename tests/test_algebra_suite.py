@@ -151,24 +151,25 @@ def test_algebra_builds_each_degree_once_per_n(monkeypatch):
 
 def test_algebra_ranks_lays_out_and_converts_tables_once(monkeypatch):
     # per degree one ranking and one block layout, which su2_blocks builds
-    # and cov_blocks reads; per context each of its 8 1-form tables (R, Rb,
-    # L_I, L_J, L_K, cov_I, cov_J, cov_K) converted to arrays once
-    calls = {"_rank": 0, "_block_layout": 0}
+    # and cov_blocks reads; per context its 8 1-form matrices (R, Rb, L_I,
+    # L_J, L_K, cov_I, cov_J, cov_K) built once, and each names' _Tables
+    # (the derivations', cov_I's and cov_J with cov_K's) once
+    calls = {"_rank": 0, "_block_layout": 0, "_one_form_matrices": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(exterior, name)):
             calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(exterior, name, counted)
-    converted = []  # held, so no two tables share an id
-    real = exterior._table_arrays
-    monkeypatch.setattr(exterior, "_table_arrays", lambda table, n: (
-        converted.append(table) or real(table, n)))
+    built = []  # held, so no two share an id
+    real = exterior._Tables
+    monkeypatch.setattr(exterior, "_Tables",
+                        lambda *args: built.append(real(*args)) or built[-1])
     algebra_records(ScenarioConfig(n=3, samples=1))
     degrees = sum(4 * n + 1 for n in (1, 2, 3))
-    assert calls == {"_rank": degrees, "_block_layout": degrees}
-    assert len(converted) == 3 * 8
-    assert len({id(table) for table in converted}) == 3 * 8
+    assert calls == {"_rank": degrees, "_block_layout": degrees,
+                     "_one_form_matrices": 3}
+    assert len(built) == 3 * 3
 
 
 def _member_blocks(ctx, k):

@@ -458,37 +458,83 @@ def test_blocks_of_a_dense_structure_match_the_sparse_operators(rng):
                 assert np.max(np.abs(mat - oracle), initial=0.0) < 1e-12
 
 
-def _cov_i_fault(c):
+def _cov_i_fault(monkeypatch, c):
     """A fresh m=2 context whose cov_I sends theta_0 to -i theta_0 + c
-    theta_1, changed before any operator reads the table."""
-    ctx = _ctx(2)
-    ctx.tables["cov_I"][0] = {(0,): -1j, (1,): c}
-    return ctx
+    theta_1, planted in its 1-form matrix, which both rules read."""
+    real = exterior._one_form_matrices
+
+    def faulty(M):
+        A = real(M)
+        A[exterior._GENERATORS.index("cov_I"), 1, 0] = c
+        return A
+
+    monkeypatch.setattr(exterior, "_one_form_matrices", faulty)
+    return _ctx(2)
 
 
-def test_cov_image_leaving_its_block_raises():
-    ctx = _cov_i_fault(1e-14)  # dropped, as operator_matrix does
+def test_cov_image_leaving_its_block_raises(monkeypatch):
+    ctx = _cov_i_fault(monkeypatch, 1e-14)  # dropped, as operator_matrix does
     # the degree-1 blocks, {theta_0, conj theta_1} and {theta_1, conj
     # theta_0}, form one group of size 2
     blocks = ctx.su2_blocks(1)
     assert [_monos(blk) for blk in blocks] == [[[(0,), (3,)], [(1,), (2,)]]]
     mats = ctx.cov_blocks(blocks)["I"]
     assert np.array_equal(mats[0][0], np.diag([-1j, 1j]))
-    ctx = _cov_i_fault(1e-3)
+    ctx = _cov_i_fault(monkeypatch, 1e-3)
+    assert ctx.cov_mult("I", {(0,): 1.0}) == {(0,): -1j, (1,): 1e-3}
     with pytest.raises(ValueError, match="leaves its su\\(2\\) block"):
         ctx.cov_blocks(ctx.su2_blocks(1))
     with pytest.raises(ValueError):  # and in a product of two labels
         ctx.cov_blocks(ctx.su2_blocks(2))
 
 
-def test_tables_are_read_once_per_context():
-    # a context converts its tables at their first use and keeps them, so
-    # a table changed after that is not seen (a fresh context sees it, as
-    # the test above shows)
+def test_tables_are_read_once_per_context(monkeypatch):
+    # a context builds its 1-form matrices once, reads its sparse tables
+    # off them then, and keeps one _Tables per names, whose matrices are
+    # the context's own
+    calls = []
+    real = exterior._one_form_matrices
+    monkeypatch.setattr(exterior, "_one_form_matrices",
+                        lambda M: calls.append(M) or real(M))
     ctx = _ctx(2)
-    clean = ctx.cov_blocks(ctx.su2_blocks(1))["I"][0]
-    ctx.tables["cov_I"][0] = {(0,): -1j, (1,): 1e-3}
-    assert np.array_equal(ctx.cov_blocks(ctx.su2_blocks(1))["I"][0], clean)
+    ctx.cov_blocks(ctx.su2_blocks(1))
+    ctx.cov_blocks(ctx.su2_blocks(2))
+    assert len(calls) == 1
+    for names in (exterior._DERIVATIONS, ("cov_I",), ("cov_J", "cov_K")):
+        tables = ctx._tables(names)
+        assert ctx._tables(names) is tables
+        assert all(A is ctx.matrices[name]
+                   for A, name in zip(tables.mats, names, strict=True))
+
+
+def _assert_tables_read_off(ctx):
+    """Each sparse table of ctx is exactly its matrix's nonzero entries,
+    with plain int labels and plain complex values, and the matrices obey
+    cov_J^2 = -1, cov_K = cov_I cov_J and L_X = -cov_X on 1-forms."""
+    mats = ctx.matrices
+    assert list(mats) == list(ctx.tables) == list(exterior._GENERATORS)
+    for name, A in mats.items():
+        assert A.dtype == (np.complex128 if A.imag.any() else np.float64)
+        entries = [(l, s, c) for s, img in ctx.tables[name].items()
+                   for (l,), c in img.items()]
+        assert all(type(l) is int and type(s) is int and type(c) is complex
+                   for l, s, c in entries), name
+        assert sorted(entries) == sorted(
+            (l, s, complex(A[l, s])) for l, s in zip(*np.nonzero(A))), name
+        for img in ctx.tables[name].values():  # images in increasing labels
+            assert list(img) == sorted(img)
+    eye = np.eye(2 * ctx.m)
+    assert np.max(np.abs(mats["cov_J"] @ mats["cov_J"] + eye)) < 1e-14
+    assert np.array_equal(mats["cov_K"], mats["cov_I"] @ mats["cov_J"])
+    for u in "IJK":
+        assert np.array_equal(mats["L_" + u], -mats["cov_" + u])
+
+
+@pytest.mark.parametrize("structure", ["m=2", "m=4", "m=6", "dense m=4"])
+def test_tables_are_read_off_the_matrices(structure, rng):
+    ctx = (_random_structure(4, rng) if structure.startswith("dense")
+           else _ctx(int(structure[2:])))
+    _assert_tables_read_off(ctx)
 
 
 @pytest.mark.parametrize("structure", ["m=4", "m=6", "dense m=4"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import vertical_probe
-from hktlab import suites
+from hktlab import hermitian, suites
 from hktlab.bundles import get_connection
 from hktlab.duals import Dual, sample_shape
 from hktlab.exterior import eadd, enorm, esub
@@ -202,3 +202,23 @@ def test_hopf_builds_inverse_table_once_per_sample(monkeypatch):
     monkeypatch.setattr(suites, "total_space", counted_total_space)
     hopf_records(ScenarioConfig(samples=4, probes=2))
     assert builds == [(4,)]
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
+def test_hopf_builds_the_form_gram_once_per_point(monkeypatch, bundle):
+    # one Gram matrix per sample list and reader: q-reality's and the
+    # margin's, each inside its own hermitian function, the form's own,
+    # which J-compatibility and the margin's scale share, and the blow-up
+    # rate's at the 40 dilated points
+    built = []
+    real = hermitian.gram
+
+    def counted(ctx, el):
+        G = real(ctx, el)
+        built.append(len(G))
+        return G
+
+    monkeypatch.setattr(hermitian, "gram", counted)
+    monkeypatch.setattr(suites, "gram", counted)
+    hopf_records(ScenarioConfig(bundle=bundle, samples=20))
+    assert built == [20, 20, 20, 40]

@@ -244,23 +244,30 @@ def test_structure_matrices_agree_with_each_sample(rng, bundle):
 
 @pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
 def test_hopf_form_sweep_agrees_with_each_sample(rng, bundle):
-    # the frame value, the Gram margin and every field of the form sweep,
-    # with an arbitrary fiber scaling of either sign per sample
+    # the frame value, the Gram margin and matrix and every field of the
+    # form sweep, with an arbitrary fiber scaling of either sign per sample
     h = hopf_data(total_space(get_connection(bundle)), 2.0)
     pts = fundamental_domain_points(h, rng, 3)
     lams = rng.uniform(0.3, 3.0, 3) * np.array([1.0, -1.0, 1.0])
-    form, margin, fields = suites._hopf_form(h, lams)
+    form, margin, form_gram, fields = suites._hopf_form(h, lams)
     stacked = stack_points(pts)
     got = [f(stacked) for f in [form, margin, *fields]]
     assert len(fields) == 8 and got[1].shape == (3,)
-    # the form and its margin, which later sweeps read, are memoised
+    # the form, its margin and its Gram matrix, which later sweeps read,
+    # are memoised
     assert form(stacked) is got[0] and margin(stacked) is got[1]
+    G = form_gram(stacked)
+    assert form_gram(stacked) is G
+    per_sample = []
     for k, pt in enumerate(pts):
-        form_k, margin_k, fields_k = suites._hopf_form(h, float(lams[k]))
+        form_k, margin_k, gram_k, fields_k = suites._hopf_form(
+            h, float(lams[k]))
         want = [f(Point(pt)) for f in [form_k, margin_k, *fields_k]]
         assert enorm(want[0]) > 1e-3 and want[1] > 1e-3
         for g, w in zip(got, want, strict=True):
             assert_sample_agrees(g, k, 3, w)
+        per_sample.append(gram_k(Point(pt)))
+    assert_arrays_agree(G, per_sample)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])

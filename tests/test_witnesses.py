@@ -3,19 +3,21 @@
 Each entry names a record, one mathematically meaningful fault and a record
 that does not depend on that fault.  The owning suite runs at 3 samples,
 first as it is, where both records pass, then with the fault monkeypatched
-in, where the record must FAIL with a finite value above its bound while
-the unrelated record still passes.
+in, where the record must FAIL with a finite value on the wrong side of
+its bound (above it for a residual, below it for a margin) while the
+unrelated record still passes.
 """
 
 import math
 
 import pytest
 
-from hktlab import bundles, hopf, suites
-from hktlab.exterior import eadd, element_from_antisym, escale, esub
+from hktlab import bundles, exterior, hopf, suites
+from hktlab.exterior import eadd, element_from_antisym, escale, esub, wedge
 from hktlab.suites import (ScenarioConfig, algebra_records, bundle_records,
                            hopf_records, qpos_records, totspace_records)
-from hktlab.total_space import omega_hor_expr, psi
+from hktlab.total_space import (del_j_psi_expr, del_psi_expr,
+                                omega_hor_expr, omega_ver_canonical, psi)
 
 
 def base_fiber_term(real):
@@ -32,6 +34,24 @@ def negated_log_part(real):
     def faulty(h, pt):
         omh = omega_hor_expr(h.ts)
         return eadd(omh, esub(omh, real(h, pt)))
+    return faulty
+
+
+def vertical_term(real):
+    """The quotient form with its vertical term 2.2/Psi in place of 2/Psi."""
+    def faulty(h, pt):
+        return eadd(real(h, pt), escale(omega_ver_canonical(h.ts),
+                                        0.2 / psi(h.ts, pt)))
+    return faulty
+
+
+def cross_term(real):
+    """The quotient form with its cross term del Psi ^ del_J Psi / Psi^2
+    times 1.1."""
+    def faulty(h, pt):
+        ts, p = h.ts, psi(h.ts, pt)
+        cross = wedge(del_psi_expr(ts, pt), del_j_psi_expr(ts, pt))
+        return esub(real(h, pt), escale(cross, 0.1 / (p * p)))
     return faulty
 
 
@@ -79,16 +99,15 @@ def constant_term(real):
     return lambda ts, pt: eadd(real(ts, pt), {(0, 4): 0.01})
 
 
-def table_fault(name, k):
-    """flat_chart whose structure context has its 1-form table `name`
-    multiplied by k before any operator is built from it."""
+def matrix_fault(name, k):
+    """_one_form_matrices with the 1-form matrix of the generator `name`
+    multiplied by k, so every structure context built under the patch
+    reads the fault in its dense blocks and in its sparse tables alike."""
     def patch(real):
-        def faulty(*args, **kwargs):
-            chart = real(*args, **kwargs)
-            tables = chart.ctx.tables
-            tables[name] = {lab: escale(img, k)
-                            for lab, img in tables[name].items()}
-            return chart
+        def faulty(M):
+            A = real(M)
+            A[exterior._GENERATORS.index(name)] *= k
+            return A
         return faulty
     return patch
 
@@ -104,6 +123,21 @@ WITNESSES = {
     "positivity-agreement": (
         hopf_records, "bpst", "omega-qreal", hopf, "omega_tilde_expr",
         negated_log_part),
+    "log-potential-identity": (
+        hopf_records, "bpst", "potential-homogeneity", hopf,
+        "omega_tilde_expr", vertical_term),
+    "cauchy-tight-rank2": (
+        hopf_records, "bpst", "potential-homogeneity", hopf,
+        "omega_tilde_expr", vertical_term),
+    "del-closed": (
+        hopf_records, "direct-sum", "potential-homogeneity", hopf,
+        "omega_tilde_expr", vertical_term),
+    "vertical-blowup-rate": (
+        hopf_records, "bpst", "potential-homogeneity", hopf,
+        "omega_tilde_expr", cross_term),
+    "cauchy-lower": (
+        hopf_records, "bpst", "potential-homogeneity", hopf,
+        "omega_tilde_expr", cross_term),
     "bianchi(bpst)": (
         bundle_records, "bpst", "curvature-invariance(bpst)", bundles,
         "_point_curvature", scaled),
@@ -135,29 +169,29 @@ WITNESSES = {
         totspace_records, "flat", "quaternion-relations", suites,
         "natural_metric", scaled),
     "unit-weight(n=1)": (
-        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
-        table_fault("L_I", 1.01)),
+        algebra_records, "bpst", "sl2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("L_I", 1.01)),
     "cov-squares(n=1)": (
-        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
-        table_fault("cov_J", 1.01)),
+        algebra_records, "bpst", "sl2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("cov_J", 1.01)),
     "su2-brackets(n=1)": (
-        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
-        table_fault("L_K", -1)),
+        algebra_records, "bpst", "sl2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("L_K", -1)),
     "unit-spectra(n=1)": (
-        algebra_records, "bpst", "sl2-brackets(n=1)", suites, "flat_chart",
-        table_fault("L_J", 1.01)),
+        algebra_records, "bpst", "sl2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("L_J", 1.01)),
     "casimir-spectrum(n=1)": (
-        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
-        table_fault("Rb", 1.01)),
+        algebra_records, "bpst", "su2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("Rb", 1.01)),
     "weight-projectors(n=1)": (
-        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
-        table_fault("Rb", 1.01)),
+        algebra_records, "bpst", "su2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("Rb", 1.01)),
     "positive-dimension(n=1)": (
-        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
-        table_fault("Rb", 1.01)),
+        algebra_records, "bpst", "su2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("Rb", 1.01)),
     "ladder-normalization(n=1)": (
-        algebra_records, "bpst", "su2-brackets(n=1)", suites, "flat_chart",
-        table_fault("Rb", 1.01)),
+        algebra_records, "bpst", "su2-brackets(n=1)", exterior,
+        "_one_form_matrices", matrix_fault("Rb", 1.01)),
     "conj-involution(m=2)": (
         qpos_records, "bpst", "roundtrip-metric(m=2)", suites,
         "quaternionic_conj", scaled),
@@ -189,6 +223,9 @@ def test_fault_fails_its_record(monkeypatch, identity):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     records = run()
     record = records[identity]
-    assert math.isfinite(record.value), record
-    assert record.value > record.threshold and not record.passed, record
+    assert math.isfinite(record.value) and not record.passed, record
+    if record.kind == "margin":
+        assert record.value < record.threshold, record
+    else:
+        assert record.value > record.threshold, record
     assert records[unrelated].passed
