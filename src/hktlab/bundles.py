@@ -6,10 +6,11 @@ returns the nonzero entries {(mu, a, b): A^mu_ab} of A, as exterior's
 elements hold their terms: an exact zero is left out where the catalog writes
 the connection, so no consumer tests for one.  The dual numbers of
 total_space's tables flow through the entries; every plain value built here
-is a numpy array, into which _derivative scatters them, from one coeff call
-per derivative order that seeds every direction at once, on an axis of the
-dot parts.  The jet of A at a point (A, and dA[lam, nu] = d_lam A_nu) gives
-the curvature as one (dim, dim, r, r) array
+is a numpy array, into which _coeff_jet scatters them.  The jet of A at a
+point (A, and dA[lam, nu] = d_lam A_nu) comes from one coeff call at the
+seeded child of the base coordinates (duals.seeded): A from the entries'
+value parts, dA from their dot parts, every direction on a lane axis.  It
+gives the curvature as one (dim, dim, r, r) array
 
     F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
@@ -20,11 +21,12 @@ every sample.
 
 The Bianchi residual is the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu],
 with d_lam F_mu_nu = d_lam d_mu A_nu - d_lam d_nu A_mu + [d_lam A_mu, A_nu]
-+ [A_mu, d_lam A_nu] from one two-level coeff call per lam (lam seeded
-below every mu).  The one field-strength helper builds F on the whole
-(mu, nu) grid and dF only at the pairs that the rotations starting at lam
-read (three at dim 4), given as index arrays: by the Jacobi identity, a dF written out apart
-from F could not see a term missing from F.
++ [A_mu, d_lam A_nu] from one two-level coeff call per lam (lam seeded by
+duals.seed_unit below the seeded child's every mu).  The one field-strength
+helper builds F on the whole (mu, nu) grid and dF only at the pairs that the
+rotations starting at lam read (three at dim 4), given as index arrays: by
+the Jacobi identity, a dF written out apart from F could not see a term
+missing from F.
 
 Two pointwise criteria for compatibility with the whole 2-sphere of complex
 structures are implemented and compared against each other:
@@ -58,8 +60,8 @@ from typing import Callable
 import numpy as np
 
 from .charts import flat_chart, to_frame
-from .duals import (Dual, Point, dot_part, fresh_level, point_memo,
-                    sample_shape, seed_unit)
+from .duals import (dot_part, fresh_level, point_memo, sample_shape,
+                    seed_unit, seeded, val_part)
 from .exterior import Element, element_from_antisym, enorm, standard_m
 from .quaternions import quat_abs2
 
@@ -146,35 +148,31 @@ def get_connection(name: str) -> Connection:
     return _CATALOG[key]()
 
 
-def _derivative(conn: Connection, pt, order=0, lower=()) -> np.ndarray:
-    """d^order A at pt from one coeff call, shape (..., dim, ..., dim, dim, r,
-    r) with the sample axis first and one direction axis per order, lowest
-    level first: [..., lam, mu, nu] is d_lam d_mu A_nu.  Each fresh level
-    seeds x_i, i < dim, with dot part eye(dim)[i] on its own axis ahead of the
-    sample axis; dot parts at pt's own seed levels (lower) are taken last."""
-    dim, samples, pt = 4 * conn.base_n, sample_shape(pt), Point(pt)
-    levels, ns = [fresh_level() for _ in range(order)], len(samples)
-    for j, lev in enumerate(levels):
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * (order + ns - j - 1))
-        pt[:dim] = [Dual(x, e, lev) for x, e in zip(pt, eye)]
-    out = np.zeros(samples + (dim,) * (order + 1) + (conn.rank,) * 2, complex)
-    lanes = np.moveaxis(out, range(ns, ns + order), range(order))
-    for (mu, a, b), x in conn.coeff(pt).items():
-        for lev in reversed([*lower, *levels]):
-            x = dot_part(x, lev)
+def _coeff_jet(conn: Connection, pt, lower=()):
+    """(A, dA) at pt from one coeff call at duals.seeded(pt[:dim]), the
+    seeded child of the base coordinates A depends on, made from a plain
+    list (nothing is memoised on pt; dim lanes at a total-space Point too):
+    A (..., dim, r, r) from the entries' value parts, dA[..., lam, nu] =
+    d_lam A_nu (..., dim, dim, r, r) from their dot parts.  At a pt seeded
+    at the levels lower, dA takes their dot parts last and A is None."""
+    dim, samples = 4 * conn.base_n, sample_shape(pt)
+    child = seeded(pt[:dim])
+    lev, rows = child[0].level, samples + (dim,)
+    A = None if lower else np.zeros(rows + (conn.rank,) * 2, complex)
+    dA = np.zeros(rows + (dim,) + (conn.rank,) * 2, complex)
+    lanes = np.moveaxis(dA, len(samples), 0)
+    for (mu, a, b), x in conn.coeff(child).items():
+        if A is not None:
+            A[..., mu, a, b] = val_part(x, lev)
+        for level in [lev, *reversed(lower)]:
+            x = dot_part(x, level)
         lanes[..., mu, a, b] = x
-    return out
-
-
-def _point_coeff(conn: Connection, pt) -> np.ndarray:
-    """A, shape (..., dim, r, r), built once per Point and coefficient."""
-    return point_memo(pt, ("coeff", conn.coeff), lambda p: _derivative(conn, p))
+    return A, dA
 
 
 def _jet(conn: Connection, pt):
     """(A, dA), built once per Point and coefficient function."""
-    return point_memo(pt, ("jet", conn.coeff), lambda p: (
-        _point_coeff(conn, p), _derivative(conn, p, 1)))
+    return point_memo(pt, ("jet", conn.coeff), lambda p: _coeff_jet(conn, p))
 
 
 # batched a @ b summed in index order like a plain Python sum (matmul may
@@ -261,7 +259,7 @@ def bianchi_residual(conn: Connection, pt):
     cyc = np.zeros(A.shape[:-3] + (len(triples),) + A.shape[-2:], complex)
     for lam in range(dim):
         lev = fresh_level()
-        d2A = _derivative(conn, seed_unit(pt, lam, lev), 1, [lev])
+        _, d2A = _coeff_jet(conn, seed_unit(pt, lam, lev), [lev])
         dA_lam, A_lam = dA[..., lam, :, :, :], A[..., lam, None, :, :]
         t, mu, nu = zip(*[(t, b, c) for t, (a, b, c) in rotations if a == lam])
         F_mn = F[..., mu, nu, :, :]

@@ -83,15 +83,24 @@ def hermitian_pair(ctx: StructureContext, el: Element, x, y):
                  [*np.moveaxis(jy, -1, 0)] + [0.0] * m)
 
 
-def qreal_residual(ctx: StructureContext, el: Element):
-    G = gram(ctx, el)
+def _hermitian_gap(G: np.ndarray):
+    """Largest entry of G - G^H, per matrix of a Gram stack."""
     return np.max(np.abs(G - _adjoint(G)), axis=(-2, -1))
+
+
+def _gram_floor(G: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part, per matrix of a Gram
+    stack."""
+    return np.min(_eigenvalues(0.5 * (G + _adjoint(G))), axis=-1)
+
+
+def qreal_residual(ctx: StructureContext, el: Element):
+    return _hermitian_gap(gram(ctx, el))
 
 
 def qpos_margin(ctx: StructureContext, el: Element):
     """Smallest eigenvalue of the (Hermitian part of the) Gram matrix."""
-    G = gram(ctx, el)
-    return np.min(_eigenvalues(0.5 * (G + _adjoint(G))), axis=-1)
+    return _gram_floor(gram(ctx, el))
 
 
 def hyperhermitian_residual(ctx: StructureContext, G: np.ndarray):

@@ -10,12 +10,12 @@ values with one row per evaluated sample, and trailing axes where a sample
 has several values.  report.record reduces every record's values by one
 rule, and a swept record counts its column's rows as its `points`; only
 records of whole operator blocks or of one value (the algebra block checks,
-r-omega, r-kernel-invariant, antilinear-structure, canonical-form,
-criteria-agreement and the totspace records of constant forms) state their
-count.  A suite's records share one cfg.rng() stream.  Each sweep makes
-its draws before it evaluates, in the order that fixes every value of the
-report, then evaluates them once: the bicomplex, bundle, totspace and hopf
-fields at the stacked Point of all their samples (fields.stack_points).
+r-omega, r-kernel-invariant, antilinear-structure, canonical-form and the
+totspace records of constant forms) state their count.  A suite's records
+share one cfg.rng() stream.  Each sweep makes its draws before it
+evaluates, in the order that fixes every value of the report, then
+evaluates them once: the bicomplex, bundle, totspace and hopf fields at the
+stacked Point of all their samples (fields.stack_points).
 The bicomplex, totspace and hopf suites make every draw first and list
 their sweeps for one runner, _run_sweeps, which stacks a sample list when
 its first sweep is reached and drops the Point after its last.  Every
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import (_curvature_element, _max_per_sample, _point_coeff,
+from .bundles import (_curvature_element, _jet, _max_per_sample,
                       bianchi_residual, catalog_names, get_connection,
                       invariance_residual, structure_charts, type11_residual)
 from .charts import flat_chart, to_frame, to_real
@@ -49,11 +49,11 @@ from .fields import (FormField, d_plus, del_bar, del_hol, del_j, exterior_d,
                      ladder_constant, ladder_map, nijenhuis_residual,
                      random_form_field, random_polynomial, random_pq_field,
                      sample_points, scalar_field, stack_points)
-from .hermitian import (_adjoint, _eigenvalues, gram, hermitian_pair,
-                        hyperhermitian_project, hyperhermitian_residual,
-                        hyperhermitian_metric, omega_from_gram,
-                        qpos_margin, qpositive_form, qreal_residual,
-                        quaternionic_conj)
+from .hermitian import (_adjoint, _eigenvalues, _gram_floor, _hermitian_gap,
+                        gram, hermitian_pair, hyperhermitian_project,
+                        hyperhermitian_residual, hyperhermitian_metric,
+                        omega_from_gram, qpos_margin, qpositive_form,
+                        qreal_residual, quaternionic_conj)
 from .hopf import (fiber_norm2, fundamental_domain_points, hopf_data,
                    log_psi_field, omega_tilde_field, radial_probe, rho_apply,
                    rho_pullback)
@@ -547,9 +547,9 @@ def bundle_records(cfg: ScenarioConfig) -> list:
     Each connection evaluates its criteria once, at the stacked Point of its
     samples (all of them for a checked connection, the first n_agree for
     the others), where they share one curvature (duals.point_memo) and
-    each residual is an array over the samples.  criteria-agreement reads
-    the residuals of the first samples.  Every catalog entry lives over H
-    (base_n 1), so the suite builds the I/J/K charts once for all of them.
+    each residual is an array over the samples.  criteria-agreement
+    compares the criteria sample by sample.  Every catalog entry lives over
+    H (base_n 1), so the suite builds the I/J/K charts once for all of them.
     """
     tol = cfg.tol
     requested = get_connection(cfg.bundle)
@@ -558,8 +558,8 @@ def bundle_records(cfg: ScenarioConfig) -> list:
                if requested.hyperholomorphic else {requested.name})
     pts = sample_points(cfg.rng(), 4, cfg.samples)
     n_agree = min(len(pts), max(10, cfg.samples // 10))
-    # per connection: its records if it is checked, and whether its two
-    # criteria agree, with each other and its flag, on the first n_agree
+    # per connection: its records if it is checked, and where its two
+    # criteria disagree, with each other or its flag, on the first n_agree
     out, disagree, charts = [], [], structure_charts(1)
     for conn in conns:
         nm, full = conn.name, conn.name in checked
@@ -578,17 +578,15 @@ def bundle_records(cfg: ScenarioConfig) -> list:
                      "covariant exterior derivative of the curvature "
                      "vanishes", tol.bundle)],
                 [inv, t11, bianchi_residual(conn, pt)])
-        inv_ok, t11_ok = (record(Spec(nm, "", tol.bundle), n_agree,
-                                 r[:n_agree]).passed for r in (inv, t11))
-        disagree.append(float(inv_ok != t11_ok
-                              or inv_ok != conn.hyperholomorphic))
+        # a nan compares False, so it rejects
+        inv_ok, t11_ok = (r[:n_agree] <= tol.bundle for r in (inv, t11))
+        disagree.append((inv_ok != t11_ok) | (inv_ok != conn.hyperholomorphic))
 
-    out.append(record(Spec(
+    return out + sweep_records([Spec(
         "criteria-agreement",
         "invariance and (1,1)-type accept and reject the same catalog "
-        "entries, matching each entry's flag", 0.5),
-        n_agree * len(conns), disagree))
-    return out
+        "entries, matching each entry's flag", 0.5)],
+        [np.concatenate(disagree, dtype=float)])
 
 
 # ----- total space -----
@@ -652,7 +650,7 @@ def _totspace_sweeps(cfg: ScenarioConfig, bundle_name: str, samples: int,
     def structure_gap(pt):
         """The gaps of every fiber index a as one element keyed (a, mono)."""
         v = ts.fiber_values(pt)
-        A = _point_coeff(ts.conn, pt)
+        A = _jet(ts.conn, pt)[0]
         F = _curvature_element(ts.conn, pt)
         coframe = [to_real(ch, {(mb + b,): 1.0}, pt) for b in range(ts.rank)]
         gap: dict = {}
@@ -788,7 +786,8 @@ def _hopf_form(h, lam):
     """(form, margin, form_gram, fields) as Point -> value maps: the
     quotient form's frame value, its Gram margin and its Gram matrix, each
     built once per Point (duals.point_memo), and the fields of the hopf form
-    sweep's records in report order.  lam is the arbitrary fiber scaling:
+    sweep's records in report order.  The margin and q-reality read the one
+    Gram matrix.  lam is the arbitrary fiber scaling:
     an array over the samples of a stacked Point, or a float at a plain
     one."""
     ts, ctx = h.ts, h.ts.ctx
@@ -797,7 +796,7 @@ def _hopf_form(h, lam):
     ddj_log = del_hol(del_j(log_psi_field(h)))
 
     def margin(pt):
-        return point_memo(pt, margin, lambda p: qpos_margin(ctx, form(p)))
+        return point_memo(pt, margin, lambda p: _gram_floor(form_gram(p)))
 
     def form_gram(pt):
         return point_memo(pt, form_gram, lambda p: gram(ctx, form(p)))
@@ -811,7 +810,7 @@ def _hopf_form(h, lam):
                         form(pt)),
         lambda pt: esub(rho_pullback(h, otf.frame_at(rho_apply(h, pt, lam)),
                                      lam), form(pt)),
-        del_hol(otf).at, lambda pt: qreal_residual(ctx, form(pt)),
+        del_hol(otf).at, lambda pt: _hermitian_gap(form_gram(pt)),
         lambda pt: hyperhermitian_residual(ctx, form_gram(pt)),
         lambda pt: margin(pt) / np.maximum(1.0, np.linalg.norm(
             form_gram(pt), 2, axis=(-2, -1)))]

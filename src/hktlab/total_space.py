@@ -29,7 +29,7 @@ by the chain rule: no dual number enters the Nijenhuis tensor.  At a stacked
 Point (fields.stack_points) L and dL have the sample axis leading, shapes
 (S, dim, dim) and (S, dim, dim, dim), and fields.nijenhuis_residual reduces
 them per sample.  The natural metric's coframe and the horizontal lift read
-A alone from its memo (bundles._point_coeff), which the jet shares.
+A from the same memoised jet.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, _jet, _point_coeff, _point_curvature
+from .bundles import Connection, _jet, _point_curvature
 from .charts import Chart, flat_chart
 from .duals import dconj, point_memo
 from .exterior import (StructureContext, Element, eadd, element_from_antisym,
@@ -188,7 +188,7 @@ def xi_curv_expr(ts: TotalSpace, pt) -> Element:
 def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:
     """Rows dx_mu, Re(Dv_a), Im(Dv_a) over the coordinate differentials."""
     nb = 4 * ts.n
-    A = _point_coeff(ts.conn, pt)
+    A = _jet(ts.conn, pt)[0]
     X = np.einsum("...mab,...b->...am", A, _fiber_vector(ts, pt))
     E = np.broadcast_to(np.eye(ts.dim), X.shape[:-2] + (ts.dim,) * 2).copy()
     E[..., nb::2, :nb] += X.real
@@ -210,7 +210,7 @@ def natural_metric(ts: TotalSpace, pt) -> np.ndarray:
 def horizontal_lift(ts: TotalSpace, pt, u) -> np.ndarray:
     """Tangent coordinates of the connection lift (u, -A(u) v) at pt, behind
     the sample axes of a stacked Point."""
-    A = _point_coeff(ts.conn, pt)
+    A = _jet(ts.conn, pt)[0]
     u = np.asarray(u, dtype=float)
     w = -np.einsum("...mab,...b,m->...a", A, _fiber_vector(ts, pt), u)
     re_im = np.stack((w.real, w.imag), axis=-1).reshape(*w.shape[:-1], -1)

@@ -219,7 +219,7 @@ def test_curvature_equals_broadcast_grid_bit_for_bit(rng, name):
     conn = get_connection(name)
     pts = sample_points(rng, 4, 5)
     for pt in (pts[0], stack_points(pts)):
-        A, dA = bundles._derivative(conn, pt), bundles._derivative(conn, pt, 1)
+        A, dA = bundles._jet(conn, pt)
         assert np.array_equal(curvature(conn, pt), broadcast_curvature(A, dA))
 
 
@@ -268,6 +268,37 @@ def test_criteria_agree_across_catalog(rng):
         assert (inv < 1e-9) == (typ < 1e-9) == conn.hyperholomorphic
 
 
+def test_criteria_agreement_compares_each_sample(monkeypatch):
+    # nonholo-demo's invariance residual rejects sample 0 alone and its
+    # (1,1)-type residual sample 1 alone: each criterion rejects the entry,
+    # never at the same sample, so criteria-agreement must fail (one record
+    # per criterion, compared entry by entry, read 0.0 and passed)
+    cfg = ScenarioConfig(bundle="nonholo-demo", samples=3)
+
+    def agreement():
+        return {r.identity: r for r in
+                bundle_records(cfg)}["criteria-agreement"]
+
+    assert agreement().passed and agreement().value == 0.0
+
+    def at_sample(k, real):
+        def faulty(conn, pt, charts):
+            r = real(conn, pt, charts)
+            if conn.name != "nonholo-demo":
+                return r
+            assert r[k] > cfg.tol.bundle
+            return np.where(np.arange(len(r)) == k, r, 0.0)
+        return faulty
+
+    monkeypatch.setattr(suites, "invariance_residual",
+                        at_sample(0, suites.invariance_residual))
+    monkeypatch.setattr(suites, "type11_residual",
+                        at_sample(1, suites.type11_residual))
+    rec = agreement()
+    assert not rec.passed and rec.value == 1.0
+    assert rec.points == 3 * len(catalog_names())
+
+
 def test_fresh_connection_objects():
     a = get_connection("bpst")
     b = get_connection("bpst")
@@ -295,8 +326,9 @@ def as_array(nested):
 @pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
 def test_coeff_entries_hold_no_exact_zero_and_scatter_to_nested(rng, name):
     # at a plain point, at the stacked Point of 3 samples and at a point
-    # seeded at two levels, coeff gives no plain zero entry, and _derivative
-    # scatters the entries (or their second dot parts) to the nested lists
+    # seeded at two levels, coeff gives no plain zero entry, and the jet
+    # scatters the entries' value parts to the nested lists, as Bianchi's
+    # call does their second dot parts
     conn = get_connection(name)
     pts = sample_points(rng, 4, 3)
     stacked = stack_points(pts)
@@ -304,16 +336,16 @@ def test_coeff_entries_hold_no_exact_zero_and_scatter_to_nested(rng, name):
     seeded = seed_unit(seed_unit(pts[0], 1, li), 2, lj)
     for pt in (pts[0], stacked, seeded):
         assert not any(_is_zero(x) for x in conn.coeff(pt).values()), pt
-    assert np.array_equal(bundles._derivative(conn, pts[0]),
+    assert np.array_equal(bundles._jet(conn, pts[0])[0],
                           as_array(nested_coeff(conn, pts[0])))
-    A = bundles._derivative(conn, stacked)
+    A = bundles._jet(conn, stacked)[0]
     assert A.shape == (3, 4) + (conn.rank,) * 2
     for k, pt in enumerate(pts):
         assert np.array_equal(A[k], as_array(nested_coeff(conn, pt)))
     d2 = [[[numeric(dot_part(dot_part(x, lj), li)) for x in row]
            for row in Amu] for Amu in nested_coeff(conn, seeded)]
-    assert np.array_equal(bundles._derivative(conn, pts[0], 2)[1, 2],
-                          as_array(d2))
+    _, d2A = bundles._coeff_jet(conn, seed_unit(pts[0], 1, li), [li])
+    assert np.array_equal(d2A[2], as_array(d2))
 
 
 def seeded_nest(conn, pt, dirs):
@@ -336,24 +368,29 @@ def seeded_nest(conn, pt, dirs):
 
 @pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum", "nonholo-demo"])
 def test_derivative_matches_seeding_one_direction_per_level(rng, name):
-    # one coeff call per order, every direction on an axis, against one
-    # seed_unit nest per direction (lam below mu): at a plain point, a
+    # the jet's one coeff call, every direction on a lane axis, and
+    # Bianchi's call at each lam seeded below that call's every mu, against
+    # one seed_unit nest per direction (lam below mu): at a plain point, a
     # stacked Point of 3 samples and an 8-coordinate total-space Point,
     # whose fiber coordinates are not seeded
     conn = get_connection(name)
     pts = sample_points(rng, 4, 3)
     for pt in (pts[0], stack_points(pts), sample_points(rng, 8, 1)[0]):
         dirs = range(4)
+        got = list(bundles._coeff_jet(conn, pt))
         want = [seeded_nest(conn, pt, ()),
                 np.stack([seeded_nest(conn, pt, (lam,)) for lam in dirs],
-                         axis=-4),
-                np.stack([np.stack([seeded_nest(conn, pt, (lam, mu))
-                                    for mu in dirs], axis=-4)
-                          for lam in dirs], axis=-5)]
-        for k in range(3):
-            got = bundles._derivative(conn, pt, k)
-            assert got.shape == want[k].shape, (k, got.shape)
-            assert np.array_equal(got, want[k]), k
+                         axis=-4)]
+        for lam in dirs:
+            lev = fresh_level()
+            A, d2A = bundles._coeff_jet(conn, seed_unit(pt, lam, lev), [lev])
+            assert A is None
+            got.append(d2A)
+            want.append(np.stack([seeded_nest(conn, pt, (lam, mu))
+                                  for mu in dirs], axis=-4))
+        for k, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g.shape == w.shape, (k, g.shape)
+            assert np.array_equal(g, w), k
 
 
 def test_direct_sum_entries_are_instanton_plus_negative_transpose(rng):
@@ -509,11 +546,12 @@ def test_bundle_criteria_build_the_curvature_element_once(monkeypatch):
 
 def test_bundle_records_coeff_calls_per_sample(monkeypatch):
     # a checked connection, once at the stacked Point of its 10 samples: 1
-    # call for A, 1 for dA with every direction on an axis, and 1 per lam
-    # for Bianchi's second derivatives, every mu on an axis (21 with one
-    # call per seed, 210 when each sample was its own Point); nonholo-demo
-    # only needs the jet of its curvature, at its 10 agreement samples (5
-    # with one call per seed, 50 per sample)
+    # call for the jet, A and dA with every direction on a lane axis, and 1
+    # per lam for Bianchi's second derivatives, every mu on a lane axis (6
+    # with one call for A and one for dA, 21 with one call per seed, 210
+    # when each sample was its own Point); nonholo-demo only needs the jet
+    # of its curvature, at its 10 agreement samples (2 with A and dA apart,
+    # 5 with one call per seed, 50 per sample)
     calls = collections.Counter()
     real = suites.get_connection
 
@@ -528,8 +566,8 @@ def test_bundle_records_coeff_calls_per_sample(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted)
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {"flat": 6, "bpst": 6, "direct-sum": 6,
-                     "nonholo-demo": 2}
+    assert calls == {"flat": 5, "bpst": 5, "direct-sum": 5,
+                     "nonholo-demo": 1}
 
 
 def test_bianchi_memory_per_lam():

@@ -206,10 +206,11 @@ def test_hopf_builds_inverse_table_once_per_sample(monkeypatch):
 
 @pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
 def test_hopf_builds_the_form_gram_once_per_point(monkeypatch, bundle):
-    # one Gram matrix per sample list and reader: q-reality's and the
-    # margin's, each inside its own hermitian function, the form's own,
-    # which J-compatibility and the margin's scale share, and the blow-up
-    # rate's at the 40 dilated points
+    # one Gram matrix per sample list: the form's own, which q-reality,
+    # J-compatibility, the margin and its scale share, and the blow-up
+    # rate's at the 40 dilated points (was [20, 20, 20, 40], when
+    # q-reality and the margin each built their own inside a hermitian
+    # function)
     built = []
     real = hermitian.gram
 
@@ -221,4 +222,4 @@ def test_hopf_builds_the_form_gram_once_per_point(monkeypatch, bundle):
     monkeypatch.setattr(hermitian, "gram", counted)
     monkeypatch.setattr(suites, "gram", counted)
     hopf_records(ScenarioConfig(bundle=bundle, samples=20))
-    assert built == [20, 20, 20, 40]
+    assert built == [20, 40]

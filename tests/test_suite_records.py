@@ -95,19 +95,20 @@ def test_totspace_nijenhuis_nan_fails(monkeypatch):
 
 
 def test_hopf_positivity_margin_nan_fails(monkeypatch):
-    # one qpos_margin call, at the stacked Point of the 4 samples (was one
-    # call per sample); the nan goes into the third sample's entry
-    real = suites.qpos_margin
+    # one floor of the memoised Gram matrix, at the stacked Point of the 4
+    # samples (was one qpos_margin call per sample); the nan goes into the
+    # third sample's entry
+    real = suites._gram_floor
     calls = []
 
-    def wrapped(ctx, el):
-        value = real(ctx, el)
+    def wrapped(G):
+        value = real(G)
         calls.append(value)
         value = value.copy()
         value[2] = math.nan
         return value
 
-    monkeypatch.setattr(suites, "qpos_margin", wrapped)
+    monkeypatch.setattr(suites, "_gram_floor", wrapped)
     records = by_identity(hopf_records(ScenarioConfig(samples=4, probes=2)))
     assert [np.shape(v) for v in calls] == [(4,)]
     assert records["positivity-margin"].points == 4

@@ -408,25 +408,26 @@ def test_structure_equation_builds_the_curvature_element_once(monkeypatch):
 def test_totspace_coeff_calls(monkeypatch):
     # per sweep of 20 samples (was 189, then 70 and 69, then 54 and 53,
     # then 47 with one call per seeded direction of each jet, then 35 with
-    # one seeded child per direction of a Point):
+    # one seeded child per direction of a Point, then 14 with one call for
+    # A and one for dA in each jet):
     # - frame-roundtrip 1: A for both tables at the stacked Point of all 20
     #   samples, which the curvature-term, del-closed, metric and Nijenhuis
     #   sweeps share;
-    # - the structure equation 4, at the stacked Point of its 10 samples:
-    #   1 + 1 for the jet (A, and dA with every direction on an axis), 1 for
-    #   the tables, and 1 for the frame table at the Point's one seeded
-    #   child (duals.seeded), which the 2 fields d Dv_a share (was 8, one
-    #   per direction's child);
-    # - the potential family 4, at its stacked Point: the same 1 + 1 + 1,
-    #   and the child's frame table, which del dbar Psi and del del_J Psi
+    # - the structure equation 3, at the stacked Point of its 10 samples:
+    #   1 for the jet (A and dA from one call at the seeded child of the
+    #   base coordinates), 1 for the tables, and 1 for the frame table at
+    #   the Point's one seeded child (duals.seeded), which the 2 fields
+    #   d Dv_a share (was 8, one per direction's child);
+    # - the potential family 3, at its stacked Point: the same 1 + 1, and
+    #   the child's frame table, which del dbar Psi and del del_J Psi
     #   share, memoised on the Point for the records that share it;
-    # - the curvature term 4, at the shared stacked Point: 1 + 1 for the
-    #   jet and 1 + 1 for the fiber-doubled twin's jet (5 at a Point of its
-    #   own, which also built the tables);
+    # - the curvature term 2, at the shared stacked Point: 1 for the jet
+    #   and 1 for the fiber-doubled twin's jet (3 at a Point of its own,
+    #   which also built the tables);
     # - del-closed 1: the frame table at the shared Point's child (2 at a
     #   Point of its own);
-    # - the metric sweeps 0: they read the shared Point's jet (2 when the
-    #   curvature term did not build it there);
+    # - the metric sweeps 0: they read A from the shared Point's jet (1
+    #   when the curvature term did not build it there);
     # - Nijenhuis 0: it reads the first samples of the same stacked jet.
     # The tables' own coeff call does not share the jet's memo.
     calls = collections.Counter()
@@ -443,7 +444,7 @@ def test_totspace_coeff_calls(monkeypatch):
 
     monkeypatch.setattr(suites, "get_connection", counted_connection)
     totspace_records(ScenarioConfig(samples=20))
-    assert calls == {"bpst": 14, "flat": 14}
+    assert calls == {"bpst": 10, "flat": 10}
 
 
 def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):
@@ -457,8 +458,8 @@ def test_flat_tables_keep_no_zero_terms_at_a_stacked_point(rng):
 
 
 def test_plain_point_reads_coefficients_once():
-    # at a plain list nothing is memoised, and A alone needs one coeff call:
-    # none of the four seeded first derivatives of the jet
+    # at a plain list nothing is memoised, and A needs one coeff call: the
+    # jet's, at the seeded child of the base coordinates
     calls = []
     conn = get_connection("bpst")
 
