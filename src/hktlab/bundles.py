@@ -35,7 +35,7 @@ structures are implemented and compared against each other:
     action on forms;
   * type: the curvature is (1, 1) with respect to each of I, J, K.
 
-The residuals read the jet and the curvature through the memo of a Point
+The jet and the curvature are built once per Point and coefficient function
 (duals.point_memo), so the criteria evaluated at one Point share one
 curvature, and take the flat I/J/K charts prebuilt (structure_charts).
 The criteria, and the total space's structure equation, read the r x r
@@ -190,15 +190,14 @@ def _field_strength(D, X, Y, mu, nu) -> np.ndarray:
 
 
 def curvature(conn: Connection, pt) -> np.ndarray:
-    """F[..., mu, nu] as an array of shape (..., dim, dim, r, r)."""
-    A, dA = _jet(conn, pt)
-    return _field_strength(dA, A, A, *np.ix_(*[range(4 * conn.base_n)] * 2))
+    """F[..., mu, nu] as an array of shape (..., dim, dim, r, r), built once
+    per Point and coefficient function."""
+    def build(p):
+        A, dA = _jet(conn, p)
+        return _field_strength(dA, A, A,
+                               *np.ix_(*[range(4 * conn.base_n)] * 2))
 
-
-def _point_curvature(conn: Connection, pt) -> np.ndarray:
-    """curvature(conn, pt), built once per Point and coefficient function."""
-    return point_memo(pt, ("curvature", conn.coeff),
-                      lambda p: curvature(conn, p))
+    return point_memo(pt, ("curvature", conn.coeff), build)
 
 
 def structure_charts(n: int) -> dict:
@@ -221,7 +220,7 @@ def _curvature_element(conn: Connection, pt) -> Element:
     fiber entry (a, b) on its trailing axes; built once per Point and
     coefficient function."""
     return point_memo(pt, ("element", conn.coeff), lambda p: (
-        element_from_antisym(np.moveaxis(_point_curvature(conn, p),
+        element_from_antisym(np.moveaxis(curvature(conn, p),
                                          (-4, -3), (-2, -1)))))
 
 
@@ -252,7 +251,7 @@ def bianchi_residual(conn: Connection, pt):
     every lam adds to the sums of the triples it belongs to, and only one
     lam's arrays are held at once.  dF comes from the helper that builds F."""
     dim = 4 * conn.base_n
-    (A, dA), F = _jet(conn, pt), _point_curvature(conn, pt)
+    (A, dA), F = _jet(conn, pt), curvature(conn, pt)
     triples = list(itertools.combinations(range(dim), 3))
     rotations = [(t, rot) for t, (l, m, n) in enumerate(triples)
                  for rot in ((l, m, n), (m, n, l), (n, l, m))]

@@ -69,13 +69,7 @@ class Dual:
         return Dual(-self.val, -self.dot, self.level)
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            if other.level > self.level:
-                return Dual(self - other.val, -other.dot, other.level)
-            if other.level == self.level:
-                return Dual(self.val - other.val, self.dot - other.dot,
-                            self.level)
-        return Dual(self.val - other, self.dot, self.level)
+        return self + (-other)
 
     def __rsub__(self, other):
         return Dual(other - self.val, -self.dot, self.level)

@@ -26,8 +26,8 @@ lane axis left of the one below) without re-running the inner field per
 bidegree.
 
 Each Point memoises the chart tables, its seeded child, sum_i dx_i e_i per
-chart, and per field the value (FormField.value), the pass that every d of
-it shares and the bidegree-split pass that del and dbar share, so a
+chart, and per field the value (FormField.frame_at), the pass that every d
+of it shares and the bidegree-split pass that del and dbar share, so a
 second-order operator runs its field once, at the grandchild.  Values are
 pure in the Point, so sharing changes no number.  The memo lives as long as
 the Point; the lane-wide coframe is built per call.
@@ -66,17 +66,14 @@ class FormField:
     degree: int
     eval_real: Callable[[Point], dict]
 
-    def value(self, pt):
+    def frame_at(self, pt):
         """The value at pt in frame labels, built once per Point."""
-        return point_memo(pt, self.eval_real, self.eval_real)
+        return point_memo(as_point(pt), self.eval_real, self.eval_real)
 
     def at(self, pt):
         """The value at pt in real-coordinate labels."""
         pt = as_point(pt)
-        return to_real(self.chart, self.eval_real(pt), pt)
-
-    def frame_at(self, pt):
-        return self.eval_real(as_point(pt))
+        return to_real(self.chart, self.frame_at(pt), pt)
 
 
 def scalar_field(chart: Chart, fn: Callable) -> FormField:
@@ -112,7 +109,7 @@ def _cartan_d(field: FormField, pt: Point, split: Callable) -> dict:
         eadd, (escale(inv[i], sp[i].dot) for i in range(ch.dim))))
     coframe = None  # a -> d theta_a on every lane, built for a k-form part
     acc: dict = {}
-    for key, part in split(field.value(sp)).items():
+    for key, part in split(field.frame_at(sp)).items():
         d = _dot(part, lev)
         if any(part):
             if coframe is None:
@@ -167,10 +164,10 @@ def del_j(field: FormField) -> FormField:
     p = field.degree
     sign = (-1) ** p
     conjugated = FormField(
-        ch, p, lambda pt: ch.ctx.cov_mult("J", field.value(pt)))
+        ch, p, lambda pt: ch.ctx.cov_mult("J", field.frame_at(pt)))
     db = dolbeault(conjugated, "dbar")
-    return FormField(
-        ch, p + 1, lambda pt: escale(ch.ctx.cov_mult("J", db.value(pt)), sign))
+    return FormField(ch, p + 1, lambda pt: escale(
+        ch.ctx.cov_mult("J", db.frame_at(pt)), sign))
 
 
 # ----- ladder between top-weight (p, q) fields and (p+q, 0) fields -----
@@ -189,7 +186,7 @@ def ladder_map(field: FormField, p: int, q: int) -> FormField:
     c = ladder_constant(p, q)
 
     def ev(pt):
-        el = field.value(pt)
+        el = field.frame_at(pt)
         for _ in range(q):
             el = ch.ctx.raising(el)
         return escale(el, 1.0 / c)
@@ -205,7 +202,7 @@ def d_plus(field: FormField, p: int, q: int, kind: str) -> FormField:
     ch = field.chart
 
     def ev(pt):
-        el = ch.ctx.component(df.value(pt), tp, tq)
+        el = ch.ctx.component(df.frame_at(pt), tp, tq)
         return ch.ctx.weight_project(el, p + q + 1)
 
     return FormField(ch, p + q + 1, ev)

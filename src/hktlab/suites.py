@@ -94,6 +94,10 @@ HOPF_Q_RANGE = (1e-3, 1e2)
 # six of them, built before any check runs, take about 1.3 GB there
 ALGEBRA_MAX_N = 4
 
+# exterior._rank indexes H^n's monomials by the bitmask of their 4n frame
+# labels, 16^n entries: 128 MB at n=6, 2 GiB at n=7
+BICOMPLEX_MAX_N = 6
+
 
 @dataclass
 class ScenarioConfig:
@@ -131,6 +135,10 @@ class ScenarioConfig:
             raise ValueError(f"n must be at most {ALGEBRA_MAX_N} for {suite}: "
                              "the su(2) blocks of its largest degree take "
                              "about 1.3 GB at n=5 (40 MB at n=4)")
+        if self.n > BICOMPLEX_MAX_N and suite == "bicomplex":
+            raise ValueError(f"n must be at most {BICOMPLEX_MAX_N} for "
+                             "bicomplex: the monomial index of H^n has 16^n "
+                             "entries, 2 GiB at n=7")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -668,12 +676,12 @@ def _totspace_sweeps(cfg: ScenarioConfig, bundle_name: str, samples: int,
     psi_f = scalar_field(ch, lambda pt: psi(ts, pt))
     dpsi = del_hol(psi_f)
     djpsi = del_j(psi_f)
-    fr_db = del_hol(del_bar(psi_f)).value
-    fr_dj = del_hol(del_j(psi_f)).value
+    fr_db = del_hol(del_bar(psi_f)).frame_at
+    fr_dj = del_hol(del_j(psi_f)).frame_at
     two_over = escale(omega_ver_canonical(ts), 2.0)
     # the curvature correction in frame labels
     fr_xi = FormField(ch, 2, lambda pt: to_frame(ch, xi_curv_expr(ts, pt),
-                                                 pt)).value
+                                                 pt)).frame_at
 
     def quadratic_gap(pt):
         pt2 = Point(pt[:nb] + [2.0 * x for x in pt[nb:]])
@@ -792,7 +800,7 @@ def _hopf_form(h, lam):
     one."""
     ts, ctx = h.ts, h.ts.ctx
     otf = omega_tilde_field(h)
-    form = otf.value
+    form = otf.frame_at
     ddj_log = del_hol(del_j(log_psi_field(h)))
 
     def margin(pt):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, _jet, _point_curvature
+from .bundles import Connection, _jet, curvature
 from .charts import Chart, flat_chart
 from .duals import dconj, point_memo
 from .exterior import (StructureContext, Element, eadd, element_from_antisym,
@@ -180,7 +180,7 @@ def _fiber_vector(ts: TotalSpace, pt) -> np.ndarray:
 def xi_curv_expr(ts: TotalSpace, pt) -> Element:
     """-<Theta v, v> as a real-label 2-form: -sum conj(v_a) Theta_ab v_b."""
     v = _fiber_vector(ts, pt)
-    F = _point_curvature(ts.conn, pt)
+    F = curvature(ts.conn, pt)
     return element_from_antisym(
         -np.einsum("...a,...mnab,...b->...mn", v.conj(), F, v))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hktlab.duals import Dual
+from hktlab.duals import Dual, sample_shape
 
 
 @pytest.fixture
@@ -56,3 +56,22 @@ def vertical_probe(ts, rng):
     x = np.zeros(ts.ctx.m, dtype=complex)
     x[mb:] = rng.standard_normal(ts.rank) + 1j * rng.standard_normal(ts.rank)
     return x
+
+
+def memo_builds(monkeypatch, module, tag):
+    """Patches module.point_memo to log every build of a key (tag, x) as
+    (x, sample shape of the Point built at); a plain list, which has no
+    memo, logs one build per call."""
+    builds = []
+    real = module.point_memo
+
+    def logged(pt, key, build):
+        if isinstance(key, tuple) and key[0] == tag:
+            def counted(p):
+                builds.append((key[1], sample_shape(p)))
+                return build(p)
+            return real(pt, key, counted)
+        return real(pt, key, build)
+
+    monkeypatch.setattr(module, "point_memo", logged)
+    return builds

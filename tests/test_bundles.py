@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from hktlab import bundles, suites
-from conftest import nested_coeff, quat_conj, quat_im, right_mult_c2
+from conftest import (memo_builds, nested_coeff, quat_conj, quat_im,
+                      right_mult_c2)
 from hktlab.bundles import (_curvature_element, bianchi_residual,
                             catalog_names, curvature, get_connection,
                             instanton_coeff, invariance_residual,
@@ -503,19 +504,30 @@ def test_bundle_records_build_curvature_once_per_sample(monkeypatch):
     # each connection builds one curvature, at the stacked Point of its
     # samples, shared by all its criteria: all 10 samples for flat, bpst and
     # direct-sum, and the 10 agreement samples for nonholo-demo
-    calls = collections.Counter()
-    shapes = set()
-
-    def counted(conn, pt):
-        calls[conn.name] += 1
-        shapes.add(sample_shape(pt))
-        return curvature(conn, pt)
-
-    monkeypatch.setattr(bundles, "curvature", counted)
+    names = {get_connection(nm).coeff: nm for nm in catalog_names()}
+    builds = memo_builds(monkeypatch, bundles, "curvature")
     bundle_records(ScenarioConfig(samples=10))
-    assert calls == {"flat": 1, "bpst": 1, "direct-sum": 1,
-                     "nonholo-demo": 1}
-    assert shapes == {(10,)}
+    assert collections.Counter(names[c] for c, _ in builds) == {
+        "flat": 1, "bpst": 1, "direct-sum": 1, "nonholo-demo": 1}
+    assert {shape for _, shape in builds} == {(10,)}
+
+
+def test_curvature_is_built_once_per_point_and_coefficient_function(
+        monkeypatch, rng):
+    # a second read at one Point returns the first build; another
+    # connection at that Point builds its own, and a plain list builds on
+    # every call
+    bpst, flat = get_connection("bpst"), get_connection("flat")
+    builds = memo_builds(monkeypatch, bundles, "curvature")
+    pts = sample_points(rng, 4, 3)
+    pt = stack_points(pts)
+    F = curvature(bpst, pt)
+    assert curvature(bpst, pt) is F
+    assert np.array_equal(curvature(flat, pt), np.zeros_like(F))
+    assert builds == [(bpst.coeff, (3,)), (flat.coeff, (3,))]
+    builds.clear()
+    assert np.array_equal(curvature(bpst, pts[0]), curvature(bpst, pts[0]))
+    assert builds == [(bpst.coeff, ())] * 2
 
 
 def test_bundle_criteria_build_the_curvature_element_once(monkeypatch):
@@ -577,7 +589,7 @@ def test_bianchi_memory_per_lam():
     # builds every lam's second derivatives first)
     conn = get_connection("direct-sum")
     pt = stack_points(sample_points(np.random.default_rng(0), 4, 200))
-    bundles._point_curvature(conn, pt)
+    curvature(conn, pt)
     tracemalloc.start()
     try:
         bianchi_residual(conn, pt)

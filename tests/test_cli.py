@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from hktlab import cli, suites
 from hktlab.cli import main
 from hktlab.report import VerificationReport
-from hktlab.suites import (ALGEBRA_MAX_N, HOPF_Q_RANGE, SUITES,
-                           ScenarioConfig, Tolerances, run_suite)
+from hktlab.suites import (ALGEBRA_MAX_N, BICOMPLEX_MAX_N, HOPF_Q_RANGE,
+                           SUITES, ScenarioConfig, Tolerances, run_suite)
 
 FAST = ["--samples", "6", "--probes", "4"]
 
@@ -104,6 +104,9 @@ USAGE_ERRORS = [
     # the algebra suite's largest su(2) degree would take about 1.3 GB
     ["algebra", "--n", "5", "--samples", "1"],
     ["all", "--n", "5", "--samples", "1"],
+    # the monomial index of H^n has 16^n entries: 2 GiB at n=7
+    ["bicomplex", "--n", "7", "--samples", "1"],
+    ["bicomplex", "--n", "10", "--samples", "1"],
 ]
 
 
@@ -117,7 +120,8 @@ def test_usage_error_exit_two(capsys):
 
 @pytest.mark.parametrize("suite, n", [("bundle", 2), ("totspace", 3),
                                       ("hopf", 2), ("algebra", 5),
-                                      ("all", 5), ("algebra", 6)])
+                                      ("all", 5), ("algebra", 6),
+                                      ("bicomplex", 7), ("bicomplex", 10)])
 def test_run_suite_refuses_n_before_building(monkeypatch, suite, n):
     def no_build(*args):
         raise AssertionError(f"{suite} at n={n} built before refusing")
@@ -126,6 +130,20 @@ def test_run_suite_refuses_n_before_building(monkeypatch, suite, n):
         monkeypatch.setattr(suites, name, no_build)
     with pytest.raises(ValueError, match="n must be"):
         run_suite(ScenarioConfig(n=n, samples=1), suite)
+
+
+def test_bicomplex_takes_n_up_to_its_cap(monkeypatch):
+    # n=6 reaches the suite (about 210 MB of peak RSS when run); n=7 is a
+    # usage error (USAGE_ERRORS)
+    seen = []
+
+    def recorded_run(cfg, suite):
+        seen.append((cfg.n, suite))
+        return VerificationReport(suite, cfg.echo())
+
+    monkeypatch.setattr(cli, "run_suite", recorded_run)
+    assert main(["bicomplex", "--n", str(BICOMPLEX_MAX_N)] + FAST) == 0
+    assert seen == [(6, "bicomplex")]
 
 
 def test_hopf_q_range_ends_pass(capsys):

@@ -72,6 +72,31 @@ def test_lower_level_is_constant_for_higher():
     assert numeric(dot_part(val_part(y + x, lev2), lev1)) == 1.0
 
 
+def test_subtraction_across_levels():
+    # x - y is x + (-y) at every pair of levels, with a number and with an
+    # array: the value and each level's derivative
+    lev1 = fresh_level()
+    lev2 = fresh_level()
+    x = Dual(5.0, 2.0, lev1)
+    y = Dual(Dual(7.0, 3.0, lev1), 0.5, lev2)
+    for lhs, rhs, want in [
+            (x, y, {"val": -2.0, lev1: -1.0, lev2: -0.5}),
+            (y, x, {"val": 2.0, lev1: 1.0, lev2: 0.5}),
+            (y, y, {"val": 0.0, lev1: 0.0, lev2: 0.0}),
+            (x, 1.5, {"val": 3.5, lev1: 2.0, lev2: 0.0}),
+            (1.5, y, {"val": -5.5, lev1: -3.0, lev2: -0.5})]:
+        diff = lhs - rhs
+        assert numeric(diff) == want["val"]
+        assert numeric(dot_part(val_part(diff, lev2), lev1)) == want[lev1]
+        assert numeric(dot_part(diff, lev2)) == want[lev2]
+    arr = Dual(np.array([1.0, 4.0]), np.array([1.0, -1.0]), lev2)
+    diff = arr - x
+    assert diff.level == lev2
+    assert list(numeric(diff)) == [-4.0, -1.0]
+    assert list(dot_part(diff, lev2)) == [1.0, -1.0]
+    assert numeric(dot_part(val_part(diff, lev2), lev1)) == -2.0
+
+
 def test_mixed_partial_through_coefficient():
     # g(u, w) = sin-free polynomial with coefficient depending on u:
     # g = (u^2) * w, d2g/du dw = 2u

@@ -343,6 +343,27 @@ def test_nijenhuis_detects_twisted_structure(rng):
 
 # ----- what operators at one Point share -----
 
+def test_frame_at_builds_once_per_point_and_afresh_on_a_plain_list(rng):
+    # frame_at and at read one build per Point; a plain list becomes a
+    # fresh Point on every call, so each call builds
+    builds = []
+    ch = flat_chart(1)
+    field = FormField(ch, 1, lambda pt: builds.append(pt) or {
+        (0,): pt[0] * pt[1]})
+    coords = sample_points(rng, ch.dim, 1)[0]
+    pt = Point(coords)
+    first = field.frame_at(pt)
+    assert field.frame_at(pt) is first
+    assert field.at(pt) == to_real(ch, first, pt)
+    assert builds == [pt]
+    builds.clear()
+    for read in (field.frame_at, field.frame_at, field.at):
+        read(coords)
+    assert len(builds) == 3
+    assert all(type(b) is Point and b == coords for b in builds)
+    assert len({id(b) for b in builds}) == 3
+
+
 def test_seeded_child_is_made_once_per_point():
     pt = stack_points([[0.5, -1.0, 2.0], [3.0, 0.25, -0.75]])
     child = seeded(pt)

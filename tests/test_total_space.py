@@ -7,7 +7,7 @@ import pytest
 from hktlab import bundles, duals, suites
 from hktlab.bundles import catalog_names, get_connection
 from hktlab.charts import Chart, to_frame, to_real
-from conftest import dre, nested_coeff
+from conftest import dre, memo_builds, nested_coeff
 from hktlab.duals import Point, dconj, dot_part, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (FormField, del_bar, del_hol, del_j,
@@ -370,20 +370,13 @@ def test_totspace_builds_each_curvature_once_per_sample(monkeypatch):
     # the potential family (the 20 samples and 2 zero-fiber copies), and
     # the curvature term with its fiber-doubled twin (20 each); was 42, one
     # per sample, copy and twin
-    builds = collections.Counter()
-    shapes = collections.defaultdict(list)
-    real = bundles.curvature
-
-    def counted(conn, pt):
-        builds[conn.name] += 1
-        shapes[conn.name].append(duals.sample_shape(pt))
-        return real(conn, pt)
-
-    monkeypatch.setattr(bundles, "curvature", counted)
+    builds = memo_builds(monkeypatch, bundles, "curvature")
     records = totspace_records(ScenarioConfig(samples=20))
     assert all(r.passed for r in records)
-    assert builds == {"bpst": 4, "flat": 4}
-    assert shapes["bpst"] == shapes["flat"] == [(10,), (22,), (20,), (20,)]
+    for coeff in (bundles.instanton_coeff, bundles.flat_coeff):
+        assert [shape for c, shape in builds if c is coeff] == [
+            (10,), (22,), (20,), (20,)]
+    assert len(builds) == 8
 
 
 def test_structure_equation_builds_the_curvature_element_once(monkeypatch):

@@ -12,10 +12,12 @@ import math
 
 import pytest
 
-from hktlab import bundles, exterior, hopf, suites
+from hktlab import bundles, exterior, fields, hopf, suites
 from hktlab.exterior import eadd, element_from_antisym, escale, esub, wedge
-from hktlab.suites import (ScenarioConfig, algebra_records, bundle_records,
-                           hopf_records, qpos_records, totspace_records)
+from hktlab.fields import FormField
+from hktlab.suites import (ScenarioConfig, algebra_records,
+                           bicomplex_records, bundle_records, hopf_records,
+                           qpos_records, totspace_records)
 from hktlab.total_space import (del_j_psi_expr, del_psi_expr,
                                 omega_hor_expr, omega_ver_canonical, psi)
 
@@ -56,9 +58,13 @@ def cross_term(real):
 
 
 def times(value, k):
-    """value, a number, an element or nested lists of elements, times k."""
+    """value, a number, an element, a field or nested lists of elements,
+    times k."""
     if isinstance(value, list):
         return [times(x, k) for x in value]
+    if isinstance(value, FormField):
+        return FormField(value.chart, value.degree,
+                         lambda pt: escale(value.frame_at(pt), k))
     return escale(value, k) if isinstance(value, dict) else k * value
 
 
@@ -76,8 +82,23 @@ def scaled(real):
     hyperhermitian projection is no longer idempotent; the closed forms of
     del and del_J of the fiber norm no longer match it; the curvature
     element no longer matches d of the covariant fiber coframe, and the
-    curvature that Bianchi reads no longer matches its derivatives."""
+    curvature that Bianchi reads no longer matches its derivatives.  A field
+    operator so scaled breaks del del_J = R del dbar (dbar), the moment
+    potential's del del_J |x|^2 = 2 omega (del_J) and d_plus = del on
+    (p, 0) fields (d_plus)."""
     return lambda *args: times(real(*args), 1.01)
+
+
+def unconjugated_del_j(real):
+    """del_J as (-1)^p dbar, without its cov_J conjugation: it lands in
+    (p, 1) in place of (p + 1, 0), so del no longer anticommutes with it."""
+    return lambda field: times(fields.del_bar(field), (-1) ** field.degree)
+
+
+def unnormalized_ladder(real):
+    """The ladder constant divided by p + q + 1, so R^q / c_{p,q} no longer
+    inverts Rbar^q and the refined differentials miss their factors."""
+    return lambda p, q: real(p, q) / (p + q + 1)
 
 
 def dropped_m(real):
@@ -114,6 +135,21 @@ def matrix_fault(name, k):
 
 # identity -> (runner, bundle, unrelated identity, module, name, fault)
 WITNESSES = {
+    "ddj-r-transfer": (
+        bicomplex_records, "bpst", "d-squared", suites, "del_bar", scaled),
+    "moment-potential": (
+        bicomplex_records, "bpst", "d-squared", suites, "del_j", scaled),
+    "dplus-is-del": (
+        bicomplex_records, "bpst", "d-squared", suites, "d_plus", scaled),
+    "del-delj-anticommute": (
+        bicomplex_records, "bpst", "d-squared", suites, "del_j",
+        unconjugated_del_j),
+    "ladder-correspondence-prime": (
+        bicomplex_records, "bpst", "d-squared", fields, "ladder_constant",
+        unnormalized_ladder),
+    "ladder-correspondence-second": (
+        bicomplex_records, "bpst", "d-squared", fields, "ladder_constant",
+        unnormalized_ladder),
     "horizontal-vertical-orthogonal": (
         hopf_records, "bpst", "potential-homogeneity", hopf,
         "omega_tilde_expr", base_fiber_term),
@@ -140,7 +176,7 @@ WITNESSES = {
         "omega_tilde_expr", cross_term),
     "bianchi(bpst)": (
         bundle_records, "bpst", "curvature-invariance(bpst)", bundles,
-        "_point_curvature", scaled),
+        "curvature", scaled),
     "structure-equation": (
         totspace_records, "bpst", "deldelj-potential", suites,
         "_curvature_element", scaled),
