@@ -8,7 +8,12 @@ numbers; all maps here are linear or multilinear in the coefficients.
 This module owns the element rules that the other modules call: one
 accumulation rule, which drops a coefficient only when it is an exact
 plain-number zero (a Dual never is); element_from_antisym for the 2-form of a
-matrix; and StructureContext.conj for conjugating frame labels.
+matrix; and StructureContext.conj for conjugating frame labels.  A sign
+(in wedge, apply_derivation and conj) or a plain +-1 scale (escale) is
+applied by negating or copying, never by a second multiply of an array or
+Dual coefficient.  That gives the value the product would give, up to the
+sign of a zero part, which no record reads: report.record adds +0.0, and
+enorm takes moduli.
 
 The quaternionic data is a single antilinear structure matrix M (unitary,
 M conj(M) = -Id) describing J theta_a.  Everything else - the three Lie-type
@@ -143,7 +148,20 @@ def eadd(a: Element, b: Element) -> Element:
     return out
 
 
+def _signed(x, s):
+    """x times the sign s = +1 or -1, as x itself or its exact negation."""
+    return x if s > 0 else -x
+
+
 def escale(a: Element, c) -> Element:
+    """a times c.  A plain (int, float or complex) c of 1 gives a copy of a
+    and one of -1 a negated copy, with no multiply; an array or Dual c, and
+    any other plain c, multiplies every coefficient."""
+    if isinstance(c, (int, float, complex)):
+        if c == 1:
+            return dict(a)
+        if c == -1:
+            return {k: -v for k, v in a.items()}
     return {k: v * c for k, v in a.items()}
 
 
@@ -152,13 +170,15 @@ def esub(a: Element, b: Element) -> Element:
 
 
 def wedge(a: Element, b: Element) -> Element:
+    """a ^ b: one multiply per pair of terms, negated for an odd reordering
+    of their labels."""
     out: Element = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             key, sgn = _product(ka, kb)
             if key is None:
                 continue
-            _accumulate(out, key, ca * cb * sgn)
+            _accumulate(out, key, _signed(ca * cb, sgn))
     return out
 
 
@@ -178,7 +198,8 @@ def enorm(a: Element):
 
 
 def apply_derivation(table, el: Element) -> Element:
-    """Extend the 1-form map `table` (label -> 1-form dict) as a derivation."""
+    """Extend the 1-form map `table` (label -> 1-form dict) as a derivation:
+    one multiply per term, negated for an odd sign."""
     out: Element = {}
     for labels, c in el.items():
         for p, lab in enumerate(labels):
@@ -191,7 +212,8 @@ def apply_derivation(table, el: Element) -> Element:
                 key, sgn = _product((new_lab,), rest)
                 if key is None:
                     continue
-                _accumulate(out, key, c * c2 * (-sgn if p % 2 else sgn))
+                _accumulate(out, key,
+                            _signed(c * c2, -sgn if p % 2 else sgn))
     return out
 
 
@@ -509,7 +531,7 @@ class StructureContext:
             p = bisect.bisect_left(labels, m)
             key = (tuple(l - m for l in labels[p:])
                    + tuple(l + m for l in labels[:p]))
-            out[key] = dconj(c) * -1 if p * (len(labels) - p) % 2 else dconj(c)
+            out[key] = _signed(dconj(c), (-1) ** (p * (len(labels) - p)))
         return out
 
     def bidegree_of(self, labels) -> tuple[int, int]:

@@ -408,6 +408,9 @@ def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
     def gap(lhs, rhs, k=1.0):
         return lambda pt: esub(lhs.at(pt), escale(rhs.at(pt), k))
 
+    def total(lhs, rhs):
+        return lambda pt: eadd(lhs.at(pt), rhs.at(pt))
+
     def transfer(f):
         ddj, ddb = del_hol(del_j(f)), del_hol(del_bar(f))
         return lambda pt: esub(ddj.frame_at(pt),
@@ -424,7 +427,7 @@ def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
         ("delj-squared", "del_J of del_J vanishes on (p,0) fields",
          [del_j(del_j(f)).at for f in scalars + [f10, f20]]),
         ("del-delj-anticommute", "del and del_J anticommute on (p,0) fields",
-         [gap(del_hol(del_j(f)), del_j(del_hol(f)), -1.0)
+         [total(del_hol(del_j(f)), del_j(del_hol(f)))
           for f in scalars + [f10]]),
         ("ddj-r-transfer", "del del_J equals R applied to del dbar on "
          "scalars", [transfer(f) for f in scalars]))]

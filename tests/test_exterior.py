@@ -7,6 +7,7 @@ weight projectors against a numpy eigendecomposition of the Casimir.
 
 import itertools
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hktlab import exterior
-from hktlab.duals import Dual, fresh_level
-from hktlab.exterior import (StructureContext, apply_derivation, eadd, enorm,
-                             escale, esub, eval2, positive_dimension,
-                             sort_sign, standard_m, wedge)
+from hktlab.duals import Dual, dconj, fresh_level
+from hktlab.exterior import (StructureContext, apply_derivation,
+                             apply_multiplicative, eadd, enorm, escale, esub,
+                             eval2, positive_dimension, sort_sign, standard_m,
+                             wedge)
 from hktlab.hermitian import _eigenvalues
 
 
@@ -81,6 +83,188 @@ def test_apply_derivation_signs_match_sort_sign():
             want = {} if key is None else {key: float(sgn)}
             got = apply_derivation({labels[p]: {(new,): 1.0}}, {labels: 1.0})
             assert got == want, (labels, p, new)
+
+
+# Oracles of the sign rule: the kernels with every term multiplied once
+# more by its sign, as a plain number.  Applying the sign by negation must
+# give the same values, up to the sign of a zero part.
+
+def _old_wedge(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key, sgn = sort_sign(ka + kb)
+            if key is not None:
+                exterior._accumulate(out, key, ca * cb * sgn)
+    return out
+
+
+def _old_apply_derivation(table, el):
+    out = {}
+    for labels, c in el.items():
+        for p, lab in enumerate(labels):
+            rest = labels[:p] + labels[p + 1:]
+            for (new,), c2 in table.get(lab, {}).items():
+                key, sgn = sort_sign((new,) + rest)
+                if key is not None:
+                    exterior._accumulate(out, key,
+                                         c * c2 * (-sgn if p % 2 else sgn))
+    return out
+
+
+def _old_apply_multiplicative(table, el):
+    out = {}
+    for labels, c in el.items():
+        term = {(): c}
+        for lab in labels:
+            term = _old_wedge(term, table.get(lab, {}))
+        out = eadd(out, term)
+    return out
+
+
+def _old_escale(a, c):
+    return {k: v * c for k, v in a.items()}
+
+
+def _old_conj(ctx, el):
+    out = {}
+    for labels, c in el.items():
+        p = sum(l < ctx.m for l in labels)
+        key = (tuple(l - ctx.m for l in labels[p:])
+               + tuple(l + ctx.m for l in labels[:p]))
+        out[key] = dconj(c) * -1 if p * (len(labels) - p) % 2 else dconj(c)
+    return out
+
+
+def _coefficient(kind, rng, levels):
+    """A random coefficient of one kind over 5 samples; the arrays hold an
+    exact zero, so zero parts meet the sign too."""
+    def array():
+        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        x[rng.integers(5)] = 0.0
+        return x
+
+    if kind == "complex":
+        return complex(*rng.standard_normal(2))
+    if kind == "float array":
+        return array().real
+    if kind == "complex array":
+        return array()
+    inner = Dual(array(), array().real, levels[0])
+    if kind == "Dual":
+        return inner
+    return Dual(inner, Dual(array(), array(), levels[0]), levels[1])
+
+
+KINDS = ["complex", "float array", "complex array", "Dual", "Dual of Duals"]
+
+
+def _random_el(rng, levels, kinds=KINDS, labels=4, terms=5):
+    """terms monomials over range(labels), of degree 0 to 3, each with a
+    coefficient of a random kind."""
+    out = {}
+    for _ in range(terms):
+        k = int(rng.integers(0, 4))
+        mono = tuple(sorted(rng.choice(labels, k, replace=False).tolist()))
+        out[mono] = _coefficient(kinds[rng.integers(len(kinds))], rng, levels)
+    return out
+
+
+def _same(x, y):
+    """x and y equal part by part, each Dual level alike; -0.0 == 0.0."""
+    if isinstance(x, Dual) or isinstance(y, Dual):
+        return (isinstance(x, Dual) and isinstance(y, Dual)
+                and x.level == y.level and _same(x.val, y.val)
+                and _same(x.dot, y.dot))
+    return np.array_equal(x, y)
+
+
+def _same_el(a, b):
+    return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+
+
+@pytest.mark.parametrize("kind", KINDS + ["mixed"])
+def test_sign_kernels_match_the_multiply_by_sign_formulas(kind, rng):
+    levels = (fresh_level(), fresh_level())
+    kinds = KINDS if kind == "mixed" else [kind]
+    ctx = _ctx(2)
+    for _ in range(20):
+        a, b = (_random_el(rng, levels, kinds) for _ in range(2))
+        assert _same_el(wedge(a, b), _old_wedge(a, b))
+        assert _same_el(esub(a, b), eadd(a, _old_escale(b, -1)))
+        assert _same_el(ctx.conj(a), _old_conj(ctx, a))
+        for c in (1, -1, 1.0, -1.0, 1 + 0j, -1 + 0j, 2.5, -1j,
+                  _coefficient(kind if kind != "mixed" else "Dual", rng,
+                               levels)):
+            assert _same_el(escale(a, c), _old_escale(a, c))
+        # a table of 1-forms on every label: from the structure, and random
+        tables = [ctx.tables[name] for name in ("R", "L_J", "cov_J")]
+        tables.append({lab: {(new,): _coefficient(
+                                 kinds[rng.integers(len(kinds))], rng, levels)
+                             for new in rng.choice(4, 2, replace=False)
+                             .tolist()} for lab in range(4)})
+        for table in tables:
+            assert _same_el(apply_derivation(table, a),
+                            _old_apply_derivation(table, a))
+            assert _same_el(apply_multiplicative(table, a),
+                            _old_apply_multiplicative(table, a))
+
+
+class _Counted:
+    """A coefficient that logs each multiplication and negation in log."""
+
+    def __init__(self, x, log):
+        self.x, self.log = x, log
+
+    def __mul__(self, other):
+        self.log["mul"] += 1
+        return _Counted(self.x * getattr(other, "x", other), self.log)
+
+    def __rmul__(self, other):
+        self.log["mul"] += 1
+        return _Counted(other * self.x, self.log)
+
+    def __neg__(self):
+        self.log["neg"] += 1
+        return _Counted(-self.x, self.log)
+
+    def __add__(self, other):
+        return _Counted(self.x + getattr(other, "x", other), self.log)
+
+
+def test_sign_kernels_multiply_once_per_term_and_negate_odd_ones():
+    log = Counter()
+    monos = [(), (0,), (1,), (2,), (0, 2), (1, 3), (0, 1, 3)]
+    a = {mono: _Counted(i + 1.0, log) for i, mono in enumerate(monos)}
+    b = {mono: _Counted(2.0 - i, log) for i, mono in enumerate(monos[:5])}
+    signs = [sort_sign(ka + kb)[1] for ka in a for kb in b]
+    signs = [s for s in signs if s]
+    assert -1 in signs and 1 in signs
+    wedge(a, b)
+    assert log == Counter(mul=len(signs), neg=signs.count(-1))
+
+    table = {lab: {(new,): _Counted(1.5, log) for new in range(4)
+                   if new != lab} for lab in range(4)}
+    signs = []
+    for labels in a:
+        for p, lab in enumerate(labels):
+            rest = labels[:p] + labels[p + 1:]
+            for (new,) in table[lab]:
+                sgn = sort_sign((new,) + rest)[1]
+                if sgn:
+                    signs.append(-sgn if p % 2 else sgn)
+    assert -1 in signs and 1 in signs
+    log.clear()
+    apply_derivation(table, a)
+    assert log == Counter(mul=len(signs), neg=signs.count(-1))
+
+    for c, negated in ((1, 0), (-1, len(a)), (1.0, 0), (-1 + 0j, len(a))):
+        log.clear()
+        escale(a, c)
+        assert log == Counter(neg=negated)
+    log.clear()
+    escale(a, 2.0)
+    assert log == Counter(mul=len(a))
 
 
 coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False,

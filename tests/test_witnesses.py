@@ -120,6 +120,22 @@ def constant_term(real):
     return lambda ts, pt: eadd(real(ts, pt), {(0, 4): 0.01})
 
 
+def plus_a_wedge(label, coord):
+    """A field operator D plus A ^ (its argument), where the 1-form A is
+    x_coord times the frame covector of `label`.  D squares to 0 and obeys
+    the Leibniz rule, so the faulty operator squares to D(A) ^, not to 0,
+    wherever D(A) is not 0.  For del_J that needs x0 with theta0: its
+    del_J(x2 theta0) is 0."""
+    def patch(real):
+        def faulty(field):
+            op = real(field)
+            return FormField(op.chart, op.degree, lambda pt: eadd(
+                op.frame_at(pt), wedge({(label,): pt[coord]},
+                                       field.frame_at(pt))))
+        return faulty
+    return patch
+
+
 def matrix_fault(name, k):
     """_one_form_matrices with the 1-form matrix of the generator `name`
     multiplied by k, so every structure context built under the patch
@@ -135,6 +151,18 @@ def matrix_fault(name, k):
 
 # identity -> (runner, bundle, unrelated identity, module, name, fault)
 WITNESSES = {
+    "d-squared": (
+        bicomplex_records, "bpst", "del-squared", suites, "exterior_d",
+        plus_a_wedge(0, 2)),
+    "del-squared": (
+        bicomplex_records, "bpst", "d-squared", suites, "del_hol",
+        plus_a_wedge(0, 2)),
+    "dbar-squared": (
+        bicomplex_records, "bpst", "d-squared", suites, "del_bar",
+        plus_a_wedge(2, 2)),
+    "delj-squared": (
+        bicomplex_records, "bpst", "d-squared", suites, "del_j",
+        plus_a_wedge(0, 0)),
     "ddj-r-transfer": (
         bicomplex_records, "bpst", "d-squared", suites, "del_bar", scaled),
     "moment-potential": (
