@@ -402,7 +402,7 @@ def _bicomplex_sweeps(cfg: ScenarioConfig) -> list:
     f10 = random_pq_field(ch, 1, 0, rng)
     f01 = random_pq_field(ch, 0, 1, rng)
     f11 = random_pq_field(ch, 1, 1, rng)
-    f20 = random_pq_field(ch, 2, 0, rng) if ch.ctx.m >= 2 else f10
+    f20 = random_pq_field(ch, 2, 0, rng)
     one = random_form_field(ch, 1, rng)
 
     def gap(lhs, rhs, k=1.0):
@@ -612,7 +612,7 @@ def _metric_gaps(ts, mats, pt) -> list:
     quat = [L[u] @ L[u] + np.eye(dim) for u in L]
     quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
     # columns: the horizontal lifts of the base coordinate vectors
-    H = np.stack([horizontal_lift(ts, pt, row) for row in np.eye(nb)], -1)
+    H = horizontal_lift(ts, pt, np.eye(nb))
     V = np.eye(dim)[:, nb:]
     w = np.zeros(sample_shape(pt) + (dim,))
     dpsi = exterior_d(scalar_field(ts.chart, lambda p: psi(ts, p)))

@@ -23,13 +23,13 @@ where Omega_ver is the canonical vertical (2, 0)-form of the fiber metric and
 the curvature pairing ksi = -sum_ab conj(v_a) Theta_ab v_b.  The suites verify
 all four against dual-number differentiation, plus del-closedness of
 Omega_hor + Omega_ver and integrability of the lifted structures I, J, K.
-Those are numpy matrices built from the connection jet (A, dA) that
-bundles._jet memoises on a Point, and so is their first derivative, exactly
-by the chain rule: no dual number enters the Nijenhuis tensor.  At a stacked
-Point (fields.stack_points) L and dL have the sample axis leading, shapes
-(S, dim, dim) and (S, dim, dim, dim), and fields.nijenhuis_residual reduces
-them per sample.  The natural metric's coframe and the horizontal lift read
-A from the same memoised jet.
+Those, the natural metric's coframe and the horizontal lifts are numpy
+matrices that read one shift per Point, X[a, mu] = (A_mu v)_a with its first
+derivative dX, built by _shift from the connection jet of bundles._jet
+exactly by the chain rule: no dual number enters the Nijenhuis tensor.  At a
+stacked Point (fields.stack_points) L and dL have the sample axis leading,
+shapes (S, dim, dim) and (S, dim, dim, dim), and fields.nijenhuis_residual
+reduces them per sample.
 """
 
 from __future__ import annotations
@@ -185,14 +185,40 @@ def xi_curv_expr(ts: TotalSpace, pt) -> Element:
         -np.einsum("...a,...mnab,...b->...mn", v.conj(), F, v))
 
 
+def _realify(W) -> np.ndarray:
+    """Rows Re w_a, Im w_a of W's fiber axis (-2), in fiber coordinate
+    order."""
+    return np.stack((W.real, W.imag), axis=-2).reshape(
+        *W.shape[:-2], 2 * W.shape[-2], W.shape[-1])
+
+
+def _fiber_jacobian(ts: TotalSpace) -> np.ndarray:
+    """dv[b, l] = d v_b / d y_l over the 2r fiber coordinates y_l."""
+    return np.kron(np.eye(ts.rank), [1.0, 1j])
+
+
+def _shift(ts: TotalSpace, pt):
+    """(X, dX) with X[a, mu] = (A_mu v)_a and dX[l, a, mu] = d_l X[a, mu]
+    over every coordinate l, behind the sample axes of a stacked Point, built
+    once per Point and coefficient function from the jet (A, dA) of
+    bundles._jet: d_l X is (d_l A_mu) v on the base, A_mu d_l v on the
+    fiber."""
+    def build(p):
+        A, dA = _jet(ts.conn, p)
+        v = _fiber_vector(ts, p)
+        return (np.einsum("...mab,...b->...am", A, v),
+                np.concatenate((np.einsum("...lmab,...b->...lam", dA, v),
+                                np.einsum("...mab,bl->...lam", A,
+                                          _fiber_jacobian(ts))), axis=-3))
+
+    return point_memo(pt, ("shift", ts.conn.coeff), build)
+
+
 def real_coframe_matrix(ts: TotalSpace, pt) -> np.ndarray:
     """Rows dx_mu, Re(Dv_a), Im(Dv_a) over the coordinate differentials."""
-    nb = 4 * ts.n
-    A = _jet(ts.conn, pt)[0]
-    X = np.einsum("...mab,...b->...am", A, _fiber_vector(ts, pt))
+    X = _shift(ts, pt)[0]
     E = np.broadcast_to(np.eye(ts.dim), X.shape[:-2] + (ts.dim,) * 2).copy()
-    E[..., nb::2, :nb] += X.real
-    E[..., nb + 1::2, :nb] += X.imag
+    E[..., 4 * ts.n:, :4 * ts.n] += _realify(X)
     return E
 
 
@@ -209,13 +235,12 @@ def natural_metric(ts: TotalSpace, pt) -> np.ndarray:
 
 def horizontal_lift(ts: TotalSpace, pt, u) -> np.ndarray:
     """Tangent coordinates of the connection lift (u, -A(u) v) at pt, behind
-    the sample axes of a stacked Point."""
-    A = _jet(ts.conn, pt)[0]
-    u = np.asarray(u, dtype=float)
-    w = -np.einsum("...mab,...b,m->...a", A, _fiber_vector(ts, pt), u)
-    re_im = np.stack((w.real, w.imag), axis=-1).reshape(*w.shape[:-1], -1)
-    return np.concatenate((np.broadcast_to(u, re_im.shape[:-1] + u.shape),
-                           re_im), axis=-1)
+    the sample axes of a stacked Point; for an (nb, k) matrix u, those of the
+    lifts of its columns, as columns."""
+    U = np.asarray(u, dtype=float).reshape(4 * ts.n, -1)
+    W = _realify(-np.einsum("...am,mk->...ak", _shift(ts, pt)[0], U))
+    H = np.concatenate((np.broadcast_to(U, W.shape[:-2] + U.shape), W), -2)
+    return H.reshape(H.shape[:-1] + np.shape(u)[1:])
 
 
 def structure_matrix_field(ts: TotalSpace, unit: str):
@@ -227,14 +252,10 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
     tangent (u, wdot) is w = wdot + A(u) v; the lift maps it by the fiber
     action F of the unit (i, Mf conj or i Mf conj) and subtracts A(L u) v to
     return to coordinates.  So L is a constant L0 plus, in the vertical rows
-    and base columns, realify(F(X) - X Lbase) with X[a, mu] = (A_mu v)_a.
-    That block is real-linear in X, so the chain rule gives dL exactly as the
-    same block of d_l X: (d_l A_mu) v along a base direction, A_mu e_b or
-    i A_mu e_b along the fiber direction of Re v_b or Im v_b.  A and dA are
-    the jet of bundles._jet, memoised on a Point; A depends only on the base
-    coordinates.
+    and base columns, realify(F(X) - X Lbase) with X from _shift.  That block
+    is real-linear in X, so dL is exactly the same block of _shift's dX.
     """
-    nb, r, dim = 4 * ts.n, ts.rank, ts.dim
+    nb, dim = 4 * ts.n, ts.dim
     Lbase = hypercomplex_matrices(ts.n)[unit]
     Mf = np.asarray(ts.conn.mfib, dtype=complex)
 
@@ -244,30 +265,18 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
             W = Mf @ W.conj()
         return W if unit == "J" else 1j * W  # K = I . J
 
-    def realify(W):
-        """Rows Re w_a, Im w_a in the order of the fiber coordinates."""
-        re_im = np.stack((W.real, W.imag), axis=-2)
-        return re_im.reshape(*W.shape[:-2], 2 * r, W.shape[-1])
-
     def block(X):
-        return realify(act(X) - X @ Lbase)
+        return _realify(act(X) - X @ Lbase)
 
-    dv = np.zeros((r, 2 * r), dtype=complex)  # dv[b, l] = d v_b / d y_l
-    dv[range(r), range(0, 2 * r, 2)] = 1.0
-    dv[range(r), range(1, 2 * r, 2)] = 1j
     L0 = np.zeros((dim, dim))
     L0[:nb, :nb] = Lbase
-    L0[nb:, nb:] = realify(act(dv))
+    L0[nb:, nb:] = _realify(act(_fiber_jacobian(ts)))
 
     def field(pt):
-        A, dA = _jet(ts.conn, pt)
-        v = _fiber_vector(ts, pt)
-        samples = A.shape[:-3]
-        L = np.broadcast_to(L0, samples + L0.shape).copy()
-        L[..., nb:, :nb] = block(np.einsum("...mab,...b->...am", A, v))
-        dX = np.concatenate((np.einsum("...lmab,...b->...lam", dA, v),
-                             np.einsum("...mab,bl->...lam", A, dv)), axis=-3)
-        dL = np.zeros(samples + (dim, dim, dim))
+        X, dX = _shift(ts, pt)
+        L = np.broadcast_to(L0, X.shape[:-2] + L0.shape).copy()
+        L[..., nb:, :nb] = block(X)
+        dL = np.zeros(L.shape + (dim,))
         dL[..., nb:, :nb, :] = np.moveaxis(block(dX), -3, -1)
         return L, dL
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hktlab import bundles, duals, suites
+from hktlab import total_space as total_space_module
 from hktlab.bundles import catalog_names, get_connection
 from hktlab.charts import Chart, to_frame, to_real
 from conftest import dre, memo_builds, nested_coeff
@@ -468,6 +469,50 @@ def test_plain_point_reads_coefficients_once():
         calls.clear()
         fn()
         assert len(calls) == 1
+
+
+def test_shift_is_built_once_per_point(monkeypatch, rng):
+    # the coframe, the horizontal lifts (of a vector and of a matrix) and the
+    # three lifted structures read X = A v and dX from one build at a
+    # Point; a plain list builds them again on every call
+    builds = memo_builds(monkeypatch, total_space_module, "shift")
+    ts = total_space(get_connection("bpst"))
+    pts = sample_points(rng, ts.dim, 3)
+    reads = [lambda pt: natural_metric(ts, pt),
+             lambda pt: horizontal_lift(ts, pt, [1.0, 0.0, -0.5, 2.0]),
+             lambda pt: horizontal_lift(ts, pt, np.eye(4)),
+             *(structure_matrix_field(ts, u) for u in ("I", "J", "K"))]
+    for pt, shape in ((stack_points(pts), (3,)), (Point(pts[0]), ())):
+        builds.clear()
+        for read in reads:
+            read(pt)
+        assert builds == [(ts.conn.coeff, shape)]
+    builds.clear()
+    for read in reads:
+        read(pts[0])
+    assert builds == [(ts.conn.coeff, ())] * len(reads)
+
+
+def test_totspace_builds_each_shift_once_per_sample_list(monkeypatch):
+    # the metric and Nijenhuis sweeps share the stacked Point of the 20
+    # samples, and read its one shift (was 11 builds of X and 6 of dX)
+    builds = memo_builds(monkeypatch, total_space_module, "shift")
+    records = totspace_records(ScenarioConfig(samples=20))
+    assert all(r.passed for r in records)
+    assert builds == [(bundles.instanton_coeff, (20,)),
+                      (bundles.flat_coeff, (20,))]
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
+def test_matrix_lift_stacks_the_vector_lifts(rng, bundle):
+    ts = total_space(get_connection(bundle))
+    pts = sample_points(rng, ts.dim, 3)
+    M = rng.standard_normal((4, 3))
+    for pt in (Point(pts[0]), stack_points(pts)):
+        H = horizontal_lift(ts, pt, M)
+        assert H.shape == np.shape(pt[0]) + (ts.dim, 3)
+        assert np.array_equal(
+            H, np.stack([horizontal_lift(ts, pt, col) for col in M.T], -1))
 
 
 def test_totspace_nijenhuis_rejects_nonholomorphic_lift():

@@ -10,6 +10,7 @@ unrelated record still passes.
 
 import math
 
+import numpy as np
 import pytest
 
 from hktlab import bundles, exterior, fields, hopf, suites
@@ -69,16 +70,20 @@ def times(value, k):
 
 
 def negated(real):
-    """real with the wrong sign: the probe pairing eta(x, J conj y), or the
-    curvature correction of del dbar of the fiber norm."""
+    """real with the wrong sign: the probe pairing eta(x, J conj y), the
+    curvature correction of del dbar of the fiber norm, or the candidate HKT
+    form's horizontal part, which makes the form negative on the base."""
     return lambda *args: times(real(*args), -1)
 
 
 def scaled(real):
     """real off by 1%.  The natural metric so scaled is not the euclidean one
-    on the flat bundle, though still invariant under I, J and K; the
-    quaternionic conjugation squares to 1.0201 and no longer symmetrizes to
-    a q-real form; the Gram matrix no longer matches the pairing; the
+    on the flat bundle, though still invariant under I, J and K, and its
+    norm of d Psi is off by 1%; frame coefficients so scaled no longer
+    convert back to the real ones; the vertical canonical form no longer
+    matches del del_J of the fiber norm; the quaternionic conjugation
+    squares to 1.0201 and no longer symmetrizes to a q-real form; the Gram
+    matrix no longer matches the pairing; the
     hyperhermitian projection is no longer idempotent; the closed forms of
     del and del_J of the fiber norm no longer match it; the curvature
     element no longer matches d of the covariant fiber coframe, and the
@@ -136,6 +141,42 @@ def plus_a_wedge(label, coord):
     return patch
 
 
+def plus(term):
+    """real plus the constant element term: on the candidate HKT form's
+    horizontal part, 0.5i dx0 ^ dx1 breaks q-reality and the base-fiber
+    0.5 theta0 ^ theta2 breaks del-closedness."""
+    return lambda real: lambda *args: eadd(real(*args), term)
+
+
+def bumped(real):
+    """The natural metric plus 0.01 in its dx0 dx0 entry: still symmetric
+    and positive, but no longer invariant under I, J and K."""
+    def faulty(ts, pt):
+        g = real(ts, pt)
+        g[..., 0, 0] += 0.01
+        return g
+    return faulty
+
+
+def stretched(real):
+    """The horizontal lift of 1.01 u in place of u's: no longer orthonormal
+    for orthonormal u."""
+    return lambda ts, pt, u: real(ts, pt, 1.01 * np.asarray(u))
+
+
+def scaled_structure(real):
+    """Each lifted structure L times 1.01, its derivative left as it is: L
+    then squares to -1.0201."""
+    def faulty(ts, unit):
+        field = real(ts, unit)
+
+        def scaled_field(pt):
+            L, dL = field(pt)
+            return 1.01 * L, dL
+        return scaled_field
+    return faulty
+
+
 def matrix_fault(name, k):
     """_one_form_matrices with the 1-form matrix of the generator `name`
     multiplied by k, so every structure context built under the patch
@@ -149,7 +190,8 @@ def matrix_fault(name, k):
     return patch
 
 
-# identity -> (runner, bundle, unrelated identity, module, name, fault)
+# identity -> (runner, bundle, unrelated identity, module, name, fault); an
+# identity that two suites report is keyed identity@suite for the second one
 WITNESSES = {
     "d-squared": (
         bicomplex_records, "bpst", "del-squared", suites, "exterior_d",
@@ -229,6 +271,36 @@ WITNESSES = {
     "curvature-term-invariant": (
         totspace_records, "bpst", "deldelj-potential", suites,
         "xi_curv_expr", constant_term),
+    "frame-roundtrip": (
+        totspace_records, "bpst", "deldelj-potential", suites, "to_frame",
+        scaled),
+    "deldelj-potential": (
+        totspace_records, "bpst", "del-potential", suites,
+        "omega_ver_canonical", scaled),
+    "r-transfer": (
+        totspace_records, "bpst", "deldelj-potential", suites, "del_bar",
+        scaled),
+    "del-closed@totspace": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "omega_hor_expr", plus({(0, 2): 0.5})),
+    "omega-qreal": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "omega_hor_expr", plus({(0, 1): 0.5j})),
+    "omega-qpositive": (
+        totspace_records, "bpst", "deldelj-potential", suites,
+        "omega_hor_expr", negated),
+    "metric-invariance": (
+        totspace_records, "bpst", "quaternion-relations", suites,
+        "natural_metric", bumped),
+    "quaternion-relations": (
+        totspace_records, "bpst", "metric-splitting", suites,
+        "structure_matrix_field", scaled_structure),
+    "metric-splitting": (
+        totspace_records, "bpst", "quaternion-relations", suites,
+        "horizontal_lift", stretched),
+    "potential-gradient-norm": (
+        totspace_records, "bpst", "quaternion-relations", suites,
+        "natural_metric", scaled),
     "metric-flat-identity": (
         totspace_records, "flat", "quaternion-relations", suites,
         "natural_metric", scaled),
@@ -274,9 +346,10 @@ WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("identity", sorted(WITNESSES))
-def test_fault_fails_its_record(monkeypatch, identity):
-    runner, bundle, unrelated, module, name, fault = WITNESSES[identity]
+@pytest.mark.parametrize("key", sorted(WITNESSES))
+def test_fault_fails_its_record(monkeypatch, key):
+    runner, bundle, unrelated, module, name, fault = WITNESSES[key]
+    identity = key.partition("@")[0]
     cfg = ScenarioConfig(bundle=bundle, samples=3, probes=3)
 
     def run():
