@@ -23,10 +23,10 @@ The Bianchi residual is the cyclic sum of d_lam F_mu_nu + [A_lam, F_mu_nu],
 with d_lam F_mu_nu = d_lam d_mu A_nu - d_lam d_nu A_mu + [d_lam A_mu, A_nu]
 + [A_mu, d_lam A_nu] from one two-level coeff call per lam (lam seeded by
 duals.seed_unit below the seeded child's every mu).  The one field-strength
-helper builds F on the whole (mu, nu) grid and dF only at the pairs that the
-rotations starting at lam read (three at dim 4), given as index arrays: by
-the Jacobi identity, a dF written out apart from F could not see a term
-missing from F.
+helper builds F at the pairs mu < nu (F[nu, mu] = -F[mu, nu] exactly) and dF
+only at the pairs that the rotations starting at lam read (three at dim 4),
+given as index arrays: by the Jacobi identity, a dF written out apart from
+F could not see a term missing from F.
 
 Two pointwise criteria for compatibility with the whole 2-sphere of complex
 structures are implemented and compared against each other:
@@ -190,12 +190,15 @@ def _field_strength(D, X, Y, mu, nu) -> np.ndarray:
 
 
 def curvature(conn: Connection, pt) -> np.ndarray:
-    """F[..., mu, nu] as an array of shape (..., dim, dim, r, r), built once
-    per Point and coefficient function."""
+    """F[..., mu, nu] of shape (..., dim, dim, r, r), built once per Point and
+    coefficient function at mu < nu: F[nu, mu] = -F[mu, nu], diagonal 0."""
     def build(p):
         A, dA = _jet(conn, p)
-        return _field_strength(dA, A, A,
-                               *np.ix_(*[range(4 * conn.base_n)] * 2))
+        pairs = list(itertools.combinations(range(4 * conn.base_n), 2))
+        F, half = np.zeros_like(dA), _field_strength(dA, A, A, *zip(*pairs))
+        for (mu, nu), h in zip(pairs, np.moveaxis(half, -3, 0)):
+            F[..., mu, nu, :, :], F[..., nu, mu, :, :] = h, -h
+        return F
 
     return point_memo(pt, ("curvature", conn.coeff), build)
 

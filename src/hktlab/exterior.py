@@ -504,9 +504,9 @@ class StructureContext:
         M = np.asarray(self.mmat, dtype=complex)
         if M.shape != (self.m, self.m):
             raise ValueError("structure matrix has wrong shape")
-        if not np.allclose(M @ M.conj().T, np.eye(self.m), atol=1e-12):
+        if not np.all(np.abs(M @ M.conj().T - np.eye(self.m)) <= 1e-12):
             raise ValueError("structure matrix must be unitary")
-        if not np.allclose(M @ M.conj(), -np.eye(self.m), atol=1e-12):
+        if not np.all(np.abs(M @ M.conj() + np.eye(self.m)) <= 1e-12):
             raise ValueError("structure matrix must satisfy M conj(M) = -Id")
         self.mmat = M
         A = _one_form_matrices(M)

@@ -288,15 +288,19 @@ def stack_points(pts) -> Point:
 
 # ----- Nijenhuis tensor of an almost complex structure and its derivative -----
 
-def nijenhuis_residual(L: np.ndarray, dL: np.ndarray):
-    """Max component of N_L(e_i, e_j) for the real matrix L at a point and
-    its exact first derivative dL[k, j, l] = d_l L[k, j] there
-    (total_space.structure_matrix_field builds both by the chain rule).
-    Leading axes are samples: the maximum is taken per sample, and a nan
-    stays in its own sample."""
-    # summed in place, in the order term1 - term2 - term3 + term4
-    N = np.einsum('...li,...kjl->...kij', L, dL)
-    N -= np.einsum('...lj,...kil->...kij', L, dL)
-    N -= np.einsum('...kl,...lji->...kij', L, dL)
-    N += np.einsum('...kl,...lij->...kij', L, dL)
+def nijenhuis_residual(L: np.ndarray, B: np.ndarray):
+    """Max component of N_L(e_i, e_j) per sample (leading axes; a nan stays
+    in its own sample) for the real matrix L, from the block B outside which
+    dL[k, j, l] = d_l L[k, j] vanishes: its last B.shape[-3] rows and first
+    B.shape[-2] columns (total_space.structure_matrix_field builds L and B)."""
+    dim = L.shape[-1]
+    h, nj = dim - B.shape[-3], B.shape[-2]
+    # N = t1 - t1^T - t4^T + t4, summed in place in that order (^T: i <-> j)
+    t1 = np.einsum('...li,...kjl->...kij', L, B)
+    t4 = np.einsum('...kl,...lij->...kij', L[..., h:], B)
+    N = np.zeros(L.shape[:-2] + (dim,) * 3)
+    N[..., h:, :, :nj] = t1
+    N[..., h:, :nj, :] -= np.swapaxes(t1, -1, -2)
+    N[..., :nj] -= np.swapaxes(t4, -1, -2)
+    N[..., :nj, :] += t4
     return np.max(np.abs(N), axis=(-3, -2, -1))

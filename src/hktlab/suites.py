@@ -608,7 +608,7 @@ def _metric_gaps(ts, mats, pt) -> list:
     potential-gradient-norm values; mats are the lifted structure fields."""
     nb, dim = 4 * ts.n, ts.dim
     g = natural_metric(ts, pt)
-    L = {u: mats[u](pt)[0] for u in mats}
+    L = {u: mats[u](pt, jet=False)[0] for u in mats}
     quat = [L[u] @ L[u] + np.eye(dim) for u in L]
     quat += [L["I"] @ L["J"] - L["K"], L["I"] @ L["J"] + L["J"] @ L["I"]]
     # columns: the horizontal lifts of the base coordinate vectors
@@ -718,10 +718,9 @@ def _totspace_sweeps(cfg: ScenarioConfig, bundle_name: str, samples: int,
 
     def nijenhuis(pt):
         """Each structure's residual at the first max(50, samples // 2)
-        samples."""
+        samples, the only ones whose derivative block is built."""
         k = max(50, samples // 2)
-        return np.stack([nijenhuis_residual(L[:k], dL[:k])
-                         for L, dL in (mats[u](pt) for u in mats)], axis=-1)
+        return np.stack([nijenhuis_residual(*mats[u](pt, k)) for u in mats], -1)
 
     return [
         ([Spec("frame-roundtrip",

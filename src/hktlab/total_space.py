@@ -25,11 +25,10 @@ all four against dual-number differentiation, plus del-closedness of
 Omega_hor + Omega_ver and integrability of the lifted structures I, J, K.
 Those, the natural metric's coframe and the horizontal lifts are numpy
 matrices that read one shift per Point, X[a, mu] = (A_mu v)_a with its first
-derivative dX, built by _shift from the connection jet of bundles._jet
-exactly by the chain rule: no dual number enters the Nijenhuis tensor.  At a
-stacked Point (fields.stack_points) L and dL have the sample axis leading,
-shapes (S, dim, dim) and (S, dim, dim, dim), and fields.nijenhuis_residual
-reduces them per sample.
+derivative dX, built by _shift from the connection jet of bundles._jet exactly
+by the chain rule: no dual number enters the Nijenhuis tensor, which reads L
+and the one nonzero block B of dL.  At a stacked Point (fields.stack_points)
+both have the sample axis leading, shapes (S, dim, dim) and (S, 2r, 4n, dim).
 """
 
 from __future__ import annotations
@@ -244,16 +243,17 @@ def horizontal_lift(ts: TotalSpace, pt, u) -> np.ndarray:
 
 
 def structure_matrix_field(ts: TotalSpace, unit: str):
-    """The lifted structure L and its derivative as a pt -> (L, dL) field,
-    dL[k, j, l] = d_l L[k, j], both real arrays over total-space coordinates
-    (behind the sample axis of a stacked Point).
+    """The lifted structure L and its derivative as a pt -> (L, B) field, B
+    the block B[k, j, l] = d_l L[nb + k, j] outside which dL vanishes, both
+    real arrays behind the sample axis of a stacked Point; field(pt, k) reads
+    its first k samples alone, field(pt, jet=False) gives (L, None).
 
     Horizontal part: the flat tangent action on the base.  Vertical part of a
     tangent (u, wdot) is w = wdot + A(u) v; the lift maps it by the fiber
     action F of the unit (i, Mf conj or i Mf conj) and subtracts A(L u) v to
     return to coordinates.  So L is a constant L0 plus, in the vertical rows
-    and base columns, realify(F(X) - X Lbase) with X from _shift.  That block
-    is real-linear in X, so dL is exactly the same block of _shift's dX.
+    and base columns, realify(F(X) - X Lbase), built once per Point and unit
+    from _shift's X.  That block is real-linear in X, so B is that of dX.
     """
     nb, dim = 4 * ts.n, ts.dim
     Lbase = hypercomplex_matrices(ts.n)[unit]
@@ -272,12 +272,15 @@ def structure_matrix_field(ts: TotalSpace, unit: str):
     L0[:nb, :nb] = Lbase
     L0[nb:, nb:] = _realify(act(_fiber_jacobian(ts)))
 
-    def field(pt):
+    def field(pt, k=None, jet=True):
         X, dX = _shift(ts, pt)
-        L = np.broadcast_to(L0, X.shape[:-2] + L0.shape).copy()
-        L[..., nb:, :nb] = block(X)
-        dL = np.zeros(L.shape + (dim,))
-        dL[..., nb:, :nb, :] = np.moveaxis(block(dX), -3, -1)
-        return L, dL
+
+        def build(_):
+            L = np.broadcast_to(L0, X.shape[:-2] + L0.shape).copy()
+            L[..., nb:, :nb] = block(X)
+            return L
+
+        L = point_memo(pt, ("structure", unit, ts.conn.coeff), build)[:k]
+        return L, np.moveaxis(block(dX[:k]), -3, -1) if jet else None
 
     return field

@@ -75,3 +75,25 @@ def memo_builds(monkeypatch, module, tag):
 
     monkeypatch.setattr(module, "point_memo", logged)
     return builds
+
+
+def nijenhuis_dense(L, dL):
+    """Max component of N_L(e_i, e_j) per sample from a dense derivative
+    dL[k, j, l] = d_l L[k, j], its four terms written out as four einsums
+    and summed in the order term1 - term2 - term3 + term4: the oracle for
+    fields.nijenhuis_residual, which reads dL's nonzero block and builds
+    term2 and term3 as term1 and term4 with i and j swapped."""
+    N = np.einsum('...li,...kjl->...kij', L, dL)
+    N -= np.einsum('...lj,...kil->...kij', L, dL)
+    N -= np.einsum('...kl,...lji->...kij', L, dL)
+    N += np.einsum('...kl,...lij->...kij', L, dL)
+    return np.max(np.abs(N), axis=(-3, -2, -1))
+
+
+def dense_derivative(L, B):
+    """The dense dL[k, j, l] = d_l L[k, j] whose only nonzero block is B,
+    on the last B.shape[-3] rows and the first B.shape[-2] columns."""
+    dim = L.shape[-1]
+    dL = np.zeros(L.shape + (dim,))
+    dL[..., dim - B.shape[-3]:, :B.shape[-2], :] = B
+    return dL

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hktlab import exterior
+from hktlab.bundles import catalog_names, get_connection
 from hktlab.duals import Dual, dconj, fresh_level
 from hktlab.exterior import (StructureContext, apply_derivation,
                              apply_multiplicative, eadd, enorm, escale, esub,
                              eval2, positive_dimension, sort_sign, standard_m,
                              wedge)
 from hktlab.hermitian import _eigenvalues
+from hktlab.total_space import total_space
 
 
 def _ctx(m=2):
@@ -622,6 +624,21 @@ def _random_structure(m, rng):
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     u, _ = np.linalg.qr(z)
     return StructureContext(m, u @ standard_m(m) @ u.T)
+
+
+def test_structure_matrix_checks_are_absolute():
+    # every catalog fiber M and every total-space M passes at 1e-12
+    for name in catalog_names():
+        conn = get_connection(name)
+        StructureContext(conn.rank, conn.mfib)
+        ctx = total_space(conn).ctx
+        StructureContext(ctx.m, ctx.mmat)
+    # each fault is 4e-6 off and allclose's default rtol of 1e-5 let it by:
+    # |M M^H - Id| = 8e-6, then a unitary M with |M conj(M) + Id| = 4e-6
+    with pytest.raises(ValueError, match="unitary"):
+        StructureContext(2, (1 + 4e-6) * standard_m(2))
+    with pytest.raises(ValueError, match="M conj"):
+        StructureContext(2, standard_m(2) @ np.diag([np.exp(4e-6j), 1.0]))
 
 
 def test_blocks_of_a_dense_structure_match_the_sparse_operators(rng):

@@ -19,6 +19,7 @@ from hktlab.fields import (FormField, d_plus, del_bar, del_hol, del_j,
 from hktlab.quaternions import hypercomplex_matrices
 from hktlab.suites import ScenarioConfig
 from hktlab.total_space import psi, total_space
+from conftest import dense_derivative, nijenhuis_dense
 from test_total_space import seeded_jet
 
 
@@ -321,6 +322,18 @@ def test_nijenhuis_zero_for_constant_structure(rng):
 
     for pt in sample_points(rng, 4, 5):
         assert nijenhuis_residual(*seeded_jet(const_field, pt)) == 0.0
+
+
+@pytest.mark.parametrize("dim, rows, cols", [(8, 4, 4), (12, 8, 4),
+                                              (7, 3, 5), (6, 6, 6)])
+def test_nijenhuis_kernel_equals_dense_oracle_on_random_blocks(
+        rng, dim, rows, cols):
+    # every block position, and (6, 6, 6) the block that covers every index:
+    # generic values, so a reordered sum shows in the last bit
+    L = rng.standard_normal((40, dim, dim))
+    B = rng.standard_normal((40, rows, cols, dim))
+    assert np.array_equal(nijenhuis_residual(L, B),
+                          nijenhuis_dense(L, dense_derivative(L, B)))
 
 
 def test_nijenhuis_detects_twisted_structure(rng):

@@ -235,11 +235,11 @@ def test_structure_matrices_agree_with_each_sample(rng, bundle):
     pts = sample_points(rng, ts.dim, 3)
     for unit in ("I", "J", "K"):
         field = structure_matrix_field(ts, unit)
-        L, dL = field(stack_points(pts))
+        L, B = field(stack_points(pts))
         per_sample = [field(Point(pt)) for pt in pts]
         assert_arrays_agree(L, [l for l, _ in per_sample])
-        assert_arrays_agree(dL, [dl for _, dl in per_sample])
-        assert max(np.max(np.abs(dl)) for _, dl in per_sample) > 1e-3
+        assert_arrays_agree(B, [b for _, b in per_sample])
+        assert max(np.max(np.abs(b)) for _, b in per_sample) > 1e-3
 
 
 @pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])

@@ -8,7 +8,8 @@ from hktlab import bundles, duals, suites
 from hktlab import total_space as total_space_module
 from hktlab.bundles import catalog_names, get_connection
 from hktlab.charts import Chart, to_frame, to_real
-from conftest import dre, memo_builds, nested_coeff
+from conftest import (dense_derivative, dre, memo_builds, nested_coeff,
+                      nijenhuis_dense)
 from hktlab.duals import Point, dconj, dot_part, fresh_level, seed_unit
 from hktlab.exterior import eadd, enorm, escale, esub
 from hktlab.fields import (FormField, del_bar, del_hol, del_j,
@@ -325,10 +326,13 @@ def test_structure_jet_matches_nested_dual_reference(name, rng):
     coords = sample_points(rng, ts.dim, 4)
     for pt in [Point(c) for c in coords[:2]] + coords[2:]:
         for u in ("I", "J", "K"):
-            L, dL = structure_matrix_field(ts, u)(pt)
+            L, B = structure_matrix_field(ts, u)(pt)
             ref_L, ref_dL = seeded_jet(reference_structure_field(ts, u), pt)
             assert np.array_equal(L, ref_L), (name, u)
-            assert np.max(np.abs(dL - ref_dL)) < 1e-12, (name, u)
+            # dL vanishes outside the vertical rows and base columns of B
+            assert B.shape == (2 * ts.rank, 4 * ts.n, ts.dim)
+            assert np.max(np.abs(dense_derivative(L, B) - ref_dL)) < 1e-12, (
+                name, u)
 
 
 def test_nijenhuis_sees_dropped_lift_correction(ts, rng):
@@ -337,6 +341,74 @@ def test_nijenhuis_sees_dropped_lift_correction(ts, rng):
         reference_structure_field(ts, u, correction=False), pt))
         for pt in sample_points(rng, 8, 3) for u in ("I", "J", "K"))
     assert worst > 1e-3
+
+
+@pytest.mark.parametrize("name", ["flat", "bpst", "direct-sum",
+                                  "nonholo-demo"])
+def test_nijenhuis_kernel_equals_dense_oracle_bit_for_bit(name, rng):
+    # the residual from L and dL's one block B against the four dense
+    # einsums on dL, sample by sample, at a stacked Point and at each sample
+    ts = total_space(get_connection(name))
+    pts = sample_points(rng, ts.dim, 60)
+    for u in ("I", "J", "K"):
+        field = structure_matrix_field(ts, u)
+        for pt in [stack_points(pts)] + [Point(p) for p in pts]:
+            L, B = field(pt)
+            assert np.array_equal(nijenhuis_residual(L, B), nijenhuis_dense(
+                L, dense_derivative(L, B))), (name, u)
+
+
+def test_nijenhuis_keeps_a_nan_in_its_own_sample(ts, rng):
+    L, B = structure_matrix_field(ts, "J")(
+        stack_points(sample_points(rng, ts.dim, 60)))
+    L, B = L.copy(), B.copy()
+    L[7, 5, 0] = np.nan
+    B[11, 1, 2, 3] = np.nan
+    got = nijenhuis_residual(L, B)
+    assert np.flatnonzero(np.isnan(got)).tolist() == [7, 11]
+    assert np.array_equal(got, nijenhuis_dense(L, dense_derivative(L, B)),
+                          equal_nan=True)
+
+
+def derivative_blocks(monkeypatch):
+    """Logs the sample count of each derivative block B that
+    total_space builds: the only 4-axis array _realify is given is
+    (samples, l, fiber, base), a block of the shift's dX."""
+    blocks = []
+    real = total_space_module._realify
+
+    def logged(W):
+        if W.ndim == 4:
+            blocks.append(W.shape[0])
+        return real(W)
+
+    monkeypatch.setattr(total_space_module, "_realify", logged)
+    return blocks
+
+
+@pytest.mark.parametrize("bundle", ["bpst", "direct-sum"])
+def test_metric_gaps_build_no_derivative_block(monkeypatch, rng, bundle):
+    blocks = derivative_blocks(monkeypatch)
+    ts = total_space(get_connection(bundle))
+    mats = {u: structure_matrix_field(ts, u) for u in ("I", "J", "K")}
+    suites._metric_gaps(ts, mats, stack_points(sample_points(rng, ts.dim, 4)))
+    assert blocks == []
+
+
+def test_totspace_builds_l_once_and_b_at_the_nijenhuis_samples(monkeypatch):
+    # at 120 samples the metric and Nijenhuis sweeps share each structure's
+    # L, and B is built at the 60 samples that nijenhuis reads (the flat
+    # control's 24 at its 24); was L and a dense dL at all 120, four times
+    structures = memo_builds(monkeypatch, total_space_module, "structure")
+    blocks = derivative_blocks(monkeypatch)
+    records = {r.identity: r
+               for r in totspace_records(ScenarioConfig(samples=120))}
+    assert all(r.passed for r in records.values())
+    assert structures == [(u, (120,)) for u in "IJK"] + [
+        (u, (24,)) for u in "IJK"]
+    assert blocks == [60] * 3 + [24] * 3
+    assert records["nijenhuis"].points == 60
+    assert records["flat-control:nijenhuis"].points == 24
 
 
 def test_nijenhuis_at_memoised_jet_builds_no_dual(ts, rng, monkeypatch):

@@ -165,14 +165,14 @@ def stretched(real):
 
 
 def scaled_structure(real):
-    """Each lifted structure L times 1.01, its derivative left as it is: L
-    then squares to -1.0201."""
+    """Each lifted structure L times 1.01, its derivative block B left as it
+    is: L then squares to -1.0201."""
     def faulty(ts, unit):
         field = real(ts, unit)
 
-        def scaled_field(pt):
-            L, dL = field(pt)
-            return 1.01 * L, dL
+        def scaled_field(pt, *args, **kwargs):
+            L, B = field(pt, *args, **kwargs)
+            return 1.01 * L, B
         return scaled_field
     return faulty
 
